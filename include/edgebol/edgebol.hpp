@@ -48,11 +48,9 @@
 #include "linalg/matrix.hpp"
 #include "net/chaos.hpp"
 #include "net/event_loop.hpp"
-#include "net/framing.hpp"
 #include "net/mux_framing.hpp"
 #include "net/mux_transport.hpp"
 #include "net/socket.hpp"
-#include "net/tcp_transport.hpp"
 #include "net/transport.hpp"
 #include "nn/adam.hpp"
 #include "nn/mlp.hpp"

@@ -7,7 +7,8 @@
 # multi-process transport smoke under both sanitizers.
 #
 #   scripts/check.sh            # every tier
-#   scripts/check.sh --fast     # lint + tier-1 + release smoke only
+#   scripts/check.sh --fast     # lint + tier-1 + release smoke + benchmark
+#                               # smoke only
 #
 # Builds live under build/, build-release/, build-asan/, build-tsan/,
 # build-ubsan/, and build-lockdep/ (Debug: the affinity asserts and the
@@ -100,9 +101,10 @@ for attempt in 1 2 3; do
   echo "perf gate: attempt $attempt/3 below threshold; re-measuring"
 done
 [[ "$gate_ok" == 1 ]]
-# Transport bench: p99 indication-to-policy latency under an o1 flood plus
-# recovery time after a seeded 4s E2 partition, then the multiplexed fleet
-# phase (1000 cells over 8 TCP connections through MuxEndpoint). Smoke p99
+# Transport bench: p99 indication-to-policy latency under a flood on a
+# sibling connection of the same event loop, plus recovery time after a
+# seeded 4s E2 partition, then the fleet phase (1000 cells as MuxEndpoint
+# streams over 8 TCP connections). Smoke p99
 # measures 30-45ms on an idle box; the 500ms ceiling is generous headroom
 # for shared-CPU noise while still catching a real event-loop or
 # backpressure regression (a blocking send on the hot path lands in the
@@ -172,6 +174,22 @@ for attempt in 1 2 3; do
   echo "fleet gate: attempt $attempt/3 below threshold; re-measuring"
 done
 [[ "$fleet_ok" == 1 ]]
+# Benchmark smoke: perfbench/ is a CMake package of its own over ../src, so
+# no other tier compiles it. Build it (into .bench_build/) and run each
+# BENCHMARK.json workload briefly: run.py must exit 0 (it checks the
+# result's shape against BENCHMARK.json) and the run must report
+# "correct": true (the workload's own correctness check passed).
+for workload in cell_mobility fleet_wire; do
+  result="$(python3 perfbench/run.py --workload "$workload" --seed 1 \
+    --seconds 2 | tail -n 1)"
+  python3 - "$workload" "$result" <<'EOF'
+import json, sys
+workload, result = sys.argv[1], json.loads(sys.argv[2])
+if result["correct"] is not True:
+    sys.exit(f"perfbench {workload}: correct = {result['correct']}")
+print(f"perfbench {workload}: correct, {result['attempted']} ops")
+EOF
+done
 end_tier pass
 
 if [[ "$FAST" == 1 ]]; then

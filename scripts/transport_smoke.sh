@@ -1,25 +1,19 @@
 #!/usr/bin/env bash
-# Multi-process transport smoke for the check.sh `transport` tier: boots the
-# real three-process O-RAN plane (env / nearrt / nonrt as separate OS
-# processes over TCP) from a given build, injects a short seeded E2
-# partition, and asserts the learner still completes every period and writes
-# a sane trajectory. Run it against the sanitizer builds — this is where
-# cross-process socket lifetimes, reconnect races, and shutdown ordering
-# actually get exercised.
+# Multi-process transport smoke for the check.sh sanitizer and lockdep
+# tiers: checks the message plane against the in-process loopback, then
+# boots the real three-process O-RAN plane (env / nearrt / nonrt as
+# separate OS processes, every link a MuxEndpoint stream) from a given
+# build, injects a short seeded E2 partition, and asserts the learner still
+# completes every period and writes a sane trajectory. Run it against the
+# sanitizer builds — this is where cross-process socket lifetimes,
+# reconnect races, and shutdown ordering actually get exercised.
 #
 #   scripts/transport_smoke.sh BUILD_DIR [PERIODS]
 #
-# Coverage matrix per invocation:
-#   * `ric_node --verify-loopback` under BOTH event-loop backends
-#     (EDGEBOL_NET_BACKEND=poll and =epoll): the TCP plane AND the
-#     multiplexed plane must reproduce the in-process loopback trajectory
-#     bit-for-bit on the same seed.
-#   * one per-link TCP three-process run with a seeded E2 partition
-#     (default backend);
-#   * two multiplexed three-process runs (--mux: a1+o1, e2, svc as streams
-#     over three MuxEndpoint connections) with the same partition, one per
-#     backend — the epoll readv/writev batching path and the poll fallback
-#     both face sanitizers here.
+# Coverage per invocation:
+#   * `ric_node --verify-loopback`: the message plane must reproduce the
+#     in-process loopback trajectory bit-for-bit on the same seed;
+#   * one three-process run with a seeded 3 s E2 partition that must heal.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -36,19 +30,41 @@ DIR="$(mktemp -d "${TMPDIR:-/tmp}/edgebol-smoke.XXXXXX")"
 PIDS=()
 cleanup() {
   # Unblock any server role still waiting for its learner.
-  for d in "$DIR"/*/; do touch "$d/done" 2>/dev/null || true; done
+  touch "$DIR/done" 2>/dev/null || true
   for pid in "${PIDS[@]}"; do wait "$pid" 2>/dev/null || true; done
   rm -rf "$DIR"
 }
 trap cleanup EXIT
 
-echo "-- transport smoke: verify-loopback ($PERIODS periods, poll backend) --"
-EDGEBOL_NET_BACKEND=poll "$RIC_NODE" --verify-loopback --periods "$PERIODS"
-echo "-- transport smoke: verify-loopback ($PERIODS periods, epoll backend) --"
-EDGEBOL_NET_BACKEND=epoll "$RIC_NODE" --verify-loopback --periods "$PERIODS"
+echo "-- transport smoke: verify-loopback ($PERIODS periods) --"
+"$RIC_NODE" --verify-loopback --periods "$PERIODS"
 
-check_trajectory() {  # $1 = trajectory.json
-  python3 - "$1" "$PERIODS" <<'EOF'
+echo "-- transport smoke: three processes + 3s E2 partition --"
+"$RIC_NODE" --role env --dir "$DIR" &
+PIDS+=($!)
+# Partition opens at E2 establishment — clean periods take a few ms each,
+# so only an immediate window reliably forces the plane through its
+# degraded path (dropped control, timed-out ack, lost KPI) before healing.
+# 3s spans the first period's whole timeout chain, guaranteeing heartbeat
+# drops, a peer timeout, and reconnect churn even when sanitizer slowdown
+# shifts the period timing.
+"$RIC_NODE" --role nearrt --dir "$DIR" --e2-partition 0:3000 \
+  --chaos-seed 11 2> >(tee "$DIR/nearrt.log" >&2) &
+PIDS+=($!)
+"$RIC_NODE" --role nonrt --dir "$DIR" --periods "$PERIODS" \
+  --out "$DIR/trajectory.json"
+
+for pid in "${PIDS[@]}"; do wait "$pid"; done
+PIDS=()
+
+# The window must have actually silenced the hop (heartbeats count, so
+# this holds however sanitizer slowdown shifts the period timing).
+grep -q "partition_drops=[1-9]" "$DIR/nearrt.log" || {
+  echo "transport smoke: partition window never dropped a frame" >&2
+  exit 1
+}
+
+python3 - "$DIR/trajectory.json" "$PERIODS" <<'EOF'
 import json, math, sys
 with open(sys.argv[1]) as f:
     data = json.load(f)
@@ -67,46 +83,3 @@ assert math.isfinite(data["mean_cost"]), "mean cost not finite"
 print(f"transport smoke: {want}/{want} periods, "
       f"{len(dark)} dark during the partition, healed by the end")
 EOF
-}
-
-run_partitioned_plane() {  # $1 = tcp|mux, $2 = event-loop backend
-  local mode="$1" backend="$2"
-  local dir="$DIR/$mode-$backend"
-  mkdir -p "$dir"
-  local mux=()
-  [[ "$mode" == mux ]] && mux=(--mux)
-  echo "-- transport smoke: three $mode processes + 3s E2 partition" \
-       "($backend backend) --"
-  EDGEBOL_NET_BACKEND="$backend" \
-    "$RIC_NODE" --role env --dir "$dir" ${mux[@]+"${mux[@]}"} &
-  PIDS+=($!)
-  # Partition opens at E2 establishment — clean periods take a few ms each,
-  # so only an immediate window reliably forces the plane through its
-  # degraded path (dropped control, timed-out ack, lost KPI) before healing.
-  # 3s spans the first period's whole timeout chain, guaranteeing heartbeat
-  # drops, a peer timeout, and reconnect churn even when sanitizer slowdown
-  # shifts the period timing.
-  EDGEBOL_NET_BACKEND="$backend" \
-    "$RIC_NODE" --role nearrt --dir "$dir" ${mux[@]+"${mux[@]}"} \
-    --e2-partition 0:3000 --chaos-seed 11 \
-    2> >(tee "$dir/nearrt.log" >&2) &
-  PIDS+=($!)
-  EDGEBOL_NET_BACKEND="$backend" \
-    "$RIC_NODE" --role nonrt --dir "$dir" ${mux[@]+"${mux[@]}"} \
-    --periods "$PERIODS" --out "$dir/trajectory.json"
-
-  for pid in "${PIDS[@]}"; do wait "$pid"; done
-  PIDS=()
-
-  # The window must have actually silenced the hop (heartbeats count, so
-  # this holds however sanitizer slowdown shifts the period timing).
-  grep -q "partition_drops=[1-9]" "$dir/nearrt.log" || {
-    echo "transport smoke: partition window never dropped a frame" >&2
-    exit 1
-  }
-  check_trajectory "$dir/trajectory.json"
-}
-
-run_partitioned_plane tcp epoll
-run_partitioned_plane mux epoll
-run_partitioned_plane mux poll

@@ -66,7 +66,7 @@ struct PartitionWindow {
 
 /// Transport-level chaos: frame fates plus reordering, timed delivery delay,
 /// and partition/reconnect-storm windows. Applied by net::ChaosShim on the
-/// sending side of a TcpTransport.
+/// sending side of a net::MuxEndpoint connection.
 struct TransportFaultRates {
   FrameFaultRates frames{};   // drop/delay/duplicate/corrupt draws
   double reorder = 0.0;       // frame held back and sent after its successor
@@ -100,7 +100,7 @@ struct FaultPlan {
   FrameFaultRates o1{};         // O1 reporting hop
   TelemetryFaultRates telemetry{};
   std::vector<EnvEvent> events{};
-  TransportFaultRates transport{};  // socket-level chaos (TcpTransport only)
+  TransportFaultRates transport{};  // socket-level chaos (MuxEndpoint only)
 
   bool enabled() const {
     return a1.any() || e2.any() || o1.any() || telemetry.any() ||

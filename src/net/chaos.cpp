@@ -44,7 +44,8 @@ bool ChaosShim::take_reset(std::int64_t now_ms) {
 
 std::vector<ChaosEmission> ChaosShim::on_send(const std::string& frame,
                                               std::int64_t now_ms,
-                                              TransportStats* stats) {
+                                              TransportStats* stats,
+                                              std::uint64_t tag) {
   if (partitioned(now_ms)) {
     ++stats->chaos_partition_drops;
     return {};
@@ -58,30 +59,30 @@ std::vector<ChaosEmission> ChaosShim::on_send(const std::string& frame,
       break;
     case fault::FrameFault::kDelay:
       ++stats->chaos_delayed;
-      out.push_back({frame, rates_.delay_ms});
+      out.push_back({frame, rates_.delay_ms, tag});
       break;
     case fault::FrameFault::kDuplicate:
       ++stats->chaos_duplicated;
-      out.push_back({frame, 0});
-      out.push_back({frame, 0});
+      out.push_back({frame, 0, tag});
+      out.push_back({frame, 0, tag});
       break;
     case fault::FrameFault::kCorrupt:
       ++stats->chaos_corrupted;
-      out.push_back({injector_.corrupt_frame(frame), 0});
+      out.push_back({injector_.corrupt_frame(frame), 0, tag});
       break;
     case fault::FrameFault::kNone:
-      out.push_back({frame, 0});
+      out.push_back({frame, 0, tag});
       break;
   }
 
   if (held_) {
     // Release the held frame after the current one — that's the reorder.
-    out.push_back({*held_, 0});
+    out.push_back(std::move(*held_));
     held_.reset();
   } else if (fate == fault::FrameFault::kNone && rates_.reorder > 0.0 &&
              reorder_rng_.bernoulli(rates_.reorder)) {
     ++stats->chaos_reordered;
-    held_ = frame;
+    held_ = ChaosEmission{frame, 0, tag};
     out.clear();
   }
   return out;

@@ -1,11 +1,12 @@
 // Seeded transport-level chaos for the TCP message plane.
 //
-// The shim sits on the send side of a TcpTransport, on the loop thread, and
-// decides each outbound frame's fate from its own RNG streams (derived from
-// the FaultPlan seed, independent of the learner's and testbed's streams):
-// drop, timed delay, duplicate, corrupt, reorder — plus scheduled partition
-// windows during which *everything* (heartbeats included) is dropped, so
-// peer-timeout detection and reconnect supervision get exercised for real.
+// The shim sits on the send side of a MuxEndpoint connection, on the loop
+// thread, and decides each outbound frame's fate from its own RNG streams
+// (derived from the FaultPlan seed, independent of the learner's and
+// testbed's streams): drop, timed delay, duplicate, corrupt, reorder — plus
+// scheduled partition windows during which *everything* (heartbeats
+// included) is dropped, so peer-timeout detection and reconnect supervision
+// get exercised for real.
 // A partition window flagged `reset` additionally forces one local
 // disconnect when it opens: a reconnect storm rather than mere silence.
 
@@ -26,6 +27,7 @@ namespace edgebol::net {
 struct ChaosEmission {
   std::string payload;
   std::int64_t delay_ms = 0;  // 0 = send immediately
+  std::uint64_t tag = 0;      // on_send's tag for the frame this came from
 };
 
 class ChaosShim {
@@ -46,10 +48,14 @@ class ChaosShim {
   /// Decide one outbound frame's fate. The result may be empty (dropped,
   /// partitioned, or held for reorder) or contain several emissions
   /// (duplicate; reorder releasing a held frame). Chaos tallies go to
-  /// `stats` (caller holds whatever lock guards it).
+  /// `stats` (caller holds whatever lock guards it). `tag` names the frame
+  /// to the caller (a MuxEndpoint passes the stream id); each emission
+  /// carries the tag of its own frame, so a frame released from the
+  /// reorder hold keeps its identity whichever send released it.
   std::vector<ChaosEmission> on_send(const std::string& frame,
                                      std::int64_t now_ms,
-                                     TransportStats* stats);
+                                     TransportStats* stats,
+                                     std::uint64_t tag);
 
   /// Forget any frame held for reorder (link went down; the application's
   /// retry layer owns redelivery).
@@ -61,7 +67,7 @@ class ChaosShim {
   Rng reorder_rng_;                // separate stream for reorder draws
   std::int64_t base_ms_ = -1;
   std::vector<bool> reset_fired_;
-  std::optional<std::string> held_;  // one-deep reorder hold
+  std::optional<ChaosEmission> held_;  // one-deep reorder hold
 };
 
 }  // namespace edgebol::net

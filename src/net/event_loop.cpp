@@ -3,7 +3,6 @@
 #include <array>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <stdexcept>
 #include <utility>
 
@@ -11,9 +10,9 @@ namespace edgebol::net {
 
 namespace {
 
-// Translation between the POLL* bits transports speak and the EPOLL* bits
-// the kernel-resident backend stores. Level-triggered epoll with this
-// mapping behaves identically to poll for the event classes we use.
+// Translation between the POLL* bits endpoints speak and the EPOLL* bits
+// the kernel stores. Level-triggered epoll with this mapping behaves
+// exactly like poll for the event classes we use.
 std::uint32_t to_epoll_events(short events) {
   std::uint32_t e = 0;
   if (events & POLLIN) e |= EPOLLIN;
@@ -32,27 +31,17 @@ short from_epoll_events(std::uint32_t e) {
 
 }  // namespace
 
-NetBackend resolve_net_backend() {
-  const char* env = std::getenv("EDGEBOL_NET_BACKEND");
-  if (env != nullptr && std::strcmp(env, "poll") == 0) return NetBackend::kPoll;
-  return NetBackend::kEpoll;
-}
-
-EventLoop::EventLoop(NetBackend backend)
-    : epoch_(std::chrono::steady_clock::now()), backend_(backend) {
+EventLoop::EventLoop() : epoch_(std::chrono::steady_clock::now()) {
+  // Without a wakeup pipe cross-thread posts cannot interrupt the wait, and
+  // without epoll there is no wait at all; refuse to limp along.
   if (!make_wakeup_pipe(&wake_rd_, &wake_wr_)) {
-    // Without a wakeup pipe cross-thread posts cannot interrupt the wait;
-    // refuse to limp along half-working.
     throw std::runtime_error("EventLoop: wakeup pipe creation failed");
   }
-  if (backend_ == NetBackend::kEpoll) {
-    epoll_fd_ = epoll_create_fd();
-    if (epoll_fd_.valid()) {
-      epoll_set(epoll_fd_.get(), wake_rd_.get(), EPOLLIN);
-    } else {
-      backend_ = NetBackend::kPoll;  // epoll unavailable: degrade gracefully
-    }
+  epoll_fd_ = epoll_create_fd();
+  if (!epoll_fd_.valid()) {
+    throw std::runtime_error("EventLoop: epoll instance creation failed");
   }
+  epoll_set(epoll_fd_.get(), wake_rd_.get(), EPOLLIN);
   thread_ = std::thread([this] { run(); });
 }
 
@@ -102,9 +91,7 @@ void EventLoop::post(Task task) {
 void EventLoop::watch(int fd, short events, FdCallback cb) {
   assert_on_loop_thread();  // affinity: loop
   watches_[fd] = Watch{events, std::move(cb)};
-  if (backend_ == NetBackend::kEpoll) {
-    epoll_set(epoll_fd_.get(), fd, to_epoll_events(events));
-  }
+  epoll_set(epoll_fd_.get(), fd, to_epoll_events(events));
 }
 
 void EventLoop::set_events(int fd, short events) {
@@ -112,9 +99,7 @@ void EventLoop::set_events(int fd, short events) {
   auto it = watches_.find(fd);
   if (it == watches_.end()) return;
   it->second.events = events;
-  if (backend_ == NetBackend::kEpoll) {
-    epoll_set(epoll_fd_.get(), fd, to_epoll_events(events));
-  }
+  epoll_set(epoll_fd_.get(), fd, to_epoll_events(events));
 }
 
 void EventLoop::unwatch(int fd) {
@@ -122,9 +107,7 @@ void EventLoop::unwatch(int fd) {
   // Deregister before the caller closes the fd: epoll keys entries by the
   // open file description, and a closed-then-reused fd number must not
   // inherit the old interest mask.
-  if (backend_ == NetBackend::kEpoll && watches_.count(fd) != 0) {
-    epoll_del(epoll_fd_.get(), fd);
-  }
+  if (watches_.count(fd) != 0) epoll_del(epoll_fd_.get(), fd);
   watches_.erase(fd);
 }
 
@@ -140,7 +123,7 @@ void EventLoop::cancel_timer(std::uint64_t id) {
   timers_.erase(id);
 }
 
-int EventLoop::next_poll_timeout_ms() const {
+int EventLoop::next_timeout_ms() const {
   if (timers_.empty()) return -1;  // sleep until a wakeup byte arrives
   std::int64_t next_due = timers_.begin()->second.due_ms;
   for (const auto& [id, timer] : timers_) {
@@ -177,49 +160,25 @@ void EventLoop::run_due_timers() {
   }
 }
 
-void EventLoop::run_poll_iterations() {
-  std::vector<struct pollfd> pfds;
-  while (!stopping_.load(std::memory_order_acquire)) {
-    pfds.clear();
-    pfds.push_back({wake_rd_.get(), POLLIN, 0});
-    for (const auto& [fd, watch] : watches_) {
-      pfds.push_back({fd, watch.events, 0});
-    }
-    (void)poll_fds(pfds.data(), pfds.size(), next_poll_timeout_ms());
-
-    if (pfds[0].revents != 0) wakeup_drain(wake_rd_.get());
-    run_posted_tasks();
-    run_due_timers();
-
-    // Dispatch fd events through a fresh lookup: a task or an earlier
-    // callback this iteration may have unwatched (and closed) the fd.
-    for (std::size_t i = 1; i < pfds.size(); ++i) {
-      if (pfds[i].revents == 0) continue;
-      auto it = watches_.find(pfds[i].fd);
-      if (it == watches_.end()) continue;
-      it->second.cb(pfds[i].revents);
-    }
-  }
-}
-
-void EventLoop::run_epoll_iterations() {
+void EventLoop::run() {
   // Fixed-size event batch: level-triggered epoll re-reports anything not
   // consumed this iteration, so a small batch bounds latency, not delivery.
   std::array<struct epoll_event, 64> events;
   while (!stopping_.load(std::memory_order_acquire)) {
     const int n =
         epoll_wait_fds(epoll_fd_.get(), events.data(),
-                       static_cast<int>(events.size()), next_poll_timeout_ms());
+                       static_cast<int>(events.size()), next_timeout_ms());
 
-    // Drain the wake pipe before running tasks, mirroring the poll path.
+    // Drain the wake pipe before running tasks, so a post() that lands
+    // while the tasks run re-arms the next wait instead of being lost.
     for (int i = 0; i < n; ++i) {
       if (events[i].data.fd == wake_rd_.get()) wakeup_drain(wake_rd_.get());
     }
     run_posted_tasks();
     run_due_timers();
 
-    // Dispatch through a fresh lookup, same staleness rule as the poll
-    // backend: a task or earlier callback may have unwatched the fd.
+    // Dispatch through a fresh lookup: a task or an earlier callback this
+    // iteration may have unwatched (and closed) the fd.
     for (int i = 0; i < n; ++i) {
       const int fd = events[i].data.fd;
       if (fd == wake_rd_.get()) continue;
@@ -227,14 +186,6 @@ void EventLoop::run_epoll_iterations() {
       if (it == watches_.end()) continue;
       it->second.cb(from_epoll_events(events[i].events));
     }
-  }
-}
-
-void EventLoop::run() {
-  if (backend_ == NetBackend::kEpoll) {
-    run_epoll_iterations();
-  } else {
-    run_poll_iterations();
   }
   // Flip stopped_ under the task mutex: every post() either already pushed
   // (the drain below runs it) or will see the flag and run inline. No task

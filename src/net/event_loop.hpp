@@ -1,19 +1,16 @@
-// Single-threaded readiness event loop driving the TCP message plane.
+// Single-threaded epoll event loop driving the TCP message plane.
 //
 // One loop owns one background thread; every fd watch, timer, and socket
-// operation of the transports registered with it happens on that thread.
+// operation of the endpoints registered with it happens on that thread.
 // Other threads talk to the loop exclusively through post(), which enqueues
 // a task and wakes the wait via a self-pipe. This confinement is the whole
-// concurrency story of src/net: transports need a mutex only for the queues
+// concurrency story of src/net: endpoints need a mutex only for the queues
 // they share with application threads, never for socket state.
 //
-// Two interchangeable backends sit behind the same interface. kPoll rebuilds
-// a pollfd vector per iteration — portable, trivially auditable, and plenty
-// for a node with a handful of descriptors. kEpoll keeps the interest set in
-// the kernel (level-triggered, mirroring poll semantics exactly) so a mux
-// fabric carrying a 1000-cell fleet does not pay O(watches) per wakeup.
-// Callbacks see POLL* bits in both backends; epoll events are translated at
-// the dispatch boundary, so transports are backend-agnostic.
+// The interest set lives in the kernel (level-triggered epoll), so a mux
+// fabric carrying a 1000-cell fleet pays O(ready), not O(watched), per
+// wakeup. Callbacks see POLL* bits: epoll events are translated at the
+// dispatch boundary.
 
 #pragma once
 
@@ -30,32 +27,17 @@
 
 namespace edgebol::net {
 
-/// Which readiness syscall drives EventLoop::run.
-enum class NetBackend {
-  kPoll,   // portable baseline; interest set rebuilt per iteration
-  kEpoll,  // kernel-resident interest set; scales past a few dozen fds
-};
-
-/// Backend selected by the EDGEBOL_NET_BACKEND environment variable
-/// ("poll" or "epoll"); unset or unrecognized picks epoll. The EventLoop
-/// constructor still falls back to poll if the epoll instance cannot be
-/// created, so "epoll" is a preference, not a hard requirement.
-NetBackend resolve_net_backend();
-
 class EventLoop {
  public:
   using Task = std::function<void()>;
   /// Called with the revents bits that fired for the watched fd.
   using FdCallback = std::function<void(short)>;
 
-  /// Spawns the loop thread; ready on return. Backend comes from
-  /// resolve_net_backend() (i.e. EDGEBOL_NET_BACKEND).
-  EventLoop() : EventLoop(resolve_net_backend()) {}
+  /// Spawns the loop thread; ready on return. Throws std::runtime_error
+  /// when the wakeup pipe or the epoll instance cannot be created.
+  EventLoop();
 
-  /// Spawns the loop thread with an explicit backend choice.
-  explicit EventLoop(NetBackend backend);
-
-  /// Stops and joins the loop thread. Transports using this loop must be
+  /// Stops and joins the loop thread. Endpoints using this loop must be
   /// destroyed first.
   ~EventLoop();
 
@@ -88,10 +70,7 @@ class EventLoop {
 #endif
   }
 
-  /// Backend actually in use (kPoll when the epoll fallback triggered).
-  NetBackend backend() const { return backend_; }
-
-  // --- Loop-thread-only interface (transports call these from callbacks
+  // --- Loop-thread-only interface (endpoints call these from callbacks
   // --- and posted tasks; asserted in debug builds) -----------------------
 
   /// Watch `fd` for `events` (POLLIN/POLLOUT). One watch per fd.
@@ -120,16 +99,13 @@ class EventLoop {
   };
 
   void run();
-  void run_poll_iterations();
-  void run_epoll_iterations();
   void run_posted_tasks();
   void run_due_timers();
-  int next_poll_timeout_ms() const;
+  int next_timeout_ms() const;
   [[noreturn]] void die_off_loop() const;
 
   std::chrono::steady_clock::time_point epoch_;
-  NetBackend backend_ = NetBackend::kPoll;
-  Fd epoll_fd_;  // valid iff backend_ == kEpoll
+  Fd epoll_fd_;
   std::atomic<bool> stopping_{false};
   std::atomic<bool> stopped_{false};
 
@@ -138,8 +114,8 @@ class EventLoop {
   std::map<std::uint64_t, Timer> timers_;
   std::uint64_t next_timer_id_ = 1;
 
-  // Cross-thread task queue. tasks_mu_ sits one level below the transport
-  // mutexes in the lock hierarchy (DESIGN.md §5e): transports post() while
+  // Cross-thread task queue. tasks_mu_ sits one level below the endpoint
+  // mutexes in the lock hierarchy (DESIGN.md §5e): endpoints post() while
   // holding their own mu_, and nothing is ever acquired under tasks_mu_.
   common::Mutex tasks_mu_{"EventLoop::tasks_mu_"};
   std::vector<Task> tasks_ EB_GUARDED_BY(tasks_mu_);

@@ -1,15 +1,16 @@
-// Stream-multiplexed framing for the high-throughput message plane.
+// Stream-multiplexed framing: the message plane's one wire format.
 //
-// One TCP connection carries many logical streams (per-cell E2/A1 links).
-// Each frame extends the classic 4-byte length prefix with a varint stream
-// id (DESIGN.md §5f has the byte-level diagram):
+// One TCP connection carries one or more logical streams (the a1/o1/e2/svc
+// links of the single-cell plane, the per-cell links of the fleet plane).
+// Each frame is a 4-byte length prefix followed by a varint stream id
+// (DESIGN.md §5f has the byte-level diagram):
 //
 //   +--------------------+----------------------+----------------------+
 //   | length L (4B, BE)  | stream id (varint V) | payload (L - |V| B)  |
 //   +--------------------+----------------------+----------------------+
 //
-// L counts the stream-id varint plus the payload. L == 0 keeps its PR-5
-// meaning: a connection-level heartbeat with no stream id and no payload,
+// L counts the stream-id varint plus the payload. L == 0 is a
+// connection-level heartbeat with no stream id and no payload,
 // consumed by the endpoint and never surfaced to a stream. The varint is
 // base-128, least-significant group first, high bit = continuation
 // (LEB128), at most kMaxVarintBytes groups.
@@ -30,9 +31,11 @@
 #include <string>
 #include <vector>
 
-#include "net/framing.hpp"
-
 namespace edgebol::net {
+
+/// Default cap on one frame's payload (1 MiB; every control-plane message
+/// here is < 1 KiB, so the cap only exists to bound a corrupted prefix).
+inline constexpr std::size_t kDefaultMaxFrameBytes = 1u << 20;
 
 /// Longest legal stream-id varint: ceil(64 / 7) groups.
 inline constexpr std::size_t kMaxVarintBytes = 10;
@@ -99,7 +102,8 @@ class MuxDecoder {
   bool next(FrameView* view);
 
   /// True once a corrupt header was seen (oversized length or malformed
-  /// varint); the connection must be reset, as with FrameDecoder.
+  /// varint); the connection must be reset: a length-prefixed stream
+  /// cannot be resynchronized.
   bool poisoned() const { return poisoned_; }
 
   /// Forget all buffered bytes and the poisoned flag (new connection).

@@ -104,9 +104,10 @@ MuxEndpoint::~MuxEndpoint() {
   }
   cv_tx_.notify_all();
   cv_rx_.notify_all();
-  // Same barrier protocol as TcpTransport: no stream send()/receive() may
-  // run concurrently with destruction, so FIFO posting puts this after all
-  // pending kicks, and a stopped loop runs it inline.
+  // No stream send()/receive() may run concurrently with destruction (class
+  // contract), so every kick/resume task is already queued and FIFO posting
+  // puts this barrier after all of them. Posted outside mu_ because a
+  // stopped loop runs it inline, and teardown takes mu_ itself.
   loop_->post([this] { teardown_on_loop(); });
   common::MutexLock down_lock(down_mu_);
   down_cv_.wait(down_lock, [this] { return down_; });
@@ -252,7 +253,7 @@ void MuxEndpoint::notify_ready() {
 }
 
 // ---------------------------------------------------------------------------
-// Loop-thread-only machinery (supervision mirrors TcpTransport)
+// Loop-thread-only machinery: connection supervision
 
 void MuxEndpoint::setup_on_loop() {
   loop_->assert_on_loop_thread();  // affinity: loop
@@ -321,19 +322,10 @@ void MuxEndpoint::on_listen_readable() {
   for (;;) {
     Fd client = accept_client(listen_fd_.get());
     if (!client.valid()) break;
-    if (conn_fd_.valid()) {
-      // Adopt the newest peer (same rationale as TcpTransport): a silent
-      // client-side death may leave the old socket half-open, and the
-      // reconnecting client must not be refused because of it.
-      loop_->unwatch(conn_fd_.get());
-      conn_fd_.reset();
-      decoder_.reset();
-      wire_q_.clear();
-      wire_bytes_ = 0;
-      wire_off_ = 0;
-      common::LockGuard lock(mu_);
-      if (chaos_) chaos_->clear_held();
-    }
+    // Adopt the newest peer: a silent client-side death may leave the old
+    // socket half-open, and the reconnecting client must not be refused
+    // because of it. Nothing bound for the old peer may reach the new one.
+    drop_connection();
     conn_fd_ = std::move(client);
     {
       common::LockGuard lock(mu_);
@@ -486,26 +478,32 @@ void MuxEndpoint::dispatch_decoded(bool* fatal) {
   }
 }
 
-void MuxEndpoint::disconnect(bool failure) {
+void MuxEndpoint::drop_connection() {
   loop_->assert_on_loop_thread();  // affinity: loop
-  (void)failure;
   if (conn_fd_.valid()) {
     loop_->unwatch(conn_fd_.get());
     conn_fd_.reset();
   }
   decoder_.reset();
-  // Staged wire bytes die with the connection (exactly like TcpTransport's
-  // out_buf_); frames still in per-stream queues survive and are pumped in
-  // per-stream order on reattach.
+  // Staged wire bytes and chaos-held frames die with the connection; frames
+  // still in per-stream queues survive and are pumped in per-stream order
+  // on reattach.
   wire_q_.clear();
   wire_bytes_ = 0;
   wire_off_ = 0;
   for (std::uint64_t id : delay_timers_) loop_->cancel_timer(id);
   delay_timers_.clear();
+  common::LockGuard lock(mu_);
+  if (chaos_) chaos_->clear_held();
+}
+
+void MuxEndpoint::disconnect(bool failure) {
+  loop_->assert_on_loop_thread();  // affinity: loop
+  (void)failure;
+  drop_connection();
   bool finished;
   {
     common::LockGuard lock(mu_);
-    if (chaos_) chaos_->clear_held();
     finished = closed_;
     if (finished) {
       state_ = LinkState::kClosed;
@@ -570,12 +568,19 @@ void MuxEndpoint::emit_locked(std::uint64_t stream_id, std::string payload,
   loop_->assert_on_loop_thread();  // affinity: loop
   if (chaos_) {
     const auto emissions =
-        chaos_->on_send(payload, loop_->now_ms(), &stats_.link);
+        chaos_->on_send(payload, loop_->now_ms(), &stats_.link, stream_id);
     for (const ChaosEmission& em : emissions) {
+      // A frame released from the reorder hold keeps its own stream (stream
+      // 0: heartbeat framing), not that of the send that released it.
+      TransportStats* st = stream_stats;
+      if (em.tag != stream_id) {
+        const auto it = by_id_.find(em.tag);
+        st = it == by_id_.end() ? nullptr : &it->second->stats_;
+      }
       if (em.delay_ms <= 0) {
-        stage_frame(stream_id, em.payload, heartbeat, stream_stats);
+        stage_frame(em.tag, em.payload, em.tag == 0, st);
       } else {
-        queue_delayed(stream_id, em, heartbeat, stream_stats);
+        queue_delayed(em.tag, em, em.tag == 0, st);
       }
     }
     return;
@@ -587,9 +592,9 @@ void MuxEndpoint::queue_delayed(std::uint64_t stream_id,
                                 const ChaosEmission& em, bool heartbeat,
                                 TransportStats* stream_stats) {
   loop_->assert_on_loop_thread();  // affinity: loop
-  // Timed hold: re-stage when the timer fires, if the link is still up (a
-  // dropped link drops held frames — the application retry layer owns
-  // redelivery, as in TcpTransport).
+  // Timed hold: re-stage when the timer fires. Dropping the connection
+  // cancels the timer (drop_connection), so a held frame never reaches a
+  // later peer; the application retry layer owns redelivery.
   auto timer_id = std::make_shared<std::uint64_t>(0);
   *timer_id = loop_->add_timer(
       em.delay_ms,
@@ -764,12 +769,7 @@ void MuxEndpoint::teardown_on_loop() {
   loop_->assert_on_loop_thread();  // affinity: loop
   if (tick_timer_ != 0) loop_->cancel_timer(tick_timer_);
   if (reconnect_timer_ != 0) loop_->cancel_timer(reconnect_timer_);
-  for (std::uint64_t id : delay_timers_) loop_->cancel_timer(id);
-  delay_timers_.clear();
-  if (conn_fd_.valid()) {
-    loop_->unwatch(conn_fd_.get());
-    conn_fd_.reset();
-  }
+  drop_connection();
   if (listen_fd_.valid()) {
     loop_->unwatch(listen_fd_.get());
     listen_fd_.reset();

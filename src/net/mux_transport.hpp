@@ -1,12 +1,18 @@
-// Stream-multiplexed TCP endpoint: many Transport streams, one socket.
+// Stream-multiplexed TCP endpoint: the message plane's one transport.
 //
-// A MuxEndpoint owns one supervised TCP connection (server or client side,
-// with the same heartbeat/peer-timeout/backoff/adopt-newest supervision as
-// TcpTransport) and multiplexes any number of logical streams over it using
-// the varint stream-id framing in net/mux_framing.hpp. Each stream is a
-// full net::Transport (MuxTransport), so the RIC node roles and FleetEngine
-// plumbing run over a shared connection unchanged — N cells over K
-// connections instead of a socket per link.
+// A MuxEndpoint owns one supervised TCP connection (server or client side)
+// and multiplexes any number of logical streams over it using the varint
+// stream-id framing in net/mux_framing.hpp. Each stream is a full
+// net::Transport (MuxTransport), so the RIC node roles and the fleet plane
+// run over it unchanged: a point-to-point link is a one-stream endpoint, a
+// 1000-cell fleet is N streams over K connections.
+//
+// Supervision (DESIGN.md §5f has the state machine): clients redial with
+// exponential backoff; servers keep listening and adopt the newest peer (a
+// half-open predecessor is dropped on accept); heartbeats every
+// heartbeat_ms and a peer timeout on receive silence detect a dead peer.
+// Optional seeded chaos (net/chaos.hpp) runs on the send side, heartbeats
+// included.
 //
 // Hot-path design (this is the fleet's ingest bottleneck — see DESIGN.md
 // §5f):
@@ -27,16 +33,20 @@
 //     (the documented head-of-line tradeoff for lossless streams).
 //   * an unknown stream id is counted and dropped; the connection survives
 //     (unlike a corrupt header, which poisons and resets it).
-//   * on disconnect, staged wire bytes are dropped (exactly like
-//     TcpTransport's out_buf_) but per-stream queues are retained: queued
-//     frames are redelivered in per-stream order after reattach, and the
-//     application keeps the same retry/idempotency contract as PR 5.
+//   * when a connection goes (failure, or a newer peer adopted), its staged
+//     wire bytes and chaos-held frames go with it, but per-stream queues
+//     are retained: queued frames are redelivered in per-stream order
+//     after reattach. Lost frames are the application's to retry; the
+//     node roles' request ids and the fleet plane's period keys make those
+//     retries idempotent.
 //
-// Threading matches TcpTransport: socket state confined to the loop thread,
-// one endpoint mutex guards every stream's queues + link state. Destroy the
-// endpoint before its EventLoop; streams are owned by the endpoint and die
-// with it. open_stream() is thread-safe but must complete before frames for
-// that id arrive (else they count as unknown-stream drops).
+// Threading: socket state is confined to the loop thread; one endpoint
+// mutex guards every stream's queues + link state. Destroy the endpoint
+// before its EventLoop, and do not call stream send()/receive()
+// concurrently with the endpoint's destructor; streams are owned by the
+// endpoint and die with it. open_stream() is thread-safe but must complete
+// before frames for that id arrive (else they count as unknown-stream
+// drops).
 
 #pragma once
 
@@ -69,7 +79,7 @@ struct MuxStreamConfig {
   std::size_t max_recv_queue = 1024;
 };
 
-/// Connection-level knobs; supervision parameters mirror TcpTransportConfig.
+/// Connection-level knobs: supervision timing, frame cap, wakeup, chaos.
 struct MuxEndpointConfig {
   std::string name = "mux";
   int heartbeat_ms = 200;
@@ -80,7 +90,7 @@ struct MuxEndpointConfig {
   /// Optional shared wakeup; notified on frame arrival and link changes.
   ReadySignal* ready = nullptr;
   /// Seeded chaos applied to the whole connection's send side (heartbeats
-  /// included, so partitions starve the peer exactly as in TcpTransport).
+  /// included, so a partition window starves the peer into a timeout).
   fault::TransportFaultRates chaos{};
   std::uint64_t chaos_seed = 0;
 };
@@ -111,7 +121,7 @@ class MuxTransport;
 class MuxEndpoint {
  public:
   /// Server endpoint on 127.0.0.1:port (0 = ephemeral; bound port valid on
-  /// return). Adopts the newest peer, like TcpTransport::listen.
+  /// return). Adopts the newest peer: an accept replaces the current one.
   static std::unique_ptr<MuxEndpoint> listen(EventLoop* loop,
                                              std::uint16_t port,
                                              MuxEndpointConfig cfg);
@@ -161,8 +171,8 @@ class MuxEndpoint {
   /// mu_ held. Schedule one coalesced pump on the loop thread.
   void kick_locked() EB_REQUIRES(mu_);
 
-  // --- Loop-thread-only machinery (mirrors TcpTransport; each body opens
-  // --- with the // affinity: loop assertion) -----------------------------
+  // --- Loop-thread-only machinery (each body opens with the
+  // --- // affinity: loop assertion) ---------------------------------------
   void setup_on_loop();
   void start_connect();
   void on_connect_writable();
@@ -172,6 +182,10 @@ class MuxEndpoint {
   void on_conn_event(short revents);
   void on_readable();
   void dispatch_decoded(bool* fatal);
+  /// Drop the current connection and everything tied to it (decoder, staged
+  /// wire bytes, chaos delay timers and reorder hold). Per-stream queues
+  /// survive. Shared by disconnect() and newest-peer adoption.
+  void drop_connection();
   void disconnect(bool failure);
   void pump_tx();
   void emit_locked(std::uint64_t stream_id, std::string payload,

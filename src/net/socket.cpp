@@ -48,35 +48,6 @@ void Fd::reset() {
   }
 }
 
-IoStatus read_some(int fd, char* buf, std::size_t cap, std::size_t* n) {
-  *n = 0;
-  for (;;) {
-    const ssize_t r = ::read(fd, buf, cap);
-    if (r > 0) {
-      *n = static_cast<std::size_t>(r);
-      return IoStatus::kOk;
-    }
-    if (r == 0) return IoStatus::kEof;
-    if (errno == EINTR) continue;  // interrupted before any byte: retry
-    if (errno == EAGAIN || errno == EWOULDBLOCK) return IoStatus::kWouldBlock;
-    return IoStatus::kError;
-  }
-}
-
-IoStatus write_some(int fd, const char* buf, std::size_t len, std::size_t* n) {
-  *n = 0;
-  for (;;) {
-    const ssize_t r = ::send(fd, buf, len, MSG_NOSIGNAL);
-    if (r >= 0) {
-      *n = static_cast<std::size_t>(r);
-      return IoStatus::kOk;
-    }
-    if (errno == EINTR) continue;  // interrupted before any byte: retry
-    if (errno == EAGAIN || errno == EWOULDBLOCK) return IoStatus::kWouldBlock;
-    return IoStatus::kError;
-  }
-}
-
 IoStatus readv_some(int fd, const struct iovec* iov, int iovcnt,
                     std::size_t* n) {
   *n = 0;
@@ -112,18 +83,9 @@ IoStatus writev_some(int fd, const struct iovec* iov, int iovcnt,
   }
 }
 
-int poll_fds(struct pollfd* fds, std::size_t nfds, int timeout_ms) {
-  for (;;) {
-    const int r = ::poll(fds, static_cast<nfds_t>(nfds), timeout_ms);
-    if (r >= 0) return r;
-    if (errno == EINTR) continue;  // retry with the same timeout
-    return r;
-  }
-}
-
 Fd epoll_create_fd() {
-  // Not interruptible; a failure here (ancient kernel, fd exhaustion) just
-  // selects the poll backend.
+  // Not interruptible; a failure here (fd exhaustion) makes the event loop
+  // constructor throw.
   return Fd(::epoll_create1(EPOLL_CLOEXEC));
 }
 
@@ -249,14 +211,6 @@ void wakeup_drain(int fd) {
     if (r > 0) continue;
     if (r < 0 && errno == EINTR) continue;  // interrupted drain: retry
     return;  // empty (EAGAIN) or closed
-  }
-}
-
-void shutdown_write(int fd) {
-  // shutdown() does not block and is not restartable; EINTR here is
-  // impossible in practice but checked for uniformity.
-  if (::shutdown(fd, SHUT_WR) < 0 && errno == EINTR) {
-    (void)::shutdown(fd, SHUT_WR);
   }
 }
 

@@ -8,7 +8,7 @@
 
 #pragma once
 
-#include <poll.h>
+#include <poll.h>  // POLL* bits: the event vocabulary of loop callbacks
 #include <sys/epoll.h>
 #include <sys/uio.h>
 
@@ -50,16 +50,10 @@ class Fd {
 /// Outcome of one non-blocking I/O attempt.
 enum class IoStatus {
   kOk,          // >= 1 byte moved (count in *n)
-  kWouldBlock,  // EAGAIN/EWOULDBLOCK/EINPROGRESS: retry when poll says so
+  kWouldBlock,  // EAGAIN/EWOULDBLOCK/EINPROGRESS: retry when epoll says so
   kEof,         // orderly shutdown from the peer (reads only)
   kError,       // connection-fatal errno
 };
-
-/// read() with EINTR retry; never blocks on a non-blocking fd.
-IoStatus read_some(int fd, char* buf, std::size_t cap, std::size_t* n);
-
-/// write() with EINTR retry; never blocks on a non-blocking fd.
-IoStatus write_some(int fd, const char* buf, std::size_t len, std::size_t* n);
 
 /// Scattered read — readv() with EINTR retry; never blocks on a non-blocking
 /// fd. Lets the mux decoder land one syscall's bytes across a ring-buffer
@@ -73,12 +67,8 @@ IoStatus readv_some(int fd, const struct iovec* iov, int iovcnt,
 IoStatus writev_some(int fd, const struct iovec* iov, int iovcnt,
                      std::size_t* n);
 
-/// poll() with EINTR retry (the retry re-enters with the same timeout; the
-/// loop recomputes deadlines itself, so a rare stretched sleep is benign).
-int poll_fds(struct pollfd* fds, std::size_t nfds, int timeout_ms);
-
-/// epoll instance (close-on-exec). Invalid Fd when the kernel lacks epoll —
-/// the event loop then falls back to the poll backend.
+/// epoll instance (close-on-exec). Invalid Fd when the kernel refuses one
+/// (fd exhaustion); the event loop constructor then throws.
 Fd epoll_create_fd();
 
 /// Register or re-arm interest in `events` (EPOLL* bits) for fd. Resolves
@@ -89,8 +79,9 @@ bool epoll_set(int epfd, int fd, std::uint32_t events);
 /// Remove fd from the epoll set (ENOENT tolerated).
 void epoll_del(int epfd, int fd);
 
-/// epoll_wait() with EINTR retry (same timeout contract as poll_fds: the
-/// retry re-enters with the same timeout and the loop recomputes deadlines).
+/// epoll_wait() with EINTR retry (the retry re-enters with the same
+/// timeout; the loop recomputes deadlines itself, so a rare stretched sleep
+/// is benign).
 int epoll_wait_fds(int epfd, struct epoll_event* events, int max_events,
                    int timeout_ms);
 
@@ -122,8 +113,5 @@ void wakeup_write(int fd);
 
 /// Drain all pending bytes from the wakeup pipe.
 void wakeup_drain(int fd);
-
-/// Half-close the write side (used by the draining state). EINTR-checked.
-void shutdown_write(int fd);
 
 }  // namespace edgebol::net

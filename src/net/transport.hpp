@@ -5,10 +5,10 @@
 //   * oran::InterfaceFabric — the original in-process loopback (synchronous,
 //     time-free), kept so the whole learning stack runs in one process and
 //     every pre-existing test stays valid;
-//   * net::TcpTransport — the real asynchronous plane: length-prefixed
-//     frames over a TCP socket driven by a poll() event loop, with bounded
-//     queues, explicit backpressure, supervised reconnect, heartbeats, and
-//     an optional seeded chaos shim.
+//   * net::MuxTransport — the real asynchronous plane: one stream of a
+//     MuxEndpoint, i.e. stream-id framed frames over a TCP connection driven
+//     by an epoll event loop, with bounded queues, explicit backpressure,
+//     supervised reconnect, heartbeats, and an optional seeded chaos shim.
 // Consumers (the RIC node roles in oran/ric_node.*) are written against
 // this interface only, so they run unchanged over either plane.
 
@@ -47,7 +47,6 @@ enum class LinkState {
   kListening,    // server: awaiting a peer
   kEstablished,  // frames flow
   kBackoff,      // client: waiting out the exponential reconnect backoff
-  kDraining,     // graceful close: flushing queued frames before FIN
   kClosed,       // terminal
 };
 
@@ -63,7 +62,7 @@ struct TransportStats {
   std::uint64_t send_rejected = 0;     // kReject refusals
   std::uint64_t send_block_waits = 0;  // kBlock senders that had to wait
   std::uint64_t recv_pauses = 0;       // reads paused on a full rx queue
-  std::uint64_t recv_shed = 0;         // kShedOldest rx victims (mux streams)
+  std::uint64_t recv_shed = 0;         // kShedOldest rx victims
   std::uint64_t reconnects = 0;        // client reconnect attempts scheduled
   std::uint64_t peer_timeouts = 0;     // liveness failures declared
   std::uint64_t accepts = 0;           // server-side peers accepted
@@ -77,9 +76,9 @@ struct TransportStats {
   std::uint64_t chaos_resets = 0;      // reconnect-storm forced disconnects
 };
 
-/// Shared wakeup for a node multiplexing several transports: each transport
+/// Shared wakeup for a node multiplexing several transports: each endpoint
 /// notifies it when frames arrive or the link state changes, and the node
-/// waits on it instead of polling every transport in turn.
+/// waits on it instead of checking every transport in turn.
 class ReadySignal {
  public:
   void notify() {
@@ -102,7 +101,7 @@ class ReadySignal {
   }
 
  private:
-  // Leaf lock (DESIGN.md §5e): transports notify() after releasing their
+  // Leaf lock (DESIGN.md §5e): endpoints notify() after releasing their
   // own mu_, and nothing is acquired while mu_ is held here.
   common::Mutex mu_{"ReadySignal::mu_"};
   common::CondVar cv_;
@@ -135,7 +134,7 @@ class Transport {
 /// Pairs two simplex transports into one duplex endpoint: sends go out on
 /// `tx`, receives come in on `rx`. This is how a pair of in-process
 /// loopback fabrics (oran::InterfaceFabric), each carrying one direction,
-/// presents the same bidirectional surface as one TcpTransport. Owns
+/// presents the same bidirectional surface as one MuxTransport. Owns
 /// neither side.
 class SplitTransport final : public Transport {
  public:

@@ -203,7 +203,10 @@ std::size_t FleetRicServer::poll_once() {
       continue;
     }
     const auto ind = decode_fleet_indication(f.payload);
-    if (!ind) {
+    // A feedback arm outside the grid is as malformed as a bad frame:
+    // reject it here rather than let the grid lookup throw mid-batch.
+    if (!ind ||
+        (ind->has_feedback && ind->policy_index >= engine_->grid().size())) {
       ++decode_rejects_;
       continue;
     }

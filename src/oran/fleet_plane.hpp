@@ -118,6 +118,8 @@ class FleetRicServer {
   std::uint64_t stale_indications() const {
     return stale_.load(std::memory_order_relaxed);
   }
+  /// Indications dropped unanswered: undecodable frames, and feedback that
+  /// names an arm outside the grid.
   std::uint64_t decode_rejects() const {
     return decode_rejects_.load(std::memory_order_relaxed);
   }

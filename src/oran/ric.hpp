@@ -37,8 +37,8 @@ class E2Node {
 /// observable.
 ///
 /// InterfaceFabric is the loopback implementation of net::Transport: the
-/// same node roles that ride TcpTransport across processes run over it
-/// unchanged in one process (send() delivers synchronously into the local
+/// same node roles that ride MuxTransport streams across processes run over
+/// it unchanged in one process (send() delivers synchronously into the local
 /// inbox read by drain()/receive()). The transmit() entry point predates
 /// the Transport interface and remains for callers that want the delivered
 /// frames inline.
@@ -66,7 +66,7 @@ class InterfaceFabric final : public net::Transport {
   /// Simulate a hard partition of this hop: while set, every offered frame
   /// is dropped (counted separately from random drops) and frames already
   /// delayed stay parked; healing the partition releases them on the next
-  /// transmit. Mirrors a TcpTransport partition window well enough for the
+  /// transmit. Mirrors a MuxEndpoint partition window well enough for the
   /// orchestrator-level chaos tests to run in-process.
   void set_partitioned(bool on) { partitioned_ = on; }
   bool partitioned() const { return partitioned_; }

@@ -1,11 +1,10 @@
 // Multiplexed message-plane tests: the varint stream-id framing, the
-// MuxDecoder's ring buffer (zero-copy and wrap-straddling paths), the
-// MuxEndpoint/MuxTransport pair (per-stream backpressure, unknown-stream
-// tolerance, reconnect redelivery, heartbeat death detection), the binary
-// fleet-plane codec, and the FleetRicServer's period-keyed idempotency.
-//
-// Endpoint tests run on BOTH EventLoop backends (poll and epoll) — the
-// backend must be invisible above the loop interface.
+// MuxDecoder's ring buffer (zero-copy, wrap-straddling, and exact-cap
+// paths), the MuxEndpoint/MuxTransport pair (per-stream backpressure,
+// unknown-stream tolerance, reconnect redelivery, heartbeat death
+// detection), the binary fleet-plane codec, and the FleetRicServer's
+// period-keyed idempotency and input validation. Single-stream link
+// supervision, backpressure, and chaos cases live in test_transport.
 
 #include <gtest/gtest.h>
 
@@ -180,6 +179,25 @@ TEST(MuxDecoder, WrapStraddlingPayloadUsesScratchExactlyOnce) {
   EXPECT_EQ(dec.scratch_copies(), 1u);
 }
 
+TEST(MuxDecoder, ExactlyMaxSizedFrameIsAccepted) {
+  // The cap bounds the payload; the header around it may be the longest
+  // legal one (a 10-byte stream-id varint) and the frame still fits the
+  // 128-byte ring without poisoning.
+  MuxDecoder dec(64);
+  const std::uint64_t id = ~0ull;
+  char probe[kMaxVarintBytes];
+  ASSERT_EQ(encode_varint(probe, id), kMaxVarintBytes);
+  std::string wire;
+  append_mux_frame(&wire, id, std::string(64, 'm'));
+  ASSERT_EQ(wire.size(), 4 + kMaxVarintBytes + 64);
+  ASSERT_EQ(dec.feed(wire.data(), wire.size()), wire.size());
+  FrameView v;
+  ASSERT_TRUE(dec.next(&v));
+  EXPECT_FALSE(dec.poisoned());
+  EXPECT_EQ(v.stream_id, id);
+  EXPECT_EQ(std::string(v.data, v.size), std::string(64, 'm'));
+}
+
 TEST(MuxDecoder, OversizedFramePoisons) {
   MuxDecoder dec(64);
   std::string wire;
@@ -197,22 +215,10 @@ TEST(MuxDecoder, OversizedFramePoisons) {
   EXPECT_EQ(std::string(v.data, v.size), "ok");
 }
 
-// --- MuxEndpoint, on both loop backends ---------------------------------
+// --- MuxEndpoint ---------------------------------------------------------
 
-class MuxEndpointTest : public ::testing::TestWithParam<NetBackend> {};
-
-std::string backend_name(
-    const ::testing::TestParamInfo<NetBackend>& param_info) {
-  return param_info.param == NetBackend::kPoll ? "poll" : "epoll";
-}
-
-INSTANTIATE_TEST_SUITE_P(Backends, MuxEndpointTest,
-                         ::testing::Values(NetBackend::kPoll,
-                                           NetBackend::kEpoll),
-                         backend_name);
-
-TEST_P(MuxEndpointTest, StreamsRoundTripIndependently) {
-  EventLoop loop(GetParam());
+TEST(MuxEndpoint, StreamsRoundTripIndependently) {
+  EventLoop loop;
   MuxEndpointConfig cfg;
   cfg.name = "srv";
   auto server = MuxEndpoint::listen(&loop, 0, cfg);
@@ -234,10 +240,18 @@ TEST_P(MuxEndpointTest, StreamsRoundTripIndependently) {
   EXPECT_EQ(c1->receive(10000).value_or("?"), "ack1");
   EXPECT_EQ(c2->receive(10000).value_or("?"), "ack2");
   EXPECT_EQ(server->stats().unknown_stream_frames, 0u);
+
+  // Zero-length frames are connection heartbeats; they must not surface.
+  EXPECT_TRUE(eventually([&] {
+    return server->stats().link.heartbeats_received > 0 &&
+           client->stats().link.heartbeats_received > 0;
+  }));
+  EXPECT_EQ(s1->stats().frames_received, 1u);
+  EXPECT_EQ(c1->stats().frames_received, 1u);
 }
 
-TEST_P(MuxEndpointTest, UnknownStreamIdIsDroppedWithoutPoisoningConnection) {
-  EventLoop loop(GetParam());
+TEST(MuxEndpoint, UnknownStreamIdIsDroppedWithoutPoisoningConnection) {
+  EventLoop loop;
   MuxEndpointConfig cfg;
   cfg.name = "srv";
   auto server = MuxEndpoint::listen(&loop, 0, cfg);
@@ -258,8 +272,8 @@ TEST_P(MuxEndpointTest, UnknownStreamIdIsDroppedWithoutPoisoningConnection) {
   EXPECT_EQ(server->stats().link.decode_resets, 0u);
 }
 
-TEST_P(MuxEndpointTest, PerStreamBackpressureIsolation) {
-  EventLoop loop(GetParam());
+TEST(MuxEndpoint, PerStreamBackpressureIsolation) {
+  EventLoop loop;
   MuxEndpointConfig cfg;
   cfg.name = "srv";
   auto server = MuxEndpoint::listen(&loop, 0, cfg);
@@ -288,8 +302,8 @@ TEST_P(MuxEndpointTest, PerStreamBackpressureIsolation) {
   EXPECT_TRUE(server->established());
 }
 
-TEST_P(MuxEndpointTest, ReconnectRedeliversInFlightFramesOnThreeStreams) {
-  EventLoop loop(GetParam());
+TEST(MuxEndpoint, ReconnectRedeliversInFlightFramesOnThreeStreams) {
+  EventLoop loop;
   MuxEndpointConfig cfg;
   cfg.name = "srv";
   cfg.heartbeat_ms = 20;
@@ -331,8 +345,8 @@ TEST_P(MuxEndpointTest, ReconnectRedeliversInFlightFramesOnThreeStreams) {
   EXPECT_GE(client->stats().link.reconnects, 1u);
 }
 
-TEST_P(MuxEndpointTest, HeartbeatsDetectPeerDeath) {
-  EventLoop loop(GetParam());
+TEST(MuxEndpoint, HeartbeatsDetectPeerDeath) {
+  EventLoop loop;
   MuxEndpointConfig cfg;
   cfg.name = "srv";
   cfg.heartbeat_ms = 20;
@@ -363,8 +377,8 @@ TEST_P(MuxEndpointTest, HeartbeatsDetectPeerDeath) {
       [&] { return client->established() && server->established(); }));
 }
 
-TEST_P(MuxEndpointTest, ChaosPartitionStarvesPeerThenRecovers) {
-  EventLoop loop(GetParam());
+TEST(MuxEndpoint, ChaosPartitionStarvesPeerThenRecovers) {
+  EventLoop loop;
   MuxEndpointConfig cfg;
   cfg.name = "srv";
   cfg.heartbeat_ms = 20;
@@ -403,8 +417,8 @@ TEST_P(MuxEndpointTest, ChaosPartitionStarvesPeerThenRecovers) {
   EXPECT_EQ(ss->receive(20000).value_or("?"), "after");
 }
 
-TEST_P(MuxEndpointTest, DrainAllPreservesPerStreamOrderAcrossStreams) {
-  EventLoop loop(GetParam());
+TEST(MuxEndpoint, DrainAllPreservesPerStreamOrderAcrossStreams) {
+  EventLoop loop;
   MuxEndpointConfig cfg;
   cfg.name = "srv";
   auto server = MuxEndpoint::listen(&loop, 0, cfg);
@@ -595,6 +609,59 @@ TEST(FleetPlane, ServerAnswersDuplicateIndicationsFromCacheWithoutRedeciding) {
 
   stop.store(true);
   srv.join();
+}
+
+TEST(FleetPlane, OutOfGridFeedbackArmIsRejectedAndTheBatchStillServed) {
+  env::GridSpec spec;
+  spec.levels_per_dim = 3;  // 3^4 = 81 arms
+  core::FleetEngineConfig ecfg;
+  ecfg.num_threads = 1;
+  ecfg.cell.gp_budget = 16;
+  core::FleetEngine engine(env::ControlGrid{spec}, ecfg);
+  const std::size_t kCells = 4;
+  for (std::size_t i = 0; i < kCells; ++i) engine.add_cell();
+
+  EventLoop sloop;
+  EventLoop cloop;
+  oran::FleetPlaneConfig pcfg;  // one connection
+  oran::FleetRicServer server(&sloop, &engine, kCells, pcfg);
+  oran::FleetCellBank bank(&cloop, "127.0.0.1", server.ports(), kCells, pcfg);
+  ASSERT_TRUE(bank.wait_established(15000));
+
+  // Cell 0 reports feedback for an arm the grid does not have; cells 1..3
+  // send healthy first indications.
+  oran::FleetIndication bad;
+  bad.period = 1;
+  bad.ctx = {2.0, 18.0, 1.0};
+  bad.has_feedback = true;
+  bad.policy_index = 1000000;
+  bad.prev_ctx = bad.ctx;
+  ASSERT_EQ(bank.send_indication(0, bad), SendResult::kQueued);
+  oran::FleetIndication ok;
+  ok.period = 0;
+  ok.ctx = {2.0, 18.0, 1.0};
+  for (std::size_t cell = 1; cell < kCells; ++cell)
+    ASSERT_EQ(bank.send_indication(cell, ok), SendResult::kQueued);
+  // Serve only once all four sit in the rx queues: one poll_once then
+  // drains them as a single batch, the bad frame first.
+  ASSERT_TRUE(eventually([&] {
+    return server.endpoint(0).stats().link.frames_received == kCells;
+  }));
+
+  std::size_t decided = 0;
+  EXPECT_NO_THROW(decided = server.poll_once());
+  EXPECT_EQ(decided, kCells - 1);
+  EXPECT_EQ(server.decode_rejects(), 1u);
+
+  std::vector<std::pair<std::size_t, oran::FleetPolicy>> got;
+  ASSERT_TRUE(eventually([&] {
+    bank.drain_policies(&got);
+    return got.size() == kCells - 1;
+  }));
+  for (const auto& [cell, fp] : got) {
+    EXPECT_NE(cell, 0u);
+    EXPECT_EQ(fp.period, 0);
+  }
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // Node-role tests: the wire envelope, each role driven synchronously over
 // loopback fabric pairs (idempotency, validation, degradation paths), and
-// the whole three-node plane over real TCP — including the tentpole's
-// equivalence claim (TCP trajectory == in-process loopback trajectory) and
-// a chaos soak on the e2 link.
+// the whole three-node plane over the real message plane — including the
+// equivalence claim (message-plane trajectory == in-process loopback
+// trajectory) and a chaos soak on the e2 link.
 
 #include <gtest/gtest.h>
 
@@ -14,10 +14,10 @@
 #include <thread>
 #include <vector>
 
+#include "../tools/plane_harness.hpp"
 #include "core/edgebol.hpp"
 #include "core/orchestrator.hpp"
 #include "env/scenarios.hpp"
-#include "net/tcp_transport.hpp"
 #include "net/transport.hpp"
 #include "oran/oran_env.hpp"
 #include "oran/ric.hpp"
@@ -363,65 +363,9 @@ TEST_F(NonRtNodeTest, DeadEnvironmentThrowsAfterRetries) {
   EXPECT_THROW(impatient.step(policy), std::runtime_error);
 }
 
-// --- the full plane over TCP ----------------------------------------------
+// --- the three-node plane over real sockets ---------------------------------
 
-struct TcpPlane {
-  net::EventLoop loop;
-  net::ReadySignal nonrt_ready, nearrt_ready, env_ready;
-  std::unique_ptr<net::TcpTransport> a1_s, o1_s, e2_s, svc_s;
-  std::unique_ptr<net::TcpTransport> a1_c, o1_c, svc_c, e2_c;
-
-  explicit TcpPlane(fault::TransportFaultRates e2_chaos = {},
-                    std::uint64_t chaos_seed = 0) {
-    auto mk = [&](const char* name, net::ReadySignal* ready,
-                  net::BackpressurePolicy pol,
-                  fault::TransportFaultRates chaos = {}) {
-      net::TcpTransportConfig c;
-      c.name = name;
-      c.ready = ready;
-      c.send_policy = pol;
-      c.chaos = chaos;
-      c.chaos_seed = chaos_seed;
-      return c;
-    };
-    using net::BackpressurePolicy;
-    using net::TcpTransport;
-    a1_s = TcpTransport::listen(&loop, 0,
-                                mk("a1/nearrt", &nearrt_ready,
-                                   BackpressurePolicy::kBlock));
-    o1_s = TcpTransport::listen(&loop, 0,
-                                mk("o1/nearrt", &nearrt_ready,
-                                   BackpressurePolicy::kShedOldest));
-    e2_s = TcpTransport::listen(&loop, 0,
-                                mk("e2/env", &env_ready,
-                                   BackpressurePolicy::kBlock, e2_chaos));
-    svc_s = TcpTransport::listen(&loop, 0,
-                                 mk("svc/env", &env_ready,
-                                    BackpressurePolicy::kBlock));
-    a1_c = TcpTransport::connect(&loop, "127.0.0.1", a1_s->local_port(),
-                                 mk("a1/nonrt", &nonrt_ready,
-                                    BackpressurePolicy::kBlock));
-    o1_c = TcpTransport::connect(&loop, "127.0.0.1", o1_s->local_port(),
-                                 mk("o1/nonrt", &nonrt_ready,
-                                    BackpressurePolicy::kShedOldest));
-    svc_c = TcpTransport::connect(&loop, "127.0.0.1", svc_s->local_port(),
-                                  mk("svc/nonrt", &nonrt_ready,
-                                     BackpressurePolicy::kBlock));
-    e2_c = TcpTransport::connect(&loop, "127.0.0.1", e2_s->local_port(),
-                                 mk("e2/nearrt", &nearrt_ready,
-                                    BackpressurePolicy::kBlock, e2_chaos));
-  }
-};
-
-core::EdgeBolConfig agent_config() {
-  core::EdgeBolConfig cfg;
-  cfg.weights = {1.0, 8.0};
-  cfg.constraints = {0.4, 0.5};
-  cfg.resilience.enabled = true;
-  return cfg;
-}
-
-TEST(TcpPlaneRun, TrajectoryMatchesInProcessLoopback) {
+TEST(PlaneRun, TrajectoryMatchesInProcessLoopback) {
   constexpr int kPeriods = 10;
   env::TestbedConfig tcfg;
   tcfg.seed = 3;
@@ -430,31 +374,31 @@ TEST(TcpPlaneRun, TrajectoryMatchesInProcessLoopback) {
   {
     env::Testbed tb = env::make_static_testbed(35.0, tcfg);
     OranManagedTestbed managed(tb);
-    core::EdgeBol agent(env::ControlGrid{}, agent_config());
+    core::EdgeBol agent(env::ControlGrid{}, plane::canonical_agent_config());
     core::Orchestrator orch(agent, {.keep_history = true});
     orch.run(managed, kPeriods);
     ref = orch.history();
   }
 
-  TcpPlane plane;
+  plane::MuxPlane net_plane;
   env::Testbed tb = env::make_static_testbed(35.0, tcfg);
-  NearRtRicNode nearrt(plane.a1_s.get(), plane.e2_c.get(), plane.o1_s.get(),
-                       &plane.nearrt_ready);
-  EnvNode envnode(tb, plane.e2_s.get(), plane.svc_s.get(), &plane.env_ready);
-  NonRtRicNode nonrt(plane.a1_c.get(), plane.o1_c.get(), plane.svc_c.get(),
-                     &plane.nonrt_ready);
+  NearRtRicNode nearrt(net_plane.a1_s, net_plane.e2_c, net_plane.o1_s,
+                       &net_plane.nearrt_ready);
+  EnvNode envnode(tb, net_plane.e2_s, net_plane.svc_s, &net_plane.env_ready);
+  NonRtRicNode nonrt(net_plane.a1_c, net_plane.o1_c, net_plane.svc_c,
+                     &net_plane.nonrt_ready);
   std::atomic<bool> stop{false};
   std::thread t1([&] { nearrt.run(stop); });
   std::thread t2([&] { envnode.run(stop); });
 
   ASSERT_TRUE(nonrt.handshake());
-  core::EdgeBol agent(env::ControlGrid{}, agent_config());
+  core::EdgeBol agent(env::ControlGrid{}, plane::canonical_agent_config());
   core::Orchestrator orch(agent, {.keep_history = true});
   orch.run(nonrt, kPeriods);
 
   stop.store(true);
-  plane.nearrt_ready.notify();
-  plane.env_ready.notify();
+  net_plane.nearrt_ready.notify();
+  net_plane.env_ready.notify();
   t1.join();
   t2.join();
 
@@ -476,7 +420,7 @@ TEST(TcpPlaneRun, TrajectoryMatchesInProcessLoopback) {
   }
 }
 
-TEST(TcpPlaneRun, SurvivesE2FrameChaos) {
+TEST(PlaneRun, SurvivesE2FrameChaos) {
   constexpr int kPeriods = 12;
   fault::TransportFaultRates chaos;
   chaos.frames.drop = 0.15;
@@ -486,27 +430,30 @@ TEST(TcpPlaneRun, SurvivesE2FrameChaos) {
   chaos.delay_ms = 10;
   chaos.reorder = 0.10;
 
-  TcpPlane plane(chaos, 77);
+  plane::MuxPlaneOptions opt;
+  opt.e2_client = {chaos, 77};
+  opt.e2_server = {chaos, 77};
+  plane::MuxPlane net_plane(opt);
   env::TestbedConfig tcfg;
   tcfg.seed = 4;
   env::Testbed tb = env::make_static_testbed(35.0, tcfg);
-  NearRtRicNode nearrt(plane.a1_s.get(), plane.e2_c.get(), plane.o1_s.get(),
-                       &plane.nearrt_ready);
-  EnvNode envnode(tb, plane.e2_s.get(), plane.svc_s.get(), &plane.env_ready);
-  NonRtRicNode nonrt(plane.a1_c.get(), plane.o1_c.get(), plane.svc_c.get(),
-                     &plane.nonrt_ready);
+  NearRtRicNode nearrt(net_plane.a1_s, net_plane.e2_c, net_plane.o1_s,
+                       &net_plane.nearrt_ready);
+  EnvNode envnode(tb, net_plane.e2_s, net_plane.svc_s, &net_plane.env_ready);
+  NonRtRicNode nonrt(net_plane.a1_c, net_plane.o1_c, net_plane.svc_c,
+                     &net_plane.nonrt_ready);
   std::atomic<bool> stop{false};
   std::thread t1([&] { nearrt.run(stop); });
   std::thread t2([&] { envnode.run(stop); });
 
   ASSERT_TRUE(nonrt.handshake());
-  core::EdgeBol agent(env::ControlGrid{}, agent_config());
+  core::EdgeBol agent(env::ControlGrid{}, plane::canonical_agent_config());
   core::Orchestrator orch(agent, {.keep_history = true});
   const core::RunSummary s = orch.run(nonrt, kPeriods);
 
   stop.store(true);
-  plane.nearrt_ready.notify();
-  plane.env_ready.notify();
+  net_plane.nearrt_ready.notify();
+  net_plane.env_ready.notify();
   t1.join();
   t2.join();
 
@@ -516,8 +463,8 @@ TEST(TcpPlaneRun, SurvivesE2FrameChaos) {
   EXPECT_EQ(s.periods, static_cast<std::size_t>(kPeriods));
   EXPECT_EQ(envnode.steps_run(), static_cast<std::size_t>(kPeriods));
   EXPECT_LE(nonrt.kpi_losses(), static_cast<std::size_t>(kPeriods));
-  const net::TransportStats cs = plane.e2_c->stats();
-  const net::TransportStats ss = plane.e2_s->stats();
+  const net::TransportStats cs = net_plane.e2ep_c->stats().link;
+  const net::TransportStats ss = net_plane.e2ep_s->stats().link;
   EXPECT_GT(cs.chaos_dropped + cs.chaos_duplicated + cs.chaos_corrupted +
                 cs.chaos_delayed + cs.chaos_reordered + ss.chaos_dropped +
                 ss.chaos_duplicated + ss.chaos_corrupted + ss.chaos_delayed +

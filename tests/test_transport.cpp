@@ -1,10 +1,12 @@
-// Transport-layer tests: the poll() event loop, the TCP transport's queues,
-// backpressure, supervision (reconnect, peer adoption, peer timeout), the
-// send-side chaos shim, and the loopback InterfaceFabric behind the same
-// net::Transport interface.
+// Transport-layer tests: the epoll event loop, a point-to-point link as a
+// one-stream MuxEndpoint pair (queues, backpressure, supervision: peer
+// adoption, peer timeout, reconnect storms; send-side chaos), the chaos
+// shim itself, and the loopback InterfaceFabric behind the same
+// net::Transport interface. Multi-stream behavior lives in test_mux.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <functional>
@@ -17,8 +19,8 @@
 #include "fault/fault.hpp"
 #include "net/chaos.hpp"
 #include "net/event_loop.hpp"
+#include "net/mux_transport.hpp"
 #include "net/socket.hpp"
-#include "net/tcp_transport.hpp"
 #include "net/transport.hpp"
 #include "oran/ric.hpp"
 
@@ -42,13 +44,41 @@ bool eventually(const std::function<bool()>& cond, int timeout_ms = 20000) {
   return cond();
 }
 
-TcpTransportConfig cfg(std::string name,
-                       BackpressurePolicy policy = BackpressurePolicy::kBlock) {
-  TcpTransportConfig c;
+MuxEndpointConfig ecfg(std::string name) {
+  MuxEndpointConfig c;
   c.name = std::move(name);
-  c.send_policy = policy;
   return c;
 }
+
+MuxStreamConfig scfg(std::string name,
+                     BackpressurePolicy policy = BackpressurePolicy::kBlock) {
+  MuxStreamConfig c;
+  c.name = std::move(name);
+  c.policy = policy;
+  return c;
+}
+
+/// The stream id a point-to-point link rides on.
+constexpr std::uint64_t kLink = 1;
+
+/// One point-to-point link: a listening and a dialing endpoint on `loop`,
+/// each with stream kLink open. Client-side chaos and queue bounds come in
+/// through the configs.
+struct Link {
+  std::unique_ptr<MuxEndpoint> server_ep;
+  std::unique_ptr<MuxEndpoint> client_ep;
+  MuxTransport* server = nullptr;
+  MuxTransport* client = nullptr;
+
+  explicit Link(EventLoop* loop, MuxEndpointConfig client_cfg = ecfg("cli"),
+                MuxStreamConfig client_stream = scfg("cli")) {
+    server_ep = MuxEndpoint::listen(loop, 0, ecfg("srv"));
+    server = server_ep->open_stream(kLink, scfg("srv"));
+    client_ep = MuxEndpoint::connect(loop, "127.0.0.1",
+                                     server_ep->local_port(), client_cfg);
+    client = client_ep->open_stream(kLink, std::move(client_stream));
+  }
+};
 
 /// An ephemeral port with nothing listening on it (bound once, then freed).
 std::uint16_t dead_port() {
@@ -107,76 +137,14 @@ TEST(EventLoop, PostAfterStopRunsInline) {
   EXPECT_TRUE(ran.load());
 }
 
-// --- TcpTransport: basic exchange -----------------------------------------
+// --- One-stream links: backpressure while the link is down -----------------
 
-TEST(TcpTransport, RoundTripsFramesBothDirections) {
+TEST(MuxLink, ShedOldestDropsHeadWhenQueueFull) {
   EventLoop loop;
-  auto server = TcpTransport::listen(&loop, 0, cfg("srv"));
-  ASSERT_NE(server->local_port(), 0);
-  auto client =
-      TcpTransport::connect(&loop, "127.0.0.1", server->local_port(),
-                            cfg("cli"));
-
-  EXPECT_EQ(client->send("ping"), SendResult::kQueued);
-  auto got = server->receive(20000);
-  ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(*got, "ping");
-
-  EXPECT_EQ(server->send("pong"), SendResult::kQueued);
-  got = client->receive(20000);
-  ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(*got, "pong");
-
-  // Zero-length frames are transport heartbeats; they must not surface.
-  EXPECT_TRUE(eventually([&] {
-    return server->stats().heartbeats_received > 0 &&
-           client->stats().heartbeats_received > 0;
-  }));
-  EXPECT_EQ(server->stats().frames_received, 1u);
-  EXPECT_EQ(client->stats().frames_received, 1u);
-}
-
-TEST(TcpTransport, DrainPreservesArrivalOrder) {
-  EventLoop loop;
-  auto server = TcpTransport::listen(&loop, 0, cfg("srv"));
-  auto client =
-      TcpTransport::connect(&loop, "127.0.0.1", server->local_port(),
-                            cfg("cli"));
-  for (int i = 0; i < 50; ++i) client->send(frame_name(i));
-
-  std::vector<std::string> got;
-  ASSERT_TRUE(eventually([&] {
-    for (std::string& f : server->drain()) got.push_back(std::move(f));
-    return got.size() == 50u;
-  }));
-  for (int i = 0; i < 50; ++i) EXPECT_EQ(got[i], frame_name(i));
-}
-
-TEST(TcpTransport, BlockingSendDeliversEverythingThroughSmallQueue) {
-  EventLoop loop;
-  auto server = TcpTransport::listen(&loop, 0, cfg("srv"));
-  TcpTransportConfig c = cfg("cli", BackpressurePolicy::kBlock);
-  c.max_send_queue = 4;
-  auto client =
-      TcpTransport::connect(&loop, "127.0.0.1", server->local_port(), c);
-
-  const int n = 200;
-  for (int i = 0; i < n; ++i)
-    ASSERT_EQ(client->send(std::string(2000, 'b')), SendResult::kQueued);
-  EXPECT_TRUE(eventually([&] {
-    return server->stats().frames_received == static_cast<std::uint64_t>(n);
-  }));
-  // A 4-deep queue cannot hold 200 frames without the sender having waited.
-  EXPECT_GT(client->stats().send_block_waits, 0u);
-}
-
-// --- TcpTransport: backpressure while the link is down ---------------------
-
-TEST(TcpTransport, ShedOldestDropsHeadWhenQueueFull) {
-  EventLoop loop;
-  TcpTransportConfig c = cfg("cli", BackpressurePolicy::kShedOldest);
+  auto ep = MuxEndpoint::connect(&loop, "127.0.0.1", dead_port(), ecfg("cli"));
+  MuxStreamConfig c = scfg("cli", BackpressurePolicy::kShedOldest);
   c.max_send_queue = 3;
-  auto client = TcpTransport::connect(&loop, "127.0.0.1", dead_port(), c);
+  MuxTransport* client = ep->open_stream(kLink, c);
 
   for (int i = 0; i < 3; ++i)
     EXPECT_EQ(client->send(frame_name(i)), SendResult::kQueued);
@@ -185,11 +153,12 @@ TEST(TcpTransport, ShedOldestDropsHeadWhenQueueFull) {
   EXPECT_EQ(client->stats().send_shed, 2u);
 }
 
-TEST(TcpTransport, RejectRefusesNewFrameWhenQueueFull) {
+TEST(MuxLink, RejectRefusesNewFrameWhenQueueFull) {
   EventLoop loop;
-  TcpTransportConfig c = cfg("cli", BackpressurePolicy::kReject);
+  auto ep = MuxEndpoint::connect(&loop, "127.0.0.1", dead_port(), ecfg("cli"));
+  MuxStreamConfig c = scfg("cli", BackpressurePolicy::kReject);
   c.max_send_queue = 2;
-  auto client = TcpTransport::connect(&loop, "127.0.0.1", dead_port(), c);
+  MuxTransport* client = ep->open_stream(kLink, c);
 
   EXPECT_EQ(client->send("a"), SendResult::kQueued);
   EXPECT_EQ(client->send("b"), SendResult::kQueued);
@@ -197,171 +166,202 @@ TEST(TcpTransport, RejectRefusesNewFrameWhenQueueFull) {
   EXPECT_EQ(client->stats().send_rejected, 1u);
 }
 
-TEST(TcpTransport, SendAfterCloseReturnsClosed) {
+// --- One-stream links: exchange and supervision ----------------------------
+
+TEST(MuxLink, BlockingSendDeliversEverythingThroughSmallQueue) {
   EventLoop loop;
-  auto server = TcpTransport::listen(&loop, 0, cfg("srv"));
-  auto client =
-      TcpTransport::connect(&loop, "127.0.0.1", server->local_port(),
-                            cfg("cli"));
-  client->close();
-  EXPECT_EQ(client->send("late"), SendResult::kClosed);
-}
+  MuxStreamConfig c = scfg("cli", BackpressurePolicy::kBlock);
+  c.max_send_queue = 4;
+  Link link(&loop, ecfg("cli"), c);
 
-// --- TcpTransport: supervision ---------------------------------------------
-
-TEST(TcpTransport, ReconnectsAfterForcedDisconnect) {
-  EventLoop loop;
-  auto server = TcpTransport::listen(&loop, 0, cfg("srv"));
-  auto client =
-      TcpTransport::connect(&loop, "127.0.0.1", server->local_port(),
-                            cfg("cli"));
-  client->send("before");
-  ASSERT_TRUE(server->receive(20000).has_value());
-
-  client->force_disconnect();
-  ASSERT_TRUE(eventually([&] {
-    return client->state() == LinkState::kEstablished &&
-           client->stats().reconnects > 0;
+  const int n = 200;
+  for (int i = 0; i < n; ++i)
+    ASSERT_EQ(link.client->send(std::string(2000, 'b')), SendResult::kQueued);
+  EXPECT_TRUE(eventually([&] {
+    return link.server->stats().frames_received ==
+           static_cast<std::uint64_t>(n);
   }));
-  client->send("after");
-  const auto got = server->receive(20000);
-  ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(*got, "after");
+  // A 4-deep queue cannot hold 200 frames without the sender having waited.
+  EXPECT_GT(link.client->stats().send_block_waits, 0u);
 }
 
-TEST(TcpTransport, ServerSurvivesPeerChurn) {
+TEST(MuxLink, ServerSurvivesPeerChurn) {
   EventLoop loop;
-  auto server = TcpTransport::listen(&loop, 0, cfg("srv"));
+  auto server_ep = MuxEndpoint::listen(&loop, 0, ecfg("srv"));
+  MuxTransport* server = server_ep->open_stream(kLink, scfg("srv"));
   {
-    auto first =
-        TcpTransport::connect(&loop, "127.0.0.1", server->local_port(),
-                              cfg("cli1"));
-    first->send("from first");
+    auto first = MuxEndpoint::connect(&loop, "127.0.0.1",
+                                      server_ep->local_port(), ecfg("cli1"));
+    first->open_stream(kLink, scfg("cli1"))->send("from first");
     ASSERT_TRUE(server->receive(20000).has_value());
-    first->close();
   }
-  auto second =
-      TcpTransport::connect(&loop, "127.0.0.1", server->local_port(),
-                            cfg("cli2"));
-  second->send("from second");
+  auto second = MuxEndpoint::connect(&loop, "127.0.0.1",
+                                     server_ep->local_port(), ecfg("cli2"));
+  second->open_stream(kLink, scfg("cli2"))->send("from second");
   const auto got = server->receive(20000);
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(*got, "from second");
-  EXPECT_GE(server->stats().accepts, 2u);
+  EXPECT_GE(server_ep->stats().link.accepts, 2u);
 }
 
-TEST(TcpTransport, SilencedPeerTriggersPeerTimeout) {
+TEST(MuxLink, AdoptingNewestPeerDropsFramesHeldForTheOldOne) {
+  EventLoop loop;
+  // Every server frame is held 1 s by chaos; liveness stays out of the way
+  // (no heartbeat or timeout fires during the test).
+  MuxEndpointConfig sc = ecfg("srv");
+  sc.heartbeat_ms = 60000;
+  sc.peer_timeout_ms = 120000;
+  sc.chaos.frames.delay = 1.0;
+  sc.chaos.delay_ms = 1000;
+  sc.chaos_seed = 3;
+  auto server_ep = MuxEndpoint::listen(&loop, 0, sc);
+  MuxTransport* server = server_ep->open_stream(kLink, scfg("srv"));
+
+  // Peer A: a bare socket that connects and then stays silent, half-open.
+  bool in_progress = false;
+  Fd peer_a = tcp_connect("127.0.0.1", server_ep->local_port(), &in_progress);
+  ASSERT_TRUE(peer_a.valid());
+  ASSERT_TRUE(eventually([&] { return server_ep->established(); }));
+
+  // A frame bound for A enters chaos's timed hold...
+  const double t_send = now_ms();
+  EXPECT_EQ(server->send("for A only"), SendResult::kQueued);
+  ASSERT_TRUE(eventually(
+      [&] { return server_ep->stats().link.chaos_delayed == 1; }));
+
+  // ...and peer B connects before the hold expires: the server adopts B.
+  MuxEndpointConfig bc = ecfg("cli");
+  bc.heartbeat_ms = 60000;
+  bc.peer_timeout_ms = 120000;
+  auto peer_b = MuxEndpoint::connect(&loop, "127.0.0.1",
+                                     server_ep->local_port(), bc);
+  MuxTransport* b = peer_b->open_stream(kLink, scfg("cli"));
+  ASSERT_TRUE(eventually(
+      [&] { return server_ep->stats().link.accepts == 2; }));
+  ASSERT_LT(now_ms() - t_send, 900.0) << "B adopted after the hold expired";
+
+  // A's frame died with A's connection: it never reaches B.
+  EXPECT_FALSE(b->receive(1500).has_value());
+  EXPECT_EQ(server_ep->stats().link.frames_sent, 0u);
+}
+
+TEST(MuxLink, SilencedPeerTriggersPeerTimeout) {
   EventLoop loop;
   // Client-side chaos drops every outbound frame, heartbeats included: the
   // server hears nothing and must declare the peer dead on its own clock.
-  TcpTransportConfig c = cfg("cli");
+  MuxEndpointConfig c = ecfg("cli");
   c.chaos.frames.drop = 1.0;
   c.chaos_seed = 11;
-  auto server = TcpTransport::listen(&loop, 0, cfg("srv"));
-  auto client =
-      TcpTransport::connect(&loop, "127.0.0.1", server->local_port(), c);
-  client->send("never arrives");
-  EXPECT_TRUE(eventually([&] { return server->stats().peer_timeouts > 0; }));
-  EXPECT_EQ(server->stats().frames_received, 0u);
-  EXPECT_GT(client->stats().chaos_dropped, 0u);
+  Link link(&loop, c);
+  link.client->send("never arrives");
+  EXPECT_TRUE(eventually(
+      [&] { return link.server_ep->stats().link.peer_timeouts > 0; }));
+  EXPECT_EQ(link.server->stats().frames_received, 0u);
+  EXPECT_GT(link.client_ep->stats().link.chaos_dropped, 0u);
 }
 
-// --- TcpTransport: chaos ---------------------------------------------------
+// --- One-stream links: chaos -----------------------------------------------
 
-TEST(TcpTransport, ChaosDuplicateDeliversFrameTwice) {
+TEST(MuxLink, ChaosDuplicateDeliversFrameTwice) {
   EventLoop loop;
-  TcpTransportConfig c = cfg("cli");
+  MuxEndpointConfig c = ecfg("cli");
   c.chaos.frames.duplicate = 1.0;
   c.chaos_seed = 5;
-  auto server = TcpTransport::listen(&loop, 0, cfg("srv"));
-  auto client =
-      TcpTransport::connect(&loop, "127.0.0.1", server->local_port(), c);
-  client->send("twin");
+  Link link(&loop, c);
+  link.client->send("twin");
   std::vector<std::string> got;
   ASSERT_TRUE(eventually([&] {
-    for (std::string& f : server->drain()) got.push_back(std::move(f));
+    for (std::string& f : link.server->drain()) got.push_back(std::move(f));
     return got.size() >= 2u;
   }));
   EXPECT_EQ(got[0], "twin");
   EXPECT_EQ(got[1], "twin");
-  EXPECT_GT(client->stats().chaos_duplicated, 0u);
+  EXPECT_GT(link.client_ep->stats().link.chaos_duplicated, 0u);
 }
 
-TEST(TcpTransport, ChaosDelayHoldsFrameButDelivers) {
+TEST(MuxLink, ChaosDelayHoldsFrameButDelivers) {
   EventLoop loop;
-  TcpTransportConfig c = cfg("cli");
+  MuxEndpointConfig c = ecfg("cli");
   c.chaos.frames.delay = 1.0;
   c.chaos.delay_ms = 50;
   c.chaos_seed = 5;
-  auto server = TcpTransport::listen(&loop, 0, cfg("srv"));
-  auto client =
-      TcpTransport::connect(&loop, "127.0.0.1", server->local_port(), c);
-  client->send("held");
-  const auto got = server->receive(20000);
+  Link link(&loop, c);
+  link.client->send("held");
+  const auto got = link.server->receive(20000);
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(*got, "held");
-  EXPECT_GT(client->stats().chaos_delayed, 0u);
+  EXPECT_GT(link.client_ep->stats().link.chaos_delayed, 0u);
 }
 
-TEST(TcpTransport, PartitionWindowSilencesThenHeals) {
+TEST(MuxLink, ResetWindowForcesReconnectStorm) {
   EventLoop loop;
-  TcpTransportConfig c = cfg("cli");
-  // Window opens the instant the link establishes (the shim arms then).
-  c.chaos.partitions.push_back({0, 700, false});
-  c.chaos_seed = 13;
-  auto server = TcpTransport::listen(&loop, 0, cfg("srv"));
-  auto client =
-      TcpTransport::connect(&loop, "127.0.0.1", server->local_port(), c);
-  ASSERT_TRUE(eventually(
-      [&] { return client->state() == LinkState::kEstablished; }));
-
-  client->send("lost in the dark");
-  ASSERT_TRUE(
-      eventually([&] { return client->stats().chaos_partition_drops > 0; }));
-  EXPECT_FALSE(server->receive(100).has_value());
-
-  // After the window (and the peer-timeout/reconnect cycle it provokes),
-  // fresh frames flow again. The dropped frame stays dropped — redelivery
-  // is the application protocol's job.
-  ASSERT_TRUE(eventually([&] {
-    client->send("after the storm");
-    return server->receive(200).has_value();
-  }));
-}
-
-TEST(TcpTransport, ResetWindowForcesReconnectStorm) {
-  EventLoop loop;
-  TcpTransportConfig c = cfg("cli");
+  MuxEndpointConfig c = ecfg("cli");
   c.chaos.partitions.push_back({0, 400, true});
   c.chaos_seed = 17;
-  auto server = TcpTransport::listen(&loop, 0, cfg("srv"));
-  auto client =
-      TcpTransport::connect(&loop, "127.0.0.1", server->local_port(), c);
+  Link link(&loop, c);
   EXPECT_TRUE(eventually([&] {
-    return client->stats().chaos_resets > 0 && client->stats().reconnects > 0;
+    const TransportStats st = link.client_ep->stats().link;
+    return st.chaos_resets > 0 && st.reconnects > 0;
   }));
   // The storm passes: the link must settle back to established.
-  EXPECT_TRUE(eventually(
-      [&] { return client->state() == LinkState::kEstablished; }));
+  EXPECT_TRUE(eventually([&] { return link.client_ep->established(); }));
 }
 
-TEST(TcpTransport, ChaosCorruptionKeepsLinkAlive) {
+TEST(MuxLink, ChaosCorruptionKeepsLinkAlive) {
   EventLoop loop;
-  TcpTransportConfig c = cfg("cli");
+  MuxEndpointConfig c = ecfg("cli");
   c.chaos.frames.corrupt = 1.0;
   c.chaos_seed = 23;
-  auto server = TcpTransport::listen(&loop, 0, cfg("srv"));
-  auto client =
-      TcpTransport::connect(&loop, "127.0.0.1", server->local_port(), c);
+  Link link(&loop, c);
   // Corruption mangles payloads before framing, so the framing layer stays
   // in sync and the garbage surfaces to the application (whose codecs
   // count it as a decode reject). The link itself must stay live.
-  for (int i = 0; i < 50; ++i) client->send(std::string(100, 'p'));
-  EXPECT_TRUE(eventually([&] { return client->stats().chaos_corrupted > 0; }));
+  for (int i = 0; i < 50; ++i) link.client->send(std::string(100, 'p'));
+  EXPECT_TRUE(eventually(
+      [&] { return link.client_ep->stats().link.chaos_corrupted > 0; }));
   EXPECT_TRUE(eventually([&] {
-    return client->state() == LinkState::kEstablished &&
-           server->state() == LinkState::kEstablished;
+    return link.client_ep->established() && link.server_ep->established();
   }));
+  EXPECT_EQ(link.server_ep->stats().link.decode_resets, 0u);
+}
+
+TEST(MuxLink, ChaosReorderKeepsEachFrameOnItsOwnStream) {
+  EventLoop loop;
+  // Every clean frame is held until the next send releases it — including
+  // a send on another stream or a heartbeat. A released frame must keep its
+  // own stream and framing.
+  MuxEndpointConfig c = ecfg("cli");
+  c.heartbeat_ms = 20;
+  c.chaos.reorder = 1.0;
+  c.chaos_seed = 29;
+  Link link(&loop, c);
+  MuxTransport* server2 = link.server_ep->open_stream(2, scfg("srv2"));
+  MuxTransport* client2 = link.client_ep->open_stream(2, scfg("cli2"));
+  ASSERT_TRUE(eventually([&] { return link.client_ep->established(); }));
+
+  for (int i = 0; i < 20; ++i) {
+    ASSERT_EQ(link.client->send(frame_name(i)), SendResult::kQueued);
+    ASSERT_EQ(client2->send(frame_name(100 + i)), SendResult::kQueued);
+  }
+  std::vector<std::string> got1, got2;
+  ASSERT_TRUE(eventually([&] {
+    for (std::string& f : link.server->drain()) got1.push_back(std::move(f));
+    for (std::string& f : server2->drain()) got2.push_back(std::move(f));
+    return got1.size() >= 20u && got2.size() >= 20u;
+  }));
+  std::sort(got1.begin(), got1.end());
+  std::sort(got2.begin(), got2.end());
+  std::vector<std::string> want1, want2;
+  for (int i = 0; i < 20; ++i) {
+    want1.push_back(frame_name(i));
+    want2.push_back(frame_name(100 + i));
+  }
+  std::sort(want1.begin(), want1.end());
+  std::sort(want2.begin(), want2.end());
+  EXPECT_EQ(got1, want1);
+  EXPECT_EQ(got2, want2);
+  EXPECT_GT(link.client_ep->stats().link.chaos_reordered, 0u);
+  EXPECT_EQ(link.server_ep->stats().link.decode_resets, 0u);
 }
 
 // --- ChaosShim unit behavior ----------------------------------------------
@@ -394,11 +394,14 @@ TEST(ChaosShim, ReorderHoldsOneFrameAndReleasesAfterSuccessor) {
   rates.reorder = 1.0;
   ChaosShim shim(rates, 42);
   TransportStats stats;
-  EXPECT_TRUE(shim.on_send("first", 0, &stats).empty());
-  const auto out = shim.on_send("second", 0, &stats);
+  EXPECT_TRUE(shim.on_send("first", 0, &stats, 1).empty());
+  const auto out = shim.on_send("second", 0, &stats, 2);
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(out[0].payload, "second");
   EXPECT_EQ(out[1].payload, "first");
+  // Each emission keeps the tag of its own frame, not the releaser's.
+  EXPECT_EQ(out[0].tag, 2u);
+  EXPECT_EQ(out[1].tag, 1u);
   EXPECT_GT(stats.chaos_reordered, 0u);
 }
 
@@ -407,9 +410,9 @@ TEST(ChaosShim, ClearHeldForgetsTheHostage) {
   rates.reorder = 1.0;
   ChaosShim shim(rates, 42);
   TransportStats stats;
-  EXPECT_TRUE(shim.on_send("hostage", 0, &stats).empty());
+  EXPECT_TRUE(shim.on_send("hostage", 0, &stats, 1).empty());
   shim.clear_held();
-  const auto out = shim.on_send("next", 0, &stats);
+  const auto out = shim.on_send("next", 0, &stats, 1);
   // With the hold cleared, nothing rides along — but "next" may itself be
   // held again (rate 1.0); both outcomes exclude the hostage.
   for (const ChaosEmission& em : out) EXPECT_NE(em.payload, "hostage");

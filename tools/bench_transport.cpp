@@ -1,14 +1,14 @@
 // Latency and recovery harness for the asynchronous message plane.
 //
-// Hosts the full three-node control plane (plane_harness.hpp) over real TCP
-// links in one process and measures what the paper's operator would care
-// about before deploying it:
+// Hosts the full three-node control plane (plane_harness.hpp) over the real
+// message plane in one process and measures what the paper's operator would
+// care about before deploying it:
 //
 //   clean      indication-to-policy latency (EnvNode's clock: KPI sent ->
 //              next radio control applied, i.e. one full learner loop) with
 //              nothing else on the wire;
-//   loaded     the same while a flood client saturates a sink port on the
-//              same event loop (the load_ric scenario, in-process);
+//   loaded     the same while a flood client saturates a sink connection on
+//              the same event loop (the load_ric scenario, in-process);
 //   recovery   a fresh plane whose e2 link gets a seeded partition window
 //              on both directions; reports how long after the partition
 //              lifts the control loop completes its first fully clean
@@ -118,8 +118,8 @@ std::size_t run_periods(core::Orchestrator& orch, plane::PlaneNodes& nodes,
 
 bool run_latency_phases(const Config& cfg, LatencySummary* clean,
                         LatencySummary* loaded, LoadSummary* load) {
-  plane::TcpPlane net_plane;
-  plane::PlaneNodes nodes(net_plane.links(),
+  plane::MuxPlane net_plane;
+  plane::PlaneNodes nodes(net_plane,
                           env::make_static_testbed(35.0, [&] {
                             env::TestbedConfig t;
                             t.seed = cfg.seed;
@@ -139,18 +139,24 @@ bool run_latency_phases(const Config& cfg, LatencySummary* clean,
     *clean = summarize({all.begin(), all.begin() + n_clean});
   }
 
-  // Flood a dedicated sink on the same event loop: every byte competes with
-  // the control plane for the loop thread and (on 1-core CI) the CPU.
-  auto sink = net::TcpTransport::listen(
-      &net_plane.loop, 0,
-      plane::link_config("load/sink", nullptr,
-                         net::BackpressurePolicy::kShedOldest));
+  // Flood a dedicated sink connection on the same event loop: every byte
+  // competes with the control plane for the loop thread and (on 1-core CI)
+  // the CPU. The sink's stream is lossless, so its receive bound pauses the
+  // connection and TCP flow control pushes back on the flooder, whose
+  // shed-oldest stream then drops its own backlog.
+  auto sink_ep = net::MuxEndpoint::listen(
+      &net_plane.loop, 0, plane::mux_link_config("load/sink", nullptr));
+  net::MuxTransport* sink = sink_ep->open_stream(
+      1,
+      plane::mux_stream_config("load/sink", net::BackpressurePolicy::kBlock));
+  auto flood_ep = net::MuxEndpoint::connect(
+      &net_plane.loop, "127.0.0.1", sink_ep->local_port(),
+      plane::mux_link_config("load/flood", nullptr));
+  net::MuxTransport* flood_client = flood_ep->open_stream(
+      1, plane::mux_stream_config("load/flood",
+                                  net::BackpressurePolicy::kShedOldest));
   std::atomic<bool> flood_stop{false};
   std::uint64_t offered = 0;
-  auto flood_client = net::TcpTransport::connect(
-      &net_plane.loop, "127.0.0.1", sink->local_port(),
-      plane::link_config("load/flood", nullptr,
-                         net::BackpressurePolicy::kShedOldest));
   std::thread flood([&] {
     const std::string payload =
         oran::wire_pack("o1_report", std::string(512, 'x'));
@@ -180,7 +186,7 @@ bool run_latency_phases(const Config& cfg, LatencySummary* clean,
 // --- phase 3: partition recovery -------------------------------------------
 
 bool run_recovery_phase(const Config& cfg, RecoverySummary* out) {
-  plane::TcpPlaneOptions opt;
+  plane::MuxPlaneOptions opt;
   const fault::PartitionWindow window{cfg.partition_start_ms,
                                       cfg.partition_ms, false};
   opt.e2_client.rates.partitions.push_back(window);
@@ -197,7 +203,7 @@ bool run_recovery_phase(const Config& cfg, RecoverySummary* out) {
   env::Testbed tb = env::make_static_testbed(35.0, tcfg);
   core::EdgeBol agent(env::ControlGrid{}, plane::canonical_agent_config());
 
-  plane::TcpPlane net_plane(opt);
+  plane::MuxPlane net_plane(opt);
   const double t_est = net_plane.wait_e2_established();
   if (t_est < 0.0) {
     std::fprintf(stderr, "bench_transport: e2 never established\n");
@@ -208,7 +214,7 @@ bool run_recovery_phase(const Config& cfg, RecoverySummary* out) {
   const double window_end_ms =
       t_est + static_cast<double>(cfg.partition_start_ms + cfg.partition_ms);
 
-  plane::PlaneNodes nodes(net_plane.links(), std::move(tb));
+  plane::PlaneNodes nodes(net_plane, std::move(tb));
   if (!nodes.nonrt.handshake()) {
     std::fprintf(stderr, "bench_transport: handshake failed (recovery)\n");
     return false;
@@ -242,11 +248,12 @@ bool run_recovery_phase(const Config& cfg, RecoverySummary* out) {
       if (++post_periods >= cfg.post_recovery_periods) break;
     }
   }
-  const net::TransportStats e2s = net_plane.e2_c->stats();
+  // Supervision and chaos counters live at the connection level.
+  const net::TransportStats e2s = net_plane.e2ep_c->stats().link;
   out->e2_reconnects = e2s.reconnects;
   out->e2_peer_timeouts = e2s.peer_timeouts;
-  out->partition_drops =
-      e2s.chaos_partition_drops + net_plane.e2_s->stats().chaos_partition_drops;
+  out->partition_drops = e2s.chaos_partition_drops +
+                         net_plane.e2ep_s->stats().link.chaos_partition_drops;
   return out->recovered;
 }
 

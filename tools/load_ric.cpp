@@ -1,10 +1,12 @@
 // Flood generator for the O-RAN message plane.
 //
-// Dials a TcpTransport server (any ric_node listening port, or the
-// dedicated load sink bench_transport opens) and pushes frames as fast as
-// the link's backpressure policy allows, while draining and discarding
-// anything the peer sends back. Used to measure indication-to-policy
-// latency under load and to exercise the bounded-queue policies end to end:
+// Dials a MuxEndpoint server (any ric_node listening port) and pushes frames
+// on the o1 stream id as fast as the stream's backpressure policy allows,
+// while draining and discarding anything the peer sends back on it. Against
+// the near-RT RIC's nn port the flood lands on its o1 stream; on any other
+// port it is counted there as unknown-stream drops. Used to measure
+// indication-to-policy latency under load and to exercise the bounded-queue
+// policies end to end:
 //
 //   load_ric --port P [--frames N] [--seconds S] [--bytes B]
 //            [--policy block|shed|reject] [--kind o1_report|noise]
@@ -271,14 +273,14 @@ int main(int argc, char** argv) {
   if (o.ingest) return run_ingest(o);
 
   net::EventLoop loop;
-  net::ReadySignal ready;
-  net::TcpTransportConfig cfg =
-      plane::link_config("load", &ready, o.policy);
-  auto link = net::TcpTransport::connect(&loop, "127.0.0.1", o.port, cfg);
+  auto ep = net::MuxEndpoint::connect(&loop, "127.0.0.1", o.port,
+                                      plane::mux_link_config("load", nullptr));
+  net::MuxTransport* link = ep->open_stream(
+      plane::MuxPlane::kO1, plane::mux_stream_config("load", o.policy));
 
   // Wait for the link before timing, so a slow peer start doesn't count.
   const double t_up = plane::now_ms() + 10000.0;
-  while (link->state() != net::LinkState::kEstablished) {
+  while (!ep->established()) {
     if (plane::now_ms() > t_up) {
       std::fprintf(stderr, "load_ric: could not connect to port %u\n",
                    o.port);

@@ -1,6 +1,6 @@
 // Shared harness for the message-plane binaries (ric_node, load_ric,
-// bench_transport): builds the Fig. 7 split's four point-to-point links as
-// real TCP transports on ephemeral localhost ports, all driven by one
+// bench_transport): builds the Fig. 7 split's four links as streams on
+// MuxEndpoint connections on ephemeral localhost ports, all driven by one
 // EventLoop, and spins the NearRT/Env node roles on their own threads so a
 // single process can host the whole distributed control plane (for trajectory
 // verification and latency benchmarking) without any port coordination.
@@ -11,16 +11,12 @@
 //   e2   Env    listens,  NearRT connects  (controls + indications; kBlock)
 //   svc  Env    listens,  NonRT connects   (paper's custom iface; kBlock)
 //
-// Two wirings provide those four links:
-//   TcpPlane  one TcpTransport pair per link (eight sockets) — the PR-5
-//             plane, kept as the reference;
-//   MuxPlane  the multiplexed plane: a1+o1 ride one connection (NonRT <->
-//             NearRT) as two MuxTransport streams, e2 and svc one connection
-//             each, so the same four-link topology costs three sockets and
-//             exercises the stream-ID framing end to end.
-// Both export the role-agnostic PlaneLinks view that PlaneNodes consumes.
+// a1 and o1 share the NonRT <-> NearRT connection ("nn") as two streams
+// with different backpressure policies; e2 and svc get one connection
+// each, so the four links cost three sockets.
 //
-// This is a header-only helper private to tools/, not library API.
+// This is a header-only helper shared by tools/ and test_ric_node, not
+// library API.
 
 #pragma once
 
@@ -50,110 +46,6 @@ struct LinkChaos {
   std::uint64_t seed = 0;
 };
 
-struct TcpPlaneOptions {
-  /// Chaos on the e2 link, per direction. A partition window placed on both
-  /// sides silences the link completely (controls south, indications north).
-  LinkChaos e2_client{};  // NearRT -> Env direction
-  LinkChaos e2_server{};  // Env -> NearRT direction
-};
-
-inline net::TcpTransportConfig link_config(std::string name,
-                                           net::ReadySignal* ready,
-                                           net::BackpressurePolicy policy,
-                                           const LinkChaos& chaos = {}) {
-  net::TcpTransportConfig cfg;
-  cfg.name = std::move(name);
-  cfg.send_policy = policy;
-  cfg.ready = ready;
-  cfg.chaos = chaos.rates;
-  cfg.chaos_seed = chaos.seed;
-  return cfg;
-}
-
-/// The four links of the Fig. 7 split as the node roles see them, plus each
-/// role's wakeup signal. Both TcpPlane and MuxPlane export this view, so
-/// PlaneNodes (and every harness built on it) is wiring-agnostic.
-struct PlaneLinks {
-  net::Transport* a1_s = nullptr;  // NearRT side
-  net::Transport* o1_s = nullptr;
-  net::Transport* e2_s = nullptr;  // Env side
-  net::Transport* svc_s = nullptr;
-  net::Transport* a1_c = nullptr;  // NonRT side
-  net::Transport* o1_c = nullptr;
-  net::Transport* svc_c = nullptr;
-  net::Transport* e2_c = nullptr;  // NearRT side
-  net::ReadySignal* nonrt_ready = nullptr;
-  net::ReadySignal* nearrt_ready = nullptr;
-  net::ReadySignal* env_ready = nullptr;
-};
-
-/// All eight endpoints of the three-node plane in one process. Declaration
-/// order matters: the EventLoop outlives every transport (members destroy
-/// in reverse order).
-struct TcpPlane {
-  net::EventLoop loop;
-  net::ReadySignal nonrt_ready;
-  net::ReadySignal nearrt_ready;
-  net::ReadySignal env_ready;
-
-  // Servers first so their ephemeral ports exist before the clients dial.
-  std::unique_ptr<net::TcpTransport> a1_s, o1_s;  // NearRT side
-  std::unique_ptr<net::TcpTransport> e2_s, svc_s; // Env side
-  std::unique_ptr<net::TcpTransport> a1_c, o1_c, svc_c;  // NonRT side
-  std::unique_ptr<net::TcpTransport> e2_c;               // NearRT side
-
-  explicit TcpPlane(const TcpPlaneOptions& opt = {}) {
-    using net::BackpressurePolicy;
-    using net::TcpTransport;
-    a1_s = TcpTransport::listen(
-        &loop, 0, link_config("a1/nearrt", &nearrt_ready,
-                              BackpressurePolicy::kBlock));
-    o1_s = TcpTransport::listen(
-        &loop, 0, link_config("o1/nearrt", &nearrt_ready,
-                              BackpressurePolicy::kShedOldest));
-    e2_s = TcpTransport::listen(
-        &loop, 0, link_config("e2/env", &env_ready,
-                              BackpressurePolicy::kBlock, opt.e2_server));
-    svc_s = TcpTransport::listen(
-        &loop, 0, link_config("svc/env", &env_ready,
-                              BackpressurePolicy::kBlock));
-    a1_c = TcpTransport::connect(
-        &loop, "127.0.0.1", a1_s->local_port(),
-        link_config("a1/nonrt", &nonrt_ready, BackpressurePolicy::kBlock));
-    o1_c = TcpTransport::connect(
-        &loop, "127.0.0.1", o1_s->local_port(),
-        link_config("o1/nonrt", &nonrt_ready,
-                    BackpressurePolicy::kShedOldest));
-    svc_c = TcpTransport::connect(
-        &loop, "127.0.0.1", svc_s->local_port(),
-        link_config("svc/nonrt", &nonrt_ready, BackpressurePolicy::kBlock));
-    e2_c = TcpTransport::connect(
-        &loop, "127.0.0.1", e2_s->local_port(),
-        link_config("e2/nearrt", &nearrt_ready, BackpressurePolicy::kBlock,
-                    opt.e2_client));
-  }
-
-  PlaneLinks links() {
-    return PlaneLinks{a1_s.get(),  o1_s.get(),  e2_s.get(),   svc_s.get(),
-                      a1_c.get(),  o1_c.get(),  svc_c.get(),  e2_c.get(),
-                      &nonrt_ready, &nearrt_ready, &env_ready};
-  }
-
-  /// Block until the e2 link is up (chaos partition windows are measured
-  /// from this instant). Returns the establishment time in now_ms() terms,
-  /// or a negative value on timeout.
-  double wait_e2_established(int timeout_ms = 10000) const {
-    const double deadline = now_ms() + timeout_ms;
-    while (now_ms() < deadline) {
-      if (e2_c->state() == net::LinkState::kEstablished &&
-          e2_s->state() == net::LinkState::kEstablished)
-        return now_ms();
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    }
-    return -1.0;
-  }
-};
-
 inline net::MuxEndpointConfig mux_link_config(std::string name,
                                               net::ReadySignal* ready,
                                               const LinkChaos& chaos = {}) {
@@ -174,14 +66,16 @@ inline net::MuxStreamConfig mux_stream_config(std::string name,
 }
 
 struct MuxPlaneOptions {
+  /// Chaos on the e2 connection, per direction. A partition window placed
+  /// on both sides silences the link completely (controls south,
+  /// indications north).
   LinkChaos e2_client{};  // NearRT -> Env direction
   LinkChaos e2_server{};  // Env -> NearRT direction
 };
 
-/// The same four links on the multiplexed plane: three connections instead
-/// of four, with a1 and o1 sharing the NonRT<->NearRT connection as two
-/// streams with different backpressure policies. Chaos lands on the e2m
-/// connection's endpoints, exactly where TcpPlane puts it.
+/// All four links of the three-node plane in one process. Declaration
+/// order matters: the EventLoop outlives every endpoint (members destroy
+/// in reverse order).
 struct MuxPlane {
   // Stream ids on the shared connections. Distinct across connections too,
   // so a frame leaking onto the wrong connection is an unknown-stream drop.
@@ -193,62 +87,61 @@ struct MuxPlane {
   net::ReadySignal env_ready;
 
   // Servers first so their ephemeral ports exist before the clients dial.
-  std::unique_ptr<net::MuxEndpoint> nn_s;    // NearRT listens: a1 + o1
-  std::unique_ptr<net::MuxEndpoint> e2m_s;   // Env listens: e2
-  std::unique_ptr<net::MuxEndpoint> svcm_s;  // Env listens: svc
-  std::unique_ptr<net::MuxEndpoint> nn_c;    // NonRT dials nn
-  std::unique_ptr<net::MuxEndpoint> svcm_c;  // NonRT dials svcm
-  std::unique_ptr<net::MuxEndpoint> e2m_c;   // NearRT dials e2m
+  std::unique_ptr<net::MuxEndpoint> nn_s;     // NearRT listens: a1 + o1
+  std::unique_ptr<net::MuxEndpoint> e2ep_s;   // Env listens: e2
+  std::unique_ptr<net::MuxEndpoint> svcep_s;  // Env listens: svc
+  std::unique_ptr<net::MuxEndpoint> nn_c;     // NonRT dials nn
+  std::unique_ptr<net::MuxEndpoint> svcep_c;  // NonRT dials svc
+  std::unique_ptr<net::MuxEndpoint> e2ep_c;   // NearRT dials e2
 
-  // Streams (owned by their endpoints; raw pointers for PlaneLinks).
-  net::MuxTransport *a1_s, *o1_s, *e2_s, *svc_s;
-  net::MuxTransport *a1_c, *o1_c, *svc_c, *e2_c;
+  // Streams, owned by their endpoints.
+  net::MuxTransport *a1_s, *o1_s;          // NearRT side
+  net::MuxTransport *e2_s, *svc_s;         // Env side
+  net::MuxTransport *a1_c, *o1_c, *svc_c;  // NonRT side
+  net::MuxTransport* e2_c;                 // NearRT side
 
   explicit MuxPlane(const MuxPlaneOptions& opt = {}) {
     using net::BackpressurePolicy;
     using net::MuxEndpoint;
     nn_s = MuxEndpoint::listen(&loop, 0,
                                mux_link_config("nn/nearrt", &nearrt_ready));
-    e2m_s = MuxEndpoint::listen(
-        &loop, 0, mux_link_config("e2m/env", &env_ready, opt.e2_server));
-    svcm_s = MuxEndpoint::listen(&loop, 0,
-                                 mux_link_config("svcm/env", &env_ready));
+    e2ep_s = MuxEndpoint::listen(
+        &loop, 0, mux_link_config("e2/env", &env_ready, opt.e2_server));
+    svcep_s = MuxEndpoint::listen(&loop, 0,
+                                  mux_link_config("svc/env", &env_ready));
     a1_s = nn_s->open_stream(
         kA1, mux_stream_config("a1/nearrt", BackpressurePolicy::kBlock));
     o1_s = nn_s->open_stream(
         kO1, mux_stream_config("o1/nearrt", BackpressurePolicy::kShedOldest));
-    e2_s = e2m_s->open_stream(
+    e2_s = e2ep_s->open_stream(
         kE2, mux_stream_config("e2/env", BackpressurePolicy::kBlock));
-    svc_s = svcm_s->open_stream(
+    svc_s = svcep_s->open_stream(
         kSvc, mux_stream_config("svc/env", BackpressurePolicy::kBlock));
 
     nn_c = MuxEndpoint::connect(&loop, "127.0.0.1", nn_s->local_port(),
                                 mux_link_config("nn/nonrt", &nonrt_ready));
-    svcm_c = MuxEndpoint::connect(&loop, "127.0.0.1", svcm_s->local_port(),
-                                  mux_link_config("svcm/nonrt", &nonrt_ready));
-    e2m_c = MuxEndpoint::connect(
-        &loop, "127.0.0.1", e2m_s->local_port(),
-        mux_link_config("e2m/nearrt", &nearrt_ready, opt.e2_client));
+    svcep_c = MuxEndpoint::connect(&loop, "127.0.0.1", svcep_s->local_port(),
+                                   mux_link_config("svc/nonrt", &nonrt_ready));
+    e2ep_c = MuxEndpoint::connect(
+        &loop, "127.0.0.1", e2ep_s->local_port(),
+        mux_link_config("e2/nearrt", &nearrt_ready, opt.e2_client));
     a1_c = nn_c->open_stream(
         kA1, mux_stream_config("a1/nonrt", BackpressurePolicy::kBlock));
     o1_c = nn_c->open_stream(
         kO1, mux_stream_config("o1/nonrt", BackpressurePolicy::kShedOldest));
-    svc_c = svcm_c->open_stream(
+    svc_c = svcep_c->open_stream(
         kSvc, mux_stream_config("svc/nonrt", BackpressurePolicy::kBlock));
-    e2_c = e2m_c->open_stream(
+    e2_c = e2ep_c->open_stream(
         kE2, mux_stream_config("e2/nearrt", BackpressurePolicy::kBlock));
   }
 
-  PlaneLinks links() {
-    return PlaneLinks{a1_s,         o1_s,          e2_s,      svc_s,
-                      a1_c,         o1_c,          svc_c,     e2_c,
-                      &nonrt_ready, &nearrt_ready, &env_ready};
-  }
-
+  /// Block until the e2 connection is up (chaos partition windows are
+  /// measured from this instant). Returns the establishment time in
+  /// now_ms() terms, or a negative value on timeout.
   double wait_e2_established(int timeout_ms = 10000) const {
     const double deadline = now_ms() + timeout_ms;
     while (now_ms() < deadline) {
-      if (e2m_c->established() && e2m_s->established()) return now_ms();
+      if (e2ep_c->established() && e2ep_s->established()) return now_ms();
       std::this_thread::sleep_for(std::chrono::milliseconds(5));
     }
     return -1.0;
@@ -259,7 +152,7 @@ struct MuxPlane {
 /// on background threads. The caller drives `nonrt` (handshake + steps)
 /// from its own thread and destroys this object to stop the servers.
 struct PlaneNodes {
-  PlaneLinks links;
+  MuxPlane& plane;
   env::Testbed testbed;
   oran::NearRtRicNode nearrt;
   oran::EnvNode envnode;
@@ -268,21 +161,20 @@ struct PlaneNodes {
   std::thread nearrt_thread;
   std::thread env_thread;
 
-  PlaneNodes(const PlaneLinks& l, env::Testbed tb,
-             oran::NodeTimeouts timeouts = {})
-      : links(l),
+  PlaneNodes(MuxPlane& p, env::Testbed tb, oran::NodeTimeouts timeouts = {})
+      : plane(p),
         testbed(std::move(tb)),
-        nearrt(l.a1_s, l.e2_c, l.o1_s, l.nearrt_ready, timeouts),
-        envnode(testbed, l.e2_s, l.svc_s, l.env_ready, timeouts),
-        nonrt(l.a1_c, l.o1_c, l.svc_c, l.nonrt_ready, timeouts) {
+        nearrt(p.a1_s, p.e2_c, p.o1_s, &p.nearrt_ready, timeouts),
+        envnode(testbed, p.e2_s, p.svc_s, &p.env_ready, timeouts),
+        nonrt(p.a1_c, p.o1_c, p.svc_c, &p.nonrt_ready, timeouts) {
     nearrt_thread = std::thread([this] { nearrt.run(stop); });
     env_thread = std::thread([this] { envnode.run(stop); });
   }
 
   ~PlaneNodes() {
     stop.store(true);
-    links.nearrt_ready->notify();
-    links.env_ready->notify();
+    plane.nearrt_ready.notify();
+    plane.env_ready.notify();
     if (nearrt_thread.joinable()) nearrt_thread.join();
     if (env_thread.joinable()) env_thread.join();
   }

@@ -1,12 +1,18 @@
 // One O-RAN process of the Fig. 7 split, selected by --role:
 //
-//   env     O-eNB/vBS + edge testbed. Listens on the e2 and svc links
-//           (ephemeral ports, published as <dir>/e2.port, <dir>/svc.port).
-//   nearrt  Near-RT RIC xApps. Listens on a1 and o1 (published the same
-//           way) and dials the env's e2 port.
-//   nonrt   Non-RT RIC learner. Dials a1, o1, and svc, then drives the
+//   env     O-eNB/vBS + edge testbed. Listens on one connection each for
+//           the e2 and svc links (ephemeral ports, published as
+//           <dir>/e2.port, <dir>/svc.port).
+//   nearrt  Near-RT RIC xApps. Listens on one connection carrying a1 and
+//           o1 as two streams (published as <dir>/nn.port) and dials the
+//           env's e2 port.
+//   nonrt   Non-RT RIC learner. Dials nn and svc, then drives the
 //           EdgeBOL orchestrator for --periods periods and writes
 //           <dir>/done so the servers shut down.
+//
+// Every link is a MuxTransport stream (stream-id framing, batched
+// readv/writev); E2 chaos flags apply to the e2 connection's client
+// endpoint.
 //
 // Rendezvous is file-based: servers write "<port>\n" to <dir>/<link>.port
 // (atomically, via rename) and clients poll for the files, so the three
@@ -18,17 +24,9 @@
 //            [--e2-partition START_MS:DUR_MS] [--chaos-seed S]
 //   ric_node --role nonrt  --dir DIR [--periods N] [--out PATH]
 //
-// With --mux the same three roles run over the multiplexed plane instead:
-// a1 and o1 ride ONE connection (published as <dir>/nn.port) as two
-// MuxTransport streams, e2 and svc one mux connection each (<dir>/e2m.port,
-// <dir>/svcm.port) — three sockets instead of four, stream-ID framing and
-// batched readv/writev on all of them. All three processes must agree on
-// --mux. E2 chaos flags apply to the e2m connection's client endpoint.
-//
-// A fourth mode runs everything in one process and checks the tentpole's
-// equivalence claim — both the TCP plane and the multiplexed plane must
-// reproduce the in-process loopback (OranManagedTestbed) trajectory
-// bit-for-bit on the same seed:
+// A fourth mode runs everything in one process and checks the equivalence
+// claim — the message plane must reproduce the in-process loopback
+// (OranManagedTestbed) trajectory bit-for-bit on the same seed:
 //
 //   ric_node --verify-loopback [--periods N] [--seed S]
 
@@ -57,7 +55,6 @@ struct Options {
   std::uint64_t seed = 1;
   double snr_db = 35.0;
   bool verify_loopback = false;
-  bool mux = false;  // roles run over the multiplexed plane
   // NearRT-side chaos on the e2 client endpoint.
   double e2_drop = 0.0;
   double e2_delay = 0.0;
@@ -69,7 +66,7 @@ struct Options {
 [[noreturn]] void usage(const char* argv0) {
   std::fprintf(
       stderr,
-      "usage: %s --role env|nearrt|nonrt --dir DIR [--mux] [--periods N]\n"
+      "usage: %s --role env|nearrt|nonrt --dir DIR [--periods N]\n"
       "          [--seed S] [--snr DB] [--out PATH] [--e2-drop R]\n"
       "          [--e2-delay R] [--e2-partition START_MS:DUR_MS]\n"
       "          [--chaos-seed S]\n"
@@ -112,8 +109,6 @@ Options parse(int argc, char** argv) {
       o.partition_dur_ms = std::atoll(spec.substr(colon + 1).c_str());
     } else if (std::strcmp(argv[i], "--chaos-seed") == 0) {
       o.chaos_seed = static_cast<std::uint64_t>(std::atoll(next("--chaos-seed")));
-    } else if (std::strcmp(argv[i], "--mux") == 0) {
-      o.mux = true;
     } else if (std::strcmp(argv[i], "--verify-loopback") == 0) {
       o.verify_loopback = true;
     } else {
@@ -187,40 +182,20 @@ int run_env(const Options& o) {
 
   net::EventLoop loop;
   net::ReadySignal ready;
-  std::unique_ptr<net::TcpTransport> e2_tcp, svc_tcp;
-  std::unique_ptr<net::MuxEndpoint> e2m, svcm;
-  net::Transport* e2 = nullptr;
-  net::Transport* svc = nullptr;
-  if (o.mux) {
-    e2m = net::MuxEndpoint::listen(&loop, 0,
-                                   plane::mux_link_config("e2m/env", &ready));
-    svcm = net::MuxEndpoint::listen(
-        &loop, 0, plane::mux_link_config("svcm/env", &ready));
-    e2 = e2m->open_stream(
-        plane::MuxPlane::kE2,
-        plane::mux_stream_config("e2/env", net::BackpressurePolicy::kBlock));
-    svc = svcm->open_stream(
-        plane::MuxPlane::kSvc,
-        plane::mux_stream_config("svc/env", net::BackpressurePolicy::kBlock));
-    publish_port(o.dir, "e2m", e2m->local_port());
-    publish_port(o.dir, "svcm", svcm->local_port());
-    std::fprintf(stderr, "ric_node[env]: mux e2m on %u, svcm on %u\n",
-                 e2m->local_port(), svcm->local_port());
-  } else {
-    e2_tcp = net::TcpTransport::listen(
-        &loop, 0,
-        plane::link_config("e2/env", &ready, net::BackpressurePolicy::kBlock));
-    svc_tcp = net::TcpTransport::listen(
-        &loop, 0,
-        plane::link_config("svc/env", &ready,
-                           net::BackpressurePolicy::kBlock));
-    e2 = e2_tcp.get();
-    svc = svc_tcp.get();
-    publish_port(o.dir, "e2", e2_tcp->local_port());
-    publish_port(o.dir, "svc", svc_tcp->local_port());
-    std::fprintf(stderr, "ric_node[env]: e2 on %u, svc on %u\n",
-                 e2_tcp->local_port(), svc_tcp->local_port());
-  }
+  auto e2ep = net::MuxEndpoint::listen(
+      &loop, 0, plane::mux_link_config("e2/env", &ready));
+  auto svcep = net::MuxEndpoint::listen(
+      &loop, 0, plane::mux_link_config("svc/env", &ready));
+  net::Transport* e2 = e2ep->open_stream(
+      plane::MuxPlane::kE2,
+      plane::mux_stream_config("e2/env", net::BackpressurePolicy::kBlock));
+  net::Transport* svc = svcep->open_stream(
+      plane::MuxPlane::kSvc,
+      plane::mux_stream_config("svc/env", net::BackpressurePolicy::kBlock));
+  publish_port(o.dir, "e2", e2ep->local_port());
+  publish_port(o.dir, "svc", svcep->local_port());
+  std::fprintf(stderr, "ric_node[env]: e2 on %u, svc on %u\n",
+               e2ep->local_port(), svcep->local_port());
 
   oran::EnvNode node(tb, e2, svc, &ready);
   std::atomic<bool> stop{false};
@@ -245,55 +220,27 @@ int run_nearrt(const Options& o) {
         {o.partition_start_ms, o.partition_dur_ms, false});
   chaos.seed = o.chaos_seed;
 
+  const std::uint16_t e2_port = await_port(o.dir, "e2");
   net::EventLoop loop;
   net::ReadySignal ready;
-  std::unique_ptr<net::TcpTransport> a1_tcp, o1_tcp, e2_tcp;
-  std::unique_ptr<net::MuxEndpoint> nn, e2m;
-  net::Transport* a1 = nullptr;
-  net::Transport* o1 = nullptr;
-  net::Transport* e2 = nullptr;
-  if (o.mux) {
-    const std::uint16_t e2m_port = await_port(o.dir, "e2m");
-    nn = net::MuxEndpoint::listen(&loop, 0,
-                                  plane::mux_link_config("nn/nearrt", &ready));
-    a1 = nn->open_stream(plane::MuxPlane::kA1,
-                         plane::mux_stream_config(
-                             "a1/nearrt", net::BackpressurePolicy::kBlock));
-    o1 = nn->open_stream(
-        plane::MuxPlane::kO1,
-        plane::mux_stream_config("o1/nearrt",
-                                 net::BackpressurePolicy::kShedOldest));
-    e2m = net::MuxEndpoint::connect(
-        &loop, "127.0.0.1", e2m_port,
-        plane::mux_link_config("e2m/nearrt", &ready, chaos));
-    e2 = e2m->open_stream(plane::MuxPlane::kE2,
-                          plane::mux_stream_config(
-                              "e2/nearrt", net::BackpressurePolicy::kBlock));
-    publish_port(o.dir, "nn", nn->local_port());
-    std::fprintf(stderr, "ric_node[nearrt]: mux nn on %u, e2m -> %u\n",
-                 nn->local_port(), e2m_port);
-  } else {
-    const std::uint16_t e2_port = await_port(o.dir, "e2");
-    a1_tcp = net::TcpTransport::listen(
-        &loop, 0,
-        plane::link_config("a1/nearrt", &ready,
-                           net::BackpressurePolicy::kBlock));
-    o1_tcp = net::TcpTransport::listen(
-        &loop, 0,
-        plane::link_config("o1/nearrt", &ready,
-                           net::BackpressurePolicy::kShedOldest));
-    e2_tcp = net::TcpTransport::connect(
-        &loop, "127.0.0.1", e2_port,
-        plane::link_config("e2/nearrt", &ready,
-                           net::BackpressurePolicy::kBlock, chaos));
-    a1 = a1_tcp.get();
-    o1 = o1_tcp.get();
-    e2 = e2_tcp.get();
-    publish_port(o.dir, "a1", a1_tcp->local_port());
-    publish_port(o.dir, "o1", o1_tcp->local_port());
-    std::fprintf(stderr, "ric_node[nearrt]: a1 on %u, o1 on %u, e2 -> %u\n",
-                 a1_tcp->local_port(), o1_tcp->local_port(), e2_port);
-  }
+  auto nn = net::MuxEndpoint::listen(
+      &loop, 0, plane::mux_link_config("nn/nearrt", &ready));
+  net::Transport* a1 = nn->open_stream(
+      plane::MuxPlane::kA1,
+      plane::mux_stream_config("a1/nearrt", net::BackpressurePolicy::kBlock));
+  net::Transport* o1 = nn->open_stream(
+      plane::MuxPlane::kO1,
+      plane::mux_stream_config("o1/nearrt",
+                               net::BackpressurePolicy::kShedOldest));
+  auto e2ep = net::MuxEndpoint::connect(
+      &loop, "127.0.0.1", e2_port,
+      plane::mux_link_config("e2/nearrt", &ready, chaos));
+  net::Transport* e2 = e2ep->open_stream(
+      plane::MuxPlane::kE2,
+      plane::mux_stream_config("e2/nearrt", net::BackpressurePolicy::kBlock));
+  publish_port(o.dir, "nn", nn->local_port());
+  std::fprintf(stderr, "ric_node[nearrt]: nn (a1 + o1) on %u, e2 -> %u\n",
+               nn->local_port(), e2_port);
 
   oran::NearRtRicNode node(a1, e2, o1, &ready);
   std::atomic<bool> stop{false};
@@ -301,8 +248,8 @@ int run_nearrt(const Options& o) {
   node.run(stop);
   watcher.join();
   // Reconnect/timeout/partition supervision lives at the connection level,
-  // so on the mux plane those counters come from the e2m endpoint.
-  const net::TransportStats e2s = o.mux ? e2m->stats().link : e2_tcp->stats();
+  // so those counters come from the e2 endpoint.
+  const net::TransportStats e2s = e2ep->stats().link;
   std::fprintf(stderr,
                "ric_node[nearrt]: %zu accepted, %zu rejected, %zu e2 "
                "failures, %zu forwarded (%zu stale); e2 reconnects=%llu "
@@ -317,51 +264,25 @@ int run_nearrt(const Options& o) {
 }
 
 int run_nonrt(const Options& o) {
+  const std::uint16_t nn_port = await_port(o.dir, "nn");
+  const std::uint16_t svc_port = await_port(o.dir, "svc");
   net::EventLoop loop;
   net::ReadySignal ready;
-  std::unique_ptr<net::TcpTransport> a1_tcp, o1_tcp, svc_tcp;
-  std::unique_ptr<net::MuxEndpoint> nn, svcm;
-  net::Transport* a1 = nullptr;
-  net::Transport* o1 = nullptr;
-  net::Transport* svc = nullptr;
-  if (o.mux) {
-    const std::uint16_t nn_port = await_port(o.dir, "nn");
-    const std::uint16_t svcm_port = await_port(o.dir, "svcm");
-    nn = net::MuxEndpoint::connect(&loop, "127.0.0.1", nn_port,
-                                   plane::mux_link_config("nn/nonrt", &ready));
-    svcm = net::MuxEndpoint::connect(
-        &loop, "127.0.0.1", svcm_port,
-        plane::mux_link_config("svcm/nonrt", &ready));
-    a1 = nn->open_stream(plane::MuxPlane::kA1,
-                         plane::mux_stream_config(
-                             "a1/nonrt", net::BackpressurePolicy::kBlock));
-    o1 = nn->open_stream(
-        plane::MuxPlane::kO1,
-        plane::mux_stream_config("o1/nonrt",
-                                 net::BackpressurePolicy::kShedOldest));
-    svc = svcm->open_stream(plane::MuxPlane::kSvc,
-                            plane::mux_stream_config(
-                                "svc/nonrt", net::BackpressurePolicy::kBlock));
-  } else {
-    const std::uint16_t a1_port = await_port(o.dir, "a1");
-    const std::uint16_t o1_port = await_port(o.dir, "o1");
-    const std::uint16_t svc_port = await_port(o.dir, "svc");
-    a1_tcp = net::TcpTransport::connect(
-        &loop, "127.0.0.1", a1_port,
-        plane::link_config("a1/nonrt", &ready,
-                           net::BackpressurePolicy::kBlock));
-    o1_tcp = net::TcpTransport::connect(
-        &loop, "127.0.0.1", o1_port,
-        plane::link_config("o1/nonrt", &ready,
-                           net::BackpressurePolicy::kShedOldest));
-    svc_tcp = net::TcpTransport::connect(
-        &loop, "127.0.0.1", svc_port,
-        plane::link_config("svc/nonrt", &ready,
-                           net::BackpressurePolicy::kBlock));
-    a1 = a1_tcp.get();
-    o1 = o1_tcp.get();
-    svc = svc_tcp.get();
-  }
+  auto nn = net::MuxEndpoint::connect(
+      &loop, "127.0.0.1", nn_port, plane::mux_link_config("nn/nonrt", &ready));
+  auto svcep = net::MuxEndpoint::connect(
+      &loop, "127.0.0.1", svc_port,
+      plane::mux_link_config("svc/nonrt", &ready));
+  net::Transport* a1 = nn->open_stream(
+      plane::MuxPlane::kA1,
+      plane::mux_stream_config("a1/nonrt", net::BackpressurePolicy::kBlock));
+  net::Transport* o1 = nn->open_stream(
+      plane::MuxPlane::kO1,
+      plane::mux_stream_config("o1/nonrt",
+                               net::BackpressurePolicy::kShedOldest));
+  net::Transport* svc = svcep->open_stream(
+      plane::MuxPlane::kSvc,
+      plane::mux_stream_config("svc/nonrt", net::BackpressurePolicy::kBlock));
 
   oran::NonRtRicNode node(a1, o1, svc, &ready);
   // Ensure the servers learn about completion even if we bail early.
@@ -421,15 +342,15 @@ int run_nonrt(const Options& o) {
 
 // --- loopback equivalence --------------------------------------------------
 
-/// One candidate plane run: handshake, drive the orchestrator, return the
-/// history. Fails (false) on handshake failure or any chaos-free-run
-/// degradation (kpi losses / delivery failures).
-bool run_candidate(const Options& o, const env::TestbedConfig& tcfg,
-                   const plane::PlaneLinks& links, const char* label,
-                   std::vector<core::PeriodRecord>* got) {
-  plane::PlaneNodes nodes(links, env::make_static_testbed(o.snr_db, tcfg));
+/// The plane run: handshake, drive the orchestrator, return the history.
+/// Fails (false) on handshake failure or any chaos-free-run degradation
+/// (kpi losses / delivery failures).
+bool run_plane(const Options& o, const env::TestbedConfig& tcfg,
+               std::vector<core::PeriodRecord>* got) {
+  plane::MuxPlane net_plane;
+  plane::PlaneNodes nodes(net_plane, env::make_static_testbed(o.snr_db, tcfg));
   if (!nodes.nonrt.handshake()) {
-    std::fprintf(stderr, "verify-loopback: %s handshake failed\n", label);
+    std::fprintf(stderr, "verify-loopback: handshake failed\n");
     return false;
   }
   core::EdgeBol agent(env::ControlGrid{}, plane::canonical_agent_config());
@@ -439,9 +360,9 @@ bool run_candidate(const Options& o, const env::TestbedConfig& tcfg,
   if (nodes.nonrt.kpi_losses() != 0 ||
       nodes.nonrt.policy_delivery_failures() != 0) {
     std::fprintf(stderr,
-                 "verify-loopback: FAIL (%s chaos-free run degraded: %zu kpi "
+                 "verify-loopback: FAIL (chaos-free run degraded: %zu kpi "
                  "losses, %zu delivery failures)\n",
-                 label, nodes.nonrt.kpi_losses(),
+                 nodes.nonrt.kpi_losses(),
                  nodes.nonrt.policy_delivery_failures());
     return false;
   }
@@ -449,11 +370,10 @@ bool run_candidate(const Options& o, const env::TestbedConfig& tcfg,
 }
 
 bool compare_trajectories(const std::vector<core::PeriodRecord>& ref,
-                          const std::vector<core::PeriodRecord>& got,
-                          const char* label) {
+                          const std::vector<core::PeriodRecord>& got) {
   if (ref.size() != got.size()) {
-    std::fprintf(stderr, "verify-loopback: FAIL (%s: %zu vs %zu periods)\n",
-                 label, ref.size(), got.size());
+    std::fprintf(stderr, "verify-loopback: FAIL (%zu vs %zu periods)\n",
+                 ref.size(), got.size());
     return false;
   }
   for (std::size_t i = 0; i < ref.size(); ++i) {
@@ -473,10 +393,10 @@ bool compare_trajectories(const std::vector<core::PeriodRecord>& ref,
                    "verify-loopback: FAIL at period %zu\n"
                    "  loopback policy (%.17g, %.17g, %.17g, %d) "
                    "delay %.17g map %.17g\n"
-                   "  %-8s policy (%.17g, %.17g, %.17g, %d) "
+                   "  plane    policy (%.17g, %.17g, %.17g, %d) "
                    "delay %.17g map %.17g\n",
                    i, a.resolution, a.airtime, a.gpu_speed, a.mcs_cap,
-                   ma.delay_s, ma.map, label, b.resolution, b.airtime,
+                   ma.delay_s, ma.map, b.resolution, b.airtime,
                    b.gpu_speed, b.mcs_cap, mb.delay_s, mb.map);
       return false;
     }
@@ -499,26 +419,14 @@ int run_verify_loopback(const Options& o) {
     ref = orch.history();
   }
 
-  // Candidate 1: the same split across real TCP links (eight sockets).
-  {
-    std::vector<core::PeriodRecord> got;
-    plane::TcpPlane net_plane;
-    if (!run_candidate(o, tcfg, net_plane.links(), "tcp", &got)) return 1;
-    if (!compare_trajectories(ref, got, "tcp")) return 1;
-  }
-
-  // Candidate 2: the multiplexed plane (three sockets, stream-ID framing).
-  {
-    std::vector<core::PeriodRecord> got;
-    plane::MuxPlane net_plane;
-    if (!run_candidate(o, tcfg, net_plane.links(), "mux", &got)) return 1;
-    if (!compare_trajectories(ref, got, "mux")) return 1;
-  }
+  // Candidate: the same split across the message plane (three sockets).
+  std::vector<core::PeriodRecord> got;
+  if (!run_plane(o, tcfg, &got)) return 1;
+  if (!compare_trajectories(ref, got)) return 1;
 
   std::fprintf(stderr,
-               "verify-loopback: PASS (%d periods; both the TCP and the "
-               "multiplexed plane match the in-process loopback trajectory "
-               "bit-for-bit)\n",
+               "verify-loopback: PASS (%d periods; the message plane matches "
+               "the in-process loopback trajectory bit-for-bit)\n",
                o.periods);
   return 0;
 }
