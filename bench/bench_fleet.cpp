@@ -8,9 +8,10 @@
 //     per-cell select() latency distribution (p50/p99 over every decision),
 //     update throughput, and peak RSS.
 //   * identity — a smaller fleet decided twice from identical initial state:
-//     batched on the full pool vs the serial in-order loop
-//     (serial_dispatch). Counts decisions whose chosen policy differs; the
-//     contract (see core::FleetEngine) is ZERO for any thread/shard count.
+//     batched on the full pool vs a num_threads = 1 engine (no pool: the
+//     serial in-order loop). Counts decisions whose chosen policy differs;
+//     the contract (see core::FleetEngine) is ZERO for any thread/shard
+//     count.
 //   * transfer — donors run alone for a warmup, then one cell joins twice
 //     from identical state: cold (template config) vs warm
 //     (add_cell_warm: blended hyperparameters + imported
@@ -173,9 +174,9 @@ ThroughputResult run_throughput(const Config& cfg) {
 
 // Decide+update a fleet for `periods` per cell, returning every chosen
 // policy index in batch order. Both calls see identical sims (same seed)
-// and identically-constructed engines; only the dispatch mode differs.
+// and identically-constructed engines; only the thread count differs.
 std::vector<std::size_t> run_identity(std::size_t cells, std::size_t periods,
-                                      std::size_t threads, bool serial) {
+                                      std::size_t threads) {
   env::FleetScenario sc;
   sc.num_cells = cells;
   sc.seed = 11;
@@ -183,7 +184,6 @@ std::vector<std::size_t> run_identity(std::size_t cells, std::size_t periods,
 
   core::FleetEngineConfig ec;
   ec.num_threads = threads;
-  ec.serial_dispatch = serial;
   ec.cell = cell_template();
   core::FleetEngine engine(small_grid(), ec);
   for (std::size_t i = 0; i < cells; ++i) engine.add_cell();
@@ -204,8 +204,7 @@ std::vector<std::size_t> run_identity(std::size_t cells, std::size_t periods,
     }
     // Testbeds also step serially in the reference run: the full loop, not
     // just the learner, must be dispatch-invariant.
-    sim.step_due({s.pol.data(), n}, {s.meas.data(), n},
-                 serial ? nullptr : engine.pool());
+    sim.step_due({s.pol.data(), n}, {s.meas.data(), n}, engine.pool());
     engine.update_batch(due, {s.ctx.data(), n}, {s.dec.data(), n},
                         {s.meas.data(), n});
     decisions += n;
@@ -437,9 +436,9 @@ int main(int argc, char** argv) {
 
   const std::size_t id_cells = 48, id_periods = 20, id_threads = 8;
   const std::vector<std::size_t> batched =
-      run_identity(id_cells, id_periods, id_threads, /*serial=*/false);
+      run_identity(id_cells, id_periods, id_threads);
   const std::vector<std::size_t> serial =
-      run_identity(id_cells, id_periods, id_threads, /*serial=*/true);
+      run_identity(id_cells, id_periods, /*threads=*/1);
   std::size_t mismatches = batched.size() == serial.size() ? 0 : 1;
   if (mismatches == 0) {
     for (std::size_t i = 0; i < batched.size(); ++i)

@@ -1,12 +1,15 @@
 // Full O-RAN integration demo (Fig. 7): EdgeBOL never touches the platform
 // directly — radio policies descend rApp -> A1-P -> xApp -> E2 -> O-eNB,
 // service policies go to the service controller, and the BS-power KPI
-// returns over E2 -> O1. The demo prints the actual JSON frames carried by
-// each interface for the first periods.
+// returns over E2 -> O1. The demo prints the actual wire frames carried by
+// each link direction for the first periods.
 //
 //   $ ./oran_integration
 
+#include <algorithm>
 #include <iostream>
+#include <string>
+#include <vector>
 
 #include <edgebol/edgebol.hpp>
 
@@ -21,54 +24,56 @@ int main() {
   cfg.constraints = {0.4, 0.5};
   core::EdgeBol agent(env::ControlGrid{}, cfg);
 
+  struct Direction {
+    const char* label;
+    const oran::InterfaceFabric* fabric;
+    std::size_t printed = 0;
+  };
+  std::vector<Direction> dirs = {
+      {"A1-P  NonRT  -> NearRT", &managed.a1().down},
+      {"A1-P  NearRT -> NonRT ", &managed.a1().up},
+      {"E2    NearRT -> O-eNB ", &managed.e2().down},
+      {"E2    O-eNB  -> NearRT", &managed.e2().up},
+      {"O1    NearRT -> NonRT ", &managed.o1().up},
+      {"svc   NonRT  -> env   ", &managed.svc().down},
+      {"svc   env    -> NonRT ", &managed.svc().up},
+  };
+
   std::cout << "Running EdgeBOL through the O-RAN control plane...\n";
+  env::Measurement last{};
   for (int t = 0; t < 40; ++t) {
     const env::Context c = managed.context();
     const core::Decision d = agent.select(c);
-    const env::Measurement m = managed.step(d.policy);
-    agent.update(c, d.policy_index, m);
+    last = managed.step(d.policy);
+    agent.update(c, d.policy_index, last);
 
     if (t < 3) {
+      // Period 0 also shows the svc hello exchanged at construction.
       std::cout << "\n-- period " << t << " wire frames --\n";
-      const auto& a1 = managed.non_rt_ric().a1().frame_log();
-      const auto& e2 = managed.near_rt_ric().e2().frame_log();
-      const auto& o1 = managed.near_rt_ric().o1().frame_log();
-      if (a1.size() >= 2) {
-        std::cout << "A1-P >> " << a1[a1.size() - 2] << '\n'
-                  << "A1-P << " << a1.back() << '\n';
+      for (Direction& dir : dirs) {
+        const std::vector<std::string>& log = dir.fabric->frame_log();
+        const std::size_t fresh = std::min(
+            dir.fabric->messages_carried() - dir.printed, log.size());
+        for (std::size_t i = log.size() - fresh; i < log.size(); ++i) {
+          std::string kind, body;
+          if (oran::wire_unpack(log[i], &kind, &body))
+            std::cout << dir.label << "  " << kind << ' ' << body << '\n';
+        }
+        dir.printed = dir.fabric->messages_carried();
       }
-      if (e2.size() >= 3) {
-        std::cout << "E2   >> " << e2[e2.size() - 3] << '\n'
-                  << "E2   << " << e2[e2.size() - 2] << '\n'
-                  << "E2 ind. " << e2.back() << '\n';
-      }
-      if (!o1.empty()) std::cout << "O1   ^^ " << o1.back() << '\n';
     }
   }
 
-  std::cout << "\n-- interface statistics after 40 periods --\n";
-  Table t({"interface", "messages_carried"});
-  t.add_row({"A1-P (non-RT RIC <-> near-RT RIC)",
-             fmt(static_cast<double>(
-                     managed.non_rt_ric().a1().messages_carried()),
-                 0)});
-  t.add_row({"E2 (near-RT RIC <-> O-eNB)",
-             fmt(static_cast<double>(
-                     managed.near_rt_ric().e2().messages_carried()),
-                 0)});
-  t.add_row({"O1 (KPI reports northbound)",
-             fmt(static_cast<double>(
-                     managed.near_rt_ric().o1().messages_carried()),
-                 0)});
-  t.add_row({"custom (service controller)",
-             fmt(static_cast<double>(
-                     managed.service_controller().requests_handled()),
-                 0)});
+  std::cout << "\n-- link statistics after 40 periods --\n";
+  Table t({"link direction", "messages_carried"});
+  for (const Direction& dir : dirs) {
+    t.add_row({dir.label,
+               fmt(static_cast<double>(dir.fabric->messages_carried()), 0)});
+  }
   t.print(std::cout);
 
   std::cout << "\nLatest BS-power KPI at the data-collector rApp: "
-            << fmt(managed.non_rt_ric().latest_kpi().bs_power_w, 3)
-            << " W (sequence "
-            << managed.non_rt_ric().latest_kpi().sequence << ")\n";
+            << fmt(last.bs_power_w, 3) << " W (period 39, "
+            << managed.kpi_losses() << " KPIs lost)\n";
   return 0;
 }

@@ -69,6 +69,11 @@ cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release -DEDGEBOL_WERROR=ON \
   -DCMAKE_CXX_FLAGS_RELEASE="-O2 -DNDEBUG" >/dev/null
 cmake --build build-release -j >/dev/null
 ctest --test-dir build-release --output-on-failure -j "$(nproc)"
+# Runtime smoke of the single-cell O-RAN surfaces no test binary runs: the
+# integration demo and the chaos bench (faults off vs on through
+# OranManagedTestbed) must each exit 0.
+(cd build-release && ./examples/oran_integration >/dev/null \
+  && ./bench/bench_chaos_convergence >/dev/null)
 # Engine-vs-reference correctness gate (1e-9) + per-phase timings; exits
 # non-zero on mismatch (this includes the decide phase's engine-vs-legacy
 # decision identity check). BENCH_gp.json lands in build-release/.

@@ -169,7 +169,7 @@ void FleetEngine::decide_batch(std::span<const std::size_t> due,
   if (decide_ms_.size() < n) decide_ms_.resize(n);
   const auto batch_t0 = std::chrono::steady_clock::now();
 
-  const bool batched = pool_ != nullptr && !cfg_.serial_dispatch && n > 1;
+  const bool batched = pool_ != nullptr && n > 1;
   std::size_t parts = 1;
   if (batched) {
     parts = plan_parts(due);
@@ -226,7 +226,7 @@ void FleetEngine::update_batch(std::span<const std::size_t> due,
   if (n == 0) return;
   const auto batch_t0 = std::chrono::steady_clock::now();
 
-  const bool batched = pool_ != nullptr && !cfg_.serial_dispatch && n > 1;
+  const bool batched = pool_ != nullptr && n > 1;
   std::size_t parts = 1;
   if (batched) {
     parts = plan_parts(due);

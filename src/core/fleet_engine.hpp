@@ -13,8 +13,8 @@
 //
 // Determinism. Cells share no mutable state, so each cell's decision and
 // update sequence is bit-identical to looping the cells serially — for any
-// thread count, any shard count, and any (timing-dependent) partition. The
-// `serial_dispatch` escape hatch runs the plain loop for A/B checks.
+// thread count, any shard count, and any (timing-dependent) partition. An
+// engine with num_threads = 1 has no pool and runs the plain serial loop.
 //
 // Transfer. A cell joining mid-run (add_cell_warm) warm-starts from the K
 // nearest established cells by context signature (mean observed context
@@ -54,9 +54,6 @@ struct FleetEngineConfig {
   /// EMA factor for the per-cell decision-cost estimate driving shard
   /// boundaries (higher = adapt faster, noisier).
   double load_ema = 0.2;
-  /// Escape hatch: loop due cells serially in batch order (bit-identical;
-  /// the A/B reference for the batched dispatch).
-  bool serial_dispatch = false;
   /// Per-cell learner template. num_threads inside is forced to 1.
   EdgeBolConfig cell{};
 };

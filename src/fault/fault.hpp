@@ -30,7 +30,7 @@ enum class FrameFault { kNone, kDrop, kDelay, kDuplicate, kCorrupt };
 /// checked in the order drop -> delay -> duplicate -> corrupt).
 struct FrameFaultRates {
   double drop = 0.0;       // frame lost
-  double delay = 0.0;      // frame held back, delivered on the next transmit
+  double delay = 0.0;      // frame held back, delivered on the next send
   double duplicate = 0.0;  // frame delivered twice
   double corrupt = 0.0;    // frame payload mutated before delivery
 

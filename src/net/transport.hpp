@@ -2,9 +2,9 @@
 //
 // A Transport carries opaque frames between exactly two endpoints. Two
 // implementations exist:
-//   * oran::InterfaceFabric — the original in-process loopback (synchronous,
-//     time-free), kept so the whole learning stack runs in one process and
-//     every pre-existing test stays valid;
+//   * oran::InterfaceFabric — one direction of an in-process loopback link
+//     (synchronous, time-free), so the node roles also run on one thread:
+//     OranManagedTestbed and the node-role tests;
 //   * net::MuxTransport — the real asynchronous plane: one stream of a
 //     MuxEndpoint, i.e. stream-id framed frames over a TCP connection driven
 //     by an epoll event loop, with bounded queues, explicit backpressure,
@@ -132,9 +132,9 @@ class Transport {
 };
 
 /// Pairs two simplex transports into one duplex endpoint: sends go out on
-/// `tx`, receives come in on `rx`. This is how a pair of in-process
-/// loopback fabrics (oran::InterfaceFabric), each carrying one direction,
-/// presents the same bidirectional surface as one MuxTransport. Owns
+/// `tx`, receives come in on `rx`. This is how oran::LoopbackLink's two
+/// in-process fabrics (oran::InterfaceFabric), each carrying one direction,
+/// present the same bidirectional surface as one MuxTransport. Owns
 /// neither side.
 class SplitTransport final : public Transport {
  public:

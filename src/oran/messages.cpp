@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cmath>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -78,11 +79,17 @@ double get_double(const std::string& json, const std::string& key) {
   return v;
 }
 
-std::int64_t get_int(const std::string& json, const std::string& key) {
+/// An integer field of type T. A value with a fractional part, or outside
+/// T's range (converting such a double is undefined), is malformed.
+template <typename T>
+T get_int(const std::string& json, const std::string& key) {
   const double v = get_double(json, key);
   if (std::floor(v) != v)
     throw std::invalid_argument("json: non-integer value for '" + key + "'");
-  return static_cast<std::int64_t>(v);
+  constexpr double lo = static_cast<double>(std::numeric_limits<T>::min());
+  if (!(v >= lo && v < -lo))  // [-2^(N-1), 2^(N-1)), exact in a double
+    throw std::invalid_argument("json: out-of-range value for '" + key + "'");
+  return static_cast<T>(v);
 }
 
 bool get_bool(const std::string& json, const std::string& key) {
@@ -126,11 +133,6 @@ std::string to_json(const O1KpiReport& m) {
       {{"sequence", num(m.sequence)}, {"bs_power_w", num(m.bs_power_w)}});
 }
 
-std::string to_json(const ServicePolicyRequest& m) {
-  return json_object(
-      {{"resolution", num(m.resolution)}, {"gpu_speed", num(m.gpu_speed)}});
-}
-
 std::string to_json(const EnvHello& m) {
   return json_object({{"n_users", num(static_cast<std::int64_t>(m.n_users))},
                       {"cqi_mean", num(m.cqi_mean)},
@@ -155,58 +157,51 @@ std::string to_json(const EnvStepResult& m) {
 
 A1PolicySetup a1_policy_setup_from_json(const std::string& j) {
   A1PolicySetup m;
-  m.policy_id = get_int(j, "policy_id");
+  m.policy_id = get_int<std::int64_t>(j, "policy_id");
   m.airtime = get_double(j, "airtime");
-  m.mcs_cap = static_cast<int>(get_int(j, "mcs_cap"));
+  m.mcs_cap = get_int<int>(j, "mcs_cap");
   return m;
 }
 
 A1PolicyAck a1_policy_ack_from_json(const std::string& j) {
   A1PolicyAck m;
-  m.policy_id = get_int(j, "policy_id");
+  m.policy_id = get_int<std::int64_t>(j, "policy_id");
   m.accepted = get_bool(j, "accepted");
   return m;
 }
 
 E2ControlRequest e2_control_request_from_json(const std::string& j) {
   E2ControlRequest m;
-  m.request_id = get_int(j, "request_id");
+  m.request_id = get_int<std::int64_t>(j, "request_id");
   m.airtime = get_double(j, "airtime");
-  m.mcs_cap = static_cast<int>(get_int(j, "mcs_cap"));
+  m.mcs_cap = get_int<int>(j, "mcs_cap");
   return m;
 }
 
 E2ControlAck e2_control_ack_from_json(const std::string& j) {
   E2ControlAck m;
-  m.request_id = get_int(j, "request_id");
+  m.request_id = get_int<std::int64_t>(j, "request_id");
   m.success = get_bool(j, "success");
   return m;
 }
 
 E2KpiIndication e2_kpi_indication_from_json(const std::string& j) {
   E2KpiIndication m;
-  m.sequence = get_int(j, "sequence");
+  m.sequence = get_int<std::int64_t>(j, "sequence");
   m.bs_power_w = get_double(j, "bs_power_w");
   return m;
 }
 
 O1KpiReport o1_kpi_report_from_json(const std::string& j) {
   O1KpiReport m;
-  m.sequence = get_int(j, "sequence");
+  m.sequence = get_int<std::int64_t>(j, "sequence");
   m.bs_power_w = get_double(j, "bs_power_w");
-  return m;
-}
-
-ServicePolicyRequest service_policy_request_from_json(const std::string& j) {
-  ServicePolicyRequest m;
-  m.resolution = get_double(j, "resolution");
-  m.gpu_speed = get_double(j, "gpu_speed");
   return m;
 }
 
 EnvHello env_hello_from_json(const std::string& j) {
   EnvHello m;
-  m.n_users = static_cast<int>(get_int(j, "n_users"));
+  m.n_users = get_int<int>(j, "n_users");
   m.cqi_mean = get_double(j, "cqi_mean");
   m.cqi_var = get_double(j, "cqi_var");
   return m;
@@ -214,7 +209,7 @@ EnvHello env_hello_from_json(const std::string& j) {
 
 EnvStepRequest env_step_request_from_json(const std::string& j) {
   EnvStepRequest m;
-  m.step_id = get_int(j, "step_id");
+  m.step_id = get_int<std::int64_t>(j, "step_id");
   m.resolution = get_double(j, "resolution");
   m.gpu_speed = get_double(j, "gpu_speed");
   return m;
@@ -222,11 +217,11 @@ EnvStepRequest env_step_request_from_json(const std::string& j) {
 
 EnvStepResult env_step_result_from_json(const std::string& j) {
   EnvStepResult m;
-  m.step_id = get_int(j, "step_id");
+  m.step_id = get_int<std::int64_t>(j, "step_id");
   m.delay_s = get_double(j, "delay_s");
   m.map = get_double(j, "map");
   m.server_power_w = get_double(j, "server_power_w");
-  m.n_users = static_cast<int>(get_int(j, "n_users"));
+  m.n_users = get_int<int>(j, "n_users");
   m.cqi_mean = get_double(j, "cqi_mean");
   m.cqi_var = get_double(j, "cqi_var");
   return m;
@@ -274,11 +269,6 @@ std::optional<E2KpiIndication> try_e2_kpi_indication_from_json(
 std::optional<O1KpiReport> try_o1_kpi_report_from_json(
     const std::string& j) noexcept {
   return try_decode(o1_kpi_report_from_json, j);
-}
-
-std::optional<ServicePolicyRequest> try_service_policy_request_from_json(
-    const std::string& j) noexcept {
-  return try_decode(service_policy_request_from_json, j);
 }
 
 std::optional<EnvHello> try_env_hello_from_json(const std::string& j) noexcept {

@@ -56,8 +56,9 @@ struct O1KpiReport {
   double bs_power_w = 0.0;
 };
 
-/// Service-controller request over the custom interface of Fig. 7 (image
-/// resolution to the user app, GPU power limit to the NVIDIA driver).
+/// Service policy the service controller enforces (image resolution to the
+/// user app, GPU power limit to the NVIDIA driver). Its knobs cross the
+/// custom interface of Fig. 7 inside EnvStepRequest.
 struct ServicePolicyRequest {
   double resolution = 1.0;
   double gpu_speed = 1.0;
@@ -97,14 +98,14 @@ struct EnvStepResult {
 
 // Flat-JSON codecs. to_json emits {"key":value,...}; the from_json parsers
 // accept the corresponding object (whitespace-tolerant, order-insensitive)
-// and throw std::invalid_argument on missing keys or malformed input.
+// and throw std::invalid_argument on missing keys or malformed input,
+// including an integer field whose value lies outside its C++ type.
 std::string to_json(const A1PolicySetup&);
 std::string to_json(const A1PolicyAck&);
 std::string to_json(const E2ControlRequest&);
 std::string to_json(const E2ControlAck&);
 std::string to_json(const E2KpiIndication&);
 std::string to_json(const O1KpiReport&);
-std::string to_json(const ServicePolicyRequest&);
 std::string to_json(const EnvHello&);
 std::string to_json(const EnvStepRequest&);
 std::string to_json(const EnvStepResult&);
@@ -115,7 +116,6 @@ E2ControlRequest e2_control_request_from_json(const std::string&);
 E2ControlAck e2_control_ack_from_json(const std::string&);
 E2KpiIndication e2_kpi_indication_from_json(const std::string&);
 O1KpiReport o1_kpi_report_from_json(const std::string&);
-ServicePolicyRequest service_policy_request_from_json(const std::string&);
 EnvHello env_hello_from_json(const std::string&);
 EnvStepRequest env_step_request_from_json(const std::string&);
 EnvStepResult env_step_result_from_json(const std::string&);
@@ -134,8 +134,6 @@ std::optional<E2ControlAck> try_e2_control_ack_from_json(
 std::optional<E2KpiIndication> try_e2_kpi_indication_from_json(
     const std::string&) noexcept;
 std::optional<O1KpiReport> try_o1_kpi_report_from_json(
-    const std::string&) noexcept;
-std::optional<ServicePolicyRequest> try_service_policy_request_from_json(
     const std::string&) noexcept;
 std::optional<EnvHello> try_env_hello_from_json(const std::string&) noexcept;
 std::optional<EnvStepRequest> try_env_step_request_from_json(

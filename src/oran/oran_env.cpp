@@ -1,96 +1,66 @@
 #include "oran/oran_env.hpp"
 
-#include <limits>
 #include <stdexcept>
-
-#include "ran/mcs_tables.hpp"
 
 namespace edgebol::oran {
 
-OranManagedTestbed::OranManagedTestbed(env::Testbed& testbed)
-    : testbed_(testbed), non_rt_(near_rt_) {
-  near_rt_.attach_e2_node(this);
-  radio_mcs_cap_ = ran::kMaxUlMcs;
+namespace {
+
+// One single pass of `node`, unless it is already mid-pass: its own bounded
+// waits drain whatever arrives meanwhile.
+template <typename Node>
+void pump(Node& node, bool& busy) {
+  if (busy) return;
+  struct Clear {
+    bool& flag;
+    ~Clear() { flag = false; }
+  } clear{busy};
+  busy = true;
+  node.poll_once();
+}
+
+}  // namespace
+
+OranManagedTestbed::OranManagedTestbed(env::Testbed& testbed,
+                                       NodeTimeouts timeouts)
+    : testbed_(testbed),
+      near_rt_(&a1_.south, &e2_.north, &o1_.south, nullptr, timeouts),
+      env_(testbed, &e2_.south, &svc_.south, nullptr, timeouts),
+      non_rt_(&a1_.north, &o1_.north, &svc_.north, nullptr, timeouts) {
+  const auto wake_near_rt = [this] { pump(near_rt_, near_rt_busy_); };
+  const auto wake_env = [this] { pump(env_, env_busy_); };
+  a1_.down.set_on_send(wake_near_rt);
+  e2_.up.set_on_send(wake_near_rt);
+  e2_.down.set_on_send(wake_env);
+  svc_.down.set_on_send(wake_env);
+  if (!non_rt_.handshake())
+    throw std::logic_error("OranManagedTestbed: environment sent no hello");
 }
 
 void OranManagedTestbed::enable_fault_injection(
     fault::FaultInjector* injector) {
-  non_rt_.enable_fault_injection(injector);
-  near_rt_.enable_fault_injection(injector);
+  const fault::FaultPlan plan =
+      injector != nullptr ? injector->plan() : fault::FaultPlan{};
+  a1_.down.enable_faults(injector, plan.a1);
+  a1_.up.enable_faults(injector, plan.a1);
+  e2_.down.enable_faults(injector, plan.e2);
+  e2_.up.enable_faults(injector, plan.e2);
+  o1_.up.enable_faults(injector, plan.o1);
   testbed_.set_fault_injector(injector);
 }
 
-env::Measurement OranManagedTestbed::step(const env::ControlPolicy& policy) {
-  // Radio policies: rApp -> A1-P -> xApp -> E2 -> this E2 node. Every
-  // successful E2 apply advances last_applied_request_id_ (fresh request
-  // ids per deploy), so a stationary id means this period's radio policy
-  // never reached the data plane.
-  const std::int64_t applied_before = last_applied_request_id_;
-  const A1PolicyAck ack =
-      non_rt_.deploy_radio_policy(policy.airtime, policy.mcs_cap);
-  if (!ack.accepted) {
-    if (non_rt_.last_delivery().delivered)
-      throw std::runtime_error("OranManagedTestbed: A1 policy rejected");
-    // Transport failure after all retries: degrade to the last applied
-    // radio policy rather than stalling the period.
-    ++policy_delivery_failures_;
-  } else if (last_applied_request_id_ == applied_before) {
-    // Accepted (validated + stored) at the near-RT RIC, but the E2 push
-    // was lost; the O-eNB keeps its previous radio policy this period.
-    ++policy_delivery_failures_;
-  }
-
-  // Service policies over the custom interface (serialized round trip, as
-  // the service controller runs beside the GPU server).
-  ServicePolicyRequest svc;
-  svc.resolution = policy.resolution;
-  svc.gpu_speed = policy.gpu_speed;
-  service_.apply(service_policy_request_from_json(to_json(svc)));
-
-  // Run the period with the policies the data plane actually received.
-  env::ControlPolicy enforced;
-  enforced.airtime = radio_airtime_;
-  enforced.mcs_cap = radio_mcs_cap_;
-  enforced.resolution = service_.resolution();
-  enforced.gpu_speed = service_.gpu_speed();
-  env::Measurement m = testbed_.step(enforced);
-
-  // KPI path: E2 indication -> database xApp -> O1 -> data-collector rApp.
-  E2KpiIndication ind;
-  ind.sequence = kpi_sequence_++;
-  ind.bs_power_w = m.bs_power_w;
-  near_rt_.handle_e2_indication(ind);
-  if (non_rt_.has_kpi() && non_rt_.latest_kpi().sequence == ind.sequence) {
-    m.bs_power_w = non_rt_.latest_kpi().bs_power_w;
-  } else {
-    // This period's sample died somewhere on E2/O1: surface "no reading".
-    ++kpi_losses_;
-    m.bs_power_w = std::numeric_limits<double>::quiet_NaN();
-  }
-  return m;
+void OranManagedTestbed::set_e2_partitioned(bool on) {
+  e2_.down.set_partitioned(on);
+  e2_.up.set_partitioned(on);
 }
 
-E2ControlAck OranManagedTestbed::handle_control(
-    const E2ControlRequest& request) {
-  E2ControlAck ack;
-  ack.request_id = request.request_id;
-  // Idempotent apply: a duplicated request (fabric-level replay) is acked
-  // again without re-touching the data plane.
-  if (request.request_id == last_applied_request_id_) {
-    ++duplicate_controls_ignored_;
-    ack.success = true;
-    return ack;
-  }
-  if (request.airtime <= 0.0 || request.airtime > 1.0 ||
-      request.mcs_cap < 0 || request.mcs_cap > ran::kMaxUlMcs) {
-    ack.success = false;
-    return ack;
-  }
-  radio_airtime_ = request.airtime;
-  radio_mcs_cap_ = request.mcs_cap;
-  last_applied_request_id_ = request.request_id;
-  ack.success = true;
-  return ack;
+env::Measurement OranManagedTestbed::step(const env::ControlPolicy& policy) {
+  // Every radio policy that reaches the O-eNB is applied under a fresh E2
+  // request id, so a stationary count means this period's policy never did.
+  const std::size_t applied_before = env_.controls_applied();
+  const env::Measurement m = non_rt_.step(policy);
+  if (env_.controls_applied() == applied_before) ++policy_delivery_failures_;
+  return m;
 }
 
 }  // namespace edgebol::oran

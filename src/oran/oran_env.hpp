@@ -5,82 +5,94 @@
 // Functionally equivalent to driving env::Testbed directly (tests assert
 // this), but every control/feedback signal takes the standardized path.
 //
+// It is the three node roles of oran/ric_node.* on one thread: every link
+// is a LoopbackLink, and a frame sent toward the Near-RT RIC (a1, e2 up) or
+// the environment (e2 down, svc) runs that node's single pass before the
+// send returns. The Non-RT RIC drives and is never pumped, so one step()
+// is one lock-step period of the same protocol the three-process plane
+// runs.
+//
 // Degraded modes (exercised under fault injection): when policy delivery
-// fails even after the rApp's retry/backoff, the data plane keeps running
-// on the last successfully applied radio policy; when the period's KPI
-// never survives the E2/O1 path, the BS power field of the measurement is
-// NaN — "no sample" — for the KPI validation gate upstream to reject.
+// fails even after the rApp's retries, the data plane keeps running on the
+// last successfully applied radio policy; when the period's KPI never
+// survives the E2/O1 path, the BS power field of the measurement is NaN —
+// "no sample" — for the KPI validation gate upstream to reject.
 
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 
 #include "env/testbed.hpp"
 #include "fault/fault.hpp"
-#include "oran/apps.hpp"
 #include "oran/ric.hpp"
+#include "oran/ric_node.hpp"
 
 namespace edgebol::oran {
 
-class OranManagedTestbed final : public E2Node {
+class OranManagedTestbed {
  public:
-  /// Wraps (does not own) a testbed; wires up both RICs and the service
-  /// controller, and registers itself as the E2 node.
-  explicit OranManagedTestbed(env::Testbed& testbed);
+  /// Wraps (does not own) a testbed, wires the three node roles over
+  /// loopback links and runs the learner's hello handshake.
+  explicit OranManagedTestbed(env::Testbed& testbed,
+                              NodeTimeouts timeouts = {});
 
   OranManagedTestbed(const OranManagedTestbed&) = delete;
   OranManagedTestbed& operator=(const OranManagedTestbed&) = delete;
 
-  env::Context context() const { return testbed_.context(); }
+  /// The learner's view of the context, as the last hello or step result
+  /// carried it over svc.
+  env::Context context() const { return non_rt_.context(); }
 
-  /// One orchestration period: deploy all four policies through the control
-  /// plane, run the period, and deliver KPIs back through E2/O1.
+  /// One orchestration period: deploy the radio policy over A1/E2, run the
+  /// period over svc, and deliver the KPI back through E2/O1.
   /// Throws std::runtime_error only if a *delivered* A1 policy is rejected
   /// as invalid; transport failures degrade (previous policy stays active)
   /// instead of throwing.
   env::Measurement step(const env::ControlPolicy& policy);
 
-  /// Attach the injector to every control-plane hop (A1-P, E2, O1) and to
-  /// the wrapped testbed's telemetry/environment path. nullptr detaches.
+  /// Attach the injector's plan to the control-plane hops (a1 both ways,
+  /// e2 both ways, o1 northbound; svc stays clean) and to the wrapped
+  /// testbed's telemetry/environment path. nullptr detaches.
   void enable_fault_injection(fault::FaultInjector* injector);
 
   /// Partition / heal the E2 hop mid-run (chaos-under-reconnect tests):
   /// while partitioned, radio policies stop reaching the O-eNB and KPI
   /// indications stop reaching the data collector (BS power goes NaN).
-  void set_e2_partitioned(bool on) { near_rt_.set_e2_partitioned(on); }
+  void set_e2_partitioned(bool on);
 
-  /// Periods whose radio policy could not be delivered (ran degraded on the
-  /// previously applied policy).
+  /// Periods whose radio policy never reached the O-eNB (EnvNode applied no
+  /// new control), so the period ran on the previously applied policy. A
+  /// lost E2 ack alone is not a failure.
   std::size_t policy_delivery_failures() const {
     return policy_delivery_failures_;
   }
   /// Periods whose BS-power KPI never arrived at the data collector.
-  std::size_t kpi_losses() const { return kpi_losses_; }
+  std::size_t kpi_losses() const { return non_rt_.kpi_losses(); }
   /// Duplicate E2 control requests ignored by the idempotent apply.
   std::size_t duplicate_controls_ignored() const {
-    return duplicate_controls_ignored_;
+    return env_.duplicate_controls();
   }
 
-  // E2Node
-  E2ControlAck handle_control(const E2ControlRequest& request) override;
-
-  NonRtRic& non_rt_ric() { return non_rt_; }
-  NearRtRic& near_rt_ric() { return near_rt_; }
-  const ServiceController& service_controller() const { return service_; }
+  const NonRtRicNode& non_rt() const { return non_rt_; }
+  const NearRtRicNode& near_rt() const { return near_rt_; }
+  const EnvNode& env_node() const { return env_; }
+  LoopbackLink& a1() { return a1_; }
+  LoopbackLink& e2() { return e2_; }
+  LoopbackLink& o1() { return o1_; }
+  LoopbackLink& svc() { return svc_; }
 
  private:
   env::Testbed& testbed_;
-  NearRtRic near_rt_;
-  NonRtRic non_rt_;
-  ServiceController service_;
-  double radio_airtime_ = 1.0;
-  int radio_mcs_cap_ = 0;
-  std::int64_t kpi_sequence_ = 1;
-  std::int64_t last_applied_request_id_ = 0;
+  LoopbackLink a1_{"A1-P"};
+  LoopbackLink e2_{"E2"};
+  LoopbackLink o1_{"O1"};
+  LoopbackLink svc_{"svc"};
+  NearRtRicNode near_rt_;
+  EnvNode env_;
+  NonRtRicNode non_rt_;
+  bool near_rt_busy_ = false;  // re-entry guards: a node mid-pass is not
+  bool env_busy_ = false;      // pumped again; it drains on its own
   std::size_t policy_delivery_failures_ = 0;
-  std::size_t kpi_losses_ = 0;
-  std::size_t duplicate_controls_ignored_ = 0;
 };
 
 }  // namespace edgebol::oran

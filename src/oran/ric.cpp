@@ -1,18 +1,15 @@
 #include "oran/ric.hpp"
 
-#include <stdexcept>
-
-#include "ran/mcs_tables.hpp"
-
 namespace edgebol::oran {
 
 InterfaceFabric::InterfaceFabric(std::string name, std::size_t max_log)
     : name_(std::move(name)), max_log_(max_log) {}
 
-void InterfaceFabric::record(const std::string& frame) {
+void InterfaceFabric::deliver(std::string frame) {
   ++carried_;
   if (log_.size() >= max_log_) log_.erase(log_.begin());
   log_.push_back(frame);
+  inbox_.push_back(std::move(frame));
 }
 
 void InterfaceFabric::enable_faults(fault::FaultInjector* injector,
@@ -21,53 +18,43 @@ void InterfaceFabric::enable_faults(fault::FaultInjector* injector,
   rates_ = injector != nullptr ? rates : fault::FrameFaultRates{};
 }
 
-std::vector<std::string> InterfaceFabric::transmit(const std::string& frame) {
+net::SendResult InterfaceFabric::send(const std::string& frame) {
   if (partitioned_) {
     // Hard partition: the offered frame vanishes; delayed frames stay
     // parked until the partition heals.
     ++partition_drops_;
-    return {};
-  }
-  std::vector<std::string> delivered;
-  // Frames delayed on an earlier transmit arrive ahead of this one (the
-  // ordering guarantee documented on the declaration and pinned by test).
-  if (!pending_.empty()) {
-    delivered = std::move(pending_);
+  } else {
+    // Frames delayed on an earlier send arrive ahead of this one (the
+    // ordering guarantee documented on the declaration and pinned by test).
+    std::vector<std::string> released = std::move(pending_);
     pending_.clear();
+    for (std::string& f : released) deliver(std::move(f));
+    const fault::FrameFault fate = injector_ != nullptr
+                                       ? injector_->next_frame_fault(rates_)
+                                       : fault::FrameFault::kNone;
+    switch (fate) {
+      case fault::FrameFault::kDrop:
+        ++dropped_;
+        break;
+      case fault::FrameFault::kDelay:
+        ++delayed_;
+        pending_.push_back(frame);
+        break;
+      case fault::FrameFault::kDuplicate:
+        ++duplicated_;
+        deliver(frame);
+        deliver(frame);
+        break;
+      case fault::FrameFault::kCorrupt:
+        ++corrupted_;
+        deliver(injector_->corrupt_frame(frame));
+        break;
+      case fault::FrameFault::kNone:
+        deliver(frame);
+        break;
+    }
   }
-  const fault::FrameFault fate = injector_ != nullptr
-                                     ? injector_->next_frame_fault(rates_)
-                                     : fault::FrameFault::kNone;
-  switch (fate) {
-    case fault::FrameFault::kDrop:
-      ++dropped_;
-      break;
-    case fault::FrameFault::kDelay:
-      ++delayed_;
-      pending_.push_back(frame);
-      break;
-    case fault::FrameFault::kDuplicate:
-      ++duplicated_;
-      delivered.push_back(frame);
-      delivered.push_back(frame);
-      break;
-    case fault::FrameFault::kCorrupt:
-      ++corrupted_;
-      delivered.push_back(injector_->corrupt_frame(frame));
-      break;
-    case fault::FrameFault::kNone:
-      delivered.push_back(frame);
-      break;
-  }
-  for (const std::string& f : delivered) record(f);
-  return delivered;
-}
-
-net::SendResult InterfaceFabric::send(const std::string& frame) {
-  // Loopback delivery: whatever survives the (possibly faulty) hop lands
-  // on the local inbox immediately. A partition still accepts the frame —
-  // like TCP, the sender only learns through silence.
-  for (std::string& f : transmit(frame)) inbox_.push_back(std::move(f));
+  if (on_send_) on_send_();
   return net::SendResult::kQueued;
 }
 
@@ -86,206 +73,10 @@ std::optional<std::string> InterfaceFabric::receive(int timeout_ms) {
   return frame;
 }
 
-NearRtRic::NearRtRic() = default;
-
-void NearRtRic::attach_e2_node(E2Node* node) { node_ = node; }
-
-A1PolicyAck NearRtRic::handle_a1_policy(const A1PolicySetup& setup) {
-  A1PolicyAck ack;
-  ack.policy_id = setup.policy_id;
-  if (node_ == nullptr || setup.airtime <= 0.0 || setup.airtime > 1.0 ||
-      setup.mcs_cap < 0 || setup.mcs_cap > ran::kMaxUlMcs) {
-    ack.accepted = false;
-    return ack;
-  }
-
-  // Policy-service xApp: translate the A1 policy into an E2 control request
-  // and push it to the O-eNB. The round trip through the codec stands in
-  // for the wire; under fault injection the request or its ack may be lost,
-  // duplicated, or corrupted, in which case the A1 caller's retry loop (and
-  // the node's idempotent apply) provides the recovery.
-  E2ControlRequest req;
-  req.request_id = next_request_id_++;
-  req.airtime = setup.airtime;
-  req.mcs_cap = setup.mcs_cap;
-  bool applied = false;
-  for (const std::string& wire : e2_.transmit(to_json(req))) {
-    const auto parsed = try_e2_control_request_from_json(wire);
-    if (!parsed) {
-      e2_.note_reject();
-      continue;
-    }
-    const E2ControlAck e2ack = node_->handle_control(*parsed);
-    for (const std::string& ack_wire : e2_.transmit(to_json(e2ack))) {
-      const auto parsed_ack = try_e2_control_ack_from_json(ack_wire);
-      if (!parsed_ack) {
-        e2_.note_reject();
-        continue;
-      }
-      if (parsed_ack->request_id == req.request_id && parsed_ack->success)
-        applied = true;
-    }
-  }
-
-  // A1 acceptance means the near-RT RIC validated and stored the policy.
-  // Whether the E2 push reached the O-eNB this time is a separate matter:
-  // a failed application leaves the node on its previous radio policy
-  // (degraded operation, tallied in e2_apply_failures) — re-acking the
-  // policy as rejected would make transport faults indistinguishable from
-  // validation rejects at the rApp.
-  ack.accepted = true;
-  policies_[setup.policy_id] = setup;
-  if (!applied) ++e2_apply_failures_;
-  return ack;
-}
-
-bool NearRtRic::handle_a1_delete(std::int64_t policy_id) {
-  return policies_.erase(policy_id) > 0;
-}
-
-std::optional<A1PolicySetup> NearRtRic::handle_a1_query(
-    std::int64_t policy_id) const {
-  const auto it = policies_.find(policy_id);
-  if (it == policies_.end()) return std::nullopt;
-  return it->second;
-}
-
-void NearRtRic::handle_e2_indication(const E2KpiIndication& ind) {
-  for (const std::string& wire : e2_.transmit(to_json(ind))) {
-    const auto parsed = try_e2_kpi_indication_from_json(wire);
-    if (!parsed) {
-      e2_.note_reject();
-      continue;
-    }
-    // Database xApp: deduplicate by sequence (duplicated or delayed frames
-    // replay old samples), then persist + forward northbound over O1.
-    if (parsed->sequence <= last_forwarded_seq_) {
-      ++stale_indications_;
-      continue;
-    }
-    last_forwarded_seq_ = parsed->sequence;
-    if (!o1_sink_) continue;
-    O1KpiReport report;
-    report.sequence = parsed->sequence;
-    report.bs_power_w = parsed->bs_power_w;
-    for (const std::string& o1_wire : o1_.transmit(to_json(report))) {
-      const auto parsed_report = try_o1_kpi_report_from_json(o1_wire);
-      if (!parsed_report) {
-        o1_.note_reject();
-        continue;
-      }
-      o1_sink_(*parsed_report);
-    }
-  }
-}
-
-void NearRtRic::set_o1_sink(std::function<void(const O1KpiReport&)> sink) {
-  o1_sink_ = std::move(sink);
-}
-
-void NearRtRic::enable_fault_injection(fault::FaultInjector* injector) {
-  e2_.enable_faults(injector,
-                    injector != nullptr ? injector->plan().e2
-                                        : fault::FrameFaultRates{});
-  o1_.enable_faults(injector,
-                    injector != nullptr ? injector->plan().o1
-                                        : fault::FrameFaultRates{});
-}
-
-NonRtRic::NonRtRic(NearRtRic& near_rt) : near_rt_(near_rt) {
-  near_rt_.set_o1_sink([this](const O1KpiReport& r) { on_o1_report(r); });
-}
-
-A1PolicyAck NonRtRic::deploy_radio_policy(double airtime, int mcs_cap) {
-  A1PolicySetup setup;
-  setup.policy_id = next_policy_id_++;
-  setup.airtime = airtime;
-  setup.mcs_cap = mcs_cap;
-
-  DeliveryReport rep;
-  rep.policy_id = setup.policy_id;
-  A1PolicyAck ack;
-  ack.policy_id = setup.policy_id;
-  ack.accepted = false;
-
-  // Reliable delivery: retry with exponential backoff until a well-formed
-  // ack for this policy id comes back. Re-sending an already-applied setup
-  // is harmless (policy application is idempotent by content), so a lost
-  // ack is recovered the same way as a lost request.
-  double backoff = retry_.base_backoff_ms;
-  for (int attempt = 0; attempt < retry_.max_attempts; ++attempt) {
-    ++rep.attempts;
-    if (attempt > 0) {
-      rep.backoff_ms += backoff;
-      backoff *= retry_.backoff_multiplier;
-    }
-    bool got_ack = false;
-    for (const std::string& wire : a1_.transmit(to_json(setup))) {
-      const auto parsed = try_a1_policy_setup_from_json(wire);
-      if (!parsed) {
-        a1_.note_reject();
-        continue;
-      }
-      const A1PolicyAck near_ack = near_rt_.handle_a1_policy(*parsed);
-      for (const std::string& ack_wire : a1_.transmit(to_json(near_ack))) {
-        const auto parsed_ack = try_a1_policy_ack_from_json(ack_wire);
-        if (!parsed_ack) {
-          a1_.note_reject();
-          continue;
-        }
-        if (parsed_ack->policy_id == setup.policy_id) {
-          ack = *parsed_ack;
-          got_ack = true;
-        }
-      }
-    }
-    // The rApp validates the policy before sending, so a reject of a
-    // locally-valid setup can only mean the payload was corrupted in
-    // flight into something that still parsed: retry rather than surface
-    // a phantom validation failure.
-    const bool locally_valid =
-        airtime > 0.0 && airtime <= 1.0 && mcs_cap >= 0 &&
-        mcs_cap <= ran::kMaxUlMcs;
-    if (got_ack && !ack.accepted && locally_valid) continue;
-    if (got_ack) {
-      rep.delivered = true;
-      break;
-    }
-  }
-  last_delivery_ = rep;
-  return ack;
-}
-
-void NonRtRic::enable_fault_injection(fault::FaultInjector* injector) {
-  a1_.enable_faults(injector,
-                    injector != nullptr ? injector->plan().a1
-                                        : fault::FrameFaultRates{});
-}
-
-bool NonRtRic::delete_radio_policy(std::int64_t policy_id) {
-  a1_.record("{\"delete_policy_id\":" + std::to_string(policy_id) + "}");
-  return near_rt_.handle_a1_delete(policy_id);
-}
-
-std::optional<A1PolicySetup> NonRtRic::query_radio_policy(
-    std::int64_t policy_id) {
-  a1_.record("{\"query_policy_id\":" + std::to_string(policy_id) + "}");
-  return near_rt_.handle_a1_query(policy_id);
-}
-
-const O1KpiReport& NonRtRic::latest_kpi() const {
-  if (kpis_.empty()) throw std::logic_error("NonRtRic: no KPI received yet");
-  return kpis_.back();
-}
-
-void NonRtRic::on_o1_report(const O1KpiReport& report) {
-  // Data-collector rApp: O1 duplication/delay can replay reports; keep only
-  // strictly newer sequences so the KPI history stays monotone.
-  if (!kpis_.empty() && report.sequence <= kpis_.back().sequence) {
-    ++stale_reports_;
-    return;
-  }
-  kpis_.push_back(report);
-}
+LoopbackLink::LoopbackLink(const std::string& name)
+    : down(name + " down"),
+      up(name + " up"),
+      north(&down, &up, name + " north"),
+      south(&up, &down, name + " south") {}
 
 }  // namespace edgebol::oran

@@ -105,8 +105,7 @@ void NearRtRicNode::handle_a1_setup(const A1PolicySetup& setup) {
   // learner sees "accepted", the O-eNB is on the new policy (or the push
   // demonstrably failed and is tallied). A1 acceptance itself still means
   // "validated and stored" — transport trouble on E2 degrades rather than
-  // masquerading as a validation reject (same contract as the in-process
-  // NearRtRic).
+  // masquerading as a validation reject.
   ++policies_accepted_;
   if (!push_e2_control(setup.airtime, setup.mcs_cap)) ++e2_apply_failures_;
   ack.accepted = true;
@@ -440,8 +439,8 @@ env::Measurement NonRtRicNode::step(const env::ControlPolicy& policy) {
     throw std::logic_error("NonRtRicNode: step() before handshake()");
   }
 
-  // 1. Radio policy over A1-P, reliable-with-retries (RetryPolicy analog of
-  //    the in-process rApp; backoff here is the real ack wait).
+  // 1. Radio policy over A1-P, reliable-with-retries (up to
+  //    NodeTimeouts::a1_attempts; the backoff is the real ack wait).
   A1PolicySetup setup;
   setup.policy_id = next_policy_id_++;
   setup.airtime = policy.airtime;
@@ -471,7 +470,7 @@ env::Measurement NonRtRicNode::step(const env::ControlPolicy& policy) {
     if (!got_ack) continue;
     // A reject of a locally-valid setup can only mean in-flight corruption
     // that still parsed; retry instead of surfacing a phantom validation
-    // failure (same reasoning as the in-process rApp).
+    // failure.
     if (!ack.accepted && locally_valid) continue;
     rep.delivered = true;
     break;

@@ -1,8 +1,9 @@
 // Distributed node roles for the O-RAN message plane (one per Fig. 7 box).
 //
-// The in-process OranManagedTestbed collapses the whole control plane into
-// synchronous calls. These classes split it across real transports so each
-// box can be its own process:
+// These classes are the one implementation of the A1/E2/O1 protocol. Each
+// box can be its own process over MuxTransport streams (tools/ric_node), or
+// all three can share one thread over in-process LoopbackLinks
+// (OranManagedTestbed):
 //
 //   NonRtRicNode  (learner side)  -- A1-P client, O1 data collector, and
 //                                    custom service-interface client. It
@@ -30,10 +31,10 @@
 // the learner's validation gate + watchdog, and only a dead environment
 // (no step result after all retries) throws.
 //
-// On identical seeds and timeout-free transports this reproduces the
-// in-process trajectory bit-for-bit: same policy/request/sequence id
-// streams, and every float crosses the wire through the same precision-17
-// JSON codecs the loopback path already round-trips through.
+// On identical seeds and timeout-free transports the three-process plane
+// reproduces the single-thread OranManagedTestbed trajectory bit-for-bit:
+// same policy/request/sequence id streams, and every float crosses the wire
+// through the same precision-17 JSON codecs.
 //
 // Threading: each node instance is single-threaded (run()/step() from one
 // thread); cross-node concurrency is the transports' problem. Counters are
@@ -52,7 +53,6 @@
 #include "net/transport.hpp"
 #include "oran/apps.hpp"
 #include "oran/messages.hpp"
-#include "oran/ric.hpp"
 
 namespace edgebol::oran {
 
@@ -77,9 +77,11 @@ inline constexpr const char* kKindEnvStepResult = "env_step_result";
 /// Bounded waits for the lock-step protocol. Clean runs never hit them;
 /// they are sized generously (whole-suite TSan runs are 5-20x slower than
 /// real time) so a fired timeout always means genuine transport trouble.
+/// With a null ReadySignal every wait is a single pass, so only the attempt
+/// counts take effect.
 struct NodeTimeouts {
   int a1_ack_ms = 4000;       // learner: deploy ack (covers near-RT's E2 wait)
-  int a1_attempts = 4;        // learner: deploy retries (RetryPolicy analog)
+  int a1_attempts = 4;        // learner: deploy attempts per period
   int e2_ack_ms = 1500;       // near-RT: E2 control ack before A1 ack
   int step_result_ms = 3000;  // learner: env step round trip, per attempt
   int step_attempts = 5;
@@ -87,6 +89,13 @@ struct NodeTimeouts {
   int hello_ms = 250;         // learner: per-attempt hello round trip
   int hello_attempts = 120;
   int idle_poll_ms = 50;      // server loops: wait quantum between drains
+};
+
+/// Outcome surface of one reliable policy delivery.
+struct DeliveryReport {
+  std::int64_t policy_id = 0;
+  bool delivered = false;  // a well-formed matching ack came back
+  int attempts = 0;
 };
 
 /// Near-RT RIC process: forwards validated A1 policies over E2 (awaiting

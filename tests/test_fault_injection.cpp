@@ -10,6 +10,7 @@
 #include "oran/messages.hpp"
 #include "oran/oran_env.hpp"
 #include "oran/ric.hpp"
+#include "oran/ric_node.hpp"
 
 namespace edgebol::fault {
 namespace {
@@ -129,7 +130,8 @@ TEST(FaultInjector, ScheduledEventsCoverTheirWindow) {
 
 TEST(InterfaceFabric, CleanFabricDeliversExactly) {
   oran::InterfaceFabric fabric("t");
-  const auto out = fabric.transmit("hello");
+  fabric.send("hello");
+  const auto out = fabric.drain();
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0], "hello");
   EXPECT_EQ(fabric.messages_carried(), 1u);
@@ -142,8 +144,9 @@ TEST(InterfaceFabric, DropsEveryFrameAtRateOne) {
   FaultInjector inj(plan);
   oran::InterfaceFabric fabric("t");
   fabric.enable_faults(&inj, {.drop = 1.0});
-  EXPECT_TRUE(fabric.transmit("a").empty());
-  EXPECT_TRUE(fabric.transmit("b").empty());
+  fabric.send("a");
+  fabric.send("b");
+  EXPECT_TRUE(fabric.drain().empty());
   EXPECT_EQ(fabric.frames_dropped(), 2u);
   EXPECT_EQ(fabric.messages_carried(), 0u);
 }
@@ -154,8 +157,10 @@ TEST(InterfaceFabric, DelayHoldsFrameForNextTransmit) {
   FaultInjector inj(plan);
   oran::InterfaceFabric fabric("t");
   fabric.enable_faults(&inj, {.delay = 1.0});
-  EXPECT_TRUE(fabric.transmit("first").empty());
-  const auto out = fabric.transmit("second");  // "second" is itself delayed
+  fabric.send("first");
+  EXPECT_TRUE(fabric.drain().empty());
+  fabric.send("second");  // "second" is itself delayed
+  const auto out = fabric.drain();
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0], "first");
   EXPECT_EQ(fabric.frames_delayed(), 2u);
@@ -167,7 +172,8 @@ TEST(InterfaceFabric, DuplicateDeliversTwice) {
   FaultInjector inj(plan);
   oran::InterfaceFabric fabric("t");
   fabric.enable_faults(&inj, {.duplicate = 1.0});
-  const auto out = fabric.transmit("msg");
+  fabric.send("msg");
+  const auto out = fabric.drain();
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(out[0], "msg");
   EXPECT_EQ(out[1], "msg");
@@ -181,7 +187,8 @@ TEST(InterfaceFabric, CorruptMutatesPayload) {
   FaultInjector inj(plan);
   oran::InterfaceFabric fabric("t");
   fabric.enable_faults(&inj, {.corrupt = 1.0});
-  const auto out = fabric.transmit("{\"k\":1}");
+  fabric.send("{\"k\":1}");
+  const auto out = fabric.drain();
   ASSERT_EQ(out.size(), 1u);
   EXPECT_NE(out[0], "{\"k\":1}");
   EXPECT_EQ(fabric.frames_corrupted(), 1u);
@@ -193,9 +200,11 @@ TEST(InterfaceFabric, DetachRestoresCleanDelivery) {
   FaultInjector inj(plan);
   oran::InterfaceFabric fabric("t");
   fabric.enable_faults(&inj, {.drop = 1.0});
-  EXPECT_TRUE(fabric.transmit("x").empty());
+  fabric.send("x");
+  EXPECT_TRUE(fabric.drain().empty());
   fabric.enable_faults(nullptr, {});
-  const auto out = fabric.transmit("y");
+  fabric.send("y");
+  const auto out = fabric.drain();
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0], "y");
 }
@@ -213,8 +222,12 @@ TEST(OranFaults, CorruptedE2FramesAreCountedAsRejects) {
 
   env::ControlPolicy policy{0.8, 0.9, 0.9, 20};
   (void)managed.step(policy);
-  EXPECT_GT(managed.near_rt_ric().e2().decode_rejects(), 0u);
-  EXPECT_GT(managed.near_rt_ric().e2().frames_corrupted(), 0u);
+  EXPECT_GT(managed.near_rt().decode_rejects() +
+                managed.env_node().decode_rejects(),
+            0u);
+  EXPECT_GT(managed.e2().down.frames_corrupted() +
+                managed.e2().up.frames_corrupted(),
+            0u);
 }
 
 TEST(OranFaults, DuplicateControlsAreIdempotent) {
@@ -229,8 +242,8 @@ TEST(OranFaults, DuplicateControlsAreIdempotent) {
   env::ControlPolicy policy{0.8, 0.9, 0.9, 20};
   const env::Measurement m = managed.step(policy);
   EXPECT_GT(managed.duplicate_controls_ignored(), 0u);
-  EXPECT_GT(managed.near_rt_ric().stale_indications() +
-                managed.non_rt_ric().stale_reports(),
+  EXPECT_GT(managed.near_rt().stale_indications() +
+                managed.non_rt().stale_reports(),
             0u);
   EXPECT_TRUE(std::isfinite(m.delay_s));
 }
@@ -253,9 +266,8 @@ TEST(OranFaults, TotalA1LossDegradesInsteadOfThrowing) {
   env::Measurement m{};
   EXPECT_NO_THROW(m = managed.step(next));
   EXPECT_EQ(managed.policy_delivery_failures(), 1u);
-  EXPECT_FALSE(managed.non_rt_ric().last_delivery().delivered);
-  EXPECT_EQ(managed.non_rt_ric().last_delivery().attempts, 4);
-  EXPECT_GT(managed.non_rt_ric().last_delivery().backoff_ms, 0.0);
+  EXPECT_FALSE(managed.non_rt().last_delivery().delivered);
+  EXPECT_EQ(managed.non_rt().last_delivery().attempts, 4);
   EXPECT_TRUE(std::isfinite(m.delay_s));
 }
 
@@ -279,8 +291,7 @@ TEST(OranFaults, RetryRecoversFromModerateLoss) {
   // 50% A1 loss on both the setup and the ack frame: one attempt succeeds
   // 25% of the time, eight attempts ~90%.
   env::Testbed tb = env::make_static_testbed(35.0);
-  oran::OranManagedTestbed managed(tb);
-  managed.non_rt_ric().set_retry_policy({8, 10.0, 2.0});
+  oran::OranManagedTestbed managed(tb, oran::NodeTimeouts{.a1_attempts = 8});
   FaultPlan plan;
   plan.seed = 21;
   plan.a1.drop = 0.5;
@@ -291,9 +302,30 @@ TEST(OranFaults, RetryRecoversFromModerateLoss) {
   env::ControlPolicy policy{0.8, 0.9, 0.9, 20};
   for (int t = 0; t < 20; ++t) {
     (void)managed.step(policy);
-    delivered += managed.non_rt_ric().last_delivery().delivered;
+    delivered += managed.non_rt().last_delivery().delivered;
   }
   EXPECT_GE(delivered, 14);
+}
+
+TEST(OranFaults, LostE2AckIsNotADeliveryFailure) {
+  // Every frame Env -> NearRT vanishes: the control lands at the O-eNB but
+  // its ack (and the period's KPI indication) never comes back. The radio
+  // policy is in force, so the period is not a delivery failure.
+  env::Testbed tb = env::make_static_testbed(35.0);
+  oran::OranManagedTestbed managed(tb);
+  FaultPlan plan;
+  plan.seed = 4;
+  FaultInjector inj(plan);
+  managed.e2().up.enable_faults(&inj, {.drop = 1.0});
+
+  env::ControlPolicy policy{0.8, 0.9, 0.9, 20};
+  const env::Measurement m = managed.step(policy);
+  EXPECT_EQ(managed.env_node().controls_applied(), 1u);
+  EXPECT_EQ(managed.near_rt().e2_apply_failures(), 1u);
+  EXPECT_TRUE(managed.non_rt().last_delivery().delivered);
+  EXPECT_EQ(managed.policy_delivery_failures(), 0u);
+  EXPECT_EQ(managed.kpi_losses(), 1u);
+  EXPECT_TRUE(std::isnan(m.bs_power_w));
 }
 
 }  // namespace

@@ -143,11 +143,10 @@ TEST(FleetSim, RejectsBadScenarios) {
 // Run `periods` decisions per cell through one engine, returning every
 // chosen policy index in batch order.
 std::vector<std::size_t> drive(std::size_t cells, std::size_t threads,
-                               bool serial_dispatch, std::size_t periods) {
+                               std::size_t periods) {
   env::FleetSim sim(small_scenario(cells, 41));
   core::FleetEngineConfig ec;
   ec.num_threads = threads;
-  ec.serial_dispatch = serial_dispatch;
   ec.cell = tiny_cell();
   core::FleetEngine engine(tiny_grid(), ec);
   for (std::size_t i = 0; i < cells; ++i) engine.add_cell();
@@ -171,7 +170,7 @@ std::vector<std::size_t> drive(std::size_t cells, std::size_t threads,
       pol[i] = dec[i].policy;
       chosen.push_back(dec[i].policy_index);
     }
-    sim.step_due(pol, meas, serial_dispatch ? nullptr : engine.pool());
+    sim.step_due(pol, meas, engine.pool());
     engine.update_batch(due, ctx, dec, meas);
     decisions += n;
   }
@@ -214,15 +213,13 @@ std::vector<std::size_t> drive_hand_rolled(std::size_t cells,
 
 TEST(FleetEngine, BatchedDispatchBitIdenticalToSerialLoop) {
   const std::size_t cells = 10, periods = 6;
-  const auto pooled4 = drive(cells, 4, false, periods);
-  const auto pooled2 = drive(cells, 2, false, periods);
-  const auto serial_hatch = drive(cells, 4, true, periods);
-  const auto single = drive(cells, 1, false, periods);
+  const auto pooled4 = drive(cells, 4, periods);
+  const auto pooled2 = drive(cells, 2, periods);
+  const auto single = drive(cells, 1, periods);
   const auto reference = drive_hand_rolled(cells, periods);
   ASSERT_EQ(pooled4.size(), reference.size());
   EXPECT_EQ(pooled4, reference);
   EXPECT_EQ(pooled2, reference);
-  EXPECT_EQ(serial_hatch, reference);
   EXPECT_EQ(single, reference);
 }
 

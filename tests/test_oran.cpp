@@ -5,11 +5,13 @@
 #include <string>
 #include <vector>
 
+#include "core/orchestrator.hpp"
 #include "env/scenarios.hpp"
 #include "fault/fault.hpp"
 #include "oran/messages.hpp"
 #include "oran/oran_env.hpp"
 #include "oran/ric.hpp"
+#include "oran/ric_node.hpp"
 
 namespace edgebol::oran {
 namespace {
@@ -35,10 +37,6 @@ TEST(Messages, AllRoundTrips) {
           .bs_power_w,
       5.25);
   EXPECT_EQ(o1_kpi_report_from_json(to_json(O1KpiReport{3, 6.0})).sequence, 3);
-  const ServicePolicyRequest s =
-      service_policy_request_from_json(to_json(ServicePolicyRequest{0.5, 0.9}));
-  EXPECT_DOUBLE_EQ(s.resolution, 0.5);
-  EXPECT_DOUBLE_EQ(s.gpu_speed, 0.9);
 }
 
 TEST(Messages, WhitespaceAndOrderTolerant) {
@@ -60,147 +58,43 @@ TEST(Messages, MalformedJsonThrows) {
                std::invalid_argument);
 }
 
-TEST(NearRtRic, RejectsWithoutE2Node) {
-  NearRtRic ric;
-  EXPECT_FALSE(ric.has_e2_node());
-  const A1PolicyAck ack = ric.handle_a1_policy({1, 0.5, 10});
-  EXPECT_FALSE(ack.accepted);
-}
-
-class RecordingNode : public E2Node {
- public:
-  E2ControlAck handle_control(const E2ControlRequest& r) override {
-    last = r;
-    ++count;
-    return {r.request_id, true};
-  }
-  E2ControlRequest last{};
-  int count = 0;
-};
-
-TEST(NearRtRic, ForwardsPolicyOverE2) {
-  NearRtRic ric;
-  RecordingNode node;
-  ric.attach_e2_node(&node);
-  const A1PolicyAck ack = ric.handle_a1_policy({1, 0.6, 12});
-  EXPECT_TRUE(ack.accepted);
-  EXPECT_EQ(node.count, 1);
-  EXPECT_DOUBLE_EQ(node.last.airtime, 0.6);
-  EXPECT_EQ(node.last.mcs_cap, 12);
-  EXPECT_EQ(ric.e2().messages_carried(), 2u);  // request + ack
-}
-
-TEST(NearRtRic, RejectsInvalidPolicy) {
-  NearRtRic ric;
-  RecordingNode node;
-  ric.attach_e2_node(&node);
-  EXPECT_FALSE(ric.handle_a1_policy({1, 1.5, 12}).accepted);
-  EXPECT_FALSE(ric.handle_a1_policy({1, 0.5, 99}).accepted);
-  EXPECT_EQ(node.count, 0);
-}
-
-TEST(NonRtRic, KpiPathDeliversToDataCollector) {
-  NearRtRic near;
-  NonRtRic non(near);
-  EXPECT_FALSE(non.has_kpi());
-  EXPECT_THROW(non.latest_kpi(), std::logic_error);
-  near.handle_e2_indication({1, 5.5});
-  near.handle_e2_indication({2, 5.7});
-  ASSERT_TRUE(non.has_kpi());
-  EXPECT_EQ(non.kpi_count(), 2u);
-  EXPECT_DOUBLE_EQ(non.latest_kpi().bs_power_w, 5.7);
-  EXPECT_EQ(non.latest_kpi().sequence, 2);
-  EXPECT_GE(near.o1().messages_carried(), 2u);
-}
-
-TEST(NonRtRic, DeploysSequencedPolicies) {
-  NearRtRic near;
-  RecordingNode node;
-  near.attach_e2_node(&node);
-  NonRtRic non(near);
-  EXPECT_TRUE(non.deploy_radio_policy(0.5, 10).accepted);
-  EXPECT_TRUE(non.deploy_radio_policy(0.7, 12).accepted);
-  EXPECT_EQ(node.count, 2);
-  EXPECT_EQ(non.a1().messages_carried(), 4u);  // 2 setups + 2 acks
-}
-
-TEST(A1Lifecycle, CreateQueryDeleteRoundTrip) {
-  NearRtRic near;
-  RecordingNode node;
-  near.attach_e2_node(&node);
-  NonRtRic non(near);
-
-  ASSERT_TRUE(non.deploy_radio_policy(0.6, 12).accepted);
-  const std::int64_t id = non.last_policy_id();
-  EXPECT_EQ(near.active_policy_count(), 1u);
-
-  const auto stored = non.query_radio_policy(id);
-  ASSERT_TRUE(stored.has_value());
-  EXPECT_DOUBLE_EQ(stored->airtime, 0.6);
-  EXPECT_EQ(stored->mcs_cap, 12);
-
-  EXPECT_TRUE(non.delete_radio_policy(id));
-  EXPECT_EQ(near.active_policy_count(), 0u);
-  EXPECT_FALSE(non.query_radio_policy(id).has_value());
-  EXPECT_FALSE(non.delete_radio_policy(id));  // already gone
-}
-
-TEST(A1Lifecycle, RejectedPoliciesAreNotStored) {
-  NearRtRic near;
-  RecordingNode node;
-  near.attach_e2_node(&node);
-  NonRtRic non(near);
-  EXPECT_FALSE(non.deploy_radio_policy(2.0, 12).accepted);
-  EXPECT_EQ(near.active_policy_count(), 0u);
-}
-
-TEST(A1Lifecycle, MultiplePoliciesCoexist) {
-  NearRtRic near;
-  RecordingNode node;
-  near.attach_e2_node(&node);
-  NonRtRic non(near);
-  non.deploy_radio_policy(0.5, 10);
-  const std::int64_t first = non.last_policy_id();
-  non.deploy_radio_policy(0.7, 14);
-  EXPECT_EQ(near.active_policy_count(), 2u);
-  EXPECT_TRUE(non.delete_radio_policy(first));
-  EXPECT_EQ(near.active_policy_count(), 1u);
-}
-
 TEST(InterfaceFabric, BoundedLog) {
   InterfaceFabric f("test", 2);
-  f.record("a");
-  f.record("b");
-  f.record("c");
+  f.send("a");
+  f.send("b");
+  f.send("c");
   EXPECT_EQ(f.messages_carried(), 3u);
   ASSERT_EQ(f.frame_log().size(), 2u);
   EXPECT_EQ(f.frame_log().front(), "b");
+  EXPECT_EQ(f.drain().size(), 3u);
 }
 
 TEST(InterfaceFabric, DelayedFrameOrder) {
   // Pins the "fabric delayed frame order" guarantee documented on
-  // InterfaceFabric::transmit: a delayed frame is released exactly one
-  // delivery opportunity later and always ahead of every copy of the frame
-  // offered at that opportunity.
+  // InterfaceFabric::send: a delayed frame is released exactly one send
+  // later and always ahead of every copy of the frame offered then.
   fault::FaultInjector injector{fault::FaultPlan{.seed = 7}};
   InterfaceFabric fabric("e2");
 
   fault::FrameFaultRates delay_all;
   delay_all.delay = 1.0;
   fabric.enable_faults(&injector, delay_all);
-  EXPECT_TRUE(fabric.transmit("first").empty());
+  fabric.send("first");
+  EXPECT_TRUE(fabric.drain().empty());
   EXPECT_EQ(fabric.frames_delayed(), 1u);
 
-  // The next transmit also draws kDelay: "first" is released while "second"
-  // takes its place in the parking slot — one opportunity late, no more.
-  const std::vector<std::string> second = fabric.transmit("second");
+  // The next send also draws kDelay: "first" is released while "second"
+  // takes its place in the parking slot — one send late, no more.
+  fabric.send("second");
+  const std::vector<std::string> second = fabric.drain();
   ASSERT_EQ(second.size(), 1u);
   EXPECT_EQ(second[0], "first");
   EXPECT_EQ(fabric.frames_delayed(), 2u);
 
   // Clean fate: the parked "second" precedes the current "third".
   fabric.enable_faults(&injector, fault::FrameFaultRates{});
-  const std::vector<std::string> third = fabric.transmit("third");
+  fabric.send("third");
+  const std::vector<std::string> third = fabric.drain();
   ASSERT_EQ(third.size(), 2u);
   EXPECT_EQ(third[0], "second");
   EXPECT_EQ(third[1], "third");
@@ -208,11 +102,13 @@ TEST(InterfaceFabric, DelayedFrameOrder) {
   // Duplicate fate: both copies of the current frame still trail the
   // released frame — a delayed frame is never overtaken.
   fabric.enable_faults(&injector, delay_all);
-  EXPECT_TRUE(fabric.transmit("fourth").empty());
+  fabric.send("fourth");
+  EXPECT_TRUE(fabric.drain().empty());
   fault::FrameFaultRates dup_all;
   dup_all.duplicate = 1.0;
   fabric.enable_faults(&injector, dup_all);
-  const std::vector<std::string> fifth = fabric.transmit("fifth");
+  fabric.send("fifth");
+  const std::vector<std::string> fifth = fabric.drain();
   ASSERT_EQ(fifth.size(), 3u);
   EXPECT_EQ(fifth[0], "fourth");
   EXPECT_EQ(fifth[1], "fifth");
@@ -230,25 +126,47 @@ TEST(ServiceController, AppliesAndValidates) {
 }
 
 TEST(OranManagedTestbed, EquivalentToDirectStepping) {
+  // Fault-free, the control plane is invisible: an agent-driven run through
+  // it reproduces Orchestrator::run on the bare testbed bit for bit —
+  // every period's decision, the four KPIs and the context.
+  constexpr int kPeriods = 60;
+  core::EdgeBolConfig acfg;
+  acfg.weights = {1.0, 8.0};
+  acfg.constraints = {0.4, 0.5};
+  acfg.resilience.enabled = true;
   env::TestbedConfig cfg;
   cfg.seed = 1234;
+
   env::Testbed direct = env::make_static_testbed(30.0, cfg);
+  core::EdgeBol direct_agent(env::ControlGrid{}, acfg);
+  core::Orchestrator direct_orch(direct_agent);
+  direct_orch.run(direct, kPeriods);
+
   env::Testbed managed_tb = env::make_static_testbed(30.0, cfg);
   OranManagedTestbed managed(managed_tb);
+  core::EdgeBol managed_agent(env::ControlGrid{}, acfg);
+  core::Orchestrator managed_orch(managed_agent);
+  managed_orch.run(managed, kPeriods);
 
-  env::ControlPolicy p;
-  p.resolution = 0.75;
-  p.airtime = 0.6;
-  p.gpu_speed = 0.5;
-  p.mcs_cap = 14;
-  for (int i = 0; i < 5; ++i) {
-    const env::Measurement a = direct.step(p);
-    const env::Measurement b = managed.step(p);
-    EXPECT_DOUBLE_EQ(a.delay_s, b.delay_s);
-    EXPECT_DOUBLE_EQ(a.map, b.map);
-    EXPECT_DOUBLE_EQ(a.bs_power_w, b.bs_power_w);
-    EXPECT_DOUBLE_EQ(a.server_power_w, b.server_power_w);
+  const auto& a = direct_orch.history();
+  const auto& b = managed_orch.history();
+  ASSERT_EQ(a.size(), static_cast<std::size_t>(kPeriods));
+  ASSERT_EQ(b.size(), a.size());
+  for (std::size_t t = 0; t < a.size(); ++t) {
+    EXPECT_EQ(a[t].decision.policy_index, b[t].decision.policy_index)
+        << "period " << t;
+    EXPECT_EQ(a[t].measurement.delay_s, b[t].measurement.delay_s) << t;
+    EXPECT_EQ(a[t].measurement.map, b[t].measurement.map) << t;
+    EXPECT_EQ(a[t].measurement.server_power_w,
+              b[t].measurement.server_power_w)
+        << t;
+    EXPECT_EQ(a[t].measurement.bs_power_w, b[t].measurement.bs_power_w) << t;
+    EXPECT_EQ(a[t].context.n_users, b[t].context.n_users) << t;
+    EXPECT_EQ(a[t].context.cqi_mean, b[t].context.cqi_mean) << t;
+    EXPECT_EQ(a[t].context.cqi_var, b[t].context.cqi_var) << t;
   }
+  EXPECT_EQ(managed.policy_delivery_failures(), 0u);
+  EXPECT_EQ(managed.kpi_losses(), 0u);
 }
 
 TEST(OranManagedTestbed, KpiFlowsThroughO1) {
@@ -256,10 +174,36 @@ TEST(OranManagedTestbed, KpiFlowsThroughO1) {
   OranManagedTestbed managed(tb);
   env::ControlPolicy p;
   const env::Measurement m = managed.step(p);
-  EXPECT_EQ(managed.non_rt_ric().kpi_count(), 1u);
-  EXPECT_DOUBLE_EQ(managed.non_rt_ric().latest_kpi().bs_power_w,
-                   m.bs_power_w);
-  EXPECT_EQ(managed.service_controller().requests_handled(), 1u);
+  EXPECT_EQ(managed.kpi_losses(), 0u);
+  EXPECT_EQ(managed.near_rt().indications_forwarded(), 1u);
+  ASSERT_EQ(managed.o1().up.frame_log().size(), 1u);
+  std::string kind, body;
+  ASSERT_TRUE(wire_unpack(managed.o1().up.frame_log().back(), &kind, &body));
+  EXPECT_EQ(kind, kKindO1Report);
+  const O1KpiReport report = o1_kpi_report_from_json(body);
+  EXPECT_EQ(report.sequence, 1);
+  EXPECT_EQ(report.bs_power_w, m.bs_power_w);
+  EXPECT_EQ(managed.env_node().steps_run(), 1u);
+}
+
+TEST(OranManagedTestbed, DeploysSequencedPolicies) {
+  env::Testbed tb = env::make_static_testbed(30.0);
+  OranManagedTestbed managed(tb);
+  (void)managed.step({0.8, 0.5, 0.9, 10});
+  (void)managed.step({0.8, 0.7, 0.9, 12});
+  EXPECT_EQ(managed.non_rt().last_policy_id(), 2);
+  EXPECT_EQ(managed.env_node().controls_applied(), 2u);
+  // 2 setups + 2 acks on A1; each setup became one E2 control with a fresh
+  // request id carrying the deployed knobs.
+  EXPECT_EQ(managed.a1().down.messages_carried(), 2u);
+  EXPECT_EQ(managed.a1().up.messages_carried(), 2u);
+  std::string kind, body;
+  ASSERT_TRUE(wire_unpack(managed.e2().down.frame_log().back(), &kind, &body));
+  EXPECT_EQ(kind, kKindE2Ctrl);
+  const E2ControlRequest ctrl = e2_control_request_from_json(body);
+  EXPECT_EQ(ctrl.request_id, 2);
+  EXPECT_DOUBLE_EQ(ctrl.airtime, 0.7);
+  EXPECT_EQ(ctrl.mcs_cap, 12);
 }
 
 TEST(Messages, TryDecodersMatchThrowingParsersOnCleanFrames) {
@@ -283,10 +227,6 @@ TEST(Messages, TryDecodersMatchThrowingParsersOnCleanFrames) {
       5.25);
   EXPECT_EQ(try_o1_kpi_report_from_json(to_json(O1KpiReport{3, 6.0}))->sequence,
             3);
-  EXPECT_DOUBLE_EQ(try_service_policy_request_from_json(
-                       to_json(ServicePolicyRequest{0.5, 0.9}))
-                       ->resolution,
-                   0.5);
 }
 
 TEST(Messages, TryDecodersReturnNulloptInsteadOfThrowing) {
@@ -295,6 +235,20 @@ TEST(Messages, TryDecodersReturnNulloptInsteadOfThrowing) {
   EXPECT_EQ(try_e2_control_ack_from_json("{\"request_id\":1,\"success\":2}"),
             std::nullopt);
   EXPECT_EQ(try_o1_kpi_report_from_json(""), std::nullopt);
+  // Integer fields outside their C++ type are malformed, not wrapped or
+  // (for doubles beyond int64) undefined.
+  EXPECT_EQ(try_a1_policy_setup_from_json(
+                "{\"policy_id\":1,\"airtime\":0.5,\"mcs_cap\":4294967306}"),
+            std::nullopt);
+  EXPECT_EQ(try_env_hello_from_json(
+                "{\"n_users\":-4294967295,\"cqi_mean\":9,\"cqi_var\":1}"),
+            std::nullopt);
+  EXPECT_EQ(try_e2_control_ack_from_json(
+                "{\"request_id\":1e300,\"success\":true}"),
+            std::nullopt);
+  EXPECT_EQ(try_env_step_request_from_json(
+                "{\"step_id\":inf,\"resolution\":0.5,\"gpu_speed\":0.5}"),
+            std::nullopt);
 }
 
 TEST(Messages, FuzzedFramesNeverThrowAndCleanFramesRoundTrip) {
@@ -309,7 +263,6 @@ TEST(Messages, FuzzedFramesNeverThrowAndCleanFramesRoundTrip) {
       to_json(E2ControlAck{9, false}),
       to_json(E2KpiIndication{11, 5.25}),
       to_json(O1KpiReport{3, 6.0}),
-      to_json(ServicePolicyRequest{0.5, 0.9}),
   };
   fault::FaultInjector injector{fault::FaultPlan{.seed = 1234}};
   for (const std::string& frame : frames) {
@@ -322,7 +275,6 @@ TEST(Messages, FuzzedFramesNeverThrowAndCleanFramesRoundTrip) {
         (void)try_e2_control_ack_from_json(mutant);
         (void)try_e2_kpi_indication_from_json(mutant);
         (void)try_o1_kpi_report_from_json(mutant);
-        (void)try_service_policy_request_from_json(mutant);
       });
     }
   }
@@ -335,9 +287,16 @@ TEST(Messages, FuzzedFramesNeverThrowAndCleanFramesRoundTrip) {
 TEST(OranManagedTestbed, RejectedPolicyThrows) {
   env::Testbed tb = env::make_static_testbed(30.0);
   OranManagedTestbed managed(tb);
-  env::ControlPolicy p;
-  p.airtime = 0.0;  // invalid for the radio side
-  EXPECT_THROW(managed.step(p), std::runtime_error);
+  // Invalid for the radio side: airtime outside (0, 1], MCS cap beyond the
+  // UL table. The Near-RT RIC rejects each without touching E2.
+  for (const env::ControlPolicy& p :
+       {env::ControlPolicy{1.0, 0.0, 1.0, 10},
+        env::ControlPolicy{1.0, 1.5, 1.0, 10},
+        env::ControlPolicy{1.0, 0.5, 1.0, 99}}) {
+    EXPECT_THROW(managed.step(p), std::runtime_error);
+  }
+  EXPECT_EQ(managed.near_rt().policies_rejected(), 3u);
+  EXPECT_EQ(managed.e2().down.messages_carried(), 0u);
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // Node-role tests: the wire envelope, each role driven synchronously over
-// loopback fabric pairs (idempotency, validation, degradation paths), and
-// the whole three-node plane over the real message plane — including the
-// equivalence claim (message-plane trajectory == in-process loopback
-// trajectory) and a chaos soak on the e2 link.
+// loopback links (idempotency, validation, degradation paths), and the
+// whole three-node plane over the real message plane — including the
+// equivalence claim (message-plane trajectory == single-thread
+// OranManagedTestbed trajectory) and a chaos soak on the e2 link.
 
 #include <gtest/gtest.h>
 
@@ -55,19 +55,18 @@ TEST(WireEnvelope, BodyMayContainNewlines) {
 
 // --- synchronous loopback rig ---------------------------------------------
 //
-// Each link is two simplex fabrics; the node under test gets a
-// SplitTransport and the test plays the peer by writing into `from` and
-// draining `to`. With a null ReadySignal every node wait degrades to a
-// single pass, so expected frames are pre-queued before the call.
+// Each link is a LoopbackLink; the node under test holds its south end and
+// the test plays the peer through the north end. With a null ReadySignal
+// every node wait degrades to a single pass, so expected frames are
+// pre-queued before the call.
 
 struct Link {
-  InterfaceFabric to{"to-peer"};     // node -> test
-  InterfaceFabric from{"from-peer"}; // test -> node
-  net::SplitTransport node{&to, &from, "node-side"};
+  LoopbackLink wire{"link"};
+  net::SplitTransport& node = wire.south;
 
-  std::vector<std::string> sent_by_node() { return to.drain(); }
+  std::vector<std::string> sent_by_node() { return wire.north.drain(); }
   void inject(const std::string& kind, const std::string& body) {
-    from.send(wire_pack(kind, body));
+    wire.north.send(wire_pack(kind, body));
   }
 };
 
@@ -239,7 +238,8 @@ TEST_F(NearRtNodeTest, InvalidPolicyIsRejectedWithoutTouchingE2) {
 
 TEST_F(NearRtNodeTest, LostE2AckDegradesButStillAcksA1) {
   // No pre-queued E2 ack: the bounded wait expires, the policy still acks
-  // accepted (matching the in-process contract) and the failure is counted.
+  // accepted (A1 acceptance means validated, not applied) and the failure
+  // is counted.
   a1.inject(kKindA1Setup, to_json(A1PolicySetup{1, 0.5, 10}));
   node.poll_once();
   const auto ack = only_frame_of_kind(a1.sent_by_node(), kKindA1Ack);
@@ -333,7 +333,7 @@ TEST_F(NonRtNodeTest, LostKpiReportSurfacesAsNanBsPower) {
   res.cqi_var = 1.5;
   svc.inject(kKindEnvStepResult, to_json(res));
   // No O1 report: the learner's resilience layer (KPI gate + watchdog)
-  // sees the loss as a NaN BS-power sample, exactly like PR 1's fabric.
+  // sees the loss as a NaN BS-power sample.
   env::ControlPolicy policy;
   policy.resolution = 0.8;
   policy.airtime = 0.5;

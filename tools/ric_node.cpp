@@ -408,7 +408,7 @@ int run_verify_loopback(const Options& o) {
   env::TestbedConfig tcfg;
   tcfg.seed = o.seed;
 
-  // Reference: the whole control plane collapsed into synchronous calls.
+  // Reference: the same three node roles on one thread over loopback links.
   std::vector<core::PeriodRecord> ref;
   {
     env::Testbed tb = env::make_static_testbed(o.snr_db, tcfg);
