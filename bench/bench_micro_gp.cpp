@@ -563,7 +563,7 @@ DecideStats run_decide(std::size_t threads) {
   const auto engine_decide = [&] {
     specs[0] = core::BoundSpec{&delay_gp, /*upper=*/true, d_max, 0.0};
     specs[1] = core::BoundSpec{&map_gp, /*upper=*/false, rho_min, 0.0};
-    return acq.decide(core::FusedAcquisitionKind::kSafeLcb, tracker, specs,
+    return acq.decide(core::AcquisitionKind::kSafeLcb, tracker, specs,
                       cost_gp, beta, pool.get());
   };
   const auto legacy_decide = [&] {

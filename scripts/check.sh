@@ -69,11 +69,14 @@ cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release -DEDGEBOL_WERROR=ON \
   -DCMAKE_CXX_FLAGS_RELEASE="-O2 -DNDEBUG" >/dev/null
 cmake --build build-release -j >/dev/null
 ctest --test-dir build-release --output-on-failure -j "$(nproc)"
-# Runtime smoke of the single-cell O-RAN surfaces no test binary runs: the
-# integration demo and the chaos bench (faults off vs on through
-# OranManagedTestbed) must each exit 0.
+# Runtime smoke of surfaces no test binary runs end to end, each must exit
+# 0: the single-cell O-RAN integration demo, the chaos bench (faults off vs
+# on through OranManagedTestbed), and the two benches that drive the
+# safe-BO engine's other formulations (PowerBudgetBol, JointEdgeBol).
 (cd build-release && ./examples/oran_integration >/dev/null \
-  && ./bench/bench_chaos_convergence >/dev/null)
+  && ./bench/bench_chaos_convergence >/dev/null \
+  && ./bench/bench_alt_formulation >/dev/null \
+  && ./bench/bench_multi_service >/dev/null)
 # Engine-vs-reference correctness gate (1e-9) + per-phase timings; exits
 # non-zero on mismatch (this includes the decide phase's engine-vs-legacy
 # decision identity check). BENCH_gp.json lands in build-release/.

@@ -107,7 +107,7 @@ void FusedAcquisition::configure(std::size_t num_candidates,
 }
 
 FusedDecision FusedAcquisition::decide(
-    FusedAcquisitionKind kind, SafeSetTracker& tracker,
+    AcquisitionKind kind, SafeSetTracker& tracker,
     std::span<const BoundSpec> bounds, const gp::GpRegressor& objective,
     double beta, common::ThreadPool* pool,
     std::span<const std::size_t> adjacency_offsets,
@@ -123,8 +123,8 @@ FusedDecision FusedAcquisition::decide(
         "FusedAcquisition: objective tracked-candidate count mismatch");
   if (bounds.size() > kMaxSlots)
     throw std::invalid_argument("FusedAcquisition: too many constraint slots");
-  const bool safeopt = kind == FusedAcquisitionKind::kSafeOpt;
-  const bool global = kind == FusedAcquisitionKind::kGlobalLcb;
+  const bool safeopt = kind == AcquisitionKind::kSafeOpt;
+  const bool global = kind == AcquisitionKind::kGlobalLcb;
   if (safeopt && adjacency_offsets.size() != m_ + 1)
     throw std::invalid_argument("FusedAcquisition: adjacency size mismatch");
 
@@ -154,8 +154,8 @@ FusedDecision FusedAcquisition::decide(
     // Fused sweep: bound maintenance + acquisition scan over one candidate
     // block per invocation, so a decision is one pool dispatch (two for
     // SafeOpt) instead of maintenance/safe-set/acquisition passes that each
-    // pay a wake-up. The scan reproduces the legacy expressions operation
-    // for operation — see the comparisons against EdgeBol::select /
+    // pay a wake-up. The scan reproduces the reference scans operation for
+    // operation — see the comparisons against compute_safe_set /
     // lcb_argmin / safeopt_select_impl noted inline.
     const auto sweep1 = [&](std::size_t j0, std::size_t j1) {
       tracker.maintain_block(j0, j1);
@@ -178,7 +178,7 @@ FusedDecision FusedAcquisition::decide(
               bp.first_elig = j;
               bp.has_elig = true;
             }
-            // Legacy: min_ucb = min(min_ucb, mean + beta * stddev()).
+            // Reference: min_ucb = min(min_ucb, mean + beta * stddev()).
             const double ucb =
                 cmean[j] + beta * std::sqrt(std::max(0.0, cvar[j]));
             if (ucb < bp.ucb_min) bp.ucb_min = ucb;
@@ -188,7 +188,7 @@ FusedDecision FusedAcquisition::decide(
             bp.first_elig = j;
             bp.has_elig = true;
           }
-          // Legacy lcb_argmin: strict < against a +inf initializer, first
+          // Reference lcb_argmin: strict < against a +inf initializer, first
           // minimum in ascending index order wins.
           const double v = cmean[j] - beta * std::sqrt(std::max(0.0, cvar[j]));
           if (v < bp.best_v) {
@@ -221,8 +221,8 @@ FusedDecision FusedAcquisition::decide(
     dec.fell_back_to_s0 = qual_count == 0;
     dec.safe_set_size = safe_count;
 
-    // First eligible index overall — the legacy scans' initializer (it wins
-    // when no comparison fires, e.g. all-NaN posteriors).
+    // First eligible index overall — the reference scans' initializer (it
+    // wins when no comparison fires, e.g. all-NaN posteriors).
     std::size_t first_elig = 0;
     bool have_first = false;
     for (const BlockPartial& bp : partials_) {
@@ -237,7 +237,7 @@ FusedDecision FusedAcquisition::decide(
     if (global && !have_first) first_elig = 0;
 
     if (!safeopt) {
-      // Ascending-block merge with the same strict < as the legacy loop:
+      // Ascending-block merge with the same strict < as the reference loop:
       // ties resolve to the earliest block, i.e. the first global argmin.
       double best_v = std::numeric_limits<double>::infinity();
       std::size_t best = first_elig;
@@ -279,7 +279,7 @@ FusedDecision FusedAcquisition::decide(
           }
           if (!expander) continue;
         }
-        // Legacy width: 2.0 * beta * (sigma_obj + sigma_c0 + sigma_c1 ...),
+        // Reference width: 2.0 * beta * (sigma_obj + sigma_c0 + sigma_c1 ...),
         // left-associated in slot order; strict > against a -1.0
         // initializer, first maximum in ascending order wins.
         double wsum = sc;
@@ -323,16 +323,16 @@ FusedDecision FusedAcquisition::decide(
   }
 }
 
-std::size_t lcb_argmin(const std::vector<gp::Prediction>& cost_posterior,
+std::size_t lcb_argmin(const std::vector<gp::Prediction>& objective,
                        const std::vector<std::size_t>& safe_set, double beta) {
   if (safe_set.empty())
     throw std::invalid_argument("lcb_argmin: empty safe set");
   std::size_t best = safe_set.front();
   double best_v = std::numeric_limits<double>::infinity();
   for (std::size_t i : safe_set) {
-    if (i >= cost_posterior.size())
+    if (i >= objective.size())
       throw std::invalid_argument("lcb_argmin: index out of range");
-    const double v = lcb_value(cost_posterior[i], beta);
+    const double v = lcb_value(objective[i], beta);
     if (v < best_v) {
       best_v = v;
       best = i;

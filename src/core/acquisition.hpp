@@ -6,6 +6,11 @@
 // and explores (high uncertainty); because cheap policies sit near the
 // constraint boundary, this acquisition also expands the safe set without a
 // dedicated expansion step (§5).
+//
+// FusedAcquisition is the decision path of the one safe-BO engine
+// (core::GenericSafeBol); lcb_argmin and safeopt_select are the
+// straight-line scans it reproduces, kept as the reference the tests and
+// bench_micro_gp compare it against.
 
 #pragma once
 
@@ -25,7 +30,7 @@ namespace edgebol::core {
 /// Index (into the candidate list) minimizing the LCB over `safe_set`.
 /// Throws std::invalid_argument if the safe set is empty or references an
 /// out-of-range candidate.
-std::size_t lcb_argmin(const std::vector<gp::Prediction>& cost_posterior,
+std::size_t lcb_argmin(const std::vector<gp::Prediction>& objective,
                        const std::vector<std::size_t>& safe_set, double beta);
 
 /// The LCB value itself, for diagnostics.
@@ -62,13 +67,13 @@ std::size_t safeopt_select(const SafeOptInputs& in,
                            std::span<const std::size_t> adjacency_offsets,
                            std::span<const std::size_t> adjacency);
 
-/// Which acquisition rule a FusedAcquisition round runs (mirrors
-/// core::AcquisitionKind; a separate enum keeps this layer free of the
-/// EdgeBol config header).
-enum class FusedAcquisitionKind {
-  kSafeLcb,    // safe-set LCB minimizer (paper eq. 9)
-  kSafeOpt,    // max-width over minimizers + CSR-adjacency expanders
-  kGlobalLcb,  // LCB argmin over the whole grid (unsafe-BO ablation)
+/// Which acquisition rule drives exploration within the safe set.
+enum class AcquisitionKind {
+  kSafeLcb,    // eq. (9): EdgeBOL's safe contextual LCB (the paper's choice)
+  kSafeOpt,    // SafeOpt-style max-width over minimizers+expanders (§5
+               // ablation; needs the candidates' CSR adjacency)
+  kGlobalLcb,  // LCB over the WHOLE grid, ignoring the safe set — the
+               // unsafe-BO ablation quantifying what eq. (8) buys
 };
 
 struct FusedDecision {
@@ -82,7 +87,7 @@ struct FusedDecision {
 /// acquisition scan over the same candidate block while it is cache-hot,
 /// with no heap allocation past configure(). Block partials are merged
 /// serially in ascending block order with the same strict comparisons as
-/// the legacy scans, so every decision — index, safe-set size, fallback
+/// the reference scans, so every decision — index, safe-set size, fallback
 /// flag — is bit-identical to the full-rescan path for any thread count.
 class FusedAcquisition {
  public:
@@ -99,7 +104,7 @@ class FusedAcquisition {
   /// because expander checks read the safety mask across blocks.
   /// Throws std::invalid_argument on spec/size mismatches or an empty
   /// eligible set (only possible with an empty S0).
-  FusedDecision decide(FusedAcquisitionKind kind, SafeSetTracker& tracker,
+  FusedDecision decide(AcquisitionKind kind, SafeSetTracker& tracker,
                        std::span<const BoundSpec> bounds,
                        const gp::GpRegressor& objective, double beta,
                        common::ThreadPool* pool = nullptr,

@@ -1,12 +1,7 @@
 #include "core/edgebol.hpp"
 
-#include <algorithm>
 #include <cmath>
-#include <istream>
-#include <ostream>
 #include <stdexcept>
-
-#include "core/acquisition.hpp"
 
 namespace edgebol::core {
 
@@ -18,7 +13,9 @@ namespace {
 // and (ii) the ~1/airtime blow-up flattens to something a stationary kernel
 // represents well. Observations are additionally clipped: starved corners of
 // the control space (airtime 10% with MCS cap 0) produce delays of tens of
-// seconds, and anything above the clip is equally (and very) unsafe.
+// seconds, and anything above the clip is equally (and very) unsafe. The
+// threshold goes through the same transform, so a d_max above the clip acts
+// as the clip (an unclipped one would certify every starved candidate).
 constexpr double kDelayClipS = 3.0;
 
 gp::GpHyperparams resolve(const gp::GpHyperparams& given,
@@ -30,13 +27,35 @@ gp::GpHyperparams resolve(const gp::GpHyperparams& given,
   return given;
 }
 
-bool within_tolerance(const linalg::Vector& a, const linalg::Vector& b,
-                      double tol) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (std::abs(a[i] - b[i]) > tol) return false;
-  }
-  return true;
+// The energy formulation on the generic engine: a scaled-cost objective,
+// the upper-bounded clipped log-delay and the lower-bounded mAP.
+GenericSafeBol make_engine(const env::ControlGrid& grid,
+                           const EdgeBolConfig& cfg, double cost_scale) {
+  if (cfg.delay_scale <= 0.0)
+    throw std::invalid_argument("EdgeBol: delay scale must be > 0");
+  MetricSpec cost{"cost", resolve(cfg.cost_hp, default_cost_hyperparams())};
+  cost.scale = cost_scale;
+  MetricSpec delay{"delay",
+                   resolve(cfg.delay_hp, default_delay_hyperparams())};
+  delay.scale = cfg.delay_scale;
+  delay.log_transform = true;
+  delay.clip = kDelayClipS;
+  MetricSpec map{"map", resolve(cfg.map_hp, default_map_hyperparams())};
+
+  std::vector<std::size_t> s0 = cfg.initial_safe_set;
+  if (s0.empty()) s0.push_back(grid.max_performance_index());
+  return GenericSafeBol(
+      control_features(grid), std::move(cost),
+      {std::move(delay), std::move(map)},
+      {{0, BoundKind::kUpper, cfg.constraints.d_max_s},
+       {1, BoundKind::kLower, cfg.constraints.map_min}},
+      std::move(s0),
+      {.beta_sqrt = cfg.beta_sqrt,
+       .acquisition = cfg.acquisition,
+       .gp_budget = cfg.gp_budget,
+       .gp_eviction = cfg.gp_eviction,
+       .tracking_tolerance = cfg.tracking_tolerance,
+       .num_threads = cfg.num_threads});
 }
 
 }  // namespace
@@ -76,81 +95,24 @@ gp::GpHyperparams default_map_hyperparams() {
   return hp;
 }
 
+linalg::Matrix control_features(const env::ControlGrid& grid) {
+  linalg::Matrix out;
+  out.reserve_rows(grid.size(), env::ControlPolicy::kFeatureDims);
+  for (const env::ControlPolicy& p : grid.policies())
+    out.append_row(p.to_features());
+  return out;
+}
+
 EdgeBol::EdgeBol(env::ControlGrid grid, EdgeBolConfig config)
     : grid_(std::move(grid)),
       cfg_(std::move(config)),
-      cost_gp_(resolve(cfg_.cost_hp, default_cost_hyperparams()).make_kernel(),
-               resolve(cfg_.cost_hp, default_cost_hyperparams())
-                   .noise_variance),
-      delay_gp_(
-          resolve(cfg_.delay_hp, default_delay_hyperparams()).make_kernel(),
-          resolve(cfg_.delay_hp, default_delay_hyperparams()).noise_variance),
-      map_gp_(resolve(cfg_.map_hp, default_map_hyperparams()).make_kernel(),
-              resolve(cfg_.map_hp, default_map_hyperparams()).noise_variance) {
-  if (cfg_.beta_sqrt < 0.0)
-    throw std::invalid_argument("EdgeBol: beta_sqrt must be >= 0");
-  if (cfg_.delay_scale <= 0.0)
-    throw std::invalid_argument("EdgeBol: delay scale must be > 0");
-  if (cfg_.num_threads == 0)
-    throw std::invalid_argument(
-        "EdgeBol: num_threads must be >= 1 — it counts the calling thread "
-        "(use 1 for a serial agent)");
-
-  // Automatic cost scale: the platform's plausible maximum cost, so scaled
-  // observations land in ~[0, 1] (the GP prior amplitude).
-  cost_scale_ = cfg_.cost_scale > 0.0
-                    ? cfg_.cost_scale
-                    : cfg_.weights.cost(/*server max*/ 190.0, /*bs max*/ 7.0);
-
-  s0_ = cfg_.initial_safe_set;
-  if (s0_.empty()) s0_.push_back(grid_.max_performance_index());
-  for (std::size_t i : s0_) {
-    if (i >= grid_.size())
-      throw std::invalid_argument("EdgeBol: S0 index out of range");
-  }
-  if (cfg_.gp_budget != 0 && cfg_.gp_budget < s0_.size())
-    throw std::invalid_argument(
-        "EdgeBol: gp_budget (" + std::to_string(cfg_.gp_budget) +
-        ") is below the safe-seed size |S0| (" + std::to_string(s0_.size()) +
-        ") — the budget must be able to retain every seed observation; use 0 "
-        "for unbounded");
-
-  if (cfg_.num_threads > 1) {
-    pool_ = std::make_shared<common::ThreadPool>(cfg_.num_threads);
-    cost_gp_.set_thread_pool(pool_);
-    delay_gp_.set_thread_pool(pool_);
-    map_gp_.set_thread_pool(pool_);
-  }
-
-  safe_tracker_.configure(grid_.size(), 2);
-  acquisition_.configure(grid_.size(), s0_);
-}
-
-void EdgeBol::ensure_tracking(const env::Context& context) {
-  const linalg::Vector f = context.to_features();
-  if (tracked_context_features_ &&
-      within_tolerance(*tracked_context_features_, f,
-                       cfg_.tracking_tolerance))
-    return;
-  // One packed copy of the candidate features, shared by all three
-  // surrogates; their O(T^2 |X|) cache rebuilds run concurrently (each
-  // rebuild is itself parallel over candidate blocks — nested use of the
-  // same pool).
-  const auto cands = std::make_shared<const linalg::Matrix>(
-      grid_.candidate_feature_matrix(context));
-  if (pool_) {
-    // sync: each task mutates a distinct surrogate; the shared `cands`
-    // matrix is const and read-only; run_tasks joins before return.
-    pool_->run_tasks({[&] { cost_gp_.track_candidates(cands); },
-                      [&] { delay_gp_.track_candidates(cands); },
-                      [&] { map_gp_.track_candidates(cands); }});
-  } else {
-    cost_gp_.track_candidates(cands);
-    delay_gp_.track_candidates(cands);
-    map_gp_.track_candidates(cands);
-  }
-  tracked_context_features_ = f;
-}
+      // Automatic cost scale: the platform's plausible maximum cost, so
+      // scaled observations land in ~[0, 1] (the GP prior amplitude).
+      cost_scale_(cfg_.cost_scale > 0.0
+                      ? cfg_.cost_scale
+                      : cfg_.weights.cost(/*server max*/ 190.0,
+                                          /*bs max*/ 7.0)),
+      engine_(make_engine(grid_, cfg_, cost_scale_)) {}
 
 bool EdgeBol::violates_constraints(const env::Measurement& m) const {
   const ResilienceConfig& r = cfg_.resilience;
@@ -162,9 +124,10 @@ std::size_t EdgeBol::conservative_index() const {
   // The most conservative assumed-safe control: the S0 member with the
   // highest performance headroom (it buys constraint satisfaction at the
   // highest power cost).
-  std::size_t best = s0_.front();
+  const std::vector<std::size_t>& s0 = engine_.initial_safe_set();
+  std::size_t best = s0.front();
   double best_perf = -1.0;
-  for (std::size_t i : s0_) {
+  for (std::size_t i : s0) {
     const env::ControlPolicy& p = grid_.policy(i);
     const double perf = p.resolution + p.airtime + p.gpu_speed +
                         static_cast<double>(p.mcs_cap) / ran::kMaxUlMcs;
@@ -223,92 +186,17 @@ Decision EdgeBol::select(const env::Context& context) {
     dec.policy_index =
         last_safe_index_.value_or(conservative_index());
     dec.policy = grid_.policy(dec.policy_index);
-    dec.safe_set_size = s0_.size();
+    dec.safe_set_size = engine_.initial_safe_set().size();
     dec.watchdog_hold = true;
     return dec;
   }
 
-  ensure_tracking(context);
-  const std::size_t m = grid_.size();
-  const double d_max_scaled =
-      std::log(cfg_.constraints.d_max_s / cfg_.delay_scale);
-
+  const GenericDecision r = engine_.select(
+      context.to_features(), grid_.adjacency_offsets(), grid_.adjacency());
   Decision dec;
-  if (cfg_.incremental_decide) {
-    // Incremental decision path: the tracker keeps per-candidate confidence
-    // bounds across periods and the fused engine maintains + scans them in
-    // one pool dispatch. Bit-identical to the legacy scan below (tests pin
-    // that); specs are rebuilt each period because thresholds may change at
-    // runtime — threshold moves are free for the tracker.
-    bound_specs_[0] = BoundSpec{&delay_gp_, /*upper=*/true, d_max_scaled, 0.0};
-    bound_specs_[1] = BoundSpec{&map_gp_, /*upper=*/false,
-                                cfg_.constraints.map_min, 0.0};
-    FusedAcquisitionKind kind = FusedAcquisitionKind::kSafeLcb;
-    if (cfg_.acquisition == AcquisitionKind::kSafeOpt)
-      kind = FusedAcquisitionKind::kSafeOpt;
-    else if (cfg_.acquisition == AcquisitionKind::kGlobalLcb)
-      kind = FusedAcquisitionKind::kGlobalLcb;
-    const FusedDecision r = acquisition_.decide(
-        kind, safe_tracker_, bound_specs_, cost_gp_, cfg_.beta_sqrt,
-        pool_.get(), grid_.adjacency_offsets(), grid_.adjacency());
-    dec.policy_index = r.index;
-    dec.safe_set_size = r.safe_set_size;
-    dec.fell_back_to_s0 = r.fell_back_to_s0;
-  } else {
-    std::vector<gp::Prediction> delay_post(m), map_post(m), cost_post(m);
-    const auto scan = [&](std::size_t j0, std::size_t j1) {
-      for (std::size_t j = j0; j < j1; ++j) {
-        delay_post[j] = delay_gp_.tracked_prediction(j);
-        map_post[j] = map_gp_.tracked_prediction(j);
-        cost_post[j] = cost_gp_.tracked_prediction(j);
-      }
-    };
-    if (pool_) {
-      // sync: block [j0, j1) writes only delay/map/cost_post[j] for its own
-      // indices; tracked_prediction is const on all three surrogates.
-      pool_->parallel_for(m, /*grain=*/1024, scan);
-    } else {
-      scan(0, m);
-    }
-
-    std::vector<std::size_t> safe =
-        compute_safe_set(delay_post, map_post, d_max_scaled,
-                         cfg_.constraints.map_min, cfg_.beta_sqrt, s0_);
-
-    // Did any candidate qualify on the GP evidence alone (beyond S0)?
-    bool fell_back = true;
-    for (std::size_t i : safe) {
-      const bool in_s0 = std::find(s0_.begin(), s0_.end(), i) != s0_.end();
-      const gp::Prediction& d = delay_post[i];
-      const gp::Prediction& q = map_post[i];
-      const bool qualified =
-          d.mean + cfg_.beta_sqrt * d.stddev() <= d_max_scaled &&
-          q.mean - cfg_.beta_sqrt * q.stddev() >= cfg_.constraints.map_min;
-      if (qualified || !in_s0) {
-        fell_back = false;
-        break;
-      }
-    }
-
-    if (cfg_.acquisition == AcquisitionKind::kGlobalLcb) {
-      std::vector<std::size_t> all(grid_.size());
-      for (std::size_t j = 0; j < grid_.size(); ++j) all[j] = j;
-      dec.policy_index = lcb_argmin(cost_post, all, cfg_.beta_sqrt);
-    } else if (cfg_.acquisition == AcquisitionKind::kSafeOpt) {
-      SafeOptInputs in;
-      in.cost = &cost_post;
-      in.delay = &delay_post;
-      in.map = &map_post;
-      in.safe_set = &safe;
-      in.beta = cfg_.beta_sqrt;
-      dec.policy_index =
-          safeopt_select(in, grid_.adjacency_offsets(), grid_.adjacency());
-    } else {
-      dec.policy_index = lcb_argmin(cost_post, safe, cfg_.beta_sqrt);
-    }
-    dec.safe_set_size = safe.size();
-    dec.fell_back_to_s0 = fell_back;
-  }
+  dec.policy_index = r.index;
+  dec.safe_set_size = r.safe_set_size;
+  dec.fell_back_to_s0 = r.fell_back_to_s0;
   dec.policy = grid_.policy(dec.policy_index);
 
   // The GP evidence qualified nothing: prefer the policy most recently seen
@@ -325,76 +213,11 @@ Decision EdgeBol::select(const env::Context& context) {
   return dec;
 }
 
-void EdgeBol::observe(const env::Context& context,
-                      const env::ControlPolicy& policy,
+void EdgeBol::observe(const env::Context& context, std::size_t policy_index,
                       const env::Measurement& m) {
-  const linalg::Vector z = env::joint_features(context, policy);
-  if (cfg_.novelty_threshold > 0.0 && cost_gp_.num_observations() > 0) {
-    const bool informative =
-        cost_gp_.predict(z).variance >
-            cfg_.novelty_threshold * cost_gp_.noise_variance() ||
-        delay_gp_.predict(z).variance >
-            cfg_.novelty_threshold * delay_gp_.noise_variance() ||
-        map_gp_.predict(z).variance >
-            cfg_.novelty_threshold * map_gp_.noise_variance();
-    if (!informative) return;
-  }
-  const double u = cfg_.weights.cost(m.server_power_w, m.bs_power_w);
-  const double y_cost = u / cost_scale_;
-  const double y_delay =
-      std::log(std::min(m.delay_s, kDelayClipS) / cfg_.delay_scale);
-  const double y_map = m.map;
-  // The three surrogates are independent: their O(T^2 + T|X|) rank-one
-  // updates can run concurrently. A failed add (non-SPD extension) must not
-  // leave a *partial* observation — run_tasks already waits for all tasks
-  // and rethrows the first error, and each GP rolls back internally, so the
-  // surviving surrogates simply keep one extra point; update() treats the
-  // rethrow exactly like the serial path's.
-  if (pool_) {
-    // sync: one task per distinct surrogate; z is read-only shared;
-    // run_tasks joins all three and rethrows the first error.
-    pool_->run_tasks({[&] { cost_gp_.add(z, y_cost); },
-                      [&] { delay_gp_.add(z, y_delay); },
-                      [&] { map_gp_.add(z, y_map); }});
-  } else {
-    cost_gp_.add(z, y_cost);
-    delay_gp_.add(z, y_delay);
-    map_gp_.add(z, y_map);
-  }
-  enforce_budget();
-}
-
-void EdgeBol::enforce_budget() {
-  if (cfg_.gp_budget == 0) return;
-  // The three surrogates must keep conditioning on the SAME observation set
-  // (save_observations zips their targets by index), so the per-GP
-  // auto-eviction stays off and the cost surrogate arbitrates: it picks the
-  // victim index, and the same index is removed from all three. The choice
-  // is computed serially, so budgeted trajectories stay bit-identical for
-  // any num_threads. The loop only iterates when load_observations replayed
-  // more than one observation past the budget.
-  while (cost_gp_.num_observations() > cfg_.gp_budget) {
-    const std::size_t victim = cost_gp_.eviction_candidate(cfg_.gp_eviction);
-    // After a partial add failure (gp_update_failures) a surrogate can hold
-    // one observation more or fewer than its peers; guard each removal so a
-    // degraded agent still converges to the budget instead of throwing.
-    const auto evict = [&](gp::GpRegressor& g) {
-      if (g.num_observations() > cfg_.gp_budget &&
-          victim < g.num_observations()) {
-        g.remove_observation(victim);
-      }
-    };
-    if (pool_) {
-      // sync: victim chosen serially above; each task downdates a distinct
-      // surrogate; run_tasks joins before the loop re-checks the budget.
-      pool_->run_tasks({[&] { evict(cost_gp_); }, [&] { evict(delay_gp_); },
-                        [&] { evict(map_gp_); }});
-    } else {
-      evict(cost_gp_);
-      evict(delay_gp_);
-      evict(map_gp_);
-    }
-  }
+  engine_.update(context.to_features(), policy_index,
+                 cfg_.weights.cost(m.server_power_w, m.bs_power_w),
+                 {m.delay_s, m.map});
 }
 
 void EdgeBol::update(const env::Context& context, std::size_t policy_index,
@@ -402,7 +225,7 @@ void EdgeBol::update(const env::Context& context, std::size_t policy_index,
   if (policy_index >= grid_.size())
     throw std::invalid_argument("EdgeBol::update: policy index out of range");
   if (!cfg_.resilience.enabled) {
-    observe(context, grid_.policy(policy_index), measurement);
+    observe(context, policy_index, measurement);
     return;
   }
 
@@ -423,7 +246,7 @@ void EdgeBol::update(const env::Context& context, std::size_t policy_index,
   }
 
   try {
-    observe(context, grid_.policy(policy_index), measurement);
+    observe(context, policy_index, measurement);
   } catch (const std::exception&) {
     // A failed surrogate update (e.g. a Cholesky extension that stayed
     // non-SPD even after jitter escalation) costs one observation, not the
@@ -432,110 +255,25 @@ void EdgeBol::update(const env::Context& context, std::size_t policy_index,
   }
 }
 
-void EdgeBol::add_prior_observation(const env::Context& context,
-                                    const env::ControlPolicy& policy,
-                                    const env::Measurement& measurement) {
-  observe(context, policy, measurement);
-}
-
 std::vector<PseudoObservation> EdgeBol::export_observations(
     std::size_t max_count) const {
-  const std::size_t n = cost_gp_.num_observations();
-  const std::size_t take = std::min(max_count, n);
   std::vector<PseudoObservation> out;
-  out.reserve(take);
-  for (std::size_t i = n - take; i < n; ++i) {
-    PseudoObservation o;
-    o.z = cost_gp_.inputs()[i];
-    // Invert the storage transforms so the row is unit-portable: the
-    // importer re-applies its own scales. Delay was clipped at kDelayClipS
-    // before the log, so exp() recovers the clipped value exactly.
-    o.cost = cost_gp_.targets()[i] * cost_scale_;
-    o.delay_s = std::exp(delay_gp_.targets()[i]) * cfg_.delay_scale;
-    o.map = map_gp_.targets()[i];
-    out.push_back(std::move(o));
+  for (RawObservation& r : engine_.export_rows(max_count)) {
+    out.push_back({std::move(r.z), r.objective, r.metrics[0], r.metrics[1]});
   }
   return out;
 }
 
 void EdgeBol::import_observations(std::span<const PseudoObservation> rows) {
-  constexpr std::size_t kDims =
-      env::Context::kFeatureDims + env::ControlPolicy::kFeatureDims;
+  std::vector<RawObservation> raw;
+  raw.reserve(rows.size());
   for (const PseudoObservation& o : rows) {
-    if (o.z.size() != kDims)
-      throw std::invalid_argument(
-          "EdgeBol::import_observations: input dimension mismatch");
-    if (!std::isfinite(o.cost) || !std::isfinite(o.delay_s) ||
-        !std::isfinite(o.map) || o.delay_s <= 0.0)
-      throw std::invalid_argument(
-          "EdgeBol::import_observations: non-finite or non-positive targets");
     if (o.map < 0.0 || o.map > 1.0)
       throw std::invalid_argument(
           "EdgeBol::import_observations: mAP outside [0, 1]");
+    raw.push_back({o.z, o.cost, {o.delay_s, o.map}});
   }
-  for (const PseudoObservation& o : rows) {
-    const double y_cost = o.cost / cost_scale_;
-    const double y_delay =
-        std::log(std::min(o.delay_s, kDelayClipS) / cfg_.delay_scale);
-    const double y_map = o.map;
-    if (pool_) {
-      // sync: one task per distinct surrogate (same discipline as
-      // observe()); o is read-only; run_tasks joins before the next row.
-      pool_->run_tasks({[&] { cost_gp_.add(o.z, y_cost); },
-                        [&] { delay_gp_.add(o.z, y_delay); },
-                        [&] { map_gp_.add(o.z, y_map); }});
-    } else {
-      cost_gp_.add(o.z, y_cost);
-      delay_gp_.add(o.z, y_delay);
-      map_gp_.add(o.z, y_map);
-    }
-  }
-  enforce_budget();
-  tracked_context_features_.reset();  // caches no longer match the data
-}
-
-void EdgeBol::save_observations(std::ostream& os) const {
-  const std::size_t n = cost_gp_.num_observations();
-  os << "edgebol-observations v1\n";
-  os << "dims "
-     << (env::Context::kFeatureDims + env::ControlPolicy::kFeatureDims)
-     << "\n";
-  os << "count " << n << "\n";
-  os.precision(17);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (double v : cost_gp_.inputs()[i]) os << v << ' ';
-    os << cost_gp_.targets()[i] << ' ' << delay_gp_.targets()[i] << ' '
-       << map_gp_.targets()[i] << '\n';
-  }
-}
-
-void EdgeBol::load_observations(std::istream& is) {
-  std::string magic, version, key;
-  std::size_t dims = 0, count = 0;
-  is >> magic >> version;
-  if (magic != "edgebol-observations" || version != "v1")
-    throw std::runtime_error("EdgeBol::load_observations: bad header");
-  is >> key >> dims;
-  if (key != "dims" ||
-      dims != env::Context::kFeatureDims + env::ControlPolicy::kFeatureDims)
-    throw std::runtime_error("EdgeBol::load_observations: dims mismatch");
-  is >> key >> count;
-  if (key != "count")
-    throw std::runtime_error("EdgeBol::load_observations: bad count line");
-  for (std::size_t i = 0; i < count; ++i) {
-    linalg::Vector z(dims);
-    double y_cost = 0.0, y_delay = 0.0, y_map = 0.0;
-    for (double& v : z) is >> v;
-    is >> y_cost >> y_delay >> y_map;
-    if (!is)
-      throw std::runtime_error("EdgeBol::load_observations: truncated data");
-    // Targets are stored post-transform: add straight into the surrogates.
-    cost_gp_.add(z, y_cost);
-    delay_gp_.add(z, y_delay);
-    map_gp_.add(z, y_map);
-  }
-  enforce_budget();  // a budgeted agent retains at most gp_budget of them
-  tracked_context_features_.reset();  // caches no longer match the data
+  engine_.import_rows(raw);
 }
 
 void EdgeBol::set_constraints(const ConstraintSpec& constraints) {
@@ -543,11 +281,8 @@ void EdgeBol::set_constraints(const ConstraintSpec& constraints) {
       constraints.map_min > 1.0)
     throw std::invalid_argument("EdgeBol: invalid constraints");
   cfg_.constraints = constraints;
-}
-
-gp::Prediction EdgeBol::cost_posterior(const env::Context& c,
-                                       const env::ControlPolicy& p) const {
-  return cost_gp_.predict(env::joint_features(c, p));
+  engine_.set_threshold(0, constraints.d_max_s);
+  engine_.set_threshold(1, constraints.map_min);
 }
 
 }  // namespace edgebol::core

@@ -1,12 +1,16 @@
 // EdgeBOL — Algorithm 1: contextual safe Bayesian online learning for joint
 // vBS + edge-AI orchestration.
 //
-// Three GP surrogates over the joint context-control space model the cost
-// u = delta1 * p_server + delta2 * p_bs (eq. 1), the service delay, and the
-// mAP. Every time period the agent observes the context, scores the entire
-// control grid under the GP posteriors (eqs. 3-4), builds the safe set
-// (eq. 8), picks the safe LCB minimizer (eq. 9), and conditions the GPs on
-// the resulting noisy KPI observations.
+// EdgeBol is the energy formulation of the one safe-BO engine
+// (core::GenericSafeBol): the objective is the cost u = delta1 * p_server +
+// delta2 * p_bs (eq. 1) divided by a scale, and the two constraint metrics
+// are the clipped log service delay (upper-bounded) and the mAP
+// (lower-bounded). Every time period the engine scores the entire control
+// grid under the GP posteriors (eqs. 3-4), builds the safe set (eq. 8),
+// picks the safe LCB minimizer (eq. 9), and conditions the surrogates on
+// the resulting noisy KPI observations. On top of the engine EdgeBol keeps
+// the resilience layer: the KPI gate, the violation watchdog and the
+// last-safe fallback.
 //
 // Constraint thresholds may change at runtime (the operator relaxing an SLA,
 // Fig. 14): safe sets are recomputed from the surrogates, so adaptation is
@@ -16,17 +20,13 @@
 
 #pragma once
 
-#include <array>
 #include <cstddef>
-#include <iosfwd>
-#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
 
 #include "common/stats.hpp"
-#include "common/thread_pool.hpp"
-#include "core/acquisition.hpp"
+#include "core/generic_bol.hpp"
 #include "core/safe_set.hpp"
 #include "env/control_grid.hpp"
 #include "env/testbed.hpp"
@@ -94,18 +94,14 @@ struct ResilienceStats {
   }
 };
 
-/// Which acquisition rule drives exploration within the safe set.
-enum class AcquisitionKind {
-  kSafeLcb,    // eq. (9): EdgeBOL's safe contextual LCB (the paper's choice)
-  kSafeOpt,    // SafeOpt-style max-width over minimizers+expanders (§5 ablation)
-  kGlobalLcb,  // LCB over the WHOLE grid, ignoring the safe set — the
-               // unsafe-BO ablation quantifying what eq. (8) buys
-};
-
 struct EdgeBolConfig {
   double beta_sqrt = 2.5;  // beta^(1/2), as in the paper's evaluation
   AcquisitionKind acquisition = AcquisitionKind::kSafeLcb;
   CostWeights weights{};
+  /// The delay surrogate clips observations at 3 s (starved corners of the
+  /// grid are equally, and very, unsafe above it), and the threshold goes
+  /// through the same transform: a delay threshold above the clip acts as
+  /// the clip.
   ConstraintSpec constraints{};
 
   /// GP hyperparameters per surrogate (cost / delay / mAP). When a vector
@@ -126,29 +122,17 @@ struct EdgeBolConfig {
   /// maximum-performance corner, per §5 (Practical Issues).
   std::vector<std::size_t> initial_safe_set{};
 
-  /// Data-retention filter for long horizons (§5, Practical Issues: the
-  /// posterior update is O(N^3) in the number of stored observations). When
-  /// > 0, an observation is only added to the surrogates if at least one of
-  /// them is still uncertain at that input — specifically if some GP's
-  /// predictive variance exceeds `novelty_threshold` times its noise
-  /// variance. After convergence, repeated samples of the incumbent policy
-  /// stop growing the GPs, bounding memory and per-period compute on
-  /// 1000s-period runs. 0 (default) stores everything, as the paper does.
-  double novelty_threshold = 0.0;
-
   /// Observation budget B per GP surrogate (0 = unbounded, the paper's
   /// setting). Once the surrogates hold more than B observations, each
   /// update evicts one via an exact O(B^2 + B|X|) Cholesky downdate, so
   /// steady-state per-period latency and memory are flat for unbounded
-  /// horizons. Unlike `novelty_threshold` (which filters what gets stored),
-  /// the budget bounds what stays stored — the two compose. Must be 0 or at
-  /// least the safe-seed size |S0|; EdgeBol's constructor rejects smaller
-  /// values.
+  /// horizons. Must be 0 or at least the safe-seed size |S0|; EdgeBol's
+  /// constructor rejects smaller values.
   std::size_t gp_budget = 0;
 
   /// Which observation a full budget evicts. The cost surrogate arbitrates
   /// the choice and the same index is removed from all three surrogates, so
-  /// they always condition on the same observation set (save/load and the
+  /// they always condition on the same observation set (export and the
   /// paper's shared-input assumption depend on that).
   gp::EvictionPolicy gp_eviction = gp::EvictionPolicy::kOldest;
 
@@ -159,15 +143,6 @@ struct EdgeBolConfig {
   /// absorbs single-user CQI flutter in multi-user slices. Set to 0 to
   /// rebuild on every context change.
   double tracking_tolerance = 0.04;
-
-  /// Run the decision path (safe set + acquisition over the whole grid)
-  /// through the incremental engine: per-candidate confidence bounds are
-  /// kept across periods and only candidates whose bounds could have
-  /// flipped are rescored after each rank-1 GP update (see
-  /// core::SafeSetTracker). Decisions are bit-identical to the full rescan
-  /// — this is purely a latency knob, and `false` is the escape hatch back
-  /// to the straight-line scan.
-  bool incremental_decide = true;
 
   /// Degraded-mode hardening (KPI gate, watchdog, last-safe fallback).
   ResilienceConfig resilience{};
@@ -183,9 +158,10 @@ struct EdgeBolConfig {
 
 /// One conditioning row of the three surrogates in PORTABLE units: the joint
 /// [context, control] input plus the raw (untransformed) KPI-equivalent
-/// targets. This is the cross-cell transfer payload — a new cell warm-starts
-/// by importing rows exported from established neighbours, which conditions
-/// its surrogates exactly as observe() would (so the GP evidence, and with
+/// targets. This is the one evidence format: the pre-production warm start
+/// of §4.2 and the cross-cell transfer payload — a new cell warm-starts by
+/// importing rows exported from established neighbours, which conditions
+/// its surrogates exactly as update() would (so the GP evidence, and with
 /// it the safe set, carries over). Raw units make the rows valid across
 /// agents with different cost weights or scales.
 struct PseudoObservation {
@@ -219,11 +195,6 @@ class EdgeBol {
   void update(const env::Context& context, std::size_t policy_index,
               const env::Measurement& measurement);
 
-  /// Feed a pre-production observation without selecting (warm start).
-  void add_prior_observation(const env::Context& context,
-                             const env::ControlPolicy& policy,
-                             const env::Measurement& measurement);
-
   /// Export up to `max_count` of the MOST RECENT conditioning rows in
   /// portable units — the cross-cell transfer payload (see
   /// PseudoObservation). Order is preserved, so importing a full export into
@@ -232,21 +203,14 @@ class EdgeBol {
   std::vector<PseudoObservation> export_observations(
       std::size_t max_count) const;
 
-  /// Condition the surrogates on rows exported from another agent, applying
-  /// this agent's own scales/transforms (observe()-style, but without a
-  /// Measurement or the novelty gate). The observation budget is enforced
-  /// afterwards and tracked caches reset. Throws std::invalid_argument on a
-  /// dimension mismatch or non-finite targets.
+  /// Condition the surrogates on rows exported from another agent or
+  /// gathered in pre-production, applying this agent's own scales and
+  /// transforms (update()-style, without a Measurement or the resilience
+  /// gate). The observation budget is enforced afterwards and tracked caches
+  /// reset. Throws std::invalid_argument, before anything changes, on a
+  /// dimension mismatch, non-finite or non-positive-delay targets, or an
+  /// mAP outside [0, 1].
   void import_observations(std::span<const PseudoObservation> rows);
-
-  /// Persist the surrogates' conditioning data (the pre-production ->
-  /// production handoff of §4.2): a plain-text format holding each
-  /// observation's joint input and the three transformed targets. Load into
-  /// a fresh agent built with the same grid and configuration; loading
-  /// replays the observations, so the restored agent makes identical
-  /// decisions. Throws std::runtime_error on malformed or mismatched data.
-  void save_observations(std::ostream& os) const;
-  void load_observations(std::istream& is);
 
   /// Runtime SLA change: takes effect at the next select().
   void set_constraints(const ConstraintSpec& constraints);
@@ -263,21 +227,12 @@ class EdgeBol {
   }
 
   const env::ControlGrid& grid() const { return grid_; }
-  std::size_t num_observations() const { return cost_gp_.num_observations(); }
+  std::size_t num_observations() const { return engine_.num_observations(); }
   double cost_scale() const { return cost_scale_; }
 
-  /// Posterior of the (scaled) cost surrogate at a context/policy — for
-  /// diagnostics and tests.
-  gp::Prediction cost_posterior(const env::Context&,
-                                const env::ControlPolicy&) const;
-
  private:
-  void ensure_tracking(const env::Context& context);
-  void observe(const env::Context& context, const env::ControlPolicy& policy,
+  void observe(const env::Context& context, std::size_t policy_index,
                const env::Measurement& measurement);
-  // Evict (coordinated across the three surrogates) until none exceeds
-  // cfg_.gp_budget. No-op when the budget is 0.
-  void enforce_budget();
   bool validate_measurement(const env::Measurement& m);
   bool violates_constraints(const env::Measurement& m) const;
   std::size_t conservative_index() const;
@@ -285,19 +240,9 @@ class EdgeBol {
   env::ControlGrid grid_;
   EdgeBolConfig cfg_;
   double cost_scale_ = 1.0;
-  std::shared_ptr<common::ThreadPool> pool_;  // null when num_threads <= 1
-  gp::GpRegressor cost_gp_;
-  gp::GpRegressor delay_gp_;
-  gp::GpRegressor map_gp_;
-  std::vector<std::size_t> s0_;
-  std::optional<linalg::Vector> tracked_context_features_;
-
-  // Incremental decision path (cfg_.incremental_decide): bound tracker over
-  // {delay UCB, mAP LCB}, the fused scan engine, and the per-round spec
-  // scratch (rebuilt each select — thresholds may change at runtime).
-  SafeSetTracker safe_tracker_;
-  FusedAcquisition acquisition_;
-  std::array<BoundSpec, 2> bound_specs_{};
+  // Objective: scaled cost; metrics: [delay, mAP]; constraints: [delay
+  // upper, mAP lower].
+  GenericSafeBol engine_;
 
   // Resilience state (untouched unless cfg_.resilience.enabled).
   ResilienceStats resilience_stats_;
@@ -315,5 +260,9 @@ class EdgeBol {
 gp::GpHyperparams default_cost_hyperparams();
 gp::GpHyperparams default_delay_hyperparams();
 gp::GpHyperparams default_map_hyperparams();
+
+/// The engine's candidate matrix for a grid: one ControlPolicy feature row
+/// per policy, in index order.
+linalg::Matrix control_features(const env::ControlGrid& grid);
 
 }  // namespace edgebol::core

@@ -20,7 +20,7 @@
 // nearest established cells by context signature (mean observed context
 // features): its kernel hyperparameters are the inverse-distance-weighted
 // blend of the donors', and its surrogates are conditioned on
-// observe()-style pseudo-observations exported from the donors — so the GP
+// update()-style pseudo-observations exported from the donors — so the GP
 // evidence, and with it the safe set, carries over and the joiner converges
 // measurably faster than a cold start (bench_fleet gates the ratio).
 

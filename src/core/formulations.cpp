@@ -8,15 +8,6 @@ namespace edgebol::core {
 
 namespace {
 
-std::vector<linalg::Vector> control_features(const env::ControlGrid& grid) {
-  std::vector<linalg::Vector> out;
-  out.reserve(grid.size());
-  for (const env::ControlPolicy& p : grid.policies()) {
-    out.push_back(p.to_features());
-  }
-  return out;
-}
-
 GenericSafeBol make_engine(const env::ControlGrid& grid,
                            const PowerBudgetConfig& cfg) {
   // Objective: log service delay (same transform rationale as EdgeBOL).
@@ -61,7 +52,8 @@ GenericSafeBol make_engine(const env::ControlGrid& grid,
   return GenericSafeBol(control_features(grid), std::move(objective),
                         {std::move(server_power), std::move(bs_power),
                          std::move(map)},
-                        std::move(constraints), std::move(s0), cfg.beta_sqrt);
+                        std::move(constraints), std::move(s0),
+                        {.beta_sqrt = cfg.beta_sqrt});
 }
 
 }  // namespace

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <stdexcept>
-
-#include "core/acquisition.hpp"
+#include <string>
 
 namespace edgebol::core {
 
@@ -16,6 +16,10 @@ double MetricSpec::transform(double raw) const {
     throw std::invalid_argument("MetricSpec: log of non-positive value in '" +
                                 name + "'");
   return std::log(scaled);
+}
+
+double MetricSpec::untransform(double transformed) const {
+  return (log_transform ? std::exp(transformed) : transformed) * scale;
 }
 
 namespace {
@@ -32,61 +36,87 @@ gp::GpRegressor make_gp(const MetricSpec& spec) {
 
 }  // namespace
 
-GenericSafeBol::GenericSafeBol(std::vector<linalg::Vector> control_features,
-                               MetricSpec objective,
+GenericSafeBol::GenericSafeBol(linalg::Matrix controls, MetricSpec objective,
                                std::vector<MetricSpec> metrics,
                                std::vector<ConstraintDef> constraints,
                                std::vector<std::size_t> initial_safe_set,
-                               double beta_sqrt)
-    : controls_(std::move(control_features)),
-      objective_spec_(std::move(objective)),
-      metric_specs_(std::move(metrics)),
+                               SafeBolOptions options)
+    : controls_(std::move(controls)),
       constraints_(std::move(constraints)),
       s0_(std::move(initial_safe_set)),
-      beta_(beta_sqrt),
-      objective_gp_(make_gp(objective_spec_)) {
+      opts_(options) {
   if (controls_.empty())
     throw std::invalid_argument("GenericSafeBol: no candidates");
-  const std::size_t control_dims = controls_.front().size();
-  for (const linalg::Vector& c : controls_) {
-    if (c.size() != control_dims)
-      throw std::invalid_argument("GenericSafeBol: ragged candidate features");
-  }
-  if (beta_ < 0.0)
+  if (opts_.beta_sqrt < 0.0)
     throw std::invalid_argument("GenericSafeBol: beta must be >= 0");
+  if (opts_.num_threads == 0)
+    throw std::invalid_argument(
+        "GenericSafeBol: num_threads must be >= 1 — it counts the calling "
+        "thread (use 1 for a serial engine)");
   for (const ConstraintDef& c : constraints_) {
-    if (c.metric >= metric_specs_.size())
+    if (c.metric >= metrics.size())
       throw std::invalid_argument("GenericSafeBol: constraint metric index");
   }
   if (s0_.empty())
     throw std::invalid_argument("GenericSafeBol: S0 must not be empty");
   for (std::size_t i : s0_) {
-    if (i >= controls_.size())
+    if (i >= controls_.rows())
       throw std::invalid_argument("GenericSafeBol: S0 index out of range");
   }
-  const std::size_t dims = objective_spec_.hp.lengthscales.size();
-  if (dims <= control_dims)
+  if (opts_.gp_budget != 0 && opts_.gp_budget < s0_.size())
+    throw std::invalid_argument(
+        "GenericSafeBol: gp_budget (" + std::to_string(opts_.gp_budget) +
+        ") is below the safe-seed size |S0| (" + std::to_string(s0_.size()) +
+        ") — the budget must be able to retain every seed observation; use 0 "
+        "for unbounded");
+  const std::size_t dims = objective.hp.lengthscales.size();
+  if (dims <= controls_.cols())
     throw std::invalid_argument(
         "GenericSafeBol: hyperparameters must cover context + control dims");
-  context_dims_ = dims - control_dims;
-  metric_gps_.reserve(metric_specs_.size());
-  for (const MetricSpec& spec : metric_specs_) {
+  context_dims_ = dims - controls_.cols();
+
+  specs_.reserve(metrics.size() + 1);
+  specs_.push_back(std::move(objective));
+  for (MetricSpec& spec : metrics) {
     if (spec.hp.lengthscales.size() != dims)
       throw std::invalid_argument(
           "GenericSafeBol: inconsistent metric dimensionality");
-    metric_gps_.push_back(make_gp(spec));
+    specs_.push_back(std::move(spec));
   }
-  safe_tracker_.configure(controls_.size(), constraints_.size());
-  acquisition_.configure(controls_.size(), s0_);
+  if (opts_.num_threads > 1)
+    pool_ = std::make_shared<common::ThreadPool>(opts_.num_threads);
+  gps_.reserve(specs_.size());
+  for (const MetricSpec& spec : specs_) {
+    gps_.push_back(make_gp(spec));
+    gps_.back().set_thread_pool(pool_);
+  }
+  safe_tracker_.configure(controls_.rows(), constraints_.size());
+  acquisition_.configure(controls_.rows(), s0_);
   bound_specs_.resize(constraints_.size());
 }
 
 linalg::Vector GenericSafeBol::joint(const linalg::Vector& context,
                                      std::size_t index) const {
   linalg::Vector z = context;
-  const linalg::Vector& x = controls_[index];
+  const linalg::Vector x = controls_.row(index);
   z.insert(z.end(), x.begin(), x.end());
   return z;
+}
+
+template <typename Fn>
+void GenericSafeBol::for_each_gp(Fn&& fn) {
+  if (!pool_) {
+    for (std::size_t k = 0; k < gps_.size(); ++k) fn(k);
+    return;
+  }
+  std::vector<std::function<void()>> tasks;
+  tasks.reserve(gps_.size());
+  for (std::size_t k = 0; k < gps_.size(); ++k)
+    tasks.push_back([&fn, k] { fn(k); });
+  // sync: task k touches only surrogate k (which may fan out over the same
+  // pool); whatever fn reads is shared read-only, and run_tasks joins every
+  // task and rethrows the first error.
+  pool_->run_tasks(tasks);
 }
 
 void GenericSafeBol::ensure_tracking(const linalg::Vector& context) {
@@ -98,99 +128,124 @@ void GenericSafeBol::ensure_tracking(const linalg::Vector& context) {
       max_diff = std::max(max_diff,
                           std::abs((*tracked_context_)[i] - context[i]));
     }
-    if (max_diff <= tracking_tolerance_) return;
+    if (max_diff <= opts_.tracking_tolerance) return;
   }
-  std::vector<linalg::Vector> cands;
-  cands.reserve(controls_.size());
-  for (std::size_t i = 0; i < controls_.size(); ++i) {
-    cands.push_back(joint(context, i));
+  // One packed [context, control] matrix shared by every surrogate; their
+  // O(T^2 |X|) cache rebuilds run concurrently.
+  const std::size_t m = controls_.rows();
+  const std::size_t cd = controls_.cols();
+  auto cands = std::make_shared<linalg::Matrix>(m, context_dims_ + cd);
+  for (std::size_t j = 0; j < m; ++j) {
+    for (std::size_t k = 0; k < context_dims_; ++k)
+      (*cands)(j, k) = context[k];
+    for (std::size_t k = 0; k < cd; ++k)
+      (*cands)(j, context_dims_ + k) = controls_(j, k);
   }
-  objective_gp_.track_candidates(cands);
-  for (gp::GpRegressor& g : metric_gps_) g.track_candidates(cands);
+  const std::shared_ptr<const linalg::Matrix> shared = std::move(cands);
+  for_each_gp([&](std::size_t k) { gps_[k].track_candidates(shared); });
   tracked_context_ = context;
 }
 
-GenericDecision GenericSafeBol::select(const linalg::Vector& context) {
+GenericDecision GenericSafeBol::select(
+    const linalg::Vector& context,
+    std::span<const std::size_t> adjacency_offsets,
+    std::span<const std::size_t> adjacency) {
   ensure_tracking(context);
-  const std::size_t m = controls_.size();
-
-  if (incremental_decide_) {
-    // Incremental path: bit-identical to the rescan below (threshold
-    // transforms and prior-mean offsets are rebuilt per round, so
-    // set_threshold() takes effect immediately — threshold moves are free
-    // for the tracker).
-    for (std::size_t i = 0; i < constraints_.size(); ++i) {
-      const ConstraintDef& c = constraints_[i];
-      const MetricSpec& spec = metric_specs_[c.metric];
-      bound_specs_[i] = BoundSpec{&metric_gps_[c.metric],
-                                  c.bound == BoundKind::kUpper,
-                                  spec.transform(c.threshold),
-                                  spec.prior_mean};
-    }
-    const FusedDecision r =
-        acquisition_.decide(FusedAcquisitionKind::kSafeLcb, safe_tracker_,
-                            bound_specs_, objective_gp_, beta_);
-    GenericDecision dec;
-    dec.index = r.index;
-    dec.safe_set_size = r.safe_set_size;
-    dec.fell_back_to_s0 = r.fell_back_to_s0;
-    return dec;
+  // Threshold transforms and prior-mean offsets are rebuilt per round, so
+  // set_threshold() takes effect immediately (threshold moves are free for
+  // the tracker).
+  for (std::size_t i = 0; i < constraints_.size(); ++i) {
+    const ConstraintDef& c = constraints_[i];
+    const MetricSpec& spec = specs_[1 + c.metric];
+    bound_specs_[i] = BoundSpec{&gps_[1 + c.metric],
+                                c.bound == BoundKind::kUpper,
+                                spec.transform(c.threshold), spec.prior_mean};
   }
+  return acquisition_.decide(opts_.acquisition, safe_tracker_, bound_specs_,
+                             gps_[0], opts_.beta_sqrt, pool_.get(),
+                             adjacency_offsets, adjacency);
+}
 
-  // Qualify candidates against every constraint's confidence bound.
-  std::vector<bool> ok(m, true);
-  for (const ConstraintDef& c : constraints_) {
-    const gp::GpRegressor& g = metric_gps_[c.metric];
-    const double thr = metric_specs_[c.metric].transform(c.threshold);
-    const double mu0 = metric_specs_[c.metric].prior_mean;
-    for (std::size_t j = 0; j < m; ++j) {
-      if (!ok[j]) continue;
-      const gp::Prediction p = g.tracked_prediction(j);
-      const double mean = p.mean + mu0;
-      const bool pass = c.bound == BoundKind::kUpper
-                            ? mean + beta_ * p.stddev() <= thr
-                            : mean - beta_ * p.stddev() >= thr;
-      ok[j] = pass;
-    }
+void GenericSafeBol::enforce_budget() {
+  const std::size_t budget = opts_.gp_budget;
+  if (budget == 0) return;
+  // The objective surrogate picks the victim serially (so budgeted
+  // trajectories are bit-identical for any num_threads) and the same index
+  // leaves every surrogate. A failed add (non-SPD extension) rolls back
+  // inside that surrogate only, so a surrogate can hold one observation
+  // more or fewer than its peers; the guard lets a degraded engine still
+  // converge to the budget instead of throwing.
+  while (gps_[0].num_observations() > budget) {
+    const std::size_t victim = gps_[0].eviction_candidate(opts_.gp_eviction);
+    for_each_gp([&](std::size_t k) {
+      gp::GpRegressor& g = gps_[k];
+      if (g.num_observations() > budget && victim < g.num_observations())
+        g.remove_observation(victim);
+    });
   }
-
-  std::vector<std::size_t> safe;
-  for (std::size_t j = 0; j < m; ++j) {
-    if (ok[j]) safe.push_back(j);
-  }
-  const bool fell_back = safe.empty();
-  for (std::size_t i : s0_) safe.push_back(i);
-  std::sort(safe.begin(), safe.end());
-  safe.erase(std::unique(safe.begin(), safe.end()), safe.end());
-
-  std::vector<gp::Prediction> obj(m);
-  for (std::size_t j = 0; j < m; ++j) {
-    obj[j] = objective_gp_.tracked_prediction(j);
-  }
-
-  GenericDecision dec;
-  dec.index = lcb_argmin(obj, safe, beta_);
-  dec.safe_set_size = safe.size();
-  dec.fell_back_to_s0 = fell_back;
-  return dec;
 }
 
 void GenericSafeBol::update(const linalg::Vector& context, std::size_t index,
                             double objective_value,
                             const std::vector<double>& metric_values) {
-  if (index >= controls_.size())
+  if (index >= controls_.rows())
     throw std::invalid_argument("GenericSafeBol: index out of range");
-  if (metric_values.size() != metric_gps_.size())
+  if (metric_values.size() != num_metrics())
     throw std::invalid_argument("GenericSafeBol: metric count mismatch");
   if (context.size() != context_dims_)
     throw std::invalid_argument("GenericSafeBol: context dimension mismatch");
-  const linalg::Vector z = joint(context, index);
-  objective_gp_.add(z, objective_spec_.transform(objective_value) -
-                           objective_spec_.prior_mean);
-  for (std::size_t i = 0; i < metric_gps_.size(); ++i) {
-    metric_gps_[i].add(z, metric_specs_[i].transform(metric_values[i]) -
-                              metric_specs_[i].prior_mean);
+  std::vector<double> targets(gps_.size());
+  for (std::size_t k = 0; k < gps_.size(); ++k) {
+    const double raw = k == 0 ? objective_value : metric_values[k - 1];
+    targets[k] = specs_[k].transform(raw) - specs_[k].prior_mean;
   }
+  const linalg::Vector z = joint(context, index);
+  for_each_gp([&](std::size_t k) { gps_[k].add(z, targets[k]); });
+  enforce_budget();
+}
+
+std::vector<RawObservation> GenericSafeBol::export_rows(
+    std::size_t max_count) const {
+  std::size_t n = gps_[0].num_observations();
+  for (const gp::GpRegressor& g : gps_) n = std::min(n, g.num_observations());
+  const std::size_t take = std::min(max_count, n);
+  std::vector<RawObservation> out(take);
+  for (std::size_t r = 0; r < take; ++r) {
+    const std::size_t i = n - take + r;
+    out[r].z = gps_[0].inputs()[i];
+    out[r].objective =
+        specs_[0].untransform(gps_[0].targets()[i] + specs_[0].prior_mean);
+    for (std::size_t k = 1; k < gps_.size(); ++k) {
+      out[r].metrics.push_back(
+          specs_[k].untransform(gps_[k].targets()[i] + specs_[k].prior_mean));
+    }
+  }
+  return out;
+}
+
+void GenericSafeBol::import_rows(std::span<const RawObservation> rows) {
+  const std::size_t dims = context_dims_ + controls_.cols();
+  std::vector<std::vector<double>> targets(rows.size());
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    const RawObservation& o = rows[r];
+    if (o.z.size() != dims || o.metrics.size() != num_metrics())
+      throw std::invalid_argument(
+          "GenericSafeBol::import_rows: dimension mismatch");
+    targets[r].resize(gps_.size());
+    for (std::size_t k = 0; k < gps_.size(); ++k) {
+      const double raw = k == 0 ? o.objective : o.metrics[k - 1];
+      if (!std::isfinite(raw))
+        throw std::invalid_argument(
+            "GenericSafeBol::import_rows: non-finite value");
+      targets[r][k] = specs_[k].transform(raw) - specs_[k].prior_mean;
+    }
+  }
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    for_each_gp(
+        [&](std::size_t k) { gps_[k].add(rows[r].z, targets[r][k]); });
+  }
+  enforce_budget();
+  tracked_context_.reset();  // caches no longer match the data
 }
 
 void GenericSafeBol::set_threshold(std::size_t constraint, double threshold) {

@@ -77,7 +77,7 @@ JointEdgeBol::JointEdgeBol(JointBolConfig config)
 
         const std::vector<env::ControlPolicy> per_service =
             service_policies(cfg_);
-        std::vector<linalg::Vector> controls;
+        linalg::Matrix controls;
         std::size_t s0_index = 0;
         double best_s0 = -1.0;
         for (const env::ControlPolicy& a : per_service) {
@@ -87,7 +87,7 @@ JointEdgeBol::JointEdgeBol(JointBolConfig config)
             linalg::Vector f = a.to_features();
             const linalg::Vector fb = b.to_features();
             f.insert(f.end(), fb.begin(), fb.end());
-            controls.push_back(std::move(f));
+            controls.append_row(f);
             // S0: the max-performance symmetric pair — full resolution,
             // GPU speed and MCS, with the largest *equal* airtime split.
             if (a.resolution == b.resolution && a.airtime == b.airtime &&
@@ -137,7 +137,7 @@ JointEdgeBol::JointEdgeBol(JointBolConfig config)
                               {std::move(delay_a), std::move(delay_b),
                                std::move(map_a), std::move(map_b)},
                               std::move(constraints), {s0_index},
-                              cfg_.beta_sqrt);
+                              {.beta_sqrt = cfg_.beta_sqrt});
       }()) {}
 
 const JointPolicyPair& JointEdgeBol::pair(std::size_t index) const {

@@ -28,9 +28,9 @@ constexpr double kSigmaPad = 3.0;
 constexpr double kSkipGuard = 1e-12;
 
 // The ONE bound expression, shared by the full and incremental paths — and
-// matching the legacy scans in EdgeBol::select / GenericSafeBol::select
-// operation for operation, so the stored bound is bitwise what the full
-// rescan would compute:
+// matching the reference rescan (compute_safe_set over prior-mean-shifted
+// posteriors) operation for operation, so the stored bound is bitwise what
+// the full rescan would compute:
 //   upper (sgn=+1): fl(fl(mean+off) + fl(beta*sigma))
 //   lower (sgn=-1): fl(fl(mean+off) - fl(beta*sigma))
 // (multiplying by +-1.0 is exact; x + (-y) == x - y bitwise; the variance

@@ -46,8 +46,8 @@ inline constexpr std::size_t kDecideBlock = 2048;
 ///   upper:  (tracked_mean + offset) + beta * tracked_stddev <= threshold
 ///   lower:  (tracked_mean + offset) - beta * tracked_stddev >= threshold
 /// `offset` is the constant prior mean the engine adds back to the zero-mean
-/// GP (0 for EdgeBol, MetricSpec::prior_mean for the generic engine);
-/// `threshold` is already in transformed (GP-target) units.
+/// GP (MetricSpec::prior_mean); `threshold` is already in transformed
+/// (GP-target) units.
 struct BoundSpec {
   gp::GpRegressor* gp = nullptr;
   bool upper = true;

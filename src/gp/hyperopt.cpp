@@ -80,9 +80,19 @@ double log_uniform(Rng& rng, double lo, double hi) {
   return std::exp(rng.uniform(std::log(lo), std::log(hi)));
 }
 
-// Evaluates every probe's LML, on the pool when one is configured. Probes
-// are whole O(n^3) GP builds, so grain 1 keeps all threads busy; the output
-// slot per probe is fixed, so the fill is deterministic by construction.
+// Below this much work (probes x n^3) a batch stays on the calling thread.
+// Measured on a shared 4-vCPU host: a pool dispatch costs 0.02-0.15 ms,
+// while one n^3 unit of LML work costs ~0.2 ns, so a batch at the cutoff is
+// ~0.4 ms of serial work (e.g. 8 probes at n = 64). The small batches below
+// it lost to the dispatch: bench_micro_gp's smoke fit (8 probes, then
+// two-probe pairs, at n = 20) read 0.35-1.03x pooled against serial.
+constexpr double kPooledProbeWorkMin = 2e6;
+
+// Evaluates every probe's LML, on the pool when one is configured and the
+// batch is big enough to pay for it. Probes are whole O(n^3) GP builds, so
+// grain 1 keeps all threads busy; the output slot per probe is fixed and
+// each probe runs the same code either way, so the fill is deterministic
+// and bit-identical for any thread count.
 std::vector<double> evaluate_probes(const std::vector<GpHyperparams>& probes,
                                     const std::vector<Vector>& z,
                                     const Vector& y,
@@ -91,7 +101,9 @@ std::vector<double> evaluate_probes(const std::vector<GpHyperparams>& probes,
   auto eval_range = [&](std::size_t begin, std::size_t end) {
     for (std::size_t i = begin; i < end; ++i) lml[i] = safe_lml(probes[i], z, y);
   };
-  if (opts.pool) {
+  const double n = static_cast<double>(z.size());
+  const double work = static_cast<double>(probes.size()) * n * n * n;
+  if (opts.pool && work >= kPooledProbeWorkMin) {
     // sync: probe i writes only lml[i] (disjoint per index); Gram/factor
     // scratch is thread_local, and z/y are read-only shared.
     opts.pool->parallel_for(probes.size(), 1, eval_range);

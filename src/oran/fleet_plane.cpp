@@ -188,6 +188,7 @@ std::size_t FleetRicServer::poll_once() {
   for (const auto& ep : endpoints_) ep->drain_all(&frames_);
   if (frames_.empty()) return 0;
 
+  ++batch_;
   due_.clear();
   ctx_.clear();
   periods_.clear();
@@ -211,6 +212,13 @@ std::size_t FleetRicServer::poll_once() {
       continue;
     }
     CellSlot& slot = cells_[cell];
+    if (slot.batch == batch_) {
+      // A second frame for a cell already in this batch (a retrying peer):
+      // the cell gets exactly one decision and one reply, from its first
+      // frame; deciding it twice would also race two shards on one agent.
+      ++duplicates_;
+      continue;
+    }
     if (ind->period == slot.last_period) {
       // Redelivery across a reconnect: the decision already happened —
       // answer from cache so the cell's trajectory is unaffected.
@@ -222,6 +230,7 @@ std::size_t FleetRicServer::poll_once() {
       ++stale_;
       continue;
     }
+    slot.batch = batch_;
     due_.push_back(cell);
     ctx_.push_back(ind->ctx);
     periods_.push_back(ind->period);

@@ -20,9 +20,11 @@
 // Idempotency. The per-cell `period` counter keys redelivery: the server
 // caches its last reply per cell, answers a duplicate indication (same
 // period, e.g. resent across a reconnect) with the cached policy without
-// re-deciding or re-conditioning, and drops anything older. A cell
-// therefore observes exactly one decision per period no matter how the
-// transport misbehaves, matching the PR-5 retry/idempotency contract.
+// re-deciding or re-conditioning, and drops anything older. A batch holds
+// at most one frame per cell: a later frame for a cell already in the
+// batch counts as a duplicate and is dropped (the batch's reply answers
+// it). A cell therefore observes exactly one decision per period no matter
+// how the transport misbehaves, matching the retry/idempotency contract.
 
 #pragma once
 
@@ -138,6 +140,7 @@ class FleetRicServer {
     net::MuxTransport* stream = nullptr;
     std::int64_t last_period = -1;
     std::string last_reply;  // resent verbatim on a duplicate indication
+    std::uint64_t batch = 0;  // last poll_once batch holding this cell
   };
 
   core::FleetEngine* engine_;
@@ -147,6 +150,7 @@ class FleetRicServer {
   std::vector<CellSlot> cells_;
 
   // poll_once scratch, reused across calls.
+  std::uint64_t batch_ = 0;  // poll_once batches so far (ids start at 1)
   std::vector<net::StreamFrame> frames_;
   std::vector<std::size_t> due_;
   std::vector<env::Context> ctx_;

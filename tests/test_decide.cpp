@@ -1,17 +1,17 @@
 // Decision-path identity: the incremental engine (SafeSetTracker +
-// FusedAcquisition) must make bit-identical decisions to the legacy full
+// FusedAcquisition) must make bit-identical decisions to the reference full
 // rescan — across event sequences (adds, evictions, re-tracks, threshold
 // and beta changes, all-unsafe regimes), all three acquisition kinds, and
-// thread-pool sizes — and the orchestrating engines' `incremental_decide`
-// escape hatches must change latency only, never a trajectory.
+// thread-pool sizes — and so must the one safe-BO engine built on it
+// (GenericSafeBol), checked period by period against shadow surrogates.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
 #include <cstddef>
-#include <limits>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -41,20 +41,26 @@ Vector draw_input(Rng& rng) {
   return z;
 }
 
-// The legacy full-rescan decision, replicating EdgeBol's pre-incremental
-// select(): materialize every tracked posterior, compute_safe_set, the
-// fallback loop, then the kind-specific acquisition.
-FusedDecision legacy_decide(FusedAcquisitionKind kind,
-                            gp::GpRegressor& delay_gp, gp::GpRegressor& map_gp,
-                            gp::GpRegressor& cost_gp, double d_max,
-                            double rho_min, double beta,
-                            const std::vector<std::size_t>& s0,
-                            const env::ControlGrid& grid) {
+// The reference full-rescan decision, the oracle for the incremental path:
+// materialize every tracked posterior (constraint means shifted by their
+// prior-mean offsets), compute_safe_set, the fallback loop, then the
+// kind-specific acquisition.
+FusedDecision reference_decide(AcquisitionKind kind,
+                               const gp::GpRegressor& delay_gp,
+                               const gp::GpRegressor& map_gp,
+                               const gp::GpRegressor& cost_gp, double d_max,
+                               double rho_min, double beta,
+                               const std::vector<std::size_t>& s0,
+                               const env::ControlGrid& grid,
+                               double delay_offset = 0.0,
+                               double map_offset = 0.0) {
   const std::size_t m = grid.size();
   std::vector<gp::Prediction> delay_post(m), map_post(m), cost_post(m);
   for (std::size_t j = 0; j < m; ++j) {
     delay_post[j] = delay_gp.tracked_prediction(j);
+    delay_post[j].mean += delay_offset;
     map_post[j] = map_gp.tracked_prediction(j);
+    map_post[j].mean += map_offset;
     cost_post[j] = cost_gp.tracked_prediction(j);
   }
   const std::vector<std::size_t> safe =
@@ -72,11 +78,11 @@ FusedDecision legacy_decide(FusedAcquisitionKind kind,
     }
   }
   FusedDecision r;
-  if (kind == FusedAcquisitionKind::kGlobalLcb) {
+  if (kind == AcquisitionKind::kGlobalLcb) {
     std::vector<std::size_t> all(m);
     for (std::size_t j = 0; j < m; ++j) all[j] = j;
     r.index = lcb_argmin(cost_post, all, beta);
-  } else if (kind == FusedAcquisitionKind::kSafeOpt) {
+  } else if (kind == AcquisitionKind::kSafeOpt) {
     SafeOptInputs in;
     in.cost = &cost_post;
     in.delay = &delay_post;
@@ -102,7 +108,7 @@ struct DecisionRecord {
 
 // Drives one pool size through an event schedule (adds, evictions,
 // re-tracks, threshold moves, beta toggles, an all-unsafe window), checking
-// fused == legacy for every kind at every step, and returns the decision
+// fused == reference for every kind at every step, and returns the decision
 // log for the cross-pool comparison.
 std::vector<DecisionRecord> run_battery(std::size_t threads) {
   env::GridSpec spec;
@@ -145,9 +151,9 @@ std::vector<DecisionRecord> run_battery(std::size_t threads) {
   acq.configure(m, s0);
   std::array<BoundSpec, 2> specs{};
 
-  const std::array<FusedAcquisitionKind, 3> kinds{
-      FusedAcquisitionKind::kSafeLcb, FusedAcquisitionKind::kSafeOpt,
-      FusedAcquisitionKind::kGlobalLcb};
+  const std::array<AcquisitionKind, 3> kinds{
+      AcquisitionKind::kSafeLcb, AcquisitionKind::kSafeOpt,
+      AcquisitionKind::kGlobalLcb};
 
   std::vector<DecisionRecord> log;
   const double d_max_home = d_max;
@@ -164,15 +170,15 @@ std::vector<DecisionRecord> run_battery(std::size_t threads) {
     if (e == 20) d_max = -1e6;  // nothing qualifies: S0-fallback regime
     if (e == 25) d_max = d_max_home;
 
-    for (const FusedAcquisitionKind kind : kinds) {
+    for (const AcquisitionKind kind : kinds) {
       specs[0] = BoundSpec{&delay_gp, /*upper=*/true, d_max, 0.0};
       specs[1] = BoundSpec{&map_gp, /*upper=*/false, rho_min, 0.0};
       const FusedDecision got =
           acq.decide(kind, tracker, specs, cost_gp, beta, pool.get(),
                      grid.adjacency_offsets(), grid.adjacency());
       const FusedDecision want =
-          legacy_decide(kind, delay_gp, map_gp, cost_gp, d_max, rho_min, beta,
-                        s0, grid);
+          reference_decide(kind, delay_gp, map_gp, cost_gp, d_max, rho_min,
+                           beta, s0, grid);
       EXPECT_EQ(got.index, want.index)
           << "e=" << e << " kind=" << static_cast<int>(kind)
           << " threads=" << threads;
@@ -199,100 +205,103 @@ TEST(Decide, FusedMatchesLegacyAcrossEventsAndPools) {
 }
 
 // ---------------------------------------------------------------------------
-// Engine escape hatches: incremental on/off must yield identical
-// trajectories (budgeted, context-switching runs included).
+// The engine against the reference: GenericSafeBol driven beside shadow
+// surrogates that get the same transformed rows and the same evictions.
+// Every period the engine's decision must equal the reference scan over the
+// shadows.
 // ---------------------------------------------------------------------------
 
-struct Trajectory {
-  std::vector<std::size_t> picks;
-  std::vector<std::size_t> safe_sizes;
-  std::vector<bool> fallbacks;
-
-  bool operator==(const Trajectory&) const = default;
-};
-
-Trajectory run_edgebol(bool incremental, AcquisitionKind kind, int periods) {
+std::vector<DecisionRecord> run_engine(AcquisitionKind kind,
+                                       std::size_t threads) {
   env::GridSpec spec;
   spec.levels_per_dim = 4;
-  EdgeBolConfig cfg;
-  cfg.acquisition = kind;
-  cfg.gp_budget = 40;  // exercise the eviction/downdate path
-  cfg.incremental_decide = incremental;
-  EdgeBol agent(env::ControlGrid(spec), cfg);
+  const env::ControlGrid grid(spec);
+
+  // Every transform the engine supports: a scaled objective with a nonzero
+  // prior mean, a clipped log metric with a pessimistic prior mean, and a
+  // plain metric.
+  MetricSpec cost{"cost", default_cost_hyperparams()};
+  cost.scale = 200.0;
+  cost.prior_mean = 0.5;
+  MetricSpec delay{"delay", default_delay_hyperparams()};
+  delay.log_transform = true;
+  delay.clip = 3.0;
+  delay.prior_mean = 0.4;
+  MetricSpec map{"map", default_map_hyperparams()};
+  const std::array<MetricSpec, 3> specs{cost, delay, map};
+  const std::vector<std::size_t> s0{grid.max_performance_index()};
+  const SafeBolOptions opts{.beta_sqrt = 2.5,
+                            .acquisition = kind,
+                            .gp_budget = 24,
+                            .gp_eviction = gp::EvictionPolicy::kMinLeverage,
+                            .num_threads = threads};
+  GenericSafeBol engine(control_features(grid), cost, {delay, map},
+                        {{0, BoundKind::kUpper, 0.4},
+                         {1, BoundKind::kLower, 0.5}},
+                        s0, opts);
+
+  std::vector<gp::GpRegressor> shadow;
+  for (const MetricSpec& m : specs)
+    shadow.emplace_back(m.hp.make_kernel(), m.hp.noise_variance);
+
   env::Testbed tb = env::make_static_testbed(35.0);
   const env::Context ctx_a{2.0, 12.0, 3.0};
   const env::Context ctx_b{6.0, 9.0, 8.0};
-  Trajectory tr;
-  for (int t = 0; t < periods; ++t) {
+  double d_max = 0.4;
+  std::optional<linalg::Vector> tracked;
+  std::vector<DecisionRecord> log;
+  for (int t = 0; t < 60; ++t) {
+    if (t == 30) d_max = 0.3;   // runtime tightening
+    if (t == 45) d_max = 10.0;  // above the clip: acts as the clip
+    engine.set_threshold(0, d_max);
     const env::Context& c = (t / 7) % 2 == 0 ? ctx_a : ctx_b;
-    const Decision d = agent.select(c);
-    const env::Measurement m = tb.step(d.policy);
-    agent.update(c, d.policy_index, m);
-    tr.picks.push_back(d.policy_index);
-    tr.safe_sizes.push_back(d.safe_set_size);
-    tr.fallbacks.push_back(d.fell_back_to_s0);
+    const linalg::Vector f = c.to_features();
+    if (tracked != f) {  // the two contexts are far apart: rebuild on change
+      const auto cands = std::make_shared<const linalg::Matrix>(
+          grid.candidate_feature_matrix(c));
+      for (gp::GpRegressor& g : shadow) g.track_candidates(cands);
+      tracked = f;
+    }
+    const FusedDecision got =
+        engine.select(f, grid.adjacency_offsets(), grid.adjacency());
+    const FusedDecision want = reference_decide(
+        kind, shadow[1], shadow[2], shadow[0], delay.transform(d_max), 0.5,
+        opts.beta_sqrt, s0, grid, delay.prior_mean, map.prior_mean);
+    EXPECT_EQ(got.index, want.index) << "t=" << t << " threads=" << threads;
+    EXPECT_EQ(got.safe_set_size, want.safe_set_size) << "t=" << t;
+    EXPECT_EQ(got.fell_back_to_s0, want.fell_back_to_s0) << "t=" << t;
+    log.push_back({got.index, got.safe_set_size, got.fell_back_to_s0});
+
+    const env::ControlPolicy& p = grid.policy(got.index);
+    const env::Measurement m = tb.step(p);
+    const std::array<double, 3> raw{m.server_power_w + 8.0 * m.bs_power_w,
+                                    m.delay_s, m.map};
+    engine.update(f, got.index, raw[0], {raw[1], raw[2]});
+    const linalg::Vector z = env::joint_features(c, p);
+    for (std::size_t k = 0; k < shadow.size(); ++k)
+      shadow[k].add(z, specs[k].transform(raw[k]) - specs[k].prior_mean);
+    while (shadow[0].num_observations() > opts.gp_budget) {
+      const std::size_t victim = shadow[0].eviction_candidate(opts.gp_eviction);
+      for (gp::GpRegressor& g : shadow) g.remove_observation(victim);
+    }
   }
-  return tr;
+  EXPECT_EQ(engine.num_observations(), opts.gp_budget);
+  return log;
 }
 
-TEST(Decide, EdgeBolEscapeHatchIsTrajectoryNeutral) {
-  EXPECT_EQ(run_edgebol(true, AcquisitionKind::kSafeLcb, 60),
-            run_edgebol(false, AcquisitionKind::kSafeLcb, 60));
-}
-
-TEST(Decide, EdgeBolSafeOptEscapeHatchIsTrajectoryNeutral) {
-  EXPECT_EQ(run_edgebol(true, AcquisitionKind::kSafeOpt, 25),
-            run_edgebol(false, AcquisitionKind::kSafeOpt, 25));
-}
-
-TEST(Decide, EdgeBolGlobalLcbEscapeHatchIsTrajectoryNeutral) {
-  EXPECT_EQ(run_edgebol(true, AcquisitionKind::kGlobalLcb, 25),
-            run_edgebol(false, AcquisitionKind::kGlobalLcb, 25));
-}
-
-Trajectory run_generic(bool incremental) {
-  std::vector<Vector> controls;
-  for (int i = 0; i < 12; ++i) controls.push_back(Vector{i / 11.0});
-
-  const auto hp = [] {
-    gp::GpHyperparams h;
-    h.lengthscales = Vector(2, 0.8);
-    h.amplitude = 1.0;
-    h.noise_variance = 1e-3;
-    return h;
-  }();
-  MetricSpec objective{"power", hp, 10.0, false,
-                       std::numeric_limits<double>::infinity(), 0.0};
-  MetricSpec delay{"delay", hp, 1.0, false,
-                   std::numeric_limits<double>::infinity(), 0.6};
-  MetricSpec map{"map", hp, 1.0, false,
-                 std::numeric_limits<double>::infinity(), 0.0};
-  GenericSafeBol bol(controls, objective, {delay, map},
-                     {{0, BoundKind::kUpper, 0.45}, {1, BoundKind::kLower, 0.3}},
-                     {11}, 2.0);
-  bol.set_incremental_decide(incremental);
-
-  Rng rng(77);
-  Trajectory tr;
-  for (int t = 0; t < 40; ++t) {
-    const Vector ctx{0.3 + 0.4 * ((t / 6) % 2)};
-    const GenericDecision d = bol.select(ctx);
-    const double x = controls[d.index][0];
-    // Synthetic ground truth: cheap but slow at low x, fast at high x.
-    const double power = 20.0 + 30.0 * x + rng.normal() * 0.5;
-    const double dly = 0.55 - 0.35 * x + 0.05 * ctx[0] + rng.normal() * 0.01;
-    const double acc = 0.2 + 0.5 * x + rng.normal() * 0.01;
-    bol.update(ctx, d.index, power, {dly, acc});
-    if (t == 24) bol.set_threshold(0, 0.5);  // runtime threshold move
-    tr.picks.push_back(d.index);
-    tr.safe_sizes.push_back(d.safe_set_size);
-    tr.fallbacks.push_back(d.fell_back_to_s0);
+TEST(Decide, EngineMatchesReferenceScanEveryPeriod) {
+  for (const AcquisitionKind kind :
+       {AcquisitionKind::kSafeLcb, AcquisitionKind::kSafeOpt,
+        AcquisitionKind::kGlobalLcb}) {
+    SCOPED_TRACE(static_cast<int>(kind));
+    const std::vector<DecisionRecord> serial = run_engine(kind, 1);
+    EXPECT_EQ(serial, run_engine(kind, 2));
+    if (kind == AcquisitionKind::kGlobalLcb) continue;
+    // The safe kinds visit both regimes: S0 fallback and qualified sets.
+    const auto fell_back = [](const DecisionRecord& r) { return r.fell_back; };
+    EXPECT_TRUE(std::any_of(serial.begin(), serial.end(), fell_back));
+    EXPECT_FALSE(std::all_of(serial.begin(), serial.end(), fell_back));
   }
-  return tr;
-}
-
-TEST(Decide, GenericEscapeHatchIsTrajectoryNeutral) {
-  EXPECT_EQ(run_generic(true), run_generic(false));
 }
 
 }  // namespace

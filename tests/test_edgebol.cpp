@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
 #include <stdexcept>
 
 #include "baselines/oracle.hpp"
@@ -82,20 +81,25 @@ TEST(EdgeBol, CostConvergesNearOracle) {
 }
 
 TEST(EdgeBol, ConstraintsHoldWithHighProbability) {
-  EdgeBolConfig cfg;
-  cfg.constraints = {0.4, 0.5};
-  EdgeBol agent(small_grid(), cfg);
-  env::Testbed tb = env::make_static_testbed(35.0);
-  const RunResult r = run(agent, tb, 120);
-  int violations = 0;
-  for (std::size_t t = 10; t < r.delays.size(); ++t) {
-    // Small slack for observation noise, as in the paper's "with very high
-    // probability" (they report 0.98).
-    if (r.delays[t] > cfg.constraints.d_max_s * 1.05 ||
-        r.maps[t] < cfg.constraints.map_min - 0.03)
-      ++violations;
+  // 5 s sits above the delay surrogate's 3 s clip: the threshold is clipped
+  // with the data, so starved candidates stay unsafe.
+  for (const double d_max : {0.4, 5.0}) {
+    SCOPED_TRACE(d_max);
+    EdgeBolConfig cfg;
+    cfg.constraints = {d_max, 0.5};
+    EdgeBol agent(small_grid(), cfg);
+    env::Testbed tb = env::make_static_testbed(35.0);
+    const RunResult r = run(agent, tb, 120);
+    int violations = 0;
+    for (std::size_t t = 10; t < r.delays.size(); ++t) {
+      // Small slack for observation noise, as in the paper's "with very high
+      // probability" (they report 0.98).
+      if (r.delays[t] > cfg.constraints.d_max_s * 1.05 ||
+          r.maps[t] < cfg.constraints.map_min - 0.03)
+        ++violations;
+    }
+    EXPECT_LE(violations, 6);
   }
-  EXPECT_LE(violations, 6);
 }
 
 TEST(EdgeBol, InfeasibleConstraintsFallBackToS0) {
@@ -145,14 +149,20 @@ TEST(EdgeBol, PriorObservationsWarmStart) {
   EdgeBol warm(small_grid(), cfg);
   env::Testbed tb = env::make_static_testbed(35.0);
 
-  // Pre-production phase: feed labelled observations of random policies.
+  // Pre-production phase (§4.2): labelled observations of random policies,
+  // imported as portable rows.
   env::Testbed pre = env::make_static_testbed(35.0);
   Rng rng(3);
+  std::vector<PseudoObservation> rows;
   for (int i = 0; i < 30; ++i) {
     const auto& p = warm.grid().policy(rng.uniform_index(warm.grid().size()));
     const env::Context c = pre.context();
-    warm.add_prior_observation(c, p, pre.step(p));
+    const env::Measurement m = pre.step(p);
+    rows.push_back({env::joint_features(c, p),
+                    cfg.weights.cost(m.server_power_w, m.bs_power_w),
+                    m.delay_s, m.map});
   }
+  warm.import_observations(rows);
   EXPECT_EQ(warm.num_observations(), 30u);
   EXPECT_GT(warm.select(tb.context()).safe_set_size,
             cold.select(tb.context()).safe_set_size);
@@ -167,59 +177,6 @@ TEST(EdgeBol, CostScaleAutoTracksWeights) {
   EdgeBolConfig fixed;
   fixed.cost_scale = 123.0;
   EXPECT_DOUBLE_EQ(EdgeBol(small_grid(), fixed).cost_scale(), 123.0);
-}
-
-TEST(EdgeBol, SaveLoadRoundTripPreservesDecisions) {
-  EdgeBolConfig cfg;
-  cfg.weights = {1.0, 8.0};
-  cfg.constraints = {0.4, 0.5};
-  EdgeBol original(small_grid(), cfg);
-  env::Testbed tb = env::make_static_testbed(35.0);
-  run(original, tb, 50);
-
-  std::stringstream buf;
-  original.save_observations(buf);
-
-  EdgeBol restored(small_grid(), cfg);
-  restored.load_observations(buf);
-  EXPECT_EQ(restored.num_observations(), original.num_observations());
-
-  const env::Context c = tb.context();
-  const Decision a = original.select(c);
-  const Decision b = restored.select(c);
-  EXPECT_EQ(a.policy_index, b.policy_index);
-  EXPECT_EQ(a.safe_set_size, b.safe_set_size);
-}
-
-TEST(EdgeBol, LoadRejectsMalformedData) {
-  EdgeBol agent(small_grid(), EdgeBolConfig{});
-  std::stringstream bad1("not-a-header v1\n");
-  EXPECT_THROW(agent.load_observations(bad1), std::runtime_error);
-  std::stringstream bad2("edgebol-observations v1\ndims 3\ncount 0\n");
-  EXPECT_THROW(agent.load_observations(bad2), std::runtime_error);
-  std::stringstream bad3(
-      "edgebol-observations v1\ndims 7\ncount 2\n0 0 0 0 0 0 0 1 1 1\n");
-  EXPECT_THROW(agent.load_observations(bad3), std::runtime_error);
-}
-
-TEST(EdgeBol, NoveltyThresholdBoundsDataGrowth) {
-  EdgeBolConfig plain, filtered;
-  filtered.novelty_threshold = 2.0;
-  EdgeBol a(small_grid(), plain);
-  EdgeBol b(small_grid(), filtered);
-  env::Testbed tb_a = env::make_static_testbed(35.0);
-  env::Testbed tb_b = env::make_static_testbed(35.0);
-  const int periods = 120;
-  run(a, tb_a, periods);
-  const RunResult rb = run(b, tb_b, periods);
-  EXPECT_EQ(a.num_observations(), static_cast<std::size_t>(periods));
-  // Once converged, the incumbent's repeated samples are filtered out.
-  EXPECT_LT(b.num_observations(), static_cast<std::size_t>(periods));
-  EXPECT_GT(b.num_observations(), 5u);
-  // And the filtered agent still converged to a sensible cost.
-  std::vector<double> tail(rb.costs.end() - 20, rb.costs.end());
-  std::vector<double> head(rb.costs.begin(), rb.costs.begin() + 5);
-  EXPECT_LT(mean_of(tail), mean_of(head));
 }
 
 TEST(EdgeBol, RunsWithRbfSurrogates) {

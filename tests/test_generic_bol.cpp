@@ -16,12 +16,12 @@ namespace {
 // A synthetic 1-D control problem: minimize f(x) = (x - 0.7)^2 subject to
 // g(x) = x >= 0.3, with a 1-D context the functions ignore.
 struct Synthetic {
-  std::vector<linalg::Vector> controls;
+  linalg::Matrix controls;
   MetricSpec objective;
   MetricSpec g;
 
   Synthetic() {
-    for (double x : linspace(0.0, 1.0, 21)) controls.push_back({x});
+    for (double x : linspace(0.0, 1.0, 21)) controls.append_row({x});
     gp::GpHyperparams hp;
     hp.lengthscales = {1.0, 0.6};  // context + control
     hp.amplitude = 0.1;
@@ -32,10 +32,11 @@ struct Synthetic {
     g.hp = hp;
   }
 
-  GenericSafeBol make(double threshold = 0.3) const {
+  GenericSafeBol make(double threshold = 0.3,
+                      SafeBolOptions options = {.beta_sqrt = 2.0}) const {
     return GenericSafeBol(controls, objective, {g},
                           {{0, BoundKind::kLower, threshold}},
-                          /*s0=*/{20}, /*beta=*/2.0);
+                          /*s0=*/{20}, options);
   }
 };
 
@@ -50,6 +51,9 @@ TEST(MetricSpec, TransformsClipScaleLog) {
   spec.log_transform = true;
   EXPECT_NEAR(spec.transform(2.0 * std::exp(1.0)), 1.0, 1e-12);
   EXPECT_THROW(spec.transform(-1.0), std::invalid_argument);
+  // untransform inverts everything but the clip.
+  EXPECT_NEAR(spec.untransform(spec.transform(3.0)), 3.0, 1e-12);
+  EXPECT_NEAR(spec.untransform(spec.transform(50.0)), 10.0, 1e-12);
 }
 
 TEST(GenericSafeBol, StartsFromS0) {
@@ -69,7 +73,7 @@ TEST(GenericSafeBol, ConvergesToConstrainedMinimum) {
   double last_x = 1.0;
   for (int t = 0; t < 60; ++t) {
     const GenericDecision d = bol.select(ctx);
-    const double x = syn.controls[d.index][0];
+    const double x = syn.controls(d.index, 0);
     bol.update(ctx, d.index, f_true(x) + rng.normal(0.0, 0.01),
                {x + rng.normal(0.0, 0.01)});
     last_x = x;
@@ -89,7 +93,7 @@ TEST(GenericSafeBol, RespectsLowerBoundConstraint) {
   double last_x = 1.0;
   for (int t = 0; t < 80; ++t) {
     const GenericDecision d = bol.select(ctx);
-    const double x = syn.controls[d.index][0];
+    const double x = syn.controls(d.index, 0);
     violations += (x < 0.8 - 0.051);  // grid step tolerance
     bol.update(ctx, d.index, f_true(x) + rng.normal(0.0, 0.01),
                {x + rng.normal(0.0, 0.01)});
@@ -109,7 +113,7 @@ TEST(GenericSafeBol, ThresholdChangeShiftsTheOptimum) {
   const linalg::Vector ctx{0.5};
   for (int t = 0; t < 50; ++t) {
     const GenericDecision d = bol.select(ctx);
-    const double x = syn.controls[d.index][0];
+    const double x = syn.controls(d.index, 0);
     bol.update(ctx, d.index, f_true(x) + rng.normal(0.0, 0.01),
                {x + rng.normal(0.0, 0.01)});
   }
@@ -118,7 +122,7 @@ TEST(GenericSafeBol, ThresholdChangeShiftsTheOptimum) {
   RunningStats xs;
   for (int t = 0; t < 15; ++t) {
     const GenericDecision d = bol.select(ctx);
-    const double x = syn.controls[d.index][0];
+    const double x = syn.controls(d.index, 0);
     xs.add(x);
     bol.update(ctx, d.index, f_true(x) + rng.normal(0.0, 0.01),
                {x + rng.normal(0.0, 0.01)});
@@ -128,27 +132,71 @@ TEST(GenericSafeBol, ThresholdChangeShiftsTheOptimum) {
 
 TEST(GenericSafeBol, Validation) {
   const Synthetic syn;
-  EXPECT_THROW(GenericSafeBol({}, syn.objective, {}, {}, {0}, 2.0),
+  EXPECT_THROW(GenericSafeBol(linalg::Matrix{}, syn.objective, {}, {}, {0}),
                std::invalid_argument);
-  EXPECT_THROW(GenericSafeBol(syn.controls, syn.objective, {}, {}, {}, 2.0),
+  EXPECT_THROW(GenericSafeBol(syn.controls, syn.objective, {}, {}, {}),
                std::invalid_argument);
-  EXPECT_THROW(
-      GenericSafeBol(syn.controls, syn.objective, {}, {}, {999}, 2.0),
-      std::invalid_argument);
-  EXPECT_THROW(
-      GenericSafeBol(syn.controls, syn.objective, {},
-                     {{5, BoundKind::kUpper, 0.0}}, {0}, 2.0),
-      std::invalid_argument);
+  EXPECT_THROW(GenericSafeBol(syn.controls, syn.objective, {}, {}, {999}),
+               std::invalid_argument);
+  EXPECT_THROW(GenericSafeBol(syn.controls, syn.objective, {},
+                              {{5, BoundKind::kUpper, 0.0}}, {0}),
+               std::invalid_argument);
   MetricSpec bad = syn.objective;
   bad.hp.lengthscales = {0.4};  // no room for a context dimension
-  EXPECT_THROW(GenericSafeBol(syn.controls, bad, {}, {}, {0}, 2.0),
+  EXPECT_THROW(GenericSafeBol(syn.controls, bad, {}, {}, {0}),
                std::invalid_argument);
+  // SafeOpt's expander test needs the candidates' adjacency.
+  GenericSafeBol safeopt =
+      syn.make(0.3, {.acquisition = AcquisitionKind::kSafeOpt});
+  EXPECT_THROW(safeopt.select({0.5}), std::invalid_argument);
 
   GenericSafeBol bol = syn.make();
   EXPECT_THROW(bol.select({0.1, 0.2}), std::invalid_argument);
   EXPECT_THROW(bol.update({0.5}, 999, 0.0, {0.0}), std::invalid_argument);
   EXPECT_THROW(bol.update({0.5}, 0, 0.0, {}), std::invalid_argument);
   EXPECT_THROW(bol.set_threshold(5, 0.0), std::invalid_argument);
+}
+
+TEST(GenericSafeBol, ExportImportRoundTripsRawRows) {
+  Synthetic syn;
+  syn.g.prior_mean = 0.4;  // stored targets are offset; rows are not
+  syn.g.scale = 2.0;
+  GenericSafeBol teacher = syn.make();
+  Rng rng(4);
+  const linalg::Vector ctx{0.5};
+  for (int t = 0; t < 12; ++t) {
+    const GenericDecision d = teacher.select(ctx);
+    const double x = syn.controls(d.index, 0);
+    teacher.update(ctx, d.index, f_true(x) + rng.normal(0.0, 0.01),
+                   {x + rng.normal(0.0, 0.01)});
+  }
+  const std::vector<RawObservation> rows = teacher.export_rows(64);
+  ASSERT_EQ(rows.size(), 12u);
+  GenericSafeBol student = syn.make();
+  student.import_rows(rows);
+  EXPECT_EQ(student.num_observations(), 12u);
+  const std::vector<RawObservation> again = student.export_rows(64);
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    EXPECT_EQ(again[r].z, rows[r].z);
+    EXPECT_NEAR(again[r].objective, rows[r].objective, 1e-12);
+    EXPECT_NEAR(again[r].metrics[0], rows[r].metrics[0], 1e-12);
+  }
+  const GenericDecision a = teacher.select(ctx);
+  const GenericDecision b = student.select(ctx);
+  EXPECT_EQ(a.index, b.index);
+  EXPECT_EQ(a.safe_set_size, b.safe_set_size);
+
+  // Malformed rows are rejected before anything is conditioned.
+  std::vector<RawObservation> bad = {rows[0]};
+  bad[0].metrics.clear();
+  EXPECT_THROW(student.import_rows(bad), std::invalid_argument);
+  bad = {rows[0]};
+  bad[0].objective = std::nan("");
+  EXPECT_THROW(student.import_rows(bad), std::invalid_argument);
+  bad = {rows[0], rows[1]};
+  bad[1].z = {0.5};
+  EXPECT_THROW(student.import_rows(bad), std::invalid_argument);
+  EXPECT_EQ(student.num_observations(), 12u);
 }
 
 TEST(PowerBudgetBol, S0IsTheFrugalHighPrecisionCorner) {

@@ -221,8 +221,10 @@ TEST(GpParallel, SafeOptTrajectoryBitIdenticalAcrossThreadCounts) {
 // ---------------------------------------------------------------------------
 
 TEST(GpParallel, FitHyperparametersBitIdenticalAcrossPools) {
+  // n = 64 with 10 starts puts the random-probe batch (10 x 64^3) above
+  // hyperopt's pooled-work cutoff, so the pooled branch runs.
   Rng data_rng(9);
-  const auto zs = draw_points(24, data_rng);
+  const auto zs = draw_points(64, data_rng);
   Vector ys(zs.size());
   Rng yrng(10);
   for (double& v : ys) v = yrng.normal();

@@ -664,5 +664,65 @@ TEST(FleetPlane, OutOfGridFeedbackArmIsRejectedAndTheBatchStillServed) {
   }
 }
 
+TEST(FleetPlane, SameDrainDuplicateIsDecidedOnceAndAnsweredOnce) {
+  env::GridSpec spec;
+  spec.levels_per_dim = 3;  // 3^4 = 81 arms
+  core::FleetEngineConfig ecfg;
+  ecfg.num_threads = 2;  // a doubled cell would run select() on two shards
+  ecfg.cell.gp_budget = 16;
+  core::FleetEngine engine(env::ControlGrid{spec}, ecfg);
+  const std::size_t kCells = 4;
+  for (std::size_t i = 0; i < kCells; ++i) engine.add_cell();
+
+  EventLoop sloop;
+  EventLoop cloop;
+  oran::FleetPlaneConfig pcfg;  // one connection
+  oran::FleetRicServer server(&sloop, &engine, kCells, pcfg);
+  oran::FleetCellBank bank(&cloop, "127.0.0.1", server.ports(), kCells, pcfg);
+  ASSERT_TRUE(bank.wait_established(15000));
+
+  // Every cell reports feedback and asks for period 1; a retrying peer
+  // sends cell 2's frame twice.
+  oran::FleetIndication ind;
+  ind.period = 1;
+  ind.ctx = {2.0, 18.0, 1.0};
+  ind.has_feedback = true;
+  ind.policy_index = 7;
+  ind.prev_ctx = ind.ctx;
+  ind.meas.delay_s = 0.3;
+  ind.meas.map = 0.6;
+  ind.meas.server_power_w = 80.0;
+  ind.meas.bs_power_w = 4.0;
+  for (std::size_t cell = 0; cell < kCells; ++cell)
+    ASSERT_EQ(bank.send_indication(cell, ind), SendResult::kQueued);
+  ASSERT_EQ(bank.send_indication(2, ind), SendResult::kQueued);
+  // Serve only once all five sit in the rx queue: one poll_once drains
+  // them as a single batch.
+  ASSERT_TRUE(eventually([&] {
+    return server.endpoint(0).stats().link.frames_received == kCells + 1;
+  }));
+
+  EXPECT_EQ(server.poll_once(), kCells);
+  EXPECT_EQ(server.decisions(), kCells);
+  EXPECT_EQ(server.duplicate_indications(), 1u);
+  for (std::size_t cell = 0; cell < kCells; ++cell)
+    EXPECT_EQ(engine.cell(cell).num_observations(), 1u) << "cell " << cell;
+
+  std::vector<std::pair<std::size_t, oran::FleetPolicy>> got;
+  ASSERT_TRUE(eventually([&] {
+    bank.drain_policies(&got);
+    return got.size() >= kCells;
+  }));
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  bank.drain_policies(&got);
+  std::vector<int> replies(kCells, 0);
+  for (const auto& [cell, fp] : got) {
+    ++replies.at(cell);
+    EXPECT_EQ(fp.period, 1);
+  }
+  for (std::size_t cell = 0; cell < kCells; ++cell)
+    EXPECT_EQ(replies[cell], 1) << "cell " << cell;
+}
+
 }  // namespace
 }  // namespace edgebol::net
