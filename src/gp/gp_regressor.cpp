@@ -14,14 +14,85 @@ namespace {
 // function of the thread count) so the parallel partition — and therefore
 // the result, bit for bit — is identical for any pool size. 512 columns keep
 // a block's active rows within L1/L2 while leaving ~29 blocks of work per
-// rebuild of the 11^4 grid.
+// rebuild of the 11^4 grid; it is a multiple of the rebuild's 8-column tile,
+// so only a grid's last block has a ragged (scalar) tail.
 constexpr std::size_t kColumnGrain = 512;
 
-// Row ceiling for the fused (contiguous-scratch) cache rebuild: above this
-// the per-thread scratch block (n x kColumnGrain doubles, 2 MB at 512) stops
-// paying for itself and we fall back to the strided legacy sweep. Both paths
-// are bitwise identical, so the switch is purely a performance knob.
-constexpr std::size_t kMaxFusedRebuildRows = 512;
+// Register tile of the rebuild's forward substitution: kTileRows rows of A
+// by kTileCols columns, held as GCC vector types (two doubles, baseline
+// SSE2). Plain double arrays of the same shape get spilled to the stack.
+using f64x2 = double __attribute__((vector_size(16)));
+constexpr std::size_t kTileRows = 3;
+constexpr std::size_t kTileCols = 8;
+
+template <class V>
+V load(const double* p) {
+  V v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+template <class V>
+void store(double* p, V v) {
+  std::memcpy(p, &v, sizeof v);
+}
+
+// Finish rows [i0, i0 + R) of A = L^{-1} K over the C vectors of V that
+// start at column j, in place. On entry those rows hold kernel values and
+// rows < i0 are final. Each element gets its subtractions in ascending k
+// (rows above the tile stream past it, then the already-divided rows inside
+// it), then its division by l_ii, then its mean/variance folds in ascending
+// i — the same operation sequence as a row-at-a-time sweep or an add() fold,
+// so the cache is bitwise independent of the tiling and of how it was built.
+template <std::size_t R, std::size_t C, class V>
+void substitute_tile(const linalg::CholeskyFactor& chol, const double* w,
+                     double* a, std::size_t m, std::size_t i0, std::size_t j,
+                     double* mean, double* var) {
+  constexpr std::size_t kLanes = sizeof(V) / sizeof(double);
+  const double* l[R];
+  V t[R][C];
+  for (std::size_t r = 0; r < R; ++r) {
+    l[r] = chol.row_data(i0 + r);
+    for (std::size_t c = 0; c < C; ++c) {
+      t[r][c] = load<V>(a + (i0 + r) * m + j + c * kLanes);
+    }
+  }
+  for (std::size_t k = 0; k < i0; ++k) {
+    const double* ak = a + k * m + j;
+    for (std::size_t c = 0; c < C; ++c) {
+      const V x = load<V>(ak + c * kLanes);
+      for (std::size_t r = 0; r < R; ++r) t[r][c] -= l[r][k] * x;
+    }
+  }
+  for (std::size_t r = 0; r < R; ++r) {
+    const double lii = l[r][i0 + r];
+    const double wi = w[i0 + r];
+    double* ai = a + (i0 + r) * m + j;
+    for (std::size_t c = 0; c < C; ++c) {
+      for (std::size_t q = 0; q < r; ++q) t[r][c] -= l[r][i0 + q] * t[q][c];
+      t[r][c] /= lii;
+      store(ai + c * kLanes, t[r][c]);
+      double* mu = mean + j + c * kLanes;
+      double* s2 = var + j + c * kLanes;
+      store(mu, load<V>(mu) + t[r][c] * wi);
+      store(s2, load<V>(s2) - t[r][c] * t[r][c]);
+    }
+  }
+}
+
+// All n rows of one column panel, in row tiles with a ragged last tile.
+template <std::size_t C, class V>
+void substitute_panel(const linalg::CholeskyFactor& chol, const double* w,
+                      double* a, std::size_t m, std::size_t n, std::size_t j,
+                      double* mean, double* var) {
+  static_assert(kTileRows == 3, "the ragged last tile has 1 or 2 rows");
+  std::size_t i0 = 0;
+  for (; i0 + kTileRows <= n; i0 += kTileRows) {
+    substitute_tile<kTileRows, C, V>(chol, w, a, m, i0, j, mean, var);
+  }
+  if (n - i0 == 2) substitute_tile<2, C, V>(chol, w, a, m, i0, j, mean, var);
+  if (n - i0 == 1) substitute_tile<1, C, V>(chol, w, a, m, i0, j, mean, var);
+}
 
 }  // namespace
 
@@ -379,67 +450,28 @@ void GpRegressor::rebuild_columns(std::size_t j0, std::size_t j1) {
   const std::size_t m = num_tracked();
   const std::size_t n = y_.size();
   const std::size_t d = kernel_->dims();
-  const double* cdata = cands_->data().data();
+  double* a = amat_.data();
+  double* mean = tracked_mean_.data();
+  double* var = tracked_var_.data();
 
   const double prior = kernel_->prior_variance();
-  for (std::size_t j = j0; j < j1; ++j) tracked_var_[j] = prior;
+  for (std::size_t j = j0; j < j1; ++j) var[j] = prior;
 
-  // Fused path: stage this block's A rows in one contiguous n x bw scratch
-  // so the kernel matrix comes from a single blocked eval_cross call and the
-  // forward substitution streams rows with stride bw instead of m. The
-  // per-column FP op order is identical to the strided sweep below (same
-  // eval_batch chunking relative to j0, same i/k loop order), so the two
-  // paths are bitwise interchangeable; eval_cross row i equals
-  // eval_batch(block, z_i) because stationary kernels are exactly symmetric.
-  if (n > 0 && n <= kMaxFusedRebuildRows) {
-    const std::size_t bw = j1 - j0;
-    thread_local std::vector<double> buf;
-    buf.resize(n * bw);
-    kernel_->eval_cross(zdata_.data(), n, cdata + j0 * d, bw, buf.data());
-    for (std::size_t i = 0; i < n; ++i) {
-      double* bi = buf.data() + i * bw;
-      const double* li = chol_.row_data(i);
-      for (std::size_t k = 0; k < i; ++k) {
-        const double lik = li[k];
-        const double* bk = buf.data() + k * bw;
-        for (std::size_t j = 0; j < bw; ++j) bi[j] -= lik * bk[j];
-      }
-      const double lii = li[i];
-      const double wi = w_[i];
-      double* mean = tracked_mean_.data() + j0;
-      double* var = tracked_var_.data() + j0;
-      for (std::size_t j = 0; j < bw; ++j) {
-        bi[j] /= lii;
-        mean[j] += bi[j] * wi;
-        var[j] -= bi[j] * bi[j];
-      }
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      std::memcpy(amat_.data() + i * m + j0, buf.data() + i * bw,
-                  bw * sizeof(double));
-    }
-    return;
-  }
-
-  // Blocked forward substitution A = L^{-1} K(train, cands): column j only
-  // ever combines with column j, so the per-column FP sequence — and the
-  // result — is independent of both the blocking and the thread count.
+  // Kernel rows straight into the A-cache, one eval_batch per training row
+  // over the whole block (the same call, chunked from j0, that add()'s fold
+  // makes), then the forward substitution A = L^{-1} K in place: 8-column
+  // panels in registers, the ragged tail one scalar column at a time.
   for (std::size_t i = 0; i < n; ++i) {
-    double* ai = amat_.data() + i * m;
-    kernel_->eval_batch(cdata + j0 * d, j1 - j0, z_[i], ai + j0);
-    const double* li = chol_.row_data(i);
-    for (std::size_t k = 0; k < i; ++k) {
-      const double lik = li[k];
-      const double* ak = amat_.data() + k * m;
-      for (std::size_t j = j0; j < j1; ++j) ai[j] -= lik * ak[j];
-    }
-    const double lii = li[i];
-    const double wi = w_[i];
-    for (std::size_t j = j0; j < j1; ++j) {
-      ai[j] /= lii;
-      tracked_mean_[j] += ai[j] * wi;
-      tracked_var_[j] -= ai[j] * ai[j];
-    }
+    kernel_->eval_batch(cands_->data().data() + j0 * d, j1 - j0, z_[i],
+                        a + i * m + j0);
+  }
+  std::size_t j = j0;
+  for (; j + kTileCols <= j1; j += kTileCols) {
+    substitute_panel<kTileCols / 2, f64x2>(chol_, w_.data(), a, m, n, j, mean,
+                                           var);
+  }
+  for (; j < j1; ++j) {
+    substitute_panel<1, double>(chol_, w_.data(), a, m, n, j, mean, var);
   }
 }
 

@@ -14,12 +14,15 @@
 // The tracked cache is the decision loop's hot path. It is kept packed —
 // candidates as one row-major matrix, the substitution state A = L^{-1}
 // K(train, cands) as one contiguous row-major (T x |X|) buffer — so the
-// O(T |X|) fold of add() and the O(T^2 |X|) rebuild on context switch run as
-// blocked, vectorizable row operations, optionally parallelized over
-// candidate-column blocks on a common::ThreadPool. Parallel partitioning is
-// a function of |X| only (never the thread count) and each column's
-// floating-point operation sequence is independent of the blocking, so
-// results are bit-identical for any thread count, including the serial path.
+// O(T |X|) fold of add() runs as blocked, vectorizable row operations, and
+// the O(T^2 |X|) rebuild on context switch evaluates the kernel rows straight
+// into the buffer and forward-substitutes them in place, a register tile of
+// rows at a time. Both are optionally parallelized over candidate-column
+// blocks on a common::ThreadPool. Parallel partitioning is a function of |X|
+// only (never the thread count) and each column's floating-point operation
+// sequence is independent of the blocking and the tiling — and the same
+// whether the cache was built by folds or by a rebuild — so results are
+// bit-identical for any thread count, including the serial path.
 //
 // For unbounded horizons the regressor supports an observation budget B:
 // once T > B each add() evicts one observation (policy-selected) through a

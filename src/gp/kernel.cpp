@@ -33,19 +33,6 @@ void Kernel::eval_batch(const double* xs, std::size_t n, const Vector& z,
   }
 }
 
-void Kernel::eval_cross(const double* xs, std::size_t nx, const double* ys,
-                        std::size_t ny, double* out) const {
-  const std::size_t d = dims();
-  Vector x(d);
-  for (std::size_t i = 0; i < nx; ++i) {
-    // Row i of the cross matrix: one contiguous eval_batch sweep over ys.
-    // For symmetric (stationary) kernels each entry matches the transposed
-    // per-row evaluation exactly, which is what the fused rebuild needs.
-    x.assign(xs + i * d, xs + (i + 1) * d);
-    eval_batch(ys, ny, x, out + i * ny);
-  }
-}
-
 double anisotropic_distance(const Vector& a, const Vector& b,
                             const Vector& lengthscales) {
   if (a.size() != b.size() || a.size() != lengthscales.size())
@@ -115,44 +102,6 @@ void Matern32Kernel::eval_batch(const double* xs, std::size_t n,
   }
 }
 
-void Matern32Kernel::eval_cross(const double* xs, std::size_t nx,
-                                const double* ys, std::size_t ny,
-                                double* out) const {
-  const std::size_t d = lengthscales_.size();
-  const double* il = inv_lengthscales_.data();
-  const double amp = amplitude_;
-  const double sqrt3 = std::sqrt(3.0);
-  // Same two-pass chunking as eval_batch, with chunk boundaries relative to
-  // the start of ys: out[i * ny + j] is bitwise equal to what
-  // eval_batch(ys, ny, x_i, row) produces, so the fused GP rebuild can swap
-  // between the two freely. The only change is hoisting the row loop so x_i
-  // stays a raw pointer (no Vector round-trip per training row).
-  constexpr std::size_t kChunk = 256;
-  double s[kChunk];
-  for (std::size_t i = 0; i < nx; ++i) {
-    const double* x = xs + i * d;
-    double* row = out + i * ny;
-    for (std::size_t base = 0; base < ny; base += kChunk) {
-      const std::size_t c = std::min(kChunk, ny - base);
-      const double* yb = ys + base * d;
-      for (std::size_t j = 0; j < c; ++j) {
-        const double* y = yb + j * d;
-        double acc = 0.0;
-        for (std::size_t k = 0; k < d; ++k) {
-          const double t = (y[k] - x[k]) * il[k];
-          acc += t * t;
-        }
-        s[j] = acc;
-      }
-      double* ob = row + base;
-      for (std::size_t j = 0; j < c; ++j) {
-        const double s3d = sqrt3 * std::sqrt(s[j]);
-        ob[j] = amp * (1.0 + s3d) * std::exp(-s3d);
-      }
-    }
-  }
-}
-
 std::unique_ptr<Kernel> Matern32Kernel::clone() const {
   return std::make_unique<Matern32Kernel>(*this);
 }
@@ -202,36 +151,6 @@ void RbfKernel::eval_batch(const double* xs, std::size_t n, const Vector& z,
     double* ob = out + base;
     for (std::size_t i = 0; i < c; ++i) {
       ob[i] = amp * std::exp(-0.5 * s[i]);
-    }
-  }
-}
-
-void RbfKernel::eval_cross(const double* xs, std::size_t nx, const double* ys,
-                           std::size_t ny, double* out) const {
-  const std::size_t d = lengthscales_.size();
-  const double* il = inv_lengthscales_.data();
-  const double amp = amplitude_;
-  constexpr std::size_t kChunk = 256;  // see Matern32Kernel::eval_cross
-  double s[kChunk];
-  for (std::size_t i = 0; i < nx; ++i) {
-    const double* x = xs + i * d;
-    double* row = out + i * ny;
-    for (std::size_t base = 0; base < ny; base += kChunk) {
-      const std::size_t c = std::min(kChunk, ny - base);
-      const double* yb = ys + base * d;
-      for (std::size_t j = 0; j < c; ++j) {
-        const double* y = yb + j * d;
-        double acc = 0.0;
-        for (std::size_t k = 0; k < d; ++k) {
-          const double t = (y[k] - x[k]) * il[k];
-          acc += t * t;
-        }
-        s[j] = acc;
-      }
-      double* ob = row + base;
-      for (std::size_t j = 0; j < c; ++j) {
-        ob[j] = amp * std::exp(-0.5 * s[j]);
-      }
     }
   }
 }

@@ -30,20 +30,14 @@ class Kernel {
   /// devirtualized, vectorizable chunked loops (internal chunk: 256 points).
   /// Results are identical whether a range is evaluated whole or in blocks,
   /// provided block boundaries fall on chunk multiples — the GP engine's
-  /// column grain (512) guarantees this. When the library is built with
+  /// column grain (512) guarantees this. The engine's add() fold and its
+  /// cache rebuild make the same per-block call for every training row, so
+  /// the tracked cache sees the same kernel values either way and stays
+  /// bitwise independent of how it was built. When the library is built with
   /// vectorized math (see src/CMakeLists.txt) batched values may differ from
   /// the scalar operator() at the last-ulp level.
   virtual void eval_batch(const double* xs, std::size_t n, const Vector& z,
                           double* out) const;
-
-  /// Cross-covariance of two packed row-major point sets:
-  /// out[i * ny + j] = k(x_i, y_j). The default loops eval_batch over the
-  /// rows of xs (contiguous writes); Matern32Kernel/RbfKernel override it
-  /// with a blocked two-pass form whose per-element chunking matches
-  /// eval_batch exactly, so out[i * ny + j] is bitwise equal to
-  /// eval_batch(ys, ny, x_i, ...) [j] — the fused GP rebuild relies on this.
-  virtual void eval_cross(const double* xs, std::size_t nx, const double* ys,
-                          std::size_t ny, double* out) const;
 
   /// Prior variance k(z, z); for stationary kernels this is the amplitude.
   virtual double prior_variance() const = 0;
@@ -70,8 +64,6 @@ class Matern32Kernel final : public Kernel {
   double operator()(const Vector& a, const Vector& b) const override;
   void eval_batch(const double* xs, std::size_t n, const Vector& z,
                   double* out) const override;
-  void eval_cross(const double* xs, std::size_t nx, const double* ys,
-                  std::size_t ny, double* out) const override;
   double prior_variance() const override { return amplitude_; }
   std::size_t dims() const override { return lengthscales_.size(); }
   std::unique_ptr<Kernel> clone() const override;
@@ -93,8 +85,6 @@ class RbfKernel final : public Kernel {
   double operator()(const Vector& a, const Vector& b) const override;
   void eval_batch(const double* xs, std::size_t n, const Vector& z,
                   double* out) const override;
-  void eval_cross(const double* xs, std::size_t nx, const double* ys,
-                  std::size_t ny, double* out) const override;
   double prior_variance() const override { return amplitude_; }
   std::size_t dims() const override { return lengthscales_.size(); }
   std::unique_ptr<Kernel> clone() const override;

@@ -2,17 +2,29 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 
 namespace edgebol::gp {
 namespace {
 
 std::unique_ptr<Kernel> unit_matern(std::size_t dims, double ls = 1.0) {
   return std::make_unique<Matern32Kernel>(Vector(dims, ls), 1.0);
+}
+
+// A raw tracked array as a vector, so EXPECT_EQ compares every element
+// exactly and prints the ones that differ.
+std::vector<double> raw(const double* p, std::size_t m) {
+  std::vector<double> out(m);
+  std::copy_n(p, m, out.begin());
+  return out;
 }
 
 TEST(GpRegressor, PriorPredictionIsZeroMeanFullVariance) {
@@ -108,22 +120,49 @@ TEST(GpRegressor, TrackedPredictionsMatchDirectPredict) {
   }
 }
 
+// A cache built by add() folds and one built by a single rebuild over the
+// same observations run the same operation sequence per element (ascending
+// subtractions, division, ascending moment folds), so they must agree bit
+// for bit. The observation counts cover every ragged row tile of the
+// rebuild and the candidate counts every ragged column tail, on one block
+// and across three, serially and pooled.
 TEST(GpRegressor, TrackingAfterDataMatchesTrackingBefore) {
-  Rng rng(13);
-  GpRegressor before(unit_matern(1), 1e-3);
-  GpRegressor after(unit_matern(1), 1e-3);
-  std::vector<Vector> cands{{0.1}, {0.5}, {0.9}};
-  before.track_candidates(cands);
-  for (int i = 0; i < 10; ++i) {
-    const Vector z{rng.uniform()};
-    const double y = rng.normal();
-    before.add(z, y);
-    after.add(z, y);
-  }
-  after.track_candidates(cands);
-  for (std::size_t j = 0; j < cands.size(); ++j) {
-    EXPECT_NEAR(before.tracked_mean(j), after.tracked_mean(j), 1e-9);
-    EXPECT_NEAR(before.tracked_variance(j), after.tracked_variance(j), 1e-9);
+  const std::vector<std::size_t> checkpoints = {1, 2, 3, 4, 5, 6, 7, 64, 515};
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
+    for (const std::size_t m : {1, 7, 9, 17, 1100}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   " m=" + std::to_string(m));
+      Rng rng(13);
+      std::vector<Vector> cands(m, Vector(7));
+      for (Vector& c : cands) {
+        for (double& v : c) v = rng.uniform();
+      }
+      GpRegressor before(unit_matern(7, 0.8), 1e-3);
+      GpRegressor after(unit_matern(7, 0.8), 1e-3);
+      if (threads > 1) {
+        const auto pool = std::make_shared<common::ThreadPool>(threads);
+        before.set_thread_pool(pool);
+        after.set_thread_pool(pool);
+      }
+      before.track_candidates(cands);
+      std::size_t t = 0;
+      for (const std::size_t target : checkpoints) {
+        for (; t < target; ++t) {
+          Vector z(7);
+          for (double& v : z) v = rng.uniform();
+          const double y = rng.normal();
+          before.add(z, y);
+          after.add(z, y);
+        }
+        SCOPED_TRACE("T=" + std::to_string(t));
+        GpRegressor rebuilt = after;
+        rebuilt.track_candidates(cands);
+        EXPECT_EQ(raw(before.tracked_mean_data(), m),
+                  raw(rebuilt.tracked_mean_data(), m));
+        EXPECT_EQ(raw(before.tracked_var_data(), m),
+                  raw(rebuilt.tracked_var_data(), m));
+      }
+    }
   }
 }
 

@@ -111,6 +111,10 @@ TEST(GpParallel, TrackedMatchesFreshPredictPooled) {
 
 // The cache itself must be bit-identical between the serial and pooled
 // engines, not merely close: same partition, same per-column op sequence.
+// 1,100 candidates span three column blocks (the last one ragged), so the
+// pooled runs really split the work; 13 observations at the rebuild leave a
+// ragged row tile, and the adds and evictions after it fold through every
+// block.
 TEST(GpParallel, TrackedCacheBitIdenticalAcrossPools) {
   std::vector<std::size_t> counts = {1, 2, 8};
   std::vector<std::vector<double>> means, vars;
@@ -120,19 +124,18 @@ TEST(GpParallel, TrackedCacheBitIdenticalAcrossPools) {
     if (threads > 1) {
       gp.set_thread_pool(std::make_shared<common::ThreadPool>(threads));
     }
-    const auto cands = draw_points(70, rng);
+    const auto cands = draw_points(1100, rng);
     const auto zs = draw_points(30, rng);
     Rng yrng(66);
-    for (std::size_t i = 0; i < 12; ++i) gp.add(zs[i], yrng.normal());
+    for (std::size_t i = 0; i < 13; ++i) gp.add(zs[i], yrng.normal());
     gp.track_candidates(pack(cands));
-    for (std::size_t i = 12; i < 30; ++i) gp.add(zs[i], yrng.normal());
-    std::vector<double> m(cands.size()), v(cands.size());
-    for (std::size_t j = 0; j < cands.size(); ++j) {
-      m[j] = gp.tracked_mean(j);
-      v[j] = gp.tracked_variance(j);
-    }
-    means.push_back(std::move(m));
-    vars.push_back(std::move(v));
+    for (std::size_t i = 13; i < 30; ++i) gp.add(zs[i], yrng.normal());
+    gp.remove_observation(4);
+    gp.remove_observation(0);
+    const double* mean = gp.tracked_mean_data();
+    const double* var = gp.tracked_var_data();
+    means.emplace_back(mean, mean + cands.size());
+    vars.emplace_back(var, var + cands.size());
   }
   EXPECT_EQ(means[0], means[1]);  // exact, not approximate
   EXPECT_EQ(means[0], means[2]);
