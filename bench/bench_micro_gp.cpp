@@ -347,14 +347,19 @@ std::vector<PhaseResult> run_phases(const Config& cfg) {
     out.push_back(p);
   }
 
-  // -- add: O(m n) per-period fold (tracking active from the phase above) ---
+  // -- add: O(m n) per-period fold (tracking active from the phase above).
+  //    add() leaves its fold pending; the tracked read applies it inside the
+  //    rep that caused it ----------------------------------------------------
   {
     PhaseResult p{"add", 0.0, 0.0};
     const auto extra = draw_inputs(static_cast<std::size_t>(cfg.reps) * 2, rng);
     std::size_t bi = 0, ei = 0;
     std::tie(p.baseline_ms, p.engine_ms) =
         timed_pair(cfg.reps, [&] { ref.add(extra[bi++], 0.1); },
-                   [&] { engine.add(extra[ei++], 0.1); });
+                   [&] {
+                     engine.add(extra[ei++], 0.1);
+                     g_sink = engine.tracked_mean(0);
+                   });
     out.push_back(p);
   }
 
@@ -455,7 +460,8 @@ std::vector<PhaseResult> run_phases(const Config& cfg) {
               local += pr.mean + pr.variance;
             }
             g.add(extra[ei], 0.1);
-            return local;
+            // Pay this period's fold here, not in the next rep's scan.
+            return local + g.tracked_mean(0);
           };
           if (pool) {
             // The three surrogates update concurrently, as EdgeBol does.

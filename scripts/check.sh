@@ -71,12 +71,18 @@ cmake --build build-release -j >/dev/null
 ctest --test-dir build-release --output-on-failure -j "$(nproc)"
 # Runtime smoke of surfaces no test binary runs end to end, each must exit
 # 0: the single-cell O-RAN integration demo, the chaos bench (faults off vs
-# on through OranManagedTestbed), and the two benches that drive the
-# safe-BO engine's other formulations (PowerBudgetBol, JointEdgeBol).
+# on through OranManagedTestbed), the two benches that drive the safe-BO
+# engine's other formulations (PowerBudgetBol, JointEdgeBol), and the
+# long-horizon bench under both eviction policies: the only binary that
+# drives one engine hundreds of periods past a full budget (the fused
+# fold + evict cache pass every period), beside an unbounded engine whose
+# pending folds the next select applies.
 (cd build-release && ./examples/oran_integration >/dev/null \
   && ./bench/bench_chaos_convergence >/dev/null \
   && ./bench/bench_alt_formulation >/dev/null \
-  && ./bench/bench_multi_service >/dev/null)
+  && ./bench/bench_multi_service >/dev/null \
+  && ./bench/bench_long_horizon --smoke >/dev/null \
+  && ./bench/bench_long_horizon --smoke --eviction minlev >/dev/null)
 # Engine-vs-reference correctness gate (1e-9) + per-phase timings; exits
 # non-zero on mismatch (this includes the decide phase's engine-vs-legacy
 # decision identity check). BENCH_gp.json lands in build-release/.

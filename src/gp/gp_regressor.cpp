@@ -1,10 +1,13 @@
 #include "gp/gp_regressor.hpp"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 #include <numbers>
 #include <stdexcept>
+#include <type_traits>
 
 namespace edgebol::gp {
 
@@ -35,6 +38,24 @@ V load(const double* p) {
 template <class V>
 void store(double* p, V v) {
   std::memcpy(p, &v, sizeof v);
+}
+
+// |x| lane by lane, bitwise what std::abs gives: the sign bits cleared.
+double vabs(double x) { return std::abs(x); }
+f64x2 vabs(f64x2 x) {
+  using u64x2 = std::uint64_t __attribute__((vector_size(16)));
+  constexpr std::uint64_t kMagnitude = ~(std::uint64_t{1} << 63);
+  return std::bit_cast<f64x2>(std::bit_cast<u64x2>(x) & kMagnitude);
+}
+
+// Runs op(lane, j) over columns [j0, j1): pairs of columns as f64x2, then a
+// scalar tail; `lane` is a value of the lane type. Lanes are plain IEEE
+// operations, so a column's operation sequence does not depend on the path.
+template <class Op>
+void for_lanes(std::size_t j0, std::size_t j1, const Op& op) {
+  std::size_t j = j0;
+  for (; j + 2 <= j1; j += 2) op(f64x2{}, j);
+  for (; j < j1; ++j) op(0.0, j);
 }
 
 // Finish rows [i0, i0 + R) of A = L^{-1} K over the C vectors of V that
@@ -122,10 +143,8 @@ GpRegressor::GpRegressor(const GpRegressor& other)
       delta_mean_(other.delta_mean_),
       delta_sigma_(other.delta_sigma_),
       delta_events_(other.delta_events_),
+      fold_pending_(other.fold_pending_),
       tracked_epoch_(other.tracked_epoch_),
-      budget_(other.budget_),
-      eviction_policy_(other.eviction_policy_),
-      evictions_(other.evictions_),
       pool_(other.pool_) {}
 
 GpRegressor& GpRegressor::operator=(const GpRegressor& other) {
@@ -140,7 +159,7 @@ void GpRegressor::set_thread_pool(std::shared_ptr<common::ThreadPool> pool) {
 }
 
 void GpRegressor::over_columns(
-    const std::function<void(std::size_t, std::size_t)>& fn) {
+    const std::function<void(std::size_t, std::size_t)>& fn) const {
   const std::size_t m = num_tracked();
   if (m == 0) return;
   if (pool_) {
@@ -158,16 +177,35 @@ void GpRegressor::over_columns(
   }
 }
 
-void GpRegressor::reserve_cache_rows(std::size_t rows) {
+void GpRegressor::reserve_cache_rows(std::size_t rows) const {
   const std::size_t needed = rows * num_tracked();
   if (needed > amat_.capacity()) {
     amat_.reserve(std::max(needed, 2 * amat_.capacity()));
   }
 }
 
+// What one streamed pass over the A-cache applies. With `fold`, the new row
+// a = (k(z, c) - sum_i lrow[i] a_i) / pivot joins the cache and folds into
+// the moments with w entry w_new. With `evict`, rotations[r] then mixes rows
+// (victim + r, victim + r + 1) of the cache — the new row included — and the
+// rotated-out last row folds out of the moments with w entry w_last.
+struct GpRegressor::CachePass {
+  std::size_t rows = 0;  // cache rows on entry
+  bool fold = false;
+  const double* lrow = nullptr;
+  const Vector* z = nullptr;
+  double pivot = 1.0;
+  double w_new = 0.0;
+  bool evict = false;
+  std::size_t victim = 0;
+  const linalg::GivensRotation* rotations = nullptr;
+  double w_last = 0.0;
+};
+
 void GpRegressor::add(const Vector& z, double y) {
   if (z.size() != kernel_->dims())
     throw std::invalid_argument("GpRegressor::add: input dimension mismatch");
+  flush_fold();  // the previous add's fold reads the factor as it is now
   const std::size_t n = y_.size();
 
   scratch_k_.resize(n);
@@ -181,36 +219,16 @@ void GpRegressor::add(const Vector& z, double y) {
   // Extend w = L^{-1} y by forward substitution on the new row.
   double s = y;
   for (std::size_t i = 0; i < n; ++i) s -= lrow[i] * w_[i];
-  const double w_new = s / pivot;
-  w_.push_back(w_new);
-
-  // Extend the tracked cache with the new row of A = L^{-1} K_tc and fold
-  // it into the cached posterior moments, blocked over candidate columns.
-  if (num_tracked() > 0) {
-    reserve_cache_rows(n + 1);
-    amat_.resize((n + 1) * num_tracked());
-    over_columns([&](std::size_t j0, std::size_t j1) {
-      fold_columns(z, w_new, pivot, j0, j1);
-    });
-    ++delta_events_;
-  }
+  w_.push_back(s / pivot);
 
   z_.push_back(z);
   zdata_.insert(zdata_.end(), z.begin(), z.end());
   y_.push_back(y);
 
-  if (budget_ > 0 && y_.size() > budget_) {
-    remove_observation(eviction_candidate(eviction_policy_));
-  }
-}
-
-void GpRegressor::set_observation_budget(std::size_t budget,
-                                         EvictionPolicy policy) {
-  budget_ = budget;
-  eviction_policy_ = policy;
-  while (budget_ > 0 && y_.size() > budget_) {
-    remove_observation(eviction_candidate(eviction_policy_));
-  }
+  // The new row of A = L^{-1} K_tc and its fold into the cached moments wait
+  // for the next cache pass (see remove_observation / apply_fold), which
+  // reads them from the factor's last row, w's last entry and z_.back().
+  fold_pending_ = num_tracked() > 0;
 }
 
 std::size_t GpRegressor::eviction_candidate(EvictionPolicy policy) const {
@@ -253,6 +271,21 @@ void GpRegressor::remove_observation(std::size_t i) {
     throw std::invalid_argument(
         "GpRegressor::remove_observation: index out of range");
   const std::size_t d = kernel_->dims();
+
+  // A pending fold joins this pass. Its factor row is copied first: the
+  // downdate below rotates it.
+  CachePass pass;
+  pass.rows = fold_pending_ ? n - 1 : n;
+  if (fold_pending_) {
+    const double* lrow = chol_.row_data(n - 1);
+    fold_row_.assign(lrow, lrow + (n - 1));
+    pass.fold = true;
+    pass.lrow = fold_row_.data();
+    pass.z = &z_.back();
+    pass.pivot = lrow[n - 1];
+    pass.w_new = w_[n - 1];
+  }
+
   chol_.remove_row(i, rot_scratch_);
 
   // The rotations that re-triangularized L also keep w = L^{-1} y
@@ -270,83 +303,164 @@ void GpRegressor::remove_observation(std::size_t i) {
   w_.pop_back();
 
   // Same treatment for the cache A = L^{-1} K(train, cands), block-parallel
-  // over candidate columns; the rotated-out last row leaves the cached
-  // moments through the rank-1 corrections. Per-column op order is fixed
-  // (rotations in sequence, then the fold-out), so results are bit-identical
-  // for any thread count.
+  // over candidate columns, in one streamed pass with the pending fold.
   if (num_tracked() > 0) {
+    pass.evict = true;
+    pass.victim = i;
+    pass.rotations = rot_scratch_.data();
+    pass.w_last = w_last;
     over_columns([&](std::size_t j0, std::size_t j1) {
-      downdate_columns(i, n, w_last, j0, j1);
+      stream_columns(pass, j0, j1);
     });
     amat_.resize((n - 1) * num_tracked());
-    ++delta_events_;
+    delta_events_ += pass.fold ? 2 : 1;
+    fold_pending_ = false;
   }
 
   z_.erase(z_.begin() + static_cast<std::ptrdiff_t>(i));
   zdata_.erase(zdata_.begin() + static_cast<std::ptrdiff_t>(i * d),
                zdata_.begin() + static_cast<std::ptrdiff_t>((i + 1) * d));
   y_.erase(y_.begin() + static_cast<std::ptrdiff_t>(i));
-  ++evictions_;
 }
 
-void GpRegressor::downdate_columns(std::size_t first, std::size_t rows,
-                                   double w_last, std::size_t j0,
-                                   std::size_t j1) {
+void GpRegressor::apply_fold() const {
+  const std::size_t n = y_.size() - 1;  // rows already in the cache
+  CachePass pass;
+  pass.rows = n;
+  pass.fold = true;
+  pass.lrow = chol_.row_data(n);
+  pass.z = &z_.back();
+  pass.pivot = chol_.diag(n);
+  pass.w_new = w_[n];
+  fold_pending_ = false;
+  reserve_cache_rows(n + 1);
+  amat_.resize((n + 1) * num_tracked());
+  over_columns([&](std::size_t j0, std::size_t j1) {
+    stream_columns(pass, j0, j1);
+  });
+  ++delta_events_;
+}
+
+void GpRegressor::stream_columns(const CachePass& p, std::size_t j0,
+                                 std::size_t j1) const {
   const std::size_t m = num_tracked();
-  for (std::size_t r = 0; r < rot_scratch_.size(); ++r) {
-    const double c = rot_scratch_[r].c;
-    const double s = rot_scratch_[r].s;
-    double* ak = amat_.data() + (first + r) * m;
-    double* ak1 = ak + m;
-    for (std::size_t j = j0; j < j1; ++j) {
-      const double a = ak[j];
-      const double b = ak1[j];
-      ak[j] = c * a + s * b;
-      ak1[j] = c * b - s * a;
+  const std::size_t n = p.rows;
+  double* a = amat_.data();
+  double* mean = tracked_mean_.data();
+  double* var = tracked_var_.data();
+  double* dmu = delta_mean_.data();
+  double* dsg = delta_sigma_.data();
+  // Block-local rows, column j at [j - j0]: the new row's accumulator (it is
+  // never written into the cache when an eviction follows) and the rotated
+  // row carried down to the next rotation.
+  double acc[kColumnGrain];
+  double carry[kColumnGrain];
+  // Rows from `first` on are rotated: the victim, or none.
+  const std::size_t first = p.evict ? std::min(p.victim, n) : n;
+
+  if (p.fold) {
+    const std::size_t d = kernel_->dims();
+    kernel_->eval_batch(cands_->data().data() + j0 * d, j1 - j0, *p.z, acc);
+    // Rows above the victim only feed the fold.
+    for (std::size_t i = 0; i < first; ++i) {
+      const double li = p.lrow[i];
+      const double* ai = a + i * m;
+      for_lanes(j0, j1, [&](auto lane, std::size_t j) {
+        using V = decltype(lane);
+        double* s = acc + (j - j0);
+        store(s, load<V>(s) - li * load<V>(ai + j));
+      });
     }
   }
-  const double* last = amat_.data() + (rows - 1) * m;
-  double* dmu = delta_mean_.data();
-  double* dsg = delta_sigma_.data();
-  for (std::size_t j = j0; j < j1; ++j) {
-    const double lj = last[j];
-    const double dm = lj * w_last;
-    tracked_mean_[j] -= dm;
-    tracked_var_[j] += lj * lj;
-    dmu[j] += std::abs(dm);
-    dsg[j] += std::abs(lj);
-  }
-}
 
-void GpRegressor::fold_columns(const Vector& z, double w_new, double pivot,
-                               std::size_t j0, std::size_t j1) {
-  const std::size_t n = y_.size();  // rows already in the cache
-  const std::size_t m = num_tracked();
-  const std::size_t d = kernel_->dims();
-  const double* lrow = chol_.row_data(n);
-  double* arow = amat_.data() + n * m;
+  // The victim row seeds the carry. Each later row is loaded once, feeds the
+  // fold, and is rotated against the carry; the rotation's first output is
+  // final for the row above and is stored once.
+  const auto rotate_rows = [&](auto with_fold) {
+    constexpr bool kFold = decltype(with_fold)::value;
+    const double* av = a + first * m;
+    const double lv = kFold ? p.lrow[first] : 0.0;
+    for_lanes(j0, j1, [&](auto lane, std::size_t j) {
+      using V = decltype(lane);
+      const V x = load<V>(av + j);
+      if constexpr (kFold) {
+        double* s = acc + (j - j0);
+        store(s, load<V>(s) - lv * x);
+      }
+      store(carry + (j - j0), x);
+    });
+    for (std::size_t i = first + 1; i < n; ++i) {
+      const double c = p.rotations[i - first - 1].c;
+      const double s = p.rotations[i - first - 1].s;
+      const double li = kFold ? p.lrow[i] : 0.0;
+      double* ai = a + i * m;
+      double* above = ai - m;
+      for_lanes(j0, j1, [&](auto lane, std::size_t j) {
+        using V = decltype(lane);
+        const V b = load<V>(ai + j);
+        if constexpr (kFold) {
+          double* q = acc + (j - j0);
+          store(q, load<V>(q) - li * b);
+        }
+        double* k = carry + (j - j0);
+        const V x = load<V>(k);
+        store(above + j, c * x + s * b);
+        store(k, c * b - s * x);
+      });
+    }
+  };
+  if (first < n) {
+    if (p.fold) {
+      rotate_rows(std::true_type{});
+    } else {
+      rotate_rows(std::false_type{});
+    }
+  }
 
-  // New cache row over this block: a_n = (k(z, c_j) - sum_i l_ni a_ij) / p.
-  kernel_->eval_batch(cands_->data().data() + j0 * d, j1 - j0, z, arow + j0);
-  for (std::size_t i = 0; i < n; ++i) {
-    const double lni = lrow[i];
-    const double* ai = amat_.data() + i * m;
-    for (std::size_t j = j0; j < j1; ++j) arow[j] -= lni * ai[j];
-  }
-  // The delta accumulators record exactly the terms folded into the moments
-  // (dm is the same product added to tracked_mean_), so a candidate whose
-  // accumulators stay zero has a bitwise-unchanged cached posterior.
-  double* dmu = delta_mean_.data();
-  double* dsg = delta_sigma_.data();
-  for (std::size_t j = j0; j < j1; ++j) {
-    const double aj = arow[j] / pivot;
-    arow[j] = aj;
-    const double dm = aj * w_new;
-    tracked_mean_[j] += dm;
-    tracked_var_[j] -= aj * aj;
-    dmu[j] += std::abs(dm);
-    dsg[j] += std::abs(aj);
-  }
+  // The new row: divided by the pivot, folded into the moments, then stored
+  // (fold only) or rotated against the carry (its rotation is the last). The
+  // row that leaves — the carry, the rotated new row, or the new row itself
+  // when it is the victim — folds out last. The delta accumulators record
+  // exactly the terms folded into the moments (dm is the same product added
+  // to the mean), so a candidate whose accumulators stay zero has a
+  // bitwise-unchanged cached posterior.
+  const auto fold_in = [&](auto x, std::size_t j) {
+    using V = decltype(x);
+    const V dm = x * p.w_new;
+    store(mean + j, load<V>(mean + j) + dm);
+    store(var + j, load<V>(var + j) - x * x);
+    store(dmu + j, load<V>(dmu + j) + vabs(dm));
+    store(dsg + j, load<V>(dsg + j) + vabs(x));
+  };
+  const auto fold_out = [&](auto x, std::size_t j) {
+    using V = decltype(x);
+    const V dm = x * p.w_last;
+    store(mean + j, load<V>(mean + j) - dm);
+    store(var + j, load<V>(var + j) + x * x);
+    store(dmu + j, load<V>(dmu + j) + vabs(dm));
+    store(dsg + j, load<V>(dsg + j) + vabs(x));
+  };
+  const linalg::GivensRotation last_rot =
+      p.fold && first < n ? p.rotations[n - first - 1]
+                          : linalg::GivensRotation{};
+  for_lanes(j0, j1, [&](auto lane, std::size_t j) {
+    using V = decltype(lane);
+    if (!p.fold) {
+      fold_out(load<V>(carry + (j - j0)), j);
+      return;
+    }
+    const V an = load<V>(acc + (j - j0)) / p.pivot;
+    fold_in(an, j);
+    if (!p.evict) {
+      store(a + n * m + j, an);
+    } else if (first == n) {
+      fold_out(an, j);
+    } else {
+      const V x = load<V>(carry + (j - j0));
+      store(a + (n - 1) * m + j, last_rot.c * x + last_rot.s * an);
+      fold_out(last_rot.c * an - last_rot.s * x, j);
+    }
+  });
 }
 
 Prediction GpRegressor::predict(const Vector& z) const {
@@ -398,6 +512,7 @@ void GpRegressor::track_candidates(std::shared_ptr<const Matrix> candidates) {
 
 void GpRegressor::clear_tracked_candidates() {
   cands_.reset();
+  fold_pending_ = false;
   amat_.clear();
   amat_.shrink_to_fit();
   tracked_mean_.clear();
@@ -409,6 +524,7 @@ void GpRegressor::clear_tracked_candidates() {
 }
 
 void GpRegressor::reset_tracked_deltas() {
+  flush_fold();
   if (delta_events_ == 0) return;  // nothing accumulated: skip the O(m) fill
   delta_mean_.assign(delta_mean_.size(), 0.0);
   delta_sigma_.assign(delta_sigma_.size(), 0.0);
@@ -416,11 +532,13 @@ void GpRegressor::reset_tracked_deltas() {
 }
 
 double GpRegressor::tracked_variance(std::size_t j) const {
+  flush_fold();
   return std::max(0.0, tracked_var_[j]);
 }
 
 Prediction GpRegressor::tracked_prediction(std::size_t j) const {
-  return Prediction{tracked_mean_[j], tracked_variance(j)};
+  const double v = tracked_variance(j);  // applies a pending fold first
+  return Prediction{tracked_mean_[j], v};
 }
 
 void GpRegressor::rebuild_tracked_cache() {
@@ -434,6 +552,7 @@ void GpRegressor::rebuild_tracked_cache() {
   delta_mean_.assign(m, 0.0);
   delta_sigma_.assign(m, 0.0);
   delta_events_ = 0;
+  fold_pending_ = false;  // the rebuild reads the factor's every row
   ++tracked_epoch_;
   if (m == 0) {
     amat_.clear();
@@ -458,8 +577,8 @@ void GpRegressor::rebuild_columns(std::size_t j0, std::size_t j1) {
   for (std::size_t j = j0; j < j1; ++j) var[j] = prior;
 
   // Kernel rows straight into the A-cache, one eval_batch per training row
-  // over the whole block (the same call, chunked from j0, that add()'s fold
-  // makes), then the forward substitution A = L^{-1} K in place: 8-column
+  // over the whole block (the same call, chunked from j0, that a fold makes),
+  // then the forward substitution A = L^{-1} K in place: 8-column
   // panels in registers, the ragged tail one scalar column at a time.
   for (std::size_t i = 0; i < n; ++i) {
     kernel_->eval_batch(cands_->data().data() + j0 * d, j1 - j0, z_[i],

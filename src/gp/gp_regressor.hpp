@@ -13,9 +13,9 @@
 //
 // The tracked cache is the decision loop's hot path. It is kept packed —
 // candidates as one row-major matrix, the substitution state A = L^{-1}
-// K(train, cands) as one contiguous row-major (T x |X|) buffer — so the
-// O(T |X|) fold of add() runs as blocked, vectorizable row operations, and
-// the O(T^2 |X|) rebuild on context switch evaluates the kernel rows straight
+// K(train, cands) as one contiguous row-major (T x |X|) buffer — so its
+// O(T |X|) updates run as blocked, vectorizable row operations, and the
+// O(T^2 |X|) rebuild on context switch evaluates the kernel rows straight
 // into the buffer and forward-substitutes them in place, a register tile of
 // rows at a time. Both are optionally parallelized over candidate-column
 // blocks on a common::ThreadPool. Parallel partitioning is a function of |X|
@@ -24,16 +24,23 @@
 // whether the cache was built by folds or by a rebuild — so results are
 // bit-identical for any thread count, including the serial path.
 //
-// For unbounded horizons the regressor supports an observation budget B:
-// once T > B each add() evicts one observation (policy-selected) through a
-// Givens-rotation Cholesky downdate, with the same rotations folded through
-// the tracked cache, so per-period cost and memory stay flat at O(B^2 +
-// B |X|) forever while the posterior remains exact for the retained set.
+// add() defers its O(T |X|) cache fold by one step: the factor, w and the
+// stored data update at once, and the fold stays pending until something
+// needs the cache. A remove_observation() right after the add — the steady
+// state of a full observation budget — applies that fold, the eviction's
+// Givens rotations and the fold-out of the dropped row in ONE row-streamed
+// pass, so each cache row is loaded and stored once per period and the cache
+// never grows past the budget; every other reader applies the fold alone
+// first. Either way each element gets the operations of an eager fold
+// followed by a separate downdate, in the same order, so the tracked
+// posterior is bitwise the same. With per-period add + evict, cost and
+// memory stay flat at O(B^2 + B |X|) forever while the posterior remains
+// exact for the retained set.
 //
-// Instances are not safe for concurrent use (even predict(), which is
-// const, reuses internal scratch buffers); distinct instances may be used
-// from different threads freely, which is how the three EdgeBOL surrogates
-// update concurrently.
+// Instances are not safe for concurrent use: predict() reuses internal
+// scratch buffers and the tracked readers apply a pending fold, although
+// both are const. Distinct instances may be used from different threads
+// freely, which is how the three EdgeBOL surrogates update concurrently.
 
 #pragma once
 
@@ -58,8 +65,8 @@ struct Prediction {
   double stddev() const;
 };
 
-/// Which observation a budgeted regressor evicts once it holds more than its
-/// budget (see GpRegressor::set_observation_budget).
+/// Which observation a budgeted learner evicts once it holds more than its
+/// budget (see GpRegressor::eviction_candidate).
 enum class EvictionPolicy {
   /// Sliding window: always drop the oldest observation (index 0). O(1)
   /// selection; the right default for drifting environments.
@@ -88,25 +95,12 @@ class GpRegressor {
   /// serial path). Results are bit-identical either way.
   void set_thread_pool(std::shared_ptr<common::ThreadPool> pool);
 
-  /// Condition on one observation y at input z. O(T^2) plus O(T m) for m
-  /// tracked candidates. With an observation budget set and full, the add
-  /// is followed by one eviction (same asymptotic cost), so steady-state
-  /// per-period work is flat for unbounded horizons.
+  /// Condition on one observation y at input z. O(T^2): the factor, w and
+  /// the stored data update at once, while the O(T m) fold of the new row
+  /// into m tracked candidates is left pending. The next
+  /// remove_observation() fuses it into its own cache pass; any tracked
+  /// reader, reset_tracked_deltas() or another add() applies it alone first.
   void add(const Vector& z, double y);
-
-  /// Bound the stored observation count. Once num_observations() exceeds
-  /// `budget`, every add() evicts one observation chosen by `policy`; if the
-  /// regressor is already over the new budget it is trimmed immediately.
-  /// The posterior stays EXACT for the retained set (this is a hard
-  /// eviction, not an approximation of the full-data posterior). 0 restores
-  /// the unbounded behaviour.
-  void set_observation_budget(std::size_t budget,
-                              EvictionPolicy policy = EvictionPolicy::kOldest);
-  std::size_t observation_budget() const { return budget_; }
-  EvictionPolicy eviction_policy() const { return eviction_policy_; }
-  /// Total observations evicted so far (by budget enforcement or explicit
-  /// remove_observation calls).
-  std::size_t evictions() const { return evictions_; }
 
   /// The index `policy` would evict right now. Requires at least one
   /// observation. Deterministic (serial) regardless of the thread pool.
@@ -114,11 +108,13 @@ class GpRegressor {
 
   /// Remove observation i exactly: the Cholesky factor is downdated with
   /// Givens rotations in O(T^2) (no refactorization) and the same rotations
-  /// fold through w and the tracked-candidate cache in O(T m) — the same
-  /// order as the add() fold. The posterior afterwards equals (to rounding)
-  /// a fresh regressor built from the retained observations; cache
-  /// downdates are block-parallel on the pool and bit-identical for any
-  /// thread count.
+  /// mix w and the tracked-candidate cache. The cache side is one O(T m)
+  /// pass that streams each row once: it applies add()'s pending fold (if
+  /// any), rotates, and folds the rotated-out last row out of the moments —
+  /// per element the operations, in order, of a fold followed by a separate
+  /// downdate. The posterior afterwards equals (to rounding) a fresh
+  /// regressor built from the retained observations; the pass is
+  /// block-parallel on the pool and bit-identical for any thread count.
   void remove_observation(std::size_t i);
 
   /// Posterior mean/variance at z. O(T^2). With no data this returns the
@@ -136,7 +132,8 @@ class GpRegressor {
   double noise_variance() const { return noise_var_; }
 
   /// Register candidate points whose posterior is kept up to date across
-  /// add() calls. Replaces any previous tracking.
+  /// add() / remove_observation() calls. Replaces any previous tracking and
+  /// drops a pending fold: the rebuild computes the cache from the factor.
   /// Cost: O(T^2 m) once, then O(T m) per add().
   void track_candidates(std::vector<Vector> candidates);
 
@@ -148,7 +145,10 @@ class GpRegressor {
   void clear_tracked_candidates();
   bool has_tracked_candidates() const { return num_tracked() > 0; }
   std::size_t num_tracked() const { return cands_ ? cands_->rows() : 0; }
-  double tracked_mean(std::size_t j) const { return tracked_mean_[j]; }
+  double tracked_mean(std::size_t j) const {
+    flush_fold();
+    return tracked_mean_[j];
+  }
   double tracked_variance(std::size_t j) const;
   Prediction tracked_prediction(std::size_t j) const;
 
@@ -156,26 +156,41 @@ class GpRegressor {
   /// tracked_var_data() is UNCLAMPED (may go epsilon-negative from rounding);
   /// consumers must clamp with max(0.0, v) before sqrt, exactly as
   /// tracked_variance() does.
-  const double* tracked_mean_data() const { return tracked_mean_.data(); }
-  const double* tracked_var_data() const { return tracked_var_.data(); }
+  /// Like every tracked reader they apply a pending fold first, so take the
+  /// pointers on one thread before handing them to concurrent readers.
+  const double* tracked_mean_data() const {
+    flush_fold();
+    return tracked_mean_.data();
+  }
+  const double* tracked_var_data() const {
+    flush_fold();
+    return tracked_var_.data();
+  }
 
   /// Per-candidate accumulated delta magnitudes since the last
   /// reset_tracked_deltas(): tracked_delta_mean_data()[j] bounds
   /// |tracked_mean_[j] - mean at reset|, and tracked_delta_sigma_data()[j]
   /// bounds the amount the tracked stddev can have moved (|delta sigma| <=
-  /// sqrt(sum a^2) <= sum |a| per rank-1 event). They grow inside
-  /// fold_columns / downdate_columns with the exact same products that feed
-  /// the moments, so a zero entry means that candidate's cached posterior is
-  /// bitwise unchanged. The incremental safe-set maintenance in
-  /// core/safe_set.cpp is the consumer.
-  const double* tracked_delta_mean_data() const { return delta_mean_.data(); }
+  /// sqrt(sum a^2) <= sum |a| per rank-1 event). They grow inside the
+  /// cache passes with the exact same products that feed the moments, so a
+  /// zero entry means that candidate's cached posterior is bitwise
+  /// unchanged. The incremental safe-set maintenance in core/safe_set.cpp is
+  /// the consumer.
+  const double* tracked_delta_mean_data() const {
+    flush_fold();
+    return delta_mean_.data();
+  }
   const double* tracked_delta_sigma_data() const {
+    flush_fold();
     return delta_sigma_.data();
   }
   /// Rank-1 events (adds/evictions folded into the tracked cache) since the
   /// last reset. 0 means the tracked posterior is bitwise unchanged and a
   /// consumer sweep may no-op.
-  std::size_t tracked_delta_events() const { return delta_events_; }
+  std::size_t tracked_delta_events() const {
+    flush_fold();
+    return delta_events_;
+  }
   /// Zero the delta accumulators (consumer has absorbed them). O(m), skipped
   /// entirely when no events are pending.
   void reset_tracked_deltas();
@@ -187,19 +202,23 @@ class GpRegressor {
   std::uint64_t tracked_rebuild_epoch() const { return tracked_epoch_; }
 
  private:
+  struct CachePass;
+
   void rebuild_tracked_cache();
-  // Rebuild / fold the tracked cache for candidate columns [j0, j1).
+  // Rebuild the tracked cache for candidate columns [j0, j1).
   void rebuild_columns(std::size_t j0, std::size_t j1);
-  void fold_columns(const Vector& z, double w_new, double pivot,
-                    std::size_t j0, std::size_t j1);
-  // Apply the pending eviction rotations (rot_scratch_, starting at row
-  // `first`) to cache columns [j0, j1) and fold out the resulting last row
-  // (`rows` = row count before the removal, w_last = rotated-out w entry).
-  void downdate_columns(std::size_t first, std::size_t rows, double w_last,
-                        std::size_t j0, std::size_t j1);
+  // Applies a fold that add() left pending, on its own.
+  void flush_fold() const {
+    if (fold_pending_) apply_fold();
+  }
+  void apply_fold() const;
+  // One streamed pass of `pass` over cache columns [j0, j1).
+  void stream_columns(const CachePass& pass, std::size_t j0,
+                      std::size_t j1) const;
   // Runs fn over candidate-column blocks (fixed width, thread pool if set).
-  void over_columns(const std::function<void(std::size_t, std::size_t)>& fn);
-  void reserve_cache_rows(std::size_t rows);
+  void over_columns(
+      const std::function<void(std::size_t, std::size_t)>& fn) const;
+  void reserve_cache_rows(std::size_t rows) const;
 
   std::unique_ptr<Kernel> kernel_;
   double noise_var_;
@@ -211,22 +230,24 @@ class GpRegressor {
   Vector w_;                     // L^{-1} y, extended per observation
 
   std::shared_ptr<const Matrix> cands_;  // m tracked candidates, packed
-  std::vector<double> amat_;     // A = L^{-1} K(train, cands), row-major T x m
-  Vector tracked_mean_;          // m
-  Vector tracked_var_;           // m (clamped at >= 0 on read)
-  Vector delta_mean_;            // m, accumulated |mean delta| since reset
-  Vector delta_sigma_;           // m, accumulated |a_j| (bounds sigma delta)
-  std::size_t delta_events_ = 0;   // rank-1 events since reset
+  // The tracked state below is mutable because the const readers apply a
+  // pending fold before they hand it out.
+  mutable std::vector<double> amat_;  // A = L^{-1} K(train, cands), T x m
+  mutable Vector tracked_mean_;       // m
+  mutable Vector tracked_var_;        // m (clamped at >= 0 on read)
+  mutable Vector delta_mean_;         // m, accumulated |mean delta| since reset
+  mutable Vector delta_sigma_;        // m, accumulated |a_j| (bounds sigma)
+  mutable std::size_t delta_events_ = 0;  // rank-1 events since reset
+  // The newest observation's fold is not in the cache yet: A has one row
+  // fewer than the factor (see add()).
+  mutable bool fold_pending_ = false;
   std::uint64_t tracked_epoch_ = 0;  // bumped on rebuild/clear
-
-  std::size_t budget_ = 0;       // 0 = unbounded
-  EvictionPolicy eviction_policy_ = EvictionPolicy::kOldest;
-  std::size_t evictions_ = 0;
 
   std::shared_ptr<common::ThreadPool> pool_;
   mutable Vector scratch_k_;     // kernel row, reused across predict()/add()
   mutable Vector scratch_v_;     // triangular-solve output for predict()
   std::vector<linalg::GivensRotation> rot_scratch_;  // eviction rotations
+  std::vector<double> fold_row_;  // pending fold's factor row, pre-eviction
 };
 
 }  // namespace edgebol::gp

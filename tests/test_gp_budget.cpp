@@ -8,12 +8,21 @@
 //  3. Parallelism never changes results — budgeted tracked caches and
 //     EdgeBol decision trajectories are bit-identical for thread counts
 //     {1, 2, 8}, eviction downdates included.
+//  4. Deferring add()'s fold changes no bit — whatever sequence of adds,
+//     removals, reads, re-tracks and copies runs, the tracked moments and
+//     delta accumulators equal those of an eager reference cache that folds
+//     at add() and downdates in a separate sweep.
+//
+// The budget itself is a caller's loop (GenericSafeBol::enforce_budget):
+// BudgetedGp below runs the same loop around a single regressor.
 
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstring>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -27,6 +36,8 @@ namespace edgebol {
 namespace {
 
 using linalg::Vector;
+
+volatile double g_sink = 0.0;  // keeps tracked reads from being dropped
 
 std::unique_ptr<gp::Kernel> make_kernel() {
   return std::make_unique<gp::Matern32Kernel>(Vector(7, 1.1), 0.9);
@@ -66,6 +77,29 @@ void expect_matches_fresh(const gp::GpRegressor& gp,
   }
 }
 
+// A regressor under an observation budget: after every add, evict the
+// policy's candidate until the budget holds, as the engine does.
+struct BudgetedGp {
+  gp::GpRegressor gp;
+  std::size_t budget;
+  gp::EvictionPolicy policy;
+  std::size_t evictions = 0;
+
+  BudgetedGp(double noise, std::size_t b, gp::EvictionPolicy p)
+      : gp(make_kernel(), noise), budget(b), policy(p) {}
+
+  void trim() {
+    while (gp.num_observations() > budget) {
+      gp.remove_observation(gp.eviction_candidate(policy));
+      ++evictions;
+    }
+  }
+  void add(const Vector& z, double y) {
+    gp.add(z, y);
+    trim();
+  }
+};
+
 // ---------------------------------------------------------------------------
 // remove_observation at the edges and the middle, tracked == fresh.
 // ---------------------------------------------------------------------------
@@ -81,7 +115,6 @@ TEST(GpBudget, RemoveObservationMatchesFresh) {
     gp.track_candidates(pack(cands));
     gp.remove_observation(victim);
     ASSERT_EQ(gp.num_observations(), zs.size() - 1);
-    EXPECT_EQ(gp.evictions(), 1u);
     expect_matches_fresh(gp, cands, 1e-8);
     // predict() shares the downdated factor with the tracked cache.
     const gp::Prediction p = gp.predict(cands[0]);
@@ -108,18 +141,17 @@ TEST(GpBudget, OldestPolicyKeepsSlidingWindow) {
   Rng rng(202);
   const std::size_t budget = 9;
   const auto zs = draw_points(25, rng);
-  gp::GpRegressor gp(make_kernel(), 2e-3);
-  gp.set_observation_budget(budget);  // kOldest default
+  BudgetedGp b(2e-3, budget, gp::EvictionPolicy::kOldest);
   Rng yrng(77);
   for (std::size_t i = 0; i < zs.size(); ++i) {
-    gp.add(zs[i], yrng.normal());
-    EXPECT_LE(gp.num_observations(), budget);
+    b.add(zs[i], yrng.normal());
+    EXPECT_LE(b.gp.num_observations(), budget);
   }
-  ASSERT_EQ(gp.num_observations(), budget);
-  EXPECT_EQ(gp.evictions(), zs.size() - budget);
+  ASSERT_EQ(b.gp.num_observations(), budget);
+  EXPECT_EQ(b.evictions, zs.size() - budget);
   // Exactly the newest `budget` inputs, in arrival order.
   for (std::size_t i = 0; i < budget; ++i) {
-    EXPECT_EQ(gp.inputs()[i], zs[zs.size() - budget + i]);
+    EXPECT_EQ(b.gp.inputs()[i], zs[zs.size() - budget + i]);
   }
 }
 
@@ -127,14 +159,15 @@ TEST(GpBudget, SetBudgetTrimsImmediately) {
   Rng rng(203);
   const auto cands = draw_points(25, rng);
   const auto zs = draw_points(12, rng);
-  gp::GpRegressor gp(make_kernel(), 2e-3);
+  BudgetedGp b(2e-3, 0, gp::EvictionPolicy::kMinLeverage);
   Rng yrng(5);
-  for (const Vector& z : zs) gp.add(z, yrng.normal());
-  gp.track_candidates(pack(cands));
-  gp.set_observation_budget(7, gp::EvictionPolicy::kMinLeverage);
-  EXPECT_EQ(gp.num_observations(), 7u);
-  EXPECT_EQ(gp.evictions(), 5u);
-  expect_matches_fresh(gp, cands, 1e-8);
+  for (const Vector& z : zs) b.gp.add(z, yrng.normal());
+  b.gp.track_candidates(pack(cands));
+  b.budget = 7;
+  b.trim();
+  EXPECT_EQ(b.gp.num_observations(), 7u);
+  EXPECT_EQ(b.evictions, 5u);
+  expect_matches_fresh(b.gp, cands, 1e-8);
 }
 
 void run_budgeted_property(gp::EvictionPolicy policy,
@@ -142,16 +175,15 @@ void run_budgeted_property(gp::EvictionPolicy policy,
   Rng rng(404);
   const auto cands = draw_points(50, rng);
   const auto zs = draw_points(30, rng);
-  gp::GpRegressor gp(make_kernel(), 2e-3);
-  gp.set_thread_pool(pool);
-  gp.set_observation_budget(11, policy);
-  gp.track_candidates(pack(cands));
+  BudgetedGp b(2e-3, 11, policy);
+  b.gp.set_thread_pool(pool);
+  b.gp.track_candidates(pack(cands));
   Rng yrng(88);
   for (std::size_t i = 0; i < zs.size(); ++i) {
-    gp.add(zs[i], yrng.normal());
-    EXPECT_LE(gp.num_observations(), 11u);
+    b.add(zs[i], yrng.normal());
+    EXPECT_LE(b.gp.num_observations(), 11u);
   }
-  expect_matches_fresh(gp, cands, 1e-8);
+  expect_matches_fresh(b.gp, cands, 1e-8);
 }
 
 TEST(GpBudget, BudgetedPosteriorMatchesFreshOldest) {
@@ -179,20 +211,19 @@ TEST(GpBudget, BudgetedCacheBitIdenticalAcrossPools) {
     for (const std::size_t threads :
          {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
       Rng rng(909);
-      gp::GpRegressor gp(make_kernel(), 1e-3);
+      BudgetedGp b(1e-3, 10, policy);
       if (threads > 1) {
-        gp.set_thread_pool(std::make_shared<common::ThreadPool>(threads));
+        b.gp.set_thread_pool(std::make_shared<common::ThreadPool>(threads));
       }
-      gp.set_observation_budget(10, policy);
       const auto cands = draw_points(70, rng);
       const auto zs = draw_points(26, rng);
-      gp.track_candidates(pack(cands));
+      b.gp.track_candidates(pack(cands));
       Rng yrng(66);
-      for (const Vector& z : zs) gp.add(z, yrng.normal());
+      for (const Vector& z : zs) b.add(z, yrng.normal());
       std::vector<double> m(cands.size()), v(cands.size());
       for (std::size_t j = 0; j < cands.size(); ++j) {
-        m[j] = gp.tracked_mean(j);
-        v[j] = gp.tracked_variance(j);
+        m[j] = b.gp.tracked_mean(j);
+        v[j] = b.gp.tracked_variance(j);
       }
       means.push_back(std::move(m));
       vars.push_back(std::move(v));
@@ -253,6 +284,299 @@ TEST(GpBudget, EdgeBolBudgetedTrajectoryBitIdenticalAcrossThreadCounts) {
     const Trajectory t8 = run_budgeted_trajectory(8, policy);
     EXPECT_EQ(t1, t2);
     EXPECT_EQ(t1, t8);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The deferred fold against an eager reference, bit for bit.
+// ---------------------------------------------------------------------------
+
+// The tracked cache kept eagerly: add() folds the new row into the cache at
+// once, and remove() rotates the cache and folds the last row out in a
+// second sweep — the loops of the engine before its fold was deferred, over
+// the same 512-column blocks (eval_batch's chunks, and so its values, depend
+// on them). Only the public kernel and CholeskyFactor are shared with
+// GpRegressor.
+class EagerCache {
+ public:
+  EagerCache(double noise, std::shared_ptr<const linalg::Matrix> cands)
+      : kernel_(make_kernel()), noise_(noise), cands_(std::move(cands)) {}
+
+  std::size_t rows() const { return w_.size(); }
+
+  void add(const Vector& z, double y) {
+    const std::size_t n = rows();
+    Vector k(n);
+    kernel_->eval_batch(zdata_.data(), n, z, k.data());
+    chol_.extend(k, (*kernel_)(z, z) + noise_);
+    const double* lrow = chol_.row_data(n);
+    const double pivot = chol_.diag(n);
+    double s = y;
+    for (std::size_t i = 0; i < n; ++i) s -= lrow[i] * w_[i];
+    const double w_new = s / pivot;
+    w_.push_back(w_new);
+    if (tracking_) {
+      amat_.resize((n + 1) * m());
+      for_blocks([&](std::size_t j0, std::size_t j1) {
+        fold_new_row(z, lrow, pivot, w_new, n, j0, j1);
+      });
+      ++events;
+    }
+    zdata_.insert(zdata_.end(), z.begin(), z.end());
+    zs_.push_back(z);
+  }
+
+  void remove(std::size_t i) {
+    const std::size_t n = rows();
+    std::vector<linalg::GivensRotation> rot;
+    chol_.remove_row(i, rot);
+    for (std::size_t r = 0; r < rot.size(); ++r) {
+      const double a = w_[i + r];
+      const double b = w_[i + r + 1];
+      w_[i + r] = rot[r].c * a + rot[r].s * b;
+      w_[i + r + 1] = rot[r].c * b - rot[r].s * a;
+    }
+    const double w_last = w_.back();
+    w_.pop_back();
+    if (tracking_) {
+      for_blocks([&](std::size_t j0, std::size_t j1) {
+        rotate_and_fold_out(rot, i, n, w_last, j0, j1);
+      });
+      amat_.resize((n - 1) * m());
+      ++events;
+    }
+    zdata_.erase(zdata_.begin() + static_cast<std::ptrdiff_t>(i * 7),
+                 zdata_.begin() + static_cast<std::ptrdiff_t>((i + 1) * 7));
+    zs_.erase(zs_.begin() + static_cast<std::ptrdiff_t>(i));
+  }
+
+  // Row-at-a-time forward substitution A = L^{-1} K: per element the
+  // subtractions in ascending k, the division, then the moment folds in
+  // ascending i.
+  void track() {
+    tracking_ = true;
+    const std::size_t n = rows();
+    const std::size_t mm = m();
+    mean.assign(mm, 0.0);
+    var.assign(mm, kernel_->prior_variance());
+    dmu.assign(mm, 0.0);
+    dsg.assign(mm, 0.0);
+    events = 0;
+    amat_.assign(n * mm, 0.0);
+    for_blocks([&](std::size_t j0, std::size_t j1) {
+      for (std::size_t i = 0; i < n; ++i) {
+        double* ai = amat_.data() + i * mm;
+        kernel_->eval_batch(cands_->data().data() + j0 * 7, j1 - j0, zs_[i],
+                            ai + j0);
+        const double* li = chol_.row_data(i);
+        for (std::size_t k = 0; k < i; ++k) {
+          const double* ak = amat_.data() + k * mm;
+          for (std::size_t j = j0; j < j1; ++j) ai[j] -= li[k] * ak[j];
+        }
+        for (std::size_t j = j0; j < j1; ++j) {
+          ai[j] /= li[i];
+          mean[j] += ai[j] * w_[i];
+          var[j] -= ai[j] * ai[j];
+        }
+      }
+    });
+  }
+
+  void reset_deltas() {
+    if (events == 0) return;
+    dmu.assign(dmu.size(), 0.0);
+    dsg.assign(dsg.size(), 0.0);
+    events = 0;
+  }
+
+  std::vector<double> mean, var, dmu, dsg;
+  std::size_t events = 0;
+
+ private:
+  std::size_t m() const { return cands_->rows(); }
+
+  template <class Fn>
+  void for_blocks(const Fn& fn) {
+    for (std::size_t j0 = 0; j0 < m(); j0 += 512) {
+      fn(j0, std::min(m(), j0 + 512));
+    }
+  }
+
+  void fold_new_row(const Vector& z, const double* lrow, double pivot,
+                    double w_new, std::size_t n, std::size_t j0,
+                    std::size_t j1) {
+    const std::size_t mm = m();
+    double* arow = amat_.data() + n * mm;
+    kernel_->eval_batch(cands_->data().data() + j0 * 7, j1 - j0, z,
+                        arow + j0);
+    for (std::size_t i = 0; i < n; ++i) {
+      const double* ai = amat_.data() + i * mm;
+      for (std::size_t j = j0; j < j1; ++j) arow[j] -= lrow[i] * ai[j];
+    }
+    for (std::size_t j = j0; j < j1; ++j) {
+      const double aj = arow[j] / pivot;
+      arow[j] = aj;
+      const double dm = aj * w_new;
+      mean[j] += dm;
+      var[j] -= aj * aj;
+      dmu[j] += std::abs(dm);
+      dsg[j] += std::abs(aj);
+    }
+  }
+
+  void rotate_and_fold_out(const std::vector<linalg::GivensRotation>& rot,
+                           std::size_t first, std::size_t n, double w_last,
+                           std::size_t j0, std::size_t j1) {
+    const std::size_t mm = m();
+    for (std::size_t r = 0; r < rot.size(); ++r) {
+      double* ak = amat_.data() + (first + r) * mm;
+      double* ak1 = ak + mm;
+      for (std::size_t j = j0; j < j1; ++j) {
+        const double a = ak[j];
+        const double b = ak1[j];
+        ak[j] = rot[r].c * a + rot[r].s * b;
+        ak1[j] = rot[r].c * b - rot[r].s * a;
+      }
+    }
+    const double* last = amat_.data() + (n - 1) * mm;
+    for (std::size_t j = j0; j < j1; ++j) {
+      const double dm = last[j] * w_last;
+      mean[j] -= dm;
+      var[j] += last[j] * last[j];
+      dmu[j] += std::abs(dm);
+      dsg[j] += std::abs(last[j]);
+    }
+  }
+
+  std::unique_ptr<gp::Kernel> kernel_;
+  double noise_;
+  std::shared_ptr<const linalg::Matrix> cands_;
+  bool tracking_ = false;
+  linalg::CholeskyFactor chol_;
+  Vector w_;
+  std::vector<double> zdata_;
+  std::vector<Vector> zs_;
+  std::vector<double> amat_;
+};
+
+void expect_same_bits(const gp::GpRegressor& gp, const EagerCache& ref,
+                      const std::string& where) {
+  const std::size_t m = gp.num_tracked();
+  ASSERT_EQ(ref.mean.size(), m) << where;
+  const std::size_t bytes = m * sizeof(double);
+  EXPECT_EQ(std::memcmp(gp.tracked_mean_data(), ref.mean.data(), bytes), 0)
+      << "mean, " << where;
+  EXPECT_EQ(std::memcmp(gp.tracked_var_data(), ref.var.data(), bytes), 0)
+      << "variance, " << where;
+  EXPECT_EQ(std::memcmp(gp.tracked_delta_mean_data(), ref.dmu.data(), bytes),
+            0)
+      << "delta mean, " << where;
+  EXPECT_EQ(
+      std::memcmp(gp.tracked_delta_sigma_data(), ref.dsg.data(), bytes), 0)
+      << "delta sigma, " << where;
+  EXPECT_EQ(gp.tracked_delta_events(), ref.events) << where;
+}
+
+// Runs `script` on a GpRegressor and on the eager reference, comparing
+// their bits after every removal and read (never right after an add: a
+// comparison reads the cache, and would apply the pending fold on its own).
+//   a  add a fresh observation        R  tracked read (applies the fold)
+//   0  remove the oldest              t  track_candidates (drops the fold)
+//   h  remove the middle              c  replace by a copy of itself
+//   l  remove the last (newest)       x  reset_tracked_deltas
+void run_script(std::size_t m, std::size_t threads, std::size_t initial,
+                const std::string& script) {
+  const std::string where0 = "m=" + std::to_string(m) +
+                             " threads=" + std::to_string(threads) +
+                             " T0=" + std::to_string(initial) + " '" +
+                             script + "'";
+  Rng rng(7000 + m + initial);
+  const auto cands = pack(draw_points(m, rng));
+  gp::GpRegressor gp(make_kernel(), 2e-3);
+  if (threads > 1) {
+    gp.set_thread_pool(std::make_shared<common::ThreadPool>(threads));
+  }
+  EagerCache ref(2e-3, cands);
+  const auto add_both = [&] {
+    Vector z(7);
+    for (double& v : z) v = rng.uniform();
+    const double y = rng.normal();
+    gp.add(z, y);
+    ref.add(z, y);
+  };
+  for (std::size_t i = 0; i < initial; ++i) add_both();
+  gp.track_candidates(cands);
+  ref.track();
+  expect_same_bits(gp, ref, where0 + " after track");
+
+  for (std::size_t s = 0; s < script.size(); ++s) {
+    const std::string where = where0 + " step " + std::to_string(s);
+    const std::size_t n = gp.num_observations();
+    switch (script[s]) {
+      case 'a':
+        add_both();
+        continue;
+      case '0':
+      case 'h':
+      case 'l': {
+        const std::size_t victim =
+            script[s] == '0' ? 0 : script[s] == 'h' ? n / 2 : n - 1;
+        gp.remove_observation(victim);
+        ref.remove(victim);
+        break;
+      }
+      case 'R':
+        g_sink = gp.tracked_mean(m - 1);
+        break;
+      case 't':
+        gp.track_candidates(cands);
+        ref.track();
+        break;
+      case 'c': {
+        gp::GpRegressor copy(gp);
+        gp = std::move(copy);
+        continue;
+      }
+      case 'x':
+        gp.reset_tracked_deltas();
+        ref.reset_deltas();
+        break;
+      default:
+        FAIL() << "bad script op " << script[s];
+    }
+    ASSERT_EQ(gp.num_observations(), ref.rows()) << where;
+    expect_same_bits(gp, ref, where);
+  }
+  expect_same_bits(gp, ref, where0 + " at the end");
+}
+
+TEST(GpBudget, DeferredFoldBitIdenticalToEagerCache) {
+  const std::vector<std::string> scripts = {
+      "a0a0a0a0a0",  // full kOldest budget: every row rotated
+      "ahahahahah",  // a victim in the middle
+      "alalalalal",  // the row just added is the victim
+      "aa00aahhaall",  // two adds in a row, then two removals
+      "a00aa0hl",    // two removals in a row after a fused one
+      "aR0aRhaRl",   // a tracked read between add and removal
+      "at0athatl",   // a re-track while a fold is pending
+      "ac0achacl",   // a copy while a fold is pending
+      "ax0axhx",     // a delta reset while a fold is pending
+      "aaaRaa0",     // unbounded growth: folds applied alone
+  };
+  // From an empty regressor: the pending fold meets a cache with no rows.
+  const std::vector<std::string> from_empty = {"a0a0a0", "aal0", "aRlaxl"};
+  for (const std::size_t m : {std::size_t{1}, std::size_t{7}, std::size_t{9},
+                              std::size_t{17}, std::size_t{1100}}) {
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
+      for (const std::size_t initial : {std::size_t{3}, std::size_t{12}}) {
+        for (const std::string& script : scripts) {
+          run_script(m, threads, initial, script);
+        }
+      }
+      for (const std::string& script : from_empty) {
+        run_script(m, threads, 0, script);
+      }
+    }
   }
 }
 
