@@ -5,7 +5,8 @@
 // Prints both regret/violation trajectories plus the injector's and the
 // agent's resilience tallies. The paper's loop assumes clean feedback; this
 // bench quantifies how little the hardened loop loses under realistic
-// hostility (usage: bench_chaos_convergence [periods]).
+// hostility, and exits 1 when the faulted run fails the printed shape
+// check (usage: bench_chaos_convergence [periods]).
 
 #include <cmath>
 #include <iostream>
@@ -124,9 +125,24 @@ int main(int argc, char** argv) {
             << " (hold selects: " << rs.watchdog_hold_selects
             << "), last-safe fallbacks: " << rs.last_safe_fallbacks << "\n";
 
-  std::cout << "\nShape check: the faulted run converges to a tail cost close "
-               "to the clean run's, with a violation rate within 2x; every "
-               "injected frame fault shows up in the fabric counters rather "
-               "than as a crash.\n";
-  return 0;
+  // Shape check, enforced: the faulted run keeps most of its KPIs, its
+  // violation rate within 2x of the clean run's (+0.01), and a finite,
+  // positive tail cost within 2x of the clean run's. A tail cost of 0
+  // means no tail period kept a KPI.
+  const double tail = faulted.summary.tail_mean_cost;
+  const bool kpis_ok =
+      faulted.kpi_losses <= static_cast<std::size_t>(periods) / 2;
+  const bool violations_ok = faulted.summary.violation_rate <=
+                             2.0 * clean.summary.violation_rate + 0.01;
+  const bool cost_ok = std::isfinite(tail) && tail > 0.0 &&
+                       tail <= 2.0 * clean.summary.tail_mean_cost;
+  const bool pass = kpis_ok && violations_ok && cost_ok;
+  std::cout << "\nShape check: " << (pass ? "PASS" : "FAIL")
+            << " (faulted run: KPI losses <= periods/2 "
+            << (kpis_ok ? "ok" : "FAILED")
+            << ", violation rate <= 2x clean + 0.01 "
+            << (violations_ok ? "ok" : "FAILED")
+            << ", tail cost finite, > 0 and <= 2x clean "
+            << (cost_ok ? "ok" : "FAILED") << ")\n";
+  return pass ? 0 : 1;
 }

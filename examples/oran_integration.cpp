@@ -1,8 +1,8 @@
 // Full O-RAN integration demo (Fig. 7): EdgeBOL never touches the platform
 // directly — radio policies descend rApp -> A1-P -> xApp -> E2 -> O-eNB,
 // service policies go to the service controller, and the BS-power KPI
-// returns over E2 -> O1. The demo prints the actual wire frames carried by
-// each link direction for the first periods.
+// returns over E2 -> O1. The demo prints every wire frame carried by each
+// link direction for the first periods, as oran::describe_frame text.
 //
 //   $ ./oran_integration
 
@@ -54,11 +54,9 @@ int main() {
         const std::vector<std::string>& log = dir.fabric->frame_log();
         const std::size_t fresh = std::min(
             dir.fabric->messages_carried() - dir.printed, log.size());
-        for (std::size_t i = log.size() - fresh; i < log.size(); ++i) {
-          std::string kind, body;
-          if (oran::wire_unpack(log[i], &kind, &body))
-            std::cout << dir.label << "  " << kind << ' ' << body << '\n';
-        }
+        for (std::size_t i = log.size() - fresh; i < log.size(); ++i)
+          std::cout << dir.label << "  " << oran::describe_frame(log[i])
+                    << '\n';
         dir.printed = dir.fabric->messages_carried();
       }
     }

@@ -2,57 +2,11 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <thread>
 
 namespace edgebol::oran {
 
 namespace {
-
-constexpr char kKindIndication = 'I';
-constexpr char kKindPolicy = 'P';
-
-// Fixed-layout little-endian-host binary writer/reader. Doubles are raw
-// IEEE-754 bit patterns, so a value decodes to exactly the bits that were
-// encoded — the property --verify-loopback's bit-identical gate rests on.
-struct Writer {
-  std::string* out;
-  void u8(std::uint8_t v) { out->push_back(static_cast<char>(v)); }
-  void i64(std::int64_t v) { raw(&v, sizeof v); }
-  void u64(std::uint64_t v) { raw(&v, sizeof v); }
-  void i32(std::int32_t v) { raw(&v, sizeof v); }
-  void f64(double v) { raw(&v, sizeof v); }
-  void raw(const void* p, std::size_t n) {
-    out->append(static_cast<const char*>(p), n);
-  }
-};
-
-struct Reader {
-  const char* p;
-  std::uint8_t u8() { return static_cast<std::uint8_t>(*p++); }
-  std::int64_t i64() { std::int64_t v; raw(&v, sizeof v); return v; }
-  std::uint64_t u64() { std::uint64_t v; raw(&v, sizeof v); return v; }
-  std::int32_t i32() { std::int32_t v; raw(&v, sizeof v); return v; }
-  double f64() { double v; raw(&v, sizeof v); return v; }
-  void raw(void* dst, std::size_t n) {
-    std::memcpy(dst, p, n);
-    p += n;
-  }
-};
-
-void put_context(Writer* w, const env::Context& c) {
-  w->f64(c.n_users);
-  w->f64(c.cqi_mean);
-  w->f64(c.cqi_var);
-}
-
-env::Context get_context(Reader* r) {
-  env::Context c;
-  c.n_users = r->f64();
-  c.cqi_mean = r->f64();
-  c.cqi_var = r->f64();
-  return c;
-}
 
 net::MuxEndpointConfig endpoint_config(const FleetPlaneConfig& cfg,
                                        std::size_t k,
@@ -73,70 +27,6 @@ net::MuxStreamConfig stream_config(const FleetPlaneConfig& cfg,
 }
 
 }  // namespace
-
-void encode(const FleetIndication& ind, std::string* out) {
-  out->clear();
-  out->reserve(kFleetIndicationBytes);
-  Writer w{out};
-  w.u8(static_cast<std::uint8_t>(kKindIndication));
-  w.i64(ind.period);
-  put_context(&w, ind.ctx);
-  w.u8(ind.has_feedback ? 1 : 0);
-  w.u64(ind.policy_index);
-  put_context(&w, ind.prev_ctx);
-  w.f64(ind.meas.delay_s);
-  w.f64(ind.meas.map);
-  w.f64(ind.meas.server_power_w);
-  w.f64(ind.meas.bs_power_w);
-}
-
-void encode(const FleetPolicy& pol, std::string* out) {
-  out->clear();
-  out->reserve(kFleetPolicyBytes);
-  Writer w{out};
-  w.u8(static_cast<std::uint8_t>(kKindPolicy));
-  w.i64(pol.period);
-  w.u64(pol.policy_index);
-  w.f64(pol.policy.resolution);
-  w.f64(pol.policy.airtime);
-  w.f64(pol.policy.gpu_speed);
-  w.i32(pol.policy.mcs_cap);
-}
-
-std::optional<FleetIndication> decode_fleet_indication(const std::string& f) {
-  if (f.size() != kFleetIndicationBytes || f[0] != kKindIndication)
-    return std::nullopt;
-  Reader r{f.data()};
-  r.u8();  // kind
-  FleetIndication ind;
-  ind.period = r.i64();
-  ind.ctx = get_context(&r);
-  const std::uint8_t fb = r.u8();
-  if (fb > 1) return std::nullopt;
-  ind.has_feedback = fb != 0;
-  ind.policy_index = r.u64();
-  ind.prev_ctx = get_context(&r);
-  ind.meas.delay_s = r.f64();
-  ind.meas.map = r.f64();
-  ind.meas.server_power_w = r.f64();
-  ind.meas.bs_power_w = r.f64();
-  return ind;
-}
-
-std::optional<FleetPolicy> decode_fleet_policy(const std::string& f) {
-  if (f.size() != kFleetPolicyBytes || f[0] != kKindPolicy)
-    return std::nullopt;
-  Reader r{f.data()};
-  r.u8();  // kind
-  FleetPolicy pol;
-  pol.period = r.i64();
-  pol.policy_index = r.u64();
-  pol.policy.resolution = r.f64();
-  pol.policy.airtime = r.f64();
-  pol.policy.gpu_speed = r.f64();
-  pol.policy.mcs_cap = r.i32();
-  return pol;
-}
 
 // ---------------------------------------------------------------------------
 // FleetRicServer
@@ -162,27 +52,6 @@ FleetRicServer::FleetRicServer(net::EventLoop* loop,
 
 FleetRicServer::~FleetRicServer() = default;
 
-net::MuxEndpointStats FleetRicServer::link_stats() const {
-  net::MuxEndpointStats sum;
-  for (const auto& ep : endpoints_) {
-    const net::MuxEndpointStats s = ep->stats();
-    sum.link.frames_sent += s.link.frames_sent;
-    sum.link.frames_received += s.link.frames_received;
-    sum.link.bytes_sent += s.link.bytes_sent;
-    sum.link.bytes_received += s.link.bytes_received;
-    sum.link.decode_resets += s.link.decode_resets;
-    sum.link.reconnects += s.link.reconnects;
-    sum.link.accepts += s.link.accepts;
-    sum.writev_calls += s.writev_calls;
-    sum.readv_calls += s.readv_calls;
-    sum.unknown_stream_frames += s.unknown_stream_frames;
-    sum.scratch_copies += s.scratch_copies;
-    sum.readv_wall_ms += s.readv_wall_ms;
-    sum.decode_wall_ms += s.decode_wall_ms;
-  }
-  return sum;
-}
-
 std::size_t FleetRicServer::poll_once() {
   frames_.clear();
   for (const auto& ep : endpoints_) ep->drain_all(&frames_);
@@ -203,7 +72,7 @@ std::size_t FleetRicServer::poll_once() {
       ++decode_rejects_;  // stream exists but maps to no cell (can't happen)
       continue;
     }
-    const auto ind = decode_fleet_indication(f.payload);
+    const auto ind = decode<FleetIndication>(f.payload);
     // A feedback arm outside the grid is as malformed as a bad frame:
     // reject it here rather than let the grid lookup throw mid-batch.
     if (!ind ||
@@ -304,7 +173,7 @@ std::size_t FleetCellBank::drain_policies(
     frames_.clear();
     ep->drain_all(&frames_);
     for (const net::StreamFrame& f : frames_) {
-      const auto pol = decode_fleet_policy(f.payload);
+      const auto pol = decode<FleetPolicy>(f.payload);
       if (!pol || f.stream_id == 0 || f.stream_id > streams_.size()) {
         ++decode_rejects_;
         continue;
@@ -331,27 +200,6 @@ bool FleetCellBank::wait_established(int timeout_ms) {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
   return true;
-}
-
-net::MuxEndpointStats FleetCellBank::link_stats() const {
-  net::MuxEndpointStats sum;
-  for (const auto& ep : endpoints_) {
-    const net::MuxEndpointStats s = ep->stats();
-    sum.link.frames_sent += s.link.frames_sent;
-    sum.link.frames_received += s.link.frames_received;
-    sum.link.bytes_sent += s.link.bytes_sent;
-    sum.link.bytes_received += s.link.bytes_received;
-    sum.link.decode_resets += s.link.decode_resets;
-    sum.link.reconnects += s.link.reconnects;
-    sum.link.accepts += s.link.accepts;
-    sum.writev_calls += s.writev_calls;
-    sum.readv_calls += s.readv_calls;
-    sum.unknown_stream_frames += s.unknown_stream_frames;
-    sum.scratch_copies += s.scratch_copies;
-    sum.readv_wall_ms += s.readv_wall_ms;
-    sum.decode_wall_ms += s.decode_wall_ms;
-  }
-  return sum;
 }
 
 }  // namespace edgebol::oran

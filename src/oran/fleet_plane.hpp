@@ -1,21 +1,15 @@
 // Fleet-scale O-RAN plane: N cells' E2-style control loops multiplexed over
 // K TCP connections.
 //
-// The single-cell plane (oran/ric_node.*) spends its bytes on JSON and its
-// sockets one-per-link; neither survives contact with a 1000-cell fleet.
-// This plane keeps the same control-loop shape — the cell sends an
-// indication (context + previous period's feedback), the RIC answers with a
-// policy — but flattens each message to a fixed-layout binary frame and
-// carries every cell on a MuxTransport stream (stream id = cell id + 1)
-// over a handful of shared connections (cell i rides connection i mod K).
-//
-// Codec. Fixed-layout little-endian binary: one kind byte, then integers
-// and raw IEEE-754 doubles memcpy'd in declaration order. Doubles cross the
-// wire bit-exactly (no decimal round trip), which is what lets
-// tools/ric_node --verify-loopback demand bit-identical trajectories
-// against the in-process engine. Both ends of a fleet are builds of this
-// repo on the same host architecture; the codec asserts nothing beyond
-// that (no cross-endian support, by design — documented in DESIGN.md §5f).
+// The single-cell plane (oran/ric_node.*) gives every link its own stream;
+// that does not survive contact with a 1000-cell fleet. This plane keeps
+// the same control-loop shape — the cell sends an indication (context +
+// previous period's feedback), the RIC answers with a policy — and carries
+// every cell on a MuxTransport stream (stream id = cell id + 1) over a
+// handful of shared connections (cell i rides connection i mod K). Both
+// messages are frames of the one wire codec (oran/messages.hpp):
+// FleetIndication is 102 bytes and FleetPolicy 49, trailer included, and
+// a frame that fails decode<T> is a counted reject.
 //
 // Idempotency. The per-cell `period` counter keys redelivery: the server
 // caches its last reply per cell, answers a duplicate indication (same
@@ -31,7 +25,6 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
 #include <utility>
@@ -42,36 +35,9 @@
 #include "env/policy.hpp"
 #include "env/testbed.hpp"
 #include "net/mux_transport.hpp"
+#include "oran/messages.hpp"
 
 namespace edgebol::oran {
-
-/// Cell -> RIC: "decide my next period" plus the previous period's outcome.
-/// The first indication of a cell's life has has_feedback = false.
-struct FleetIndication {
-  std::int64_t period = 0;     // cell-local period counter (idempotency key)
-  env::Context ctx{};          // context to decide under
-  bool has_feedback = false;   // fields below are valid
-  std::uint64_t policy_index = 0;  // arm chosen for the previous period
-  env::Context prev_ctx{};         // context that decision was made under
-  env::Measurement meas{};         // previous period's outcome (4 KPI fields
-                                   // cross the wire; diagnostics stay local)
-};
-
-/// RIC -> cell: the decision for `period`.
-struct FleetPolicy {
-  std::int64_t period = 0;
-  std::uint64_t policy_index = 0;
-  env::ControlPolicy policy{};
-};
-
-/// Exact wire sizes (kind byte included) — tests pin these.
-inline constexpr std::size_t kFleetIndicationBytes = 1 + 8 + 24 + 1 + 8 + 24 + 32;
-inline constexpr std::size_t kFleetPolicyBytes = 1 + 8 + 8 + 24 + 4;
-
-void encode(const FleetIndication& ind, std::string* out);
-void encode(const FleetPolicy& pol, std::string* out);
-std::optional<FleetIndication> decode_fleet_indication(const std::string& f);
-std::optional<FleetPolicy> decode_fleet_policy(const std::string& f);
 
 /// Shared knobs for both ends of the fleet plane.
 struct FleetPlaneConfig {
@@ -132,8 +98,6 @@ class FleetRicServer {
   }
 
   net::MuxEndpoint& endpoint(std::size_t k) { return *endpoints_.at(k); }
-  /// Sum of every connection's MuxEndpointStats.
-  net::MuxEndpointStats link_stats() const;
 
  private:
   struct CellSlot {
@@ -195,7 +159,6 @@ class FleetCellBank {
 
   std::uint64_t decode_rejects() const { return decode_rejects_; }
   net::MuxEndpoint& endpoint(std::size_t k) { return *endpoints_.at(k); }
-  net::MuxEndpointStats link_stats() const;
 
  private:
   net::ReadySignal ready_;

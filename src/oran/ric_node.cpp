@@ -31,19 +31,6 @@ bool service_policy_valid(double resolution, double gpu_speed) {
 
 }  // namespace
 
-std::string wire_pack(const std::string& kind, const std::string& body) {
-  return kind + '\n' + body;
-}
-
-bool wire_unpack(const std::string& frame, std::string* kind,
-                 std::string* body) {
-  const std::size_t nl = frame.find('\n');
-  if (nl == std::string::npos || nl == 0) return false;
-  kind->assign(frame, 0, nl);
-  body->assign(frame, nl + 1, frame.size() - nl - 1);
-  return true;
-}
-
 // ---------------------------------------------------------------------------
 // NearRtRicNode
 
@@ -79,12 +66,7 @@ void NearRtRicNode::poll_once() {
 }
 
 void NearRtRicNode::handle_a1_frame(const std::string& frame) {
-  std::string kind, body;
-  if (!wire_unpack(frame, &kind, &body) || kind != kKindA1Setup) {
-    ++decode_rejects_;
-    return;
-  }
-  const auto setup = try_a1_policy_setup_from_json(body);
+  const auto setup = decode<A1PolicySetup>(frame);
   if (!setup) {
     ++decode_rejects_;
     return;
@@ -98,7 +80,7 @@ void NearRtRicNode::handle_a1_setup(const A1PolicySetup& setup) {
   if (!radio_policy_valid(setup.airtime, setup.mcs_cap)) {
     ++policies_rejected_;
     ack.accepted = false;
-    a1_->send(wire_pack(kKindA1Ack, to_json(ack)));
+    a1_->send(encode(ack));
     return;
   }
   // Push over E2 and wait for the node's ack *before* acking A1: once the
@@ -109,7 +91,7 @@ void NearRtRicNode::handle_a1_setup(const A1PolicySetup& setup) {
   ++policies_accepted_;
   if (!push_e2_control(setup.airtime, setup.mcs_cap)) ++e2_apply_failures_;
   ack.accepted = true;
-  a1_->send(wire_pack(kKindA1Ack, to_json(ack)));
+  a1_->send(encode(ack));
 }
 
 bool NearRtRicNode::push_e2_control(double airtime, int mcs_cap) {
@@ -117,7 +99,7 @@ bool NearRtRicNode::push_e2_control(double airtime, int mcs_cap) {
   req.request_id = next_request_id_++;
   req.airtime = airtime;
   req.mcs_cap = mcs_cap;
-  e2_->send(wire_pack(kKindE2Ctrl, to_json(req)));
+  e2_->send(encode(req));
 
   const std::int64_t deadline = steady_ms() + timeouts_.e2_ack_ms;
   std::optional<E2ControlAck> ack;
@@ -141,26 +123,11 @@ bool NearRtRicNode::push_e2_control(double airtime, int mcs_cap) {
 void NearRtRicNode::handle_e2_frame(const std::string& frame,
                                     std::optional<E2ControlAck>* captured_ack,
                                     std::int64_t want_request_id) {
-  std::string kind, body;
-  if (!wire_unpack(frame, &kind, &body)) {
-    ++decode_rejects_;
-    return;
-  }
-  if (kind == kKindE2Kpi) {
-    const auto ind = try_e2_kpi_indication_from_json(body);
-    if (!ind) {
-      ++decode_rejects_;
-      return;
-    }
+  if (const auto ind = decode<E2KpiIndication>(frame)) {
     forward_indication(*ind);
     return;
   }
-  if (kind == kKindE2CtrlAck) {
-    const auto ack = try_e2_control_ack_from_json(body);
-    if (!ack) {
-      ++decode_rejects_;
-      return;
-    }
+  if (const auto ack = decode<E2ControlAck>(frame)) {
     // Acks for earlier (retried/duplicated) requests are stale; ignore.
     if (captured_ack != nullptr && ack->request_id == want_request_id) {
       *captured_ack = *ack;
@@ -180,7 +147,7 @@ void NearRtRicNode::forward_indication(const E2KpiIndication& ind) {
   O1KpiReport report;
   report.sequence = ind.sequence;
   report.bs_power_w = ind.bs_power_w;
-  o1_->send(wire_pack(kKindO1Report, to_json(report)));
+  o1_->send(encode(report));
   ++indications_forwarded_;
 }
 
@@ -216,12 +183,7 @@ void EnvNode::poll_once() {
 }
 
 void EnvNode::handle_e2_frame(const std::string& frame) {
-  std::string kind, body;
-  if (!wire_unpack(frame, &kind, &body) || kind != kKindE2Ctrl) {
-    ++decode_rejects_;
-    return;
-  }
-  const auto req = try_e2_control_request_from_json(body);
+  const auto req = decode<E2ControlRequest>(frame);
   if (!req) {
     ++decode_rejects_;
     return;
@@ -256,30 +218,15 @@ void EnvNode::handle_control(const E2ControlRequest& req) {
       last_indication_at_ms_ = -1.0;
     }
   }
-  e2_->send(wire_pack(kKindE2CtrlAck, to_json(ack)));
+  e2_->send(encode(ack));
 }
 
 void EnvNode::handle_svc_frame(const std::string& frame) {
-  std::string kind, body;
-  if (!wire_unpack(frame, &kind, &body)) {
-    ++decode_rejects_;
+  if (decode<EnvHelloRequest>(frame)) {
+    svc_->send(encode(EnvHello{testbed_.context()}));
     return;
   }
-  if (kind == kKindHelloReq) {
-    const env::Context ctx = testbed_.context();
-    EnvHello hello;
-    hello.n_users = ctx.n_users;
-    hello.cqi_mean = ctx.cqi_mean;
-    hello.cqi_var = ctx.cqi_var;
-    svc_->send(wire_pack(kKindEnvHello, to_json(hello)));
-    return;
-  }
-  if (kind == kKindEnvStep) {
-    const auto req = try_env_step_request_from_json(body);
-    if (!req) {
-      ++decode_rejects_;
-      return;
-    }
+  if (const auto req = decode<EnvStepRequest>(frame)) {
     handle_step(*req);
     return;
   }
@@ -298,7 +245,9 @@ void EnvNode::handle_step(const EnvStepRequest& req) {
     return;
   }
   if (!service_policy_valid(req.resolution, req.gpu_speed)) {
-    ++decode_rejects_;  // corrupted-but-parsed request; learner will retry
+    // A corrupted frame fails decode<T>, so these are invalid knobs from
+    // the learner; the request is dropped unanswered.
+    ++decode_rejects_;
     return;
   }
 
@@ -322,7 +271,7 @@ void EnvNode::handle_step(const EnvStepRequest& req) {
   E2KpiIndication ind;
   ind.sequence = req.step_id;
   ind.bs_power_w = m.bs_power_w;
-  e2_->send(wire_pack(kKindE2Kpi, to_json(ind)));
+  e2_->send(encode(ind));
   last_indication_at_ms_ = static_cast<double>(steady_ms());
 
   EnvStepResult result;
@@ -330,12 +279,9 @@ void EnvNode::handle_step(const EnvStepRequest& req) {
   result.delay_s = m.delay_s;
   result.map = m.map;
   result.server_power_w = m.server_power_w;
-  const env::Context ctx = testbed_.context();
-  result.n_users = ctx.n_users;
-  result.cqi_mean = ctx.cqi_mean;
-  result.cqi_var = ctx.cqi_var;
+  result.ctx = testbed_.context();
   last_step_id_ = req.step_id;
-  last_step_result_ = wire_pack(kKindEnvStepResult, to_json(result));
+  last_step_result_ = encode(result);
   svc_->send(last_step_result_);
 }
 
@@ -349,12 +295,7 @@ NonRtRicNode::NonRtRicNode(net::Transport* a1, net::Transport* o1,
 
 void NonRtRicNode::pump_links() {
   for (const std::string& frame : a1_->drain()) {
-    std::string kind, body;
-    if (!wire_unpack(frame, &kind, &body) || kind != kKindA1Ack) {
-      ++decode_rejects_;
-      continue;
-    }
-    const auto ack = try_a1_policy_ack_from_json(body);
+    const auto ack = decode<A1PolicyAck>(frame);
     if (!ack) {
       ++decode_rejects_;
       continue;
@@ -362,12 +303,7 @@ void NonRtRicNode::pump_links() {
     a1_acks_.push_back(*ack);
   }
   for (const std::string& frame : o1_->drain()) {
-    std::string kind, body;
-    if (!wire_unpack(frame, &kind, &body) || kind != kKindO1Report) {
-      ++decode_rejects_;
-      continue;
-    }
-    const auto report = try_o1_kpi_report_from_json(body);
+    const auto report = decode<O1KpiReport>(frame);
     if (!report) {
       ++decode_rejects_;
       continue;
@@ -381,33 +317,14 @@ void NonRtRicNode::pump_links() {
     o1_reports_.push_back(*report);
   }
   for (const std::string& frame : svc_->drain()) {
-    std::string kind, body;
-    if (!wire_unpack(frame, &kind, &body)) {
-      ++decode_rejects_;
-      continue;
-    }
-    if (kind == kKindEnvHello) {
-      const auto hello = try_env_hello_from_json(body);
-      if (!hello) {
-        ++decode_rejects_;
-        continue;
-      }
-      context_.n_users = hello->n_users;
-      context_.cqi_mean = hello->cqi_mean;
-      context_.cqi_var = hello->cqi_var;
+    if (const auto hello = decode<EnvHello>(frame)) {
+      context_ = hello->ctx;
       have_context_ = true;
-      continue;
-    }
-    if (kind == kKindEnvStepResult) {
-      const auto result = try_env_step_result_from_json(body);
-      if (!result) {
-        ++decode_rejects_;
-        continue;
-      }
+    } else if (const auto result = decode<EnvStepResult>(frame)) {
       step_results_.push_back(*result);
-      continue;
+    } else {
+      ++decode_rejects_;
     }
-    ++decode_rejects_;
   }
 }
 
@@ -426,7 +343,7 @@ bool NonRtRicNode::await(Pred done, int timeout_ms) {
 
 bool NonRtRicNode::handshake() {
   for (int attempt = 0; attempt < timeouts_.hello_attempts; ++attempt) {
-    svc_->send(wire_pack(kKindHelloReq, "{}"));
+    svc_->send(encode(EnvHelloRequest{}));
     if (await([this] { return have_context_; }, timeouts_.hello_ms)) {
       return true;
     }
@@ -453,7 +370,7 @@ env::Measurement NonRtRicNode::step(const env::ControlPolicy& policy) {
   A1PolicyAck ack{};
   for (int attempt = 0; attempt < timeouts_.a1_attempts; ++attempt) {
     ++rep.attempts;
-    a1_->send(wire_pack(kKindA1Setup, to_json(setup)));
+    a1_->send(encode(setup));
     bool got_ack = false;
     await(
         [&] {
@@ -494,7 +411,7 @@ env::Measurement NonRtRicNode::step(const env::ControlPolicy& policy) {
   std::optional<EnvStepResult> result;
   for (int attempt = 0; attempt < timeouts_.step_attempts && !result;
        ++attempt) {
-    svc_->send(wire_pack(kKindEnvStep, to_json(req)));
+    svc_->send(encode(req));
     await(
         [&] {
           for (const EnvStepResult& r : step_results_) {
@@ -535,9 +452,7 @@ env::Measurement NonRtRicNode::step(const env::ControlPolicy& policy) {
     ++kpi_losses_;
   }
 
-  context_.n_users = result->n_users;
-  context_.cqi_mean = result->cqi_mean;
-  context_.cqi_var = result->cqi_var;
+  context_ = result->ctx;
 
   env::Measurement m;
   m.delay_s = result->delay_s;

@@ -31,10 +31,16 @@
 // the learner's validation gate + watchdog, and only a dead environment
 // (no step result after all retries) throws.
 //
+// Every frame is one message of the wire codec (oran/messages.hpp). Each
+// handler decodes the type it expects; the links that carry two kinds (svc
+// at the learner, e2 at the near-RT RIC and at the environment) try both,
+// and the kind byte lets at most one match. A frame that decodes as
+// neither is a counted decode reject, never a misparse.
+//
 // On identical seeds and timeout-free transports the three-process plane
 // reproduces the single-thread OranManagedTestbed trajectory bit-for-bit:
-// same policy/request/sequence id streams, and every float crosses the wire
-// through the same precision-17 JSON codecs.
+// same policy/request/sequence id streams, and every double crosses the
+// wire as its raw bits.
 //
 // Threading: each node instance is single-threaded (run()/step() from one
 // thread); cross-node concurrency is the transports' problem. Counters are
@@ -55,24 +61,6 @@
 #include "oran/messages.hpp"
 
 namespace edgebol::oran {
-
-// Wire envelope: "<kind>\n<json body>". Kinds double as routing tags so a
-// frame that leaks onto the wrong link is a countable reject, not a
-// misparse.
-std::string wire_pack(const std::string& kind, const std::string& body);
-bool wire_unpack(const std::string& frame, std::string* kind,
-                 std::string* body);
-
-inline constexpr const char* kKindA1Setup = "a1_setup";
-inline constexpr const char* kKindA1Ack = "a1_ack";
-inline constexpr const char* kKindE2Ctrl = "e2_ctrl";
-inline constexpr const char* kKindE2CtrlAck = "e2_ctrl_ack";
-inline constexpr const char* kKindE2Kpi = "e2_kpi";
-inline constexpr const char* kKindO1Report = "o1_report";
-inline constexpr const char* kKindHelloReq = "hello_req";
-inline constexpr const char* kKindEnvHello = "env_hello";
-inline constexpr const char* kKindEnvStep = "env_step";
-inline constexpr const char* kKindEnvStepResult = "env_step_result";
 
 /// Bounded waits for the lock-step protocol. Clean runs never hit them;
 /// they are sized generously (whole-suite TSan runs are 5-20x slower than

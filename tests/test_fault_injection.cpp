@@ -83,7 +83,7 @@ TEST(FaultInjector, CorruptNeverReturnsInputUnchanged) {
   FaultPlan plan;
   plan.seed = 11;
   FaultInjector inj(plan);
-  const std::string frame = oran::to_json(oran::A1PolicySetup{3, 0.5, 10});
+  const std::string frame = oran::encode(oran::A1PolicySetup{3, 0.5, 10});
   for (int i = 0; i < 200; ++i) EXPECT_NE(inj.corrupt_frame(frame), frame);
   EXPECT_NE(inj.corrupt_frame("x"), "x");
 }

@@ -2,8 +2,8 @@
 // MuxDecoder's ring buffer (zero-copy, wrap-straddling, and exact-cap
 // paths), the MuxEndpoint/MuxTransport pair (per-stream backpressure,
 // unknown-stream tolerance, reconnect redelivery, heartbeat death
-// detection), the binary fleet-plane codec, and the FleetRicServer's
-// period-keyed idempotency and input validation. Single-stream link
+// detection), the fleet-plane frames of the wire codec, and the
+// FleetRicServer's period-keyed idempotency and input validation. Single-stream link
 // supervision, backpressure, and chaos cases live in test_transport.
 
 #include <gtest/gtest.h>
@@ -473,10 +473,9 @@ oran::FleetIndication sample_indication() {
 
 TEST(FleetPlane, IndicationRoundTripsBitExactAtPinnedSize) {
   const oran::FleetIndication ind = sample_indication();
-  std::string wire;
-  oran::encode(ind, &wire);
-  ASSERT_EQ(wire.size(), oran::kFleetIndicationBytes);
-  const auto back = oran::decode_fleet_indication(wire);
+  const std::string wire = oran::encode(ind);
+  ASSERT_EQ(wire.size(), 102u);
+  const auto back = oran::decode<oran::FleetIndication>(wire);
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->period, ind.period);
   EXPECT_EQ(back->ctx.n_users, ind.ctx.n_users);
@@ -500,10 +499,9 @@ TEST(FleetPlane, PolicyRoundTripsBitExactAtPinnedSize) {
   pol.policy.airtime = 0.55;
   pol.policy.gpu_speed = 0.84999999999999998;
   pol.policy.mcs_cap = 23;
-  std::string wire;
-  oran::encode(pol, &wire);
-  ASSERT_EQ(wire.size(), oran::kFleetPolicyBytes);
-  const auto back = oran::decode_fleet_policy(wire);
+  const std::string wire = oran::encode(pol);
+  ASSERT_EQ(wire.size(), 49u);
+  const auto back = oran::decode<oran::FleetPolicy>(wire);
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->period, pol.period);
   EXPECT_EQ(back->policy_index, pol.policy_index);
@@ -511,20 +509,68 @@ TEST(FleetPlane, PolicyRoundTripsBitExactAtPinnedSize) {
 }
 
 TEST(FleetPlane, MalformedFramesAreRejected) {
-  const oran::FleetIndication ind = sample_indication();
-  std::string wire;
-  oran::encode(ind, &wire);
+  const std::string wire = oran::encode(sample_indication());
   // Wrong kind byte.
   std::string bad = wire;
   bad[0] = 'Z';
-  EXPECT_FALSE(oran::decode_fleet_indication(bad).has_value());
+  EXPECT_FALSE(oran::decode<oran::FleetIndication>(bad).has_value());
   // Truncated and padded.
-  EXPECT_FALSE(
-      oran::decode_fleet_indication(wire.substr(0, wire.size() - 1))
-          .has_value());
-  EXPECT_FALSE(oran::decode_fleet_indication(wire + "x").has_value());
+  EXPECT_FALSE(oran::decode<oran::FleetIndication>(
+                   wire.substr(0, wire.size() - 1))
+                   .has_value());
+  EXPECT_FALSE(oran::decode<oran::FleetIndication>(wire + "x").has_value());
   // An indication is not a policy.
-  EXPECT_FALSE(oran::decode_fleet_policy(wire).has_value());
+  EXPECT_FALSE(oran::decode<oran::FleetPolicy>(wire).has_value());
+}
+
+TEST(FleetPlane, ByteFlippedIndicationDoesNotWedgeTheCell) {
+  env::GridSpec spec;
+  spec.levels_per_dim = 3;  // 3^4 = 81 arms
+  core::FleetEngineConfig ecfg;
+  ecfg.num_threads = 1;
+  ecfg.cell.gp_budget = 16;
+  core::FleetEngine engine(env::ControlGrid{spec}, ecfg);
+  engine.add_cell();
+
+  EventLoop sloop;
+  EventLoop cloop;
+  oran::FleetPlaneConfig pcfg;  // one connection
+  oran::FleetRicServer server(&sloop, &engine, 1, pcfg);
+  oran::FleetCellBank bank(&cloop, "127.0.0.1", server.ports(), 1, pcfg);
+  ASSERT_TRUE(bank.wait_established(15000));
+
+  std::atomic<bool> stop{false};
+  std::thread srv([&] {
+    while (!stop.load()) {
+      if (server.poll_once() == 0) (void)server.wait_activity(10);
+    }
+  });
+
+  // The cell's period-0 indication arrives first with the period's top
+  // byte flipped to printable junk, as FaultInjector::corrupt_frame does.
+  // Decoded, it would be a decision for a period near 2^61, and every
+  // later indication of the cell would be dropped as stale.
+  oran::FleetIndication ind;
+  ind.period = 0;
+  ind.ctx = {2.0, 18.0, 1.0};
+  std::string flipped = oran::encode(ind);
+  flipped[8] = '#';
+  ASSERT_EQ(bank.endpoint(0).open_stream(1, {})->send(flipped),
+            SendResult::kQueued);
+  ASSERT_EQ(bank.send_indication(0, ind), SendResult::kQueued);
+
+  std::vector<std::pair<std::size_t, oran::FleetPolicy>> got;
+  ASSERT_TRUE(eventually([&] {
+    bank.drain_policies(&got);
+    return !got.empty();
+  }));
+  stop.store(true);
+  srv.join();
+
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0].second.period, 0);
+  EXPECT_EQ(server.decode_rejects(), 1u);
+  EXPECT_EQ(server.decisions(), 1u);
 }
 
 TEST(FleetPlane, ServerAnswersDuplicateIndicationsFromCacheWithoutRedeciding) {

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <tuple>
 #include <vector>
 
 #include "core/orchestrator.hpp"
@@ -16,46 +20,114 @@
 namespace edgebol::oran {
 namespace {
 
-TEST(Messages, A1PolicyRoundTrip) {
-  A1PolicySetup m{42, 0.75, 16};
-  const A1PolicySetup r = a1_policy_setup_from_json(to_json(m));
-  EXPECT_EQ(r.policy_id, 42);
-  EXPECT_DOUBLE_EQ(r.airtime, 0.75);
-  EXPECT_EQ(r.mcs_cap, 16);
+// One sample of every wire message. Every field differs from its default,
+// so a field that decode<T> failed to fill would re-encode differently.
+WireMessages samples() {
+  FleetIndication ind;
+  ind.period = 41;
+  ind.ctx = {3.0, 17.25, 2.5};
+  ind.has_feedback = true;
+  ind.policy_index = 624;
+  ind.prev_ctx = {2.0, 16.5, 1.25};
+  ind.meas.delay_s = 0.123456789012345;
+  ind.meas.map = 0.875;
+  ind.meas.server_power_w = 215.0625;
+  ind.meas.bs_power_w = 37.5;
+  FleetPolicy pol;
+  pol.period = 7;
+  pol.policy_index = 88;
+  pol.policy = {0.6, 0.55, 0.84999999999999998, 23};
+  return {A1PolicySetup{42, 0.1 + 0.2, 16},
+          A1PolicyAck{7, true},
+          E2ControlRequest{9, 0.3, 4},
+          E2ControlAck{9, true},
+          E2KpiIndication{11, 5.25},
+          O1KpiReport{3, 1.0 / 3.0},
+          EnvHelloRequest{},
+          EnvHello{{3.0, 11.5, 2.25}},
+          EnvStepRequest{5, 0.8, 0.9},
+          EnvStepResult{6, 0.2, 0.6, 100.0, {2.0, 12.0, 1.5}},
+          ind,
+          pol};
 }
 
-TEST(Messages, AllRoundTrips) {
-  EXPECT_TRUE(a1_policy_ack_from_json(to_json(A1PolicyAck{7, true})).accepted);
-  const E2ControlRequest e2 =
-      e2_control_request_from_json(to_json(E2ControlRequest{9, 0.3, 4}));
-  EXPECT_EQ(e2.request_id, 9);
-  EXPECT_DOUBLE_EQ(e2.airtime, 0.3);
+template <typename T>
+void expect_round_trip(const T& m) {
+  const std::string frame = encode(m);
+  EXPECT_EQ(frame.size(), kWireBytes<T>) << Wire<T>::kName;
+  const std::optional<T> back = decode<T>(frame);
+  ASSERT_TRUE(back.has_value()) << Wire<T>::kName;
+  // Every field is encoded as its raw bytes: an equal re-encoding means
+  // every field came back bit for bit.
+  EXPECT_EQ(encode(*back), frame) << Wire<T>::kName;
+}
+
+TEST(Messages, EveryTypeRoundTripsBitExactAtItsWireSize) {
+  std::apply([](const auto&... m) { (expect_round_trip(m), ...); },
+             samples());
+  // Doubles cross as their bits, not through a decimal round trip.
+  EXPECT_EQ(decode<A1PolicySetup>(encode(A1PolicySetup{1, 0.1 + 0.2, 2}))
+                ->airtime,
+            0.1 + 0.2);
+  const FleetIndication ind = std::get<FleetIndication>(samples());
+  const auto back = decode<FleetIndication>(encode(ind));
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(back->meas.delay_s, ind.meas.delay_s);
+  EXPECT_EQ(back->prev_ctx.cqi_var, ind.prev_ctx.cqi_var);
+  EXPECT_TRUE(back->has_feedback);
+}
+
+TEST(Messages, DecodeRejectsWrongSizeWrongKindAndBadBoolBytes) {
+  const std::string setup = encode(A1PolicySetup{42, 0.75, 16});
+  EXPECT_FALSE(decode<A1PolicySetup>("").has_value());
   EXPECT_FALSE(
-      e2_control_ack_from_json(to_json(E2ControlAck{9, false})).success);
-  EXPECT_DOUBLE_EQ(
-      e2_kpi_indication_from_json(to_json(E2KpiIndication{1, 5.25}))
-          .bs_power_w,
-      5.25);
-  EXPECT_EQ(o1_kpi_report_from_json(to_json(O1KpiReport{3, 6.0})).sequence, 3);
+      decode<A1PolicySetup>(setup.substr(0, setup.size() - 1)).has_value());
+  EXPECT_FALSE(decode<A1PolicySetup>(setup + '\0').has_value());
+  // Another type's frame of the same size differs in its kind byte.
+  static_assert(kWireBytes<E2ControlRequest> == kWireBytes<A1PolicySetup>);
+  EXPECT_FALSE(
+      decode<A1PolicySetup>(encode(E2ControlRequest{42, 0.75, 16}))
+          .has_value());
+
+  // A bool byte of 2 under a trailer recomputed to match.
+  std::string ack = encode(A1PolicyAck{7, true});
+  ack[1 + sizeof(std::int64_t)] = 2;
+  const std::uint32_t h = fnv1a(
+      std::string_view(ack).substr(0, ack.size() - kTrailerBytes));
+  std::memcpy(ack.data() + ack.size() - kTrailerBytes, &h, sizeof h);
+  EXPECT_FALSE(decode<A1PolicyAck>(ack).has_value());
 }
 
-TEST(Messages, WhitespaceAndOrderTolerant) {
-  const A1PolicySetup r = a1_policy_setup_from_json(
-      "{ \"mcs_cap\" : 5 , \"airtime\" : 0.5 , \"policy_id\" : 1 }");
-  EXPECT_EQ(r.mcs_cap, 5);
-  EXPECT_DOUBLE_EQ(r.airtime, 0.5);
+TEST(Messages, EveryInjectedCorruptionIsRejected) {
+  // The fault injector's corruption modes (truncation, one byte flipped to
+  // printable junk, a junk splice) on every message type: the exact size
+  // and the trailer turn each mutant into a reject, never into a
+  // different value.
+  fault::FaultInjector injector{fault::FaultPlan{.seed = 1234}};
+  const auto sweep = [&](const auto& m) {
+    const std::string frame = encode(m);
+    for (int i = 0; i < 300; ++i) {
+      EXPECT_EQ(describe_frame(injector.corrupt_frame(frame)), "undecodable")
+          << describe(m) << ", mutant " << i;
+    }
+  };
+  std::apply([&](const auto&... m) { (sweep(m), ...); }, samples());
 }
 
-TEST(Messages, MalformedJsonThrows) {
-  EXPECT_THROW(a1_policy_setup_from_json("{}"), std::invalid_argument);
-  EXPECT_THROW(a1_policy_setup_from_json("{\"policy_id\":1,\"airtime\":x}"),
-               std::invalid_argument);
-  EXPECT_THROW(
-      a1_policy_setup_from_json(
-          "{\"policy_id\":1.5,\"airtime\":0.5,\"mcs_cap\":2}"),
-      std::invalid_argument);
-  EXPECT_THROW(e2_control_ack_from_json("{\"request_id\":1,\"success\":2}"),
-               std::invalid_argument);
+TEST(Messages, DescribeNamesTheKindAndEveryField) {
+  EXPECT_EQ(describe(A1PolicySetup{1, 1.0, 20}),
+            "a1_setup policy_id=1 airtime=1 mcs_cap=20");
+  EXPECT_EQ(describe(A1PolicyAck{7, false}),
+            "a1_ack policy_id=7 accepted=false");
+  EXPECT_EQ(describe(EnvHelloRequest{}), "hello_req");
+  EXPECT_EQ(describe(EnvHello{{3.0, 11.5, 2.25}}),
+            "env_hello ctx.n_users=3 ctx.cqi_mean=11.5 ctx.cqi_var=2.25");
+  EXPECT_EQ(describe_frame(encode(O1KpiReport{3, 0.1})),
+            "o1_report sequence=3 bs_power_w=0.10000000000000001");
+  EXPECT_EQ(describe_frame(encode(FleetPolicy{})),
+            "fleet_policy period=0 policy_index=0 policy.resolution=1 "
+            "policy.airtime=1 policy.gpu_speed=1 policy.mcs_cap=20");
+  EXPECT_EQ(describe_frame("a1_setup"), "undecodable");
 }
 
 TEST(InterfaceFabric, BoundedLog) {
@@ -177,12 +249,11 @@ TEST(OranManagedTestbed, KpiFlowsThroughO1) {
   EXPECT_EQ(managed.kpi_losses(), 0u);
   EXPECT_EQ(managed.near_rt().indications_forwarded(), 1u);
   ASSERT_EQ(managed.o1().up.frame_log().size(), 1u);
-  std::string kind, body;
-  ASSERT_TRUE(wire_unpack(managed.o1().up.frame_log().back(), &kind, &body));
-  EXPECT_EQ(kind, kKindO1Report);
-  const O1KpiReport report = o1_kpi_report_from_json(body);
-  EXPECT_EQ(report.sequence, 1);
-  EXPECT_EQ(report.bs_power_w, m.bs_power_w);
+  const auto report =
+      decode<O1KpiReport>(managed.o1().up.frame_log().back());
+  ASSERT_TRUE(report.has_value());
+  EXPECT_EQ(report->sequence, 1);
+  EXPECT_EQ(report->bs_power_w, m.bs_power_w);
   EXPECT_EQ(managed.env_node().steps_run(), 1u);
 }
 
@@ -197,91 +268,12 @@ TEST(OranManagedTestbed, DeploysSequencedPolicies) {
   // request id carrying the deployed knobs.
   EXPECT_EQ(managed.a1().down.messages_carried(), 2u);
   EXPECT_EQ(managed.a1().up.messages_carried(), 2u);
-  std::string kind, body;
-  ASSERT_TRUE(wire_unpack(managed.e2().down.frame_log().back(), &kind, &body));
-  EXPECT_EQ(kind, kKindE2Ctrl);
-  const E2ControlRequest ctrl = e2_control_request_from_json(body);
-  EXPECT_EQ(ctrl.request_id, 2);
-  EXPECT_DOUBLE_EQ(ctrl.airtime, 0.7);
-  EXPECT_EQ(ctrl.mcs_cap, 12);
-}
-
-TEST(Messages, TryDecodersMatchThrowingParsersOnCleanFrames) {
-  const auto setup =
-      try_a1_policy_setup_from_json(to_json(A1PolicySetup{42, 0.75, 16}));
-  ASSERT_TRUE(setup.has_value());
-  EXPECT_EQ(setup->policy_id, 42);
-  EXPECT_DOUBLE_EQ(setup->airtime, 0.75);
-  EXPECT_EQ(setup->mcs_cap, 16);
-
-  EXPECT_TRUE(try_a1_policy_ack_from_json(to_json(A1PolicyAck{7, true}))
-                  ->accepted);
-  EXPECT_EQ(try_e2_control_request_from_json(to_json(E2ControlRequest{9, 0.3, 4}))
-                ->request_id,
-            9);
-  EXPECT_FALSE(
-      try_e2_control_ack_from_json(to_json(E2ControlAck{9, false}))->success);
-  EXPECT_DOUBLE_EQ(
-      try_e2_kpi_indication_from_json(to_json(E2KpiIndication{1, 5.25}))
-          ->bs_power_w,
-      5.25);
-  EXPECT_EQ(try_o1_kpi_report_from_json(to_json(O1KpiReport{3, 6.0}))->sequence,
-            3);
-}
-
-TEST(Messages, TryDecodersReturnNulloptInsteadOfThrowing) {
-  EXPECT_EQ(try_a1_policy_setup_from_json("{}"), std::nullopt);
-  EXPECT_EQ(try_a1_policy_setup_from_json("not json at all"), std::nullopt);
-  EXPECT_EQ(try_e2_control_ack_from_json("{\"request_id\":1,\"success\":2}"),
-            std::nullopt);
-  EXPECT_EQ(try_o1_kpi_report_from_json(""), std::nullopt);
-  // Integer fields outside their C++ type are malformed, not wrapped or
-  // (for doubles beyond int64) undefined.
-  EXPECT_EQ(try_a1_policy_setup_from_json(
-                "{\"policy_id\":1,\"airtime\":0.5,\"mcs_cap\":4294967306}"),
-            std::nullopt);
-  EXPECT_EQ(try_env_hello_from_json(
-                "{\"n_users\":-4294967295,\"cqi_mean\":9,\"cqi_var\":1}"),
-            std::nullopt);
-  EXPECT_EQ(try_e2_control_ack_from_json(
-                "{\"request_id\":1e300,\"success\":true}"),
-            std::nullopt);
-  EXPECT_EQ(try_env_step_request_from_json(
-                "{\"step_id\":inf,\"resolution\":0.5,\"gpu_speed\":0.5}"),
-            std::nullopt);
-}
-
-TEST(Messages, FuzzedFramesNeverThrowAndCleanFramesRoundTrip) {
-  // Fuzz-style sweep: every frame type, mutated by the fault injector's
-  // corruption modes (truncation, byte flips, junk splices) many times.
-  // The try-decoders must never throw; whenever a mutant still decodes it
-  // must do so silently, and the unmutated frame must decode exactly.
-  const std::vector<std::string> frames = {
-      to_json(A1PolicySetup{42, 0.75, 16}),
-      to_json(A1PolicyAck{7, true}),
-      to_json(E2ControlRequest{9, 0.3, 4}),
-      to_json(E2ControlAck{9, false}),
-      to_json(E2KpiIndication{11, 5.25}),
-      to_json(O1KpiReport{3, 6.0}),
-  };
-  fault::FaultInjector injector{fault::FaultPlan{.seed = 1234}};
-  for (const std::string& frame : frames) {
-    for (int i = 0; i < 300; ++i) {
-      const std::string mutant = injector.corrupt_frame(frame);
-      EXPECT_NO_THROW({
-        (void)try_a1_policy_setup_from_json(mutant);
-        (void)try_a1_policy_ack_from_json(mutant);
-        (void)try_e2_control_request_from_json(mutant);
-        (void)try_e2_control_ack_from_json(mutant);
-        (void)try_e2_kpi_indication_from_json(mutant);
-        (void)try_o1_kpi_report_from_json(mutant);
-      });
-    }
-  }
-  // Round trip on the clean frames survives the sweep (the decoders are
-  // pure functions; fuzzing did not poison any shared state).
-  EXPECT_EQ(try_a1_policy_setup_from_json(frames[0])->policy_id, 42);
-  EXPECT_EQ(try_o1_kpi_report_from_json(frames[5])->sequence, 3);
+  const auto ctrl =
+      decode<E2ControlRequest>(managed.e2().down.frame_log().back());
+  ASSERT_TRUE(ctrl.has_value());
+  EXPECT_EQ(ctrl->request_id, 2);
+  EXPECT_DOUBLE_EQ(ctrl->airtime, 0.7);
+  EXPECT_EQ(ctrl->mcs_cap, 12);
 }
 
 TEST(OranManagedTestbed, RejectedPolicyThrows) {

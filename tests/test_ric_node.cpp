@@ -1,5 +1,4 @@
-// Node-role tests: the wire envelope, each role driven synchronously over
-// loopback links (idempotency, validation, degradation paths), and the
+// Node-role tests: each role driven synchronously over loopback links (idempotency, validation, degradation paths), and the
 // whole three-node plane over the real message plane — including the
 // equivalence claim (message-plane trajectory == single-thread
 // OranManagedTestbed trajectory) and a chaos soak on the e2 link.
@@ -26,59 +25,33 @@
 namespace edgebol::oran {
 namespace {
 
-// --- wire envelope ---------------------------------------------------------
-
-TEST(WireEnvelope, PackUnpackRoundTrip) {
-  const std::string frame = wire_pack("e2_ctrl", "{\"request_id\":1}");
-  std::string kind;
-  std::string body;
-  ASSERT_TRUE(wire_unpack(frame, &kind, &body));
-  EXPECT_EQ(kind, "e2_ctrl");
-  EXPECT_EQ(body, "{\"request_id\":1}");
-}
-
-TEST(WireEnvelope, RejectsFramesWithoutKind) {
-  std::string kind;
-  std::string body;
-  EXPECT_FALSE(wire_unpack("no newline here", &kind, &body));
-  EXPECT_FALSE(wire_unpack("\nleading newline", &kind, &body));
-  EXPECT_FALSE(wire_unpack("", &kind, &body));
-}
-
-TEST(WireEnvelope, BodyMayContainNewlines) {
-  std::string kind;
-  std::string body;
-  ASSERT_TRUE(wire_unpack(wire_pack("k", "a\nb\nc"), &kind, &body));
-  EXPECT_EQ(kind, "k");
-  EXPECT_EQ(body, "a\nb\nc");
-}
-
 // --- synchronous loopback rig ---------------------------------------------
 //
 // Each link is a LoopbackLink; the node under test holds its south end and
-// the test plays the peer through the north end. With a null ReadySignal
-// every node wait degrades to a single pass, so expected frames are
-// pre-queued before the call.
+// the test plays the peer through the north end, injecting and reading
+// typed messages. With a null ReadySignal every node wait degrades to a
+// single pass, so expected frames are pre-queued before the call.
 
 struct Link {
   LoopbackLink wire{"link"};
   net::SplitTransport& node = wire.south;
 
   std::vector<std::string> sent_by_node() { return wire.north.drain(); }
-  void inject(const std::string& kind, const std::string& body) {
-    wire.north.send(wire_pack(kind, body));
+  template <typename T>
+  void inject(const T& message) {
+    wire.north.send(encode(message));
   }
 };
 
-std::optional<std::string> only_frame_of_kind(std::vector<std::string> frames,
-                                              const std::string& want) {
-  std::optional<std::string> found;
+/// The one frame in `frames` that decodes as T; nullopt for none or several.
+template <typename T>
+std::optional<T> only_message(const std::vector<std::string>& frames) {
+  std::optional<T> found;
   for (const std::string& f : frames) {
-    std::string kind;
-    std::string body;
-    if (!wire_unpack(f, &kind, &body) || kind != want) continue;
+    const std::optional<T> m = decode<T>(f);
+    if (!m) continue;
     if (found) return std::nullopt;  // more than one
-    found = body;
+    found = m;
   }
   return found;
 }
@@ -98,99 +71,94 @@ class EnvNodeTest : public ::testing::Test {
 };
 
 TEST_F(EnvNodeTest, AppliesControlAndAcks) {
-  e2.inject(kKindE2Ctrl, to_json(E2ControlRequest{1, 0.5, 10}));
+  e2.inject(E2ControlRequest{1, 0.5, 10});
   node.poll_once();
-  const auto ack = only_frame_of_kind(e2.sent_by_node(), kKindE2CtrlAck);
+  const auto ack = only_message<E2ControlAck>(e2.sent_by_node());
   ASSERT_TRUE(ack.has_value());
-  EXPECT_TRUE(e2_control_ack_from_json(*ack).success);
+  EXPECT_TRUE(ack->success);
   EXPECT_EQ(node.controls_applied(), 1u);
 }
 
 TEST_F(EnvNodeTest, DuplicateControlIsReAckedNotReApplied) {
-  e2.inject(kKindE2Ctrl, to_json(E2ControlRequest{1, 0.5, 10}));
+  e2.inject(E2ControlRequest{1, 0.5, 10});
   node.poll_once();
   (void)e2.sent_by_node();
-  e2.inject(kKindE2Ctrl, to_json(E2ControlRequest{1, 0.5, 10}));
+  e2.inject(E2ControlRequest{1, 0.5, 10});
   node.poll_once();
-  const auto ack = only_frame_of_kind(e2.sent_by_node(), kKindE2CtrlAck);
+  const auto ack = only_message<E2ControlAck>(e2.sent_by_node());
   ASSERT_TRUE(ack.has_value());
-  EXPECT_TRUE(e2_control_ack_from_json(*ack).success);
+  EXPECT_TRUE(ack->success);
   EXPECT_EQ(node.controls_applied(), 1u);
   EXPECT_EQ(node.duplicate_controls(), 1u);
 }
 
 TEST_F(EnvNodeTest, StaleControlIsNackedAndNeverRollsBack) {
-  e2.inject(kKindE2Ctrl, to_json(E2ControlRequest{1, 0.5, 10}));
-  e2.inject(kKindE2Ctrl, to_json(E2ControlRequest{2, 0.8, 12}));
+  e2.inject(E2ControlRequest{1, 0.5, 10});
+  e2.inject(E2ControlRequest{2, 0.8, 12});
   node.poll_once();
   (void)e2.sent_by_node();
 
   // A chaos-reordered control from an earlier period arrives after a newer
   // one was applied: it must be refused, not restore the old radio policy.
-  e2.inject(kKindE2Ctrl, to_json(E2ControlRequest{1, 0.5, 10}));
+  e2.inject(E2ControlRequest{1, 0.5, 10});
   node.poll_once();
-  const auto ack = only_frame_of_kind(e2.sent_by_node(), kKindE2CtrlAck);
+  const auto ack = only_message<E2ControlAck>(e2.sent_by_node());
   ASSERT_TRUE(ack.has_value());
-  EXPECT_FALSE(e2_control_ack_from_json(*ack).success);
+  EXPECT_FALSE(ack->success);
   EXPECT_EQ(node.stale_controls(), 1u);
   EXPECT_EQ(node.controls_applied(), 2u);
 }
 
 TEST_F(EnvNodeTest, StepRunsTestbedAndEmitsKpiIndication) {
-  svc.inject(kKindEnvStep, to_json(EnvStepRequest{1, 0.8, 0.9}));
+  svc.inject(EnvStepRequest{1, 0.8, 0.9});
   node.poll_once();
 
-  const auto result = only_frame_of_kind(svc.sent_by_node(),
-                                         kKindEnvStepResult);
+  const auto result = only_message<EnvStepResult>(svc.sent_by_node());
   ASSERT_TRUE(result.has_value());
-  const EnvStepResult r = env_step_result_from_json(*result);
-  EXPECT_EQ(r.step_id, 1);
-  EXPECT_TRUE(std::isfinite(r.delay_s));
-  EXPECT_TRUE(std::isfinite(r.map));
+  EXPECT_EQ(result->step_id, 1);
+  EXPECT_TRUE(std::isfinite(result->delay_s));
+  EXPECT_TRUE(std::isfinite(result->map));
 
   // The KPI indication rides the e2 link with sequence == step_id.
-  const auto kpi = only_frame_of_kind(e2.sent_by_node(), kKindE2Kpi);
+  const auto kpi = only_message<E2KpiIndication>(e2.sent_by_node());
   ASSERT_TRUE(kpi.has_value());
-  EXPECT_EQ(e2_kpi_indication_from_json(*kpi).sequence, 1);
+  EXPECT_EQ(kpi->sequence, 1);
   EXPECT_EQ(node.steps_run(), 1u);
 }
 
 TEST_F(EnvNodeTest, DuplicateStepResendsCachedResultWithoutRestepping) {
-  svc.inject(kKindEnvStep, to_json(EnvStepRequest{1, 0.8, 0.9}));
+  svc.inject(EnvStepRequest{1, 0.8, 0.9});
   node.poll_once();
-  const auto first = only_frame_of_kind(svc.sent_by_node(),
-                                        kKindEnvStepResult);
+  const auto first = only_message<EnvStepResult>(svc.sent_by_node());
   ASSERT_TRUE(first.has_value());
 
   // A retried request (the learner's ack was lost) must be idempotent:
   // same cached result, no second testbed step, no second KPI.
   (void)e2.sent_by_node();
-  svc.inject(kKindEnvStep, to_json(EnvStepRequest{1, 0.8, 0.9}));
+  svc.inject(EnvStepRequest{1, 0.8, 0.9});
   node.poll_once();
-  const auto second = only_frame_of_kind(svc.sent_by_node(),
-                                         kKindEnvStepResult);
+  const auto second = only_message<EnvStepResult>(svc.sent_by_node());
   ASSERT_TRUE(second.has_value());
-  EXPECT_EQ(*first, *second);
+  EXPECT_EQ(encode(*first), encode(*second));
   EXPECT_EQ(node.steps_run(), 1u);
   EXPECT_EQ(node.duplicate_steps(), 1u);
   EXPECT_FALSE(
-      only_frame_of_kind(e2.sent_by_node(), kKindE2Kpi).has_value());
+      only_message<E2KpiIndication>(e2.sent_by_node()).has_value());
 }
 
 TEST_F(EnvNodeTest, InvalidServicePolicyIsRejectedNotApplied) {
-  svc.inject(kKindEnvStep, to_json(EnvStepRequest{1, 0.0, 0.9}));
+  svc.inject(EnvStepRequest{1, 0.0, 0.9});
   node.poll_once();
   EXPECT_EQ(node.steps_run(), 0u);
   EXPECT_GT(node.decode_rejects(), 0u);
 }
 
 TEST_F(EnvNodeTest, HelloReportsTestbedContext) {
-  svc.inject(kKindHelloReq, "{}");
+  svc.inject(EnvHelloRequest{});
   node.poll_once();
-  const auto hello = only_frame_of_kind(svc.sent_by_node(), kKindEnvHello);
+  const auto hello = only_message<EnvHello>(svc.sent_by_node());
   ASSERT_TRUE(hello.has_value());
-  const EnvHello h = env_hello_from_json(*hello);
-  EXPECT_EQ(h.n_users, testbed.context().n_users);
+  EXPECT_EQ(hello->ctx.n_users, testbed.context().n_users);
 }
 
 // --- NearRtRicNode ---------------------------------------------------------
@@ -208,31 +176,30 @@ class NearRtNodeTest : public ::testing::Test {
 TEST_F(NearRtNodeTest, ValidPolicyIsPushedOverE2ThenAcked) {
   // Pre-queue the env's E2 ack (request ids start at 1): the single-pass
   // wait must find it right after pushing the control.
-  e2.inject(kKindE2CtrlAck, to_json(E2ControlAck{1, true}));
-  a1.inject(kKindA1Setup, to_json(A1PolicySetup{1, 0.5, 10}));
+  e2.inject(E2ControlAck{1, true});
+  a1.inject(A1PolicySetup{1, 0.5, 10});
   node.poll_once();
 
-  const auto ctrl = only_frame_of_kind(e2.sent_by_node(), kKindE2Ctrl);
+  const auto ctrl = only_message<E2ControlRequest>(e2.sent_by_node());
   ASSERT_TRUE(ctrl.has_value());
-  const E2ControlRequest req = e2_control_request_from_json(*ctrl);
-  EXPECT_EQ(req.request_id, 1);
-  EXPECT_DOUBLE_EQ(req.airtime, 0.5);
+  EXPECT_EQ(ctrl->request_id, 1);
+  EXPECT_DOUBLE_EQ(ctrl->airtime, 0.5);
 
-  const auto ack = only_frame_of_kind(a1.sent_by_node(), kKindA1Ack);
+  const auto ack = only_message<A1PolicyAck>(a1.sent_by_node());
   ASSERT_TRUE(ack.has_value());
-  EXPECT_TRUE(a1_policy_ack_from_json(*ack).accepted);
+  EXPECT_TRUE(ack->accepted);
   EXPECT_EQ(node.policies_accepted(), 1u);
   EXPECT_EQ(node.e2_apply_failures(), 0u);
 }
 
 TEST_F(NearRtNodeTest, InvalidPolicyIsRejectedWithoutTouchingE2) {
-  a1.inject(kKindA1Setup, to_json(A1PolicySetup{1, 0.0, 10}));
+  a1.inject(A1PolicySetup{1, 0.0, 10});
   node.poll_once();
   EXPECT_FALSE(
-      only_frame_of_kind(e2.sent_by_node(), kKindE2Ctrl).has_value());
-  const auto ack = only_frame_of_kind(a1.sent_by_node(), kKindA1Ack);
+      only_message<E2ControlRequest>(e2.sent_by_node()).has_value());
+  const auto ack = only_message<A1PolicyAck>(a1.sent_by_node());
   ASSERT_TRUE(ack.has_value());
-  EXPECT_FALSE(a1_policy_ack_from_json(*ack).accepted);
+  EXPECT_FALSE(ack->accepted);
   EXPECT_EQ(node.policies_rejected(), 1u);
 }
 
@@ -240,26 +207,26 @@ TEST_F(NearRtNodeTest, LostE2AckDegradesButStillAcksA1) {
   // No pre-queued E2 ack: the bounded wait expires, the policy still acks
   // accepted (A1 acceptance means validated, not applied) and the failure
   // is counted.
-  a1.inject(kKindA1Setup, to_json(A1PolicySetup{1, 0.5, 10}));
+  a1.inject(A1PolicySetup{1, 0.5, 10});
   node.poll_once();
-  const auto ack = only_frame_of_kind(a1.sent_by_node(), kKindA1Ack);
+  const auto ack = only_message<A1PolicyAck>(a1.sent_by_node());
   ASSERT_TRUE(ack.has_value());
-  EXPECT_TRUE(a1_policy_ack_from_json(*ack).accepted);
+  EXPECT_TRUE(ack->accepted);
   EXPECT_EQ(node.e2_apply_failures(), 1u);
 }
 
 TEST_F(NearRtNodeTest, ForwardsIndicationsAndDropsStaleSequences) {
-  e2.inject(kKindE2Kpi, to_json(E2KpiIndication{1, 9.5}));
+  e2.inject(E2KpiIndication{1, 9.5});
   node.poll_once();
-  const auto rep = only_frame_of_kind(o1.sent_by_node(), kKindO1Report);
+  const auto rep = only_message<O1KpiReport>(o1.sent_by_node());
   ASSERT_TRUE(rep.has_value());
-  EXPECT_EQ(o1_kpi_report_from_json(*rep).sequence, 1);
+  EXPECT_EQ(rep->sequence, 1);
 
   // A duplicate (or reordered) indication must not be forwarded twice.
-  e2.inject(kKindE2Kpi, to_json(E2KpiIndication{1, 9.5}));
+  e2.inject(E2KpiIndication{1, 9.5});
   node.poll_once();
   EXPECT_FALSE(
-      only_frame_of_kind(o1.sent_by_node(), kKindO1Report).has_value());
+      only_message<O1KpiReport>(o1.sent_by_node()).has_value());
   EXPECT_EQ(node.indications_forwarded(), 1u);
   EXPECT_EQ(node.stale_indications(), 1u);
 }
@@ -277,29 +244,27 @@ class NonRtNodeTest : public ::testing::Test {
 };
 
 TEST_F(NonRtNodeTest, HandshakeObtainsContext) {
-  svc.inject(kKindEnvHello, to_json(EnvHello{3, 11.5, 2.25}));
+  svc.inject(EnvHello{{3, 11.5, 2.25}});
   ASSERT_TRUE(node.handshake());
   EXPECT_EQ(node.context().n_users, 3u);
   EXPECT_DOUBLE_EQ(node.context().cqi_mean, 11.5);
-  const auto hello = only_frame_of_kind(svc.sent_by_node(), kKindHelloReq);
+  const auto hello = only_message<EnvHelloRequest>(svc.sent_by_node());
   EXPECT_TRUE(hello.has_value());
 }
 
 TEST_F(NonRtNodeTest, StepRoundTripsPolicyStepAndKpi) {
-  svc.inject(kKindEnvHello, to_json(EnvHello{1, 10.0, 1.0}));
+  svc.inject(EnvHello{{1, 10.0, 1.0}});
   ASSERT_TRUE(node.handshake());
 
-  a1.inject(kKindA1Ack, to_json(A1PolicyAck{1, true}));
+  a1.inject(A1PolicyAck{1, true});
   EnvStepResult res;
   res.step_id = 1;
   res.delay_s = 0.2;
   res.map = 0.6;
   res.server_power_w = 100.0;
-  res.n_users = 1;
-  res.cqi_mean = 12.0;
-  res.cqi_var = 1.5;
-  svc.inject(kKindEnvStepResult, to_json(res));
-  o1.inject(kKindO1Report, to_json(O1KpiReport{1, 9.5}));
+  res.ctx = {1.0, 12.0, 1.5};
+  svc.inject(res);
+  o1.inject(O1KpiReport{1, 9.5});
 
   env::ControlPolicy policy;
   policy.resolution = 0.8;
@@ -319,19 +284,17 @@ TEST_F(NonRtNodeTest, StepRoundTripsPolicyStepAndKpi) {
 }
 
 TEST_F(NonRtNodeTest, LostKpiReportSurfacesAsNanBsPower) {
-  svc.inject(kKindEnvHello, to_json(EnvHello{1, 10.0, 1.0}));
+  svc.inject(EnvHello{{1, 10.0, 1.0}});
   ASSERT_TRUE(node.handshake());
 
-  a1.inject(kKindA1Ack, to_json(A1PolicyAck{1, true}));
+  a1.inject(A1PolicyAck{1, true});
   EnvStepResult res;
   res.step_id = 1;
   res.delay_s = 0.2;
   res.map = 0.6;
   res.server_power_w = 100.0;
-  res.n_users = 1;
-  res.cqi_mean = 12.0;
-  res.cqi_var = 1.5;
-  svc.inject(kKindEnvStepResult, to_json(res));
+  res.ctx = {1.0, 12.0, 1.5};
+  svc.inject(res);
   // No O1 report: the learner's resilience layer (KPI gate + watchdog)
   // sees the loss as a NaN BS-power sample.
   env::ControlPolicy policy;
@@ -346,15 +309,15 @@ TEST_F(NonRtNodeTest, LostKpiReportSurfacesAsNanBsPower) {
 }
 
 TEST_F(NonRtNodeTest, DeadEnvironmentThrowsAfterRetries) {
-  svc.inject(kKindEnvHello, to_json(EnvHello{1, 10.0, 1.0}));
+  svc.inject(EnvHello{{1, 10.0, 1.0}});
   NodeTimeouts fast;
   fast.step_attempts = 2;
   fast.step_result_ms = 1;
   Link a1b, o1b, svcb;
   NonRtRicNode impatient(&a1b.node, &o1b.node, &svcb.node, nullptr, fast);
-  svcb.inject(kKindEnvHello, to_json(EnvHello{1, 10.0, 1.0}));
+  svcb.inject(EnvHello{{1, 10.0, 1.0}});
   ASSERT_TRUE(impatient.handshake());
-  a1b.inject(kKindA1Ack, to_json(A1PolicyAck{1, true}));
+  a1b.inject(A1PolicyAck{1, true});
   env::ControlPolicy policy;
   policy.resolution = 0.8;
   policy.airtime = 0.5;

@@ -1,15 +1,16 @@
 // Flood generator for the O-RAN message plane.
 //
-// Dials a MuxEndpoint server (any ric_node listening port) and pushes frames
-// on the o1 stream id as fast as the stream's backpressure policy allows,
-// while draining and discarding anything the peer sends back on it. Against
-// the near-RT RIC's nn port the flood lands on its o1 stream; on any other
-// port it is counted there as unknown-stream drops. Used to measure
+// Dials a MuxEndpoint server (any ric_node listening port) and pushes
+// B-byte filler frames on the o1 stream id as fast as the stream's
+// backpressure policy allows, while draining and discarding anything the
+// peer sends back on it. Against the near-RT RIC's nn port the flood lands
+// on its o1 stream, which that node never drains; on any other port it is
+// counted there as unknown-stream drops. Used to measure
 // indication-to-policy latency under load and to exercise the bounded-queue
 // policies end to end:
 //
 //   load_ric --port P [--frames N] [--seconds S] [--bytes B]
-//            [--policy block|shed|reject] [--kind o1_report|noise]
+//            [--policy block|shed|reject]
 //
 // Stops at whichever of --frames / --seconds hits first. Prints a JSON
 // summary to stdout (throughput plus what backpressure did to the flood)
@@ -52,7 +53,6 @@ struct Options {
   double seconds = 5.0;
   std::size_t bytes = 256;
   net::BackpressurePolicy policy = net::BackpressurePolicy::kBlock;
-  std::string kind = "o1_report";
   bool ingest = false;
   std::size_t streams = 64;
   std::string out = "BENCH_ingest.json";
@@ -61,8 +61,7 @@ struct Options {
 [[noreturn]] void usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s --port P [--frames N] [--seconds S] [--bytes B]\n"
-               "          [--policy block|shed|reject] "
-               "[--kind o1_report|noise]\n"
+               "          [--policy block|shed|reject]\n"
                "       %s --ingest [--seconds S] [--bytes B] [--streams N]\n"
                "          [--out PATH]\n",
                argv0, argv0);
@@ -93,9 +92,6 @@ Options parse(int argc, char** argv) {
       else if (p == "shed") o.policy = net::BackpressurePolicy::kShedOldest;
       else if (p == "reject") o.policy = net::BackpressurePolicy::kReject;
       else usage(argv[0]);
-    } else if (std::strcmp(argv[i], "--kind") == 0) {
-      o.kind = next("--kind");
-      if (o.kind != "o1_report" && o.kind != "noise") usage(argv[0]);
     } else if (std::strcmp(argv[i], "--ingest") == 0) {
       o.ingest = true;
     } else if (std::strcmp(argv[i], "--streams") == 0) {
@@ -289,11 +285,7 @@ int main(int argc, char** argv) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
 
-  // A well-formed (if meaningless) frame exercises the receiver's decode
-  // path; "noise" skips the envelope so it lands as a decode reject.
-  std::string payload(o.bytes, 'x');
-  if (o.kind == "o1_report")
-    payload = oran::wire_pack("o1_report", payload);
+  const std::string payload(o.bytes, 'x');
 
   const double t0 = plane::now_ms();
   const double deadline = t0 + o.seconds * 1000.0;
