@@ -237,7 +237,7 @@ bool run_correctness(const Config& cfg) {
   env::ControlGrid grid(spec);
   const env::Context ctx{};
   const auto cand_vecs = grid.candidate_features(ctx);
-  const auto cand_mat = std::make_shared<const linalg::Matrix>(
+  const auto cand_mat = std::make_shared<const linalg::FeatureMajorPoints>(
       grid.candidate_feature_matrix(ctx));
 
   gp::GpRegressor engine(make_kernel(), 1e-3);
@@ -313,7 +313,7 @@ std::vector<PhaseResult> run_phases(const Config& cfg) {
   env::ControlGrid grid(spec);
   const env::Context ctx{};
   const auto cand_vecs = grid.candidate_features(ctx);
-  const auto cand_mat = std::make_shared<const linalg::Matrix>(
+  const auto cand_mat = std::make_shared<const linalg::FeatureMajorPoints>(
       grid.candidate_feature_matrix(ctx));
   const std::size_t m = grid.size();
 
@@ -365,12 +365,17 @@ std::vector<PhaseResult> run_phases(const Config& cfg) {
 
   // -- evict: drop the oldest observation, as a full budget does every
   //    period. Engine: Givens downdate O(n^2) + cache fold O(n m); baseline:
-  //    refactor + full cache rebuild, O(n^3 + n^2 m) --------------------------
+  //    refactor + full cache rebuild, O(n^3 + n^2 m). remove_observation()
+  //    leaves its cache pass pending; the tracked read applies it inside the
+  //    rep that caused it ----------------------------------------------------
   {
     PhaseResult p{"evict", 0.0, 0.0};
     std::tie(p.baseline_ms, p.engine_ms) =
         timed_pair(cfg.reps, [&] { ref.evict_oldest(); },
-                   [&] { engine.remove_observation(0); });
+                   [&] {
+                     engine.remove_observation(0);
+                     g_sink = engine.tracked_mean(0);
+                   });
     out.push_back(p);
   }
 
@@ -526,7 +531,7 @@ DecideStats run_decide(std::size_t threads) {
   spec.levels_per_dim = 11;  // the gate always runs the full grid
   env::ControlGrid grid(spec);
   const env::Context ctx{};
-  const auto cand_mat = std::make_shared<const linalg::Matrix>(
+  const auto cand_mat = std::make_shared<const linalg::FeatureMajorPoints>(
       grid.candidate_feature_matrix(ctx));
   const std::size_t m = grid.size();
 
@@ -653,10 +658,13 @@ DecideStats run_decide(std::size_t threads) {
     }
 
     // Budget churn: fold one observation in and evict the oldest, keeping
-    // the budget pinned at 200 — the steady state the gate models.
+    // the budget pinned at 200 — the steady state the gate models. The
+    // pending cache pass runs here, untimed: the gate times the decision
+    // once the posteriors are tracked.
     for (gp::GpRegressor* g : gps) {
       g->add(extra[static_cast<std::size_t>(it)], 0.05 * yrng.normal());
       g->remove_observation(0);
+      g->apply_pending_pass();
     }
   }
 

@@ -128,20 +128,29 @@ void GenericSafeBol::ensure_tracking(const linalg::Vector& context) {
       max_diff = std::max(max_diff,
                           std::abs((*tracked_context_)[i] - context[i]));
     }
-    if (max_diff <= opts_.tracking_tolerance) return;
+    if (max_diff <= opts_.tracking_tolerance) {
+      // The caches stand: run the cache passes the last update left
+      // pending, the surrogates concurrently (each block-parallel), before
+      // the decision reads them one surrogate at a time.
+      for_each_gp([&](std::size_t k) { gps_[k].apply_pending_pass(); });
+      return;
+    }
   }
-  // One packed [context, control] matrix shared by every surrogate; their
-  // O(T^2 |X|) cache rebuilds run concurrently.
+  // One packed [context, control] candidate set, feature-major, shared by
+  // every surrogate; their O(T^2 |X|) cache rebuilds run concurrently and
+  // drop the pending passes unrun.
   const std::size_t m = controls_.rows();
   const std::size_t cd = controls_.cols();
-  auto cands = std::make_shared<linalg::Matrix>(m, context_dims_ + cd);
-  for (std::size_t j = 0; j < m; ++j) {
-    for (std::size_t k = 0; k < context_dims_; ++k)
-      (*cands)(j, k) = context[k];
-    for (std::size_t k = 0; k < cd; ++k)
-      (*cands)(j, context_dims_ + k) = controls_(j, k);
+  auto cands =
+      std::make_shared<linalg::FeatureMajorPoints>(context_dims_ + cd, m);
+  for (std::size_t k = 0; k < context_dims_ + cd; ++k) {
+    for (std::size_t j = 0; j < m; ++j) {
+      cands->at(j, k) =
+          k < context_dims_ ? context[k] : controls_(j, k - context_dims_);
+    }
   }
-  const std::shared_ptr<const linalg::Matrix> shared = std::move(cands);
+  const std::shared_ptr<const linalg::FeatureMajorPoints> shared =
+      std::move(cands);
   for_each_gp([&](std::size_t k) { gps_[k].track_candidates(shared); });
   tracked_context_ = context;
 }

@@ -119,13 +119,17 @@ class GenericSafeBol {
                  SafeBolOptions options = {});
 
   /// Algorithm 1, lines 4-7. kSafeOpt needs the candidates' CSR adjacency
-  /// (neighbours of i are adjacency[offsets[i] .. offsets[i+1])).
+  /// (neighbours of i are adjacency[offsets[i] .. offsets[i+1])). First
+  /// runs the cache passes the last update() left pending, the surrogates
+  /// concurrently, or, when the context moved past the tracking tolerance,
+  /// rebuilds the caches, which drops those passes unrun.
   GenericDecision select(const linalg::Vector& context,
                          std::span<const std::size_t> adjacency_offsets = {},
                          std::span<const std::size_t> adjacency = {});
 
   /// Algorithm 1, lines 8-13. `metric_values` must match the metric list
   /// (raw units). Every value is transformed before any surrogate changes.
+  /// The surrogates' O(T |X|) cache work waits for the next select().
   void update(const linalg::Vector& context, std::size_t index,
               double objective_value,
               const std::vector<double>& metric_values);

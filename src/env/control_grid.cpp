@@ -145,20 +145,20 @@ std::vector<linalg::Vector> ControlGrid::candidate_features(
   return out;
 }
 
-linalg::Matrix ControlGrid::candidate_feature_matrix(const Context& c) const {
+linalg::FeatureMajorPoints ControlGrid::candidate_feature_matrix(
+    const Context& c) const {
   const linalg::Vector ctx = c.to_features();
-  const std::size_t d = ctx.size() + ControlPolicy::kFeatureDims;
-  linalg::Matrix out;
-  out.reserve_rows(policies_.size(), d);
-  linalg::Vector row(d);
-  std::copy(ctx.begin(), ctx.end(), row.begin());
-  for (const ControlPolicy& p : policies_) {
+  const std::size_t cd = ctx.size();
+  linalg::FeatureMajorPoints out(cd + ControlPolicy::kFeatureDims,
+                                 policies_.size());
+  for (std::size_t j = 0; j < policies_.size(); ++j) {
+    const ControlPolicy& p = policies_[j];
+    for (std::size_t k = 0; k < cd; ++k) out.at(j, k) = ctx[k];
     // Inline ControlPolicy::to_features to avoid a temporary per policy.
-    row[ctx.size() + 0] = p.resolution;
-    row[ctx.size() + 1] = p.airtime;
-    row[ctx.size() + 2] = p.gpu_speed;
-    row[ctx.size() + 3] = static_cast<double>(p.mcs_cap) / ran::kMaxUlMcs;
-    out.append_row(row);
+    out.at(j, cd + 0) = p.resolution;
+    out.at(j, cd + 1) = p.airtime;
+    out.at(j, cd + 2) = p.gpu_speed;
+    out.at(j, cd + 3) = static_cast<double>(p.mcs_cap) / ran::kMaxUlMcs;
   }
   return out;
 }

@@ -66,10 +66,9 @@ class ControlGrid {
   /// given context. Order matches policy indices.
   std::vector<linalg::Vector> candidate_features(const Context& c) const;
 
-  /// The same features packed as one row-major (size() x 7) matrix — the
-  /// form the GP tracked-candidate engine consumes without per-point
-  /// allocation.
-  linalg::Matrix candidate_feature_matrix(const Context& c) const;
+  /// The same features packed feature-major (7 x size()) — the form the GP
+  /// tracked-candidate engine consumes without per-point allocation.
+  linalg::FeatureMajorPoints candidate_feature_matrix(const Context& c) const;
 
  private:
   GridSpec spec_;

@@ -143,7 +143,7 @@ GpRegressor::GpRegressor(const GpRegressor& other)
       delta_mean_(other.delta_mean_),
       delta_sigma_(other.delta_sigma_),
       delta_events_(other.delta_events_),
-      fold_pending_(other.fold_pending_),
+      pending_(other.pending_),
       tracked_epoch_(other.tracked_epoch_),
       pool_(other.pool_) {}
 
@@ -184,28 +184,10 @@ void GpRegressor::reserve_cache_rows(std::size_t rows) const {
   }
 }
 
-// What one streamed pass over the A-cache applies. With `fold`, the new row
-// a = (k(z, c) - sum_i lrow[i] a_i) / pivot joins the cache and folds into
-// the moments with w entry w_new. With `evict`, rotations[r] then mixes rows
-// (victim + r, victim + r + 1) of the cache — the new row included — and the
-// rotated-out last row folds out of the moments with w entry w_last.
-struct GpRegressor::CachePass {
-  std::size_t rows = 0;  // cache rows on entry
-  bool fold = false;
-  const double* lrow = nullptr;
-  const Vector* z = nullptr;
-  double pivot = 1.0;
-  double w_new = 0.0;
-  bool evict = false;
-  std::size_t victim = 0;
-  const linalg::GivensRotation* rotations = nullptr;
-  double w_last = 0.0;
-};
-
 void GpRegressor::add(const Vector& z, double y) {
   if (z.size() != kernel_->dims())
     throw std::invalid_argument("GpRegressor::add: input dimension mismatch");
-  flush_fold();  // the previous add's fold reads the factor as it is now
+  apply_pending_pass();  // one pass pending at a time: this row's is next
   const std::size_t n = y_.size();
 
   scratch_k_.resize(n);
@@ -221,14 +203,20 @@ void GpRegressor::add(const Vector& z, double y) {
   for (std::size_t i = 0; i < n; ++i) s -= lrow[i] * w_[i];
   w_.push_back(s / pivot);
 
+  // The new row of A = L^{-1} K_tc and its fold into the cached moments wait
+  // for the next cache pass.
+  if (num_tracked() > 0) {
+    pending_.rows = n;
+    pending_.fold = true;
+    pending_.lrow.assign(lrow, lrow + n);
+    pending_.z = z;
+    pending_.pivot = pivot;
+    pending_.w_new = w_.back();
+  }
+
   z_.push_back(z);
   zdata_.insert(zdata_.end(), z.begin(), z.end());
   y_.push_back(y);
-
-  // The new row of A = L^{-1} K_tc and its fold into the cached moments wait
-  // for the next cache pass (see remove_observation / apply_fold), which
-  // reads them from the factor's last row, w's last entry and z_.back().
-  fold_pending_ = num_tracked() > 0;
 }
 
 std::size_t GpRegressor::eviction_candidate(EvictionPolicy policy) const {
@@ -271,29 +259,18 @@ void GpRegressor::remove_observation(std::size_t i) {
     throw std::invalid_argument(
         "GpRegressor::remove_observation: index out of range");
   const std::size_t d = kernel_->dims();
+  // One eviction pending at a time; a pending fold alone joins this one.
+  if (pending_.evict) run_pending_pass();
 
-  // A pending fold joins this pass. Its factor row is copied first: the
-  // downdate below rotates it.
-  CachePass pass;
-  pass.rows = fold_pending_ ? n - 1 : n;
-  if (fold_pending_) {
-    const double* lrow = chol_.row_data(n - 1);
-    fold_row_.assign(lrow, lrow + (n - 1));
-    pass.fold = true;
-    pass.lrow = fold_row_.data();
-    pass.z = &z_.back();
-    pass.pivot = lrow[n - 1];
-    pass.w_new = w_[n - 1];
-  }
-
-  chol_.remove_row(i, rot_scratch_);
+  std::vector<linalg::GivensRotation>& rot = pending_.rotations;
+  chol_.remove_row(i, rot);
 
   // The rotations that re-triangularized L also keep w = L^{-1} y
   // consistent: mix the same coordinate pairs, then drop the last entry
   // (the component of the removed observation).
-  for (std::size_t r = 0; r < rot_scratch_.size(); ++r) {
-    const double c = rot_scratch_[r].c;
-    const double s = rot_scratch_[r].s;
+  for (std::size_t r = 0; r < rot.size(); ++r) {
+    const double c = rot[r].c;
+    const double s = rot[r].s;
     const double a = w_[i + r];
     const double b = w_[i + r + 1];
     w_[i + r] = c * a + s * b;
@@ -302,19 +279,13 @@ void GpRegressor::remove_observation(std::size_t i) {
   const double w_last = w_.back();
   w_.pop_back();
 
-  // Same treatment for the cache A = L^{-1} K(train, cands), block-parallel
-  // over candidate columns, in one streamed pass with the pending fold.
+  // Same treatment for the cache A = L^{-1} K(train, cands), in the pending
+  // pass with the fold (if any).
   if (num_tracked() > 0) {
-    pass.evict = true;
-    pass.victim = i;
-    pass.rotations = rot_scratch_.data();
-    pass.w_last = w_last;
-    over_columns([&](std::size_t j0, std::size_t j1) {
-      stream_columns(pass, j0, j1);
-    });
-    amat_.resize((n - 1) * num_tracked());
-    delta_events_ += pass.fold ? 2 : 1;
-    fold_pending_ = false;
+    if (!pending_.fold) pending_.rows = n;
+    pending_.evict = true;
+    pending_.victim = i;
+    pending_.w_last = w_last;
   }
 
   z_.erase(z_.begin() + static_cast<std::ptrdiff_t>(i));
@@ -323,26 +294,25 @@ void GpRegressor::remove_observation(std::size_t i) {
   y_.erase(y_.begin() + static_cast<std::ptrdiff_t>(i));
 }
 
-void GpRegressor::apply_fold() const {
-  const std::size_t n = y_.size() - 1;  // rows already in the cache
-  CachePass pass;
-  pass.rows = n;
-  pass.fold = true;
-  pass.lrow = chol_.row_data(n);
-  pass.z = &z_.back();
-  pass.pivot = chol_.diag(n);
-  pass.w_new = w_[n];
-  fold_pending_ = false;
-  reserve_cache_rows(n + 1);
-  amat_.resize((n + 1) * num_tracked());
+void GpRegressor::run_pending_pass() const {
+  const CachePass& p = pending_;
+  const std::size_t m = num_tracked();
+  const std::size_t rows = p.rows + (p.fold ? 1 : 0) - (p.evict ? 1 : 0);
+  if (rows > p.rows) {
+    reserve_cache_rows(rows);
+    amat_.resize(rows * m);  // a fold alone stores the new row
+  }
   over_columns([&](std::size_t j0, std::size_t j1) {
-    stream_columns(pass, j0, j1);
+    stream_columns(j0, j1);
   });
-  ++delta_events_;
+  amat_.resize(rows * m);
+  delta_events_ += (p.fold ? 1 : 0) + (p.evict ? 1 : 0);
+  pending_.fold = false;
+  pending_.evict = false;
 }
 
-void GpRegressor::stream_columns(const CachePass& p, std::size_t j0,
-                                 std::size_t j1) const {
+void GpRegressor::stream_columns(std::size_t j0, std::size_t j1) const {
+  const CachePass& p = pending_;
   const std::size_t m = num_tracked();
   const std::size_t n = p.rows;
   double* a = amat_.data();
@@ -359,8 +329,7 @@ void GpRegressor::stream_columns(const CachePass& p, std::size_t j0,
   const std::size_t first = p.evict ? std::min(p.victim, n) : n;
 
   if (p.fold) {
-    const std::size_t d = kernel_->dims();
-    kernel_->eval_batch(cands_->data().data() + j0 * d, j1 - j0, *p.z, acc);
+    kernel_->eval_columns(*cands_, j0, j1, p.z, acc);
     // Rows above the victim only feed the fold.
     for (std::size_t i = 0; i < first; ++i) {
       const double li = p.lrow[i];
@@ -487,23 +456,17 @@ double GpRegressor::log_marginal_likelihood() const {
          0.5 * n * std::log(2.0 * std::numbers::pi);
 }
 
-void GpRegressor::track_candidates(std::vector<Vector> candidates) {
-  const std::size_t d = kernel_->dims();
-  auto packed = std::make_shared<Matrix>();
-  packed->reserve_rows(candidates.size(), d);
-  for (const Vector& c : candidates) {
-    if (c.size() != d)
-      throw std::invalid_argument(
-          "GpRegressor::track_candidates: dimension mismatch");
-    packed->append_row(c);
-  }
-  track_candidates(std::shared_ptr<const Matrix>(std::move(packed)));
+void GpRegressor::track_candidates(const std::vector<Vector>& candidates) {
+  // from_points rejects a candidate of another width than the kernel's.
+  track_candidates(std::make_shared<const linalg::FeatureMajorPoints>(
+      linalg::FeatureMajorPoints::from_points(candidates, kernel_->dims())));
 }
 
-void GpRegressor::track_candidates(std::shared_ptr<const Matrix> candidates) {
+void GpRegressor::track_candidates(
+    std::shared_ptr<const linalg::FeatureMajorPoints> candidates) {
   if (!candidates)
     throw std::invalid_argument("GpRegressor::track_candidates: null matrix");
-  if (candidates->rows() > 0 && candidates->cols() != kernel_->dims())
+  if (candidates->size() > 0 && candidates->dims() != kernel_->dims())
     throw std::invalid_argument(
         "GpRegressor::track_candidates: dimension mismatch");
   cands_ = std::move(candidates);
@@ -512,7 +475,8 @@ void GpRegressor::track_candidates(std::shared_ptr<const Matrix> candidates) {
 
 void GpRegressor::clear_tracked_candidates() {
   cands_.reset();
-  fold_pending_ = false;
+  pending_.fold = false;
+  pending_.evict = false;
   amat_.clear();
   amat_.shrink_to_fit();
   tracked_mean_.clear();
@@ -524,7 +488,7 @@ void GpRegressor::clear_tracked_candidates() {
 }
 
 void GpRegressor::reset_tracked_deltas() {
-  flush_fold();
+  apply_pending_pass();
   if (delta_events_ == 0) return;  // nothing accumulated: skip the O(m) fill
   delta_mean_.assign(delta_mean_.size(), 0.0);
   delta_sigma_.assign(delta_sigma_.size(), 0.0);
@@ -532,12 +496,12 @@ void GpRegressor::reset_tracked_deltas() {
 }
 
 double GpRegressor::tracked_variance(std::size_t j) const {
-  flush_fold();
+  apply_pending_pass();
   return std::max(0.0, tracked_var_[j]);
 }
 
 Prediction GpRegressor::tracked_prediction(std::size_t j) const {
-  const double v = tracked_variance(j);  // applies a pending fold first
+  const double v = tracked_variance(j);  // applies a pending pass first
   return Prediction{tracked_mean_[j], v};
 }
 
@@ -552,7 +516,9 @@ void GpRegressor::rebuild_tracked_cache() {
   delta_mean_.assign(m, 0.0);
   delta_sigma_.assign(m, 0.0);
   delta_events_ = 0;
-  fold_pending_ = false;  // the rebuild reads the factor's every row
+  // The rebuild reads the factor's every row: a pending pass is dropped.
+  pending_.fold = false;
+  pending_.evict = false;
   ++tracked_epoch_;
   if (m == 0) {
     amat_.clear();
@@ -568,7 +534,6 @@ void GpRegressor::rebuild_tracked_cache() {
 void GpRegressor::rebuild_columns(std::size_t j0, std::size_t j1) {
   const std::size_t m = num_tracked();
   const std::size_t n = y_.size();
-  const std::size_t d = kernel_->dims();
   double* a = amat_.data();
   double* mean = tracked_mean_.data();
   double* var = tracked_var_.data();
@@ -576,13 +541,12 @@ void GpRegressor::rebuild_columns(std::size_t j0, std::size_t j1) {
   const double prior = kernel_->prior_variance();
   for (std::size_t j = j0; j < j1; ++j) var[j] = prior;
 
-  // Kernel rows straight into the A-cache, one eval_batch per training row
-  // over the whole block (the same call, chunked from j0, that a fold makes),
-  // then the forward substitution A = L^{-1} K in place: 8-column
+  // Kernel rows straight into the A-cache, one eval_columns per training
+  // row over the whole block (the same call, chunked from j0, that a fold
+  // makes), then the forward substitution A = L^{-1} K in place: 8-column
   // panels in registers, the ragged tail one scalar column at a time.
   for (std::size_t i = 0; i < n; ++i) {
-    kernel_->eval_batch(cands_->data().data() + j0 * d, j1 - j0, z_[i],
-                        a + i * m + j0);
+    kernel_->eval_columns(*cands_, j0, j1, z_[i], a + i * m + j0);
   }
   std::size_t j = j0;
   for (; j + kTileCols <= j1; j += kTileCols) {

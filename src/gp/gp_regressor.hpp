@@ -8,37 +8,40 @@
 // adding the T-th observation costs O(T^2) and a single prediction costs
 // O(T^2). Because EdgeBOL must score the *entire* control grid (|X| = 11^4)
 // at every time period, the regressor can additionally "track" a fixed
-// candidate matrix: their posterior means/variances are cached and updated
+// candidate set: their posterior means/variances are cached and updated
 // in O(T |X|) per new observation instead of O(T^2 |X|) from scratch.
 //
 // The tracked cache is the decision loop's hot path. It is kept packed —
-// candidates as one row-major matrix, the substitution state A = L^{-1}
-// K(train, cands) as one contiguous row-major (T x |X|) buffer — so its
-// O(T |X|) updates run as blocked, vectorizable row operations, and the
-// O(T^2 |X|) rebuild on context switch evaluates the kernel rows straight
-// into the buffer and forward-substitutes them in place, a register tile of
-// rows at a time. Both are optionally parallelized over candidate-column
-// blocks on a common::ThreadPool. Parallel partitioning is a function of |X|
-// only (never the thread count) and each column's floating-point operation
+// the candidates feature-major (linalg::FeatureMajorPoints, so a block of
+// candidates is contiguous in every feature row for the kernel's distance
+// loop), the substitution state A = L^{-1} K(train, cands) as one
+// contiguous row-major (T x |X|) buffer — so its O(T |X|) updates run as
+// blocked, vectorizable row operations, and the O(T^2 |X|) rebuild on
+// context switch evaluates the kernel rows straight into the buffer and
+// forward-substitutes them in place, a register tile of rows at a time.
+// Both are optionally parallelized over candidate-column blocks on a
+// common::ThreadPool. Parallel partitioning is a function of |X| only
+// (never the thread count) and each column's floating-point operation
 // sequence is independent of the blocking and the tiling — and the same
 // whether the cache was built by folds or by a rebuild — so results are
 // bit-identical for any thread count, including the serial path.
 //
-// add() defers its O(T |X|) cache fold by one step: the factor, w and the
-// stored data update at once, and the fold stays pending until something
-// needs the cache. A remove_observation() right after the add — the steady
-// state of a full observation budget — applies that fold, the eviction's
-// Givens rotations and the fold-out of the dropped row in ONE row-streamed
-// pass, so each cache row is loaded and stored once per period and the cache
-// never grows past the budget; every other reader applies the fold alone
-// first. Either way each element gets the operations of an eager fold
-// followed by a separate downdate, in the same order, so the tracked
-// posterior is bitwise the same. With per-period add + evict, cost and
-// memory stay flat at O(B^2 + B |X|) forever while the posterior remains
-// exact for the retained set.
+// add() and remove_observation() update the factor, w and the stored data
+// at once and leave their O(T |X|) cache work pending: one pass that folds
+// the added row in, applies the eviction's Givens rotations and folds the
+// dropped row out, streaming each cache row once, so the cache never grows
+// past the budget. The pass runs when something needs the cache: a tracked
+// reader, reset_tracked_deltas(), the next add() or eviction, or a caller's
+// apply_pending_pass() (GenericSafeBol::select runs its surrogates' passes
+// concurrently). A rebuild (track_candidates, a context move) drops it
+// unrun: it recomputes the cache from the factor. Either way each element
+// gets the operations of an eager fold followed by a separate downdate, in
+// the same order, so the tracked posterior is bitwise the same. With
+// per-period add + evict, cost and memory stay flat at O(B^2 + B |X|)
+// forever while the posterior remains exact for the retained set.
 //
 // Instances are not safe for concurrent use: predict() reuses internal
-// scratch buffers and the tracked readers apply a pending fold, although
+// scratch buffers and the tracked readers apply a pending pass, although
 // both are const. Distinct instances may be used from different threads
 // freely, which is how the three EdgeBOL surrogates update concurrently.
 
@@ -55,7 +58,6 @@
 
 namespace edgebol::gp {
 
-using linalg::Matrix;
 using linalg::Vector;
 
 /// Posterior marginal at a single point.
@@ -97,9 +99,8 @@ class GpRegressor {
 
   /// Condition on one observation y at input z. O(T^2): the factor, w and
   /// the stored data update at once, while the O(T m) fold of the new row
-  /// into m tracked candidates is left pending. The next
-  /// remove_observation() fuses it into its own cache pass; any tracked
-  /// reader, reset_tracked_deltas() or another add() applies it alone first.
+  /// into m tracked candidates is left pending (a pass already pending runs
+  /// first). A remove_observation() right after joins it.
   void add(const Vector& z, double y);
 
   /// The index `policy` would evict right now. Requires at least one
@@ -108,14 +109,22 @@ class GpRegressor {
 
   /// Remove observation i exactly: the Cholesky factor is downdated with
   /// Givens rotations in O(T^2) (no refactorization) and the same rotations
-  /// mix w and the tracked-candidate cache. The cache side is one O(T m)
-  /// pass that streams each row once: it applies add()'s pending fold (if
-  /// any), rotates, and folds the rotated-out last row out of the moments —
-  /// per element the operations, in order, of a fold followed by a separate
-  /// downdate. The posterior afterwards equals (to rounding) a fresh
-  /// regressor built from the retained observations; the pass is
-  /// block-parallel on the pool and bit-identical for any thread count.
+  /// mix w and, later, the tracked-candidate cache. The cache side is one
+  /// O(T m) pass, left pending, that streams each row once: it applies
+  /// add()'s pending fold (if any), rotates, and folds the rotated-out last
+  /// row out of the moments — per element the operations, in order, of a
+  /// fold followed by a separate downdate. An eviction already pending runs
+  /// first. The posterior afterwards equals (to rounding) a fresh regressor
+  /// built from the retained observations; the pass is block-parallel on
+  /// the pool and bit-identical for any thread count.
   void remove_observation(std::size_t i);
+
+  /// Runs the cache pass that add() / remove_observation() left pending,
+  /// if any; every tracked reader does so first. A caller holding several
+  /// regressors can run their passes concurrently with this before reading.
+  void apply_pending_pass() const {
+    if (pending_.fold || pending_.evict) run_pending_pass();
+  }
 
   /// Posterior mean/variance at z. O(T^2). With no data this returns the
   /// prior (mean 0, variance k(z,z)).
@@ -133,20 +142,21 @@ class GpRegressor {
 
   /// Register candidate points whose posterior is kept up to date across
   /// add() / remove_observation() calls. Replaces any previous tracking and
-  /// drops a pending fold: the rebuild computes the cache from the factor.
-  /// Cost: O(T^2 m) once, then O(T m) per add().
-  void track_candidates(std::vector<Vector> candidates);
+  /// drops a pending pass unrun: the rebuild computes the cache from the
+  /// factor. Cost: O(T^2 m) once, then O(T m) per add().
+  void track_candidates(const std::vector<Vector>& candidates);
 
-  /// Packed variant: one row-major (m x dims) matrix, shared so several
-  /// regressors tracking the same grid (EdgeBOL's three surrogates) hold a
-  /// single copy of the candidate features.
-  void track_candidates(std::shared_ptr<const Matrix> candidates);
+  /// Packed variant, feature-major, shared so several regressors tracking
+  /// the same grid (EdgeBOL's three surrogates) hold a single copy of the
+  /// candidate features.
+  void track_candidates(
+      std::shared_ptr<const linalg::FeatureMajorPoints> candidates);
 
   void clear_tracked_candidates();
   bool has_tracked_candidates() const { return num_tracked() > 0; }
-  std::size_t num_tracked() const { return cands_ ? cands_->rows() : 0; }
+  std::size_t num_tracked() const { return cands_ ? cands_->size() : 0; }
   double tracked_mean(std::size_t j) const {
-    flush_fold();
+    apply_pending_pass();
     return tracked_mean_[j];
   }
   double tracked_variance(std::size_t j) const;
@@ -156,14 +166,14 @@ class GpRegressor {
   /// tracked_var_data() is UNCLAMPED (may go epsilon-negative from rounding);
   /// consumers must clamp with max(0.0, v) before sqrt, exactly as
   /// tracked_variance() does.
-  /// Like every tracked reader they apply a pending fold first, so take the
+  /// Like every tracked reader they apply a pending pass first, so take the
   /// pointers on one thread before handing them to concurrent readers.
   const double* tracked_mean_data() const {
-    flush_fold();
+    apply_pending_pass();
     return tracked_mean_.data();
   }
   const double* tracked_var_data() const {
-    flush_fold();
+    apply_pending_pass();
     return tracked_var_.data();
   }
 
@@ -177,18 +187,18 @@ class GpRegressor {
   /// unchanged. The incremental safe-set maintenance in core/safe_set.cpp is
   /// the consumer.
   const double* tracked_delta_mean_data() const {
-    flush_fold();
+    apply_pending_pass();
     return delta_mean_.data();
   }
   const double* tracked_delta_sigma_data() const {
-    flush_fold();
+    apply_pending_pass();
     return delta_sigma_.data();
   }
   /// Rank-1 events (adds/evictions folded into the tracked cache) since the
   /// last reset. 0 means the tracked posterior is bitwise unchanged and a
   /// consumer sweep may no-op.
   std::size_t tracked_delta_events() const {
-    flush_fold();
+    apply_pending_pass();
     return delta_events_;
   }
   /// Zero the delta accumulators (consumer has absorbed them). O(m), skipped
@@ -202,19 +212,34 @@ class GpRegressor {
   std::uint64_t tracked_rebuild_epoch() const { return tracked_epoch_; }
 
  private:
-  struct CachePass;
+  // The cache pass add() and remove_observation() leave pending. With
+  // `fold`, the added observation's row a = (k(z, c) - sum_i lrow[i] a_i) /
+  // pivot joins the cache and folds into the moments with w entry w_new.
+  // With `evict`, rotations[r] then mixes rows (victim + r, victim + r + 1)
+  // of the cache, the new row included, and the rotated-out last row folds
+  // out of the moments with w entry w_last. It holds copies of everything
+  // it reads: the factor, w, z_ and the rotations all move on before it
+  // runs.
+  struct CachePass {
+    std::size_t rows = 0;  // cache rows on entry
+    bool fold = false;
+    std::vector<double> lrow;  // the added row of the factor, pre-eviction
+    Vector z;
+    double pivot = 1.0;
+    double w_new = 0.0;
+    bool evict = false;
+    std::size_t victim = 0;
+    // Also remove_observation()'s rotation scratch when nothing is tracked.
+    std::vector<linalg::GivensRotation> rotations;
+    double w_last = 0.0;
+  };
 
   void rebuild_tracked_cache();
   // Rebuild the tracked cache for candidate columns [j0, j1).
   void rebuild_columns(std::size_t j0, std::size_t j1);
-  // Applies a fold that add() left pending, on its own.
-  void flush_fold() const {
-    if (fold_pending_) apply_fold();
-  }
-  void apply_fold() const;
-  // One streamed pass of `pass` over cache columns [j0, j1).
-  void stream_columns(const CachePass& pass, std::size_t j0,
-                      std::size_t j1) const;
+  void run_pending_pass() const;
+  // One streamed pass of pending_ over cache columns [j0, j1).
+  void stream_columns(std::size_t j0, std::size_t j1) const;
   // Runs fn over candidate-column blocks (fixed width, thread pool if set).
   void over_columns(
       const std::function<void(std::size_t, std::size_t)>& fn) const;
@@ -229,25 +254,22 @@ class GpRegressor {
   linalg::CholeskyFactor chol_;  // factor of K + zeta^2 I
   Vector w_;                     // L^{-1} y, extended per observation
 
-  std::shared_ptr<const Matrix> cands_;  // m tracked candidates, packed
+  // m tracked candidates, shared
+  std::shared_ptr<const linalg::FeatureMajorPoints> cands_;
   // The tracked state below is mutable because the const readers apply a
-  // pending fold before they hand it out.
-  mutable std::vector<double> amat_;  // A = L^{-1} K(train, cands), T x m
+  // pending pass before they hand it out.
+  mutable std::vector<double> amat_;  // A = L^{-1} K(train, cands), rows x m
   mutable Vector tracked_mean_;       // m
   mutable Vector tracked_var_;        // m (clamped at >= 0 on read)
   mutable Vector delta_mean_;         // m, accumulated |mean delta| since reset
   mutable Vector delta_sigma_;        // m, accumulated |a_j| (bounds sigma)
   mutable std::size_t delta_events_ = 0;  // rank-1 events since reset
-  // The newest observation's fold is not in the cache yet: A has one row
-  // fewer than the factor (see add()).
-  mutable bool fold_pending_ = false;
+  mutable CachePass pending_;  // not run yet: A lags the factor
   std::uint64_t tracked_epoch_ = 0;  // bumped on rebuild/clear
 
   std::shared_ptr<common::ThreadPool> pool_;
   mutable Vector scratch_k_;     // kernel row, reused across predict()/add()
   mutable Vector scratch_v_;     // triangular-solve output for predict()
-  std::vector<linalg::GivensRotation> rot_scratch_;  // eviction rotations
-  std::vector<double> fold_row_;  // pending fold's factor row, pre-eviction
 };
 
 }  // namespace edgebol::gp

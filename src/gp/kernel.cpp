@@ -1,158 +1,170 @@
+// The kernels' squared distances and everything but their elementwise
+// s -> k(s) loops (gp/kernel_fast_math.cpp). This unit is strict IEEE: it
+// is never built with -ffast-math, so the summation order below is the
+// program's, not the compiler's.
+
 #include "gp/kernel.hpp"
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <stdexcept>
 
 namespace edgebol::gp {
 
 namespace {
 
-void check_lengthscales(const Vector& ls) {
-  if (ls.empty())
-    throw std::invalid_argument("Kernel: empty length-scale vector");
-  for (double l : ls) {
-    if (!(l > 0.0))
-      throw std::invalid_argument("Kernel: length-scales must be > 0");
+// Two doubles, baseline SSE2: plain IEEE operations lane by lane.
+using f64x2 = double __attribute__((vector_size(16)));
+
+// Points packed row-major: point i's features are x[i * d .. (i + 1) * d).
+struct RowMajor {
+  const double* x;
+  std::size_t d;
+  RowMajor from(std::size_t i) const { return {x + i * d, d}; }
+  double at(std::size_t i, std::size_t k) const { return x[i * d + k]; }
+  f64x2 pair(std::size_t i, std::size_t k) const {
+    return f64x2{at(i, k), at(i + 1, k)};
+  }
+};
+
+// Points stored feature-major: feature k of point i at x[k * stride + i].
+struct FeatureMajor {
+  const double* x;
+  std::size_t stride;
+  FeatureMajor from(std::size_t i) const { return {x + i, stride}; }
+  double at(std::size_t i, std::size_t k) const { return x[k * stride + i]; }
+  f64x2 pair(std::size_t i, std::size_t k) const {
+    f64x2 v;
+    std::memcpy(&v, x + k * stride + i, sizeof v);
+    return v;
+  }
+};
+
+// s[i] = sum over k < d of t_k^2, t_k = (x_i[k] - z[k]) * il[k], for the n
+// points of `x`, summed in one fixed order: the even-k terms accumulate in
+// ascending k, so do the odd-k terms, the two partial sums are added, and a
+// last term joins when d is odd. For d = 7:
+//   s = (((t0^2 + t2^2) + t4^2) + ((t1^2 + t3^2) + t5^2)) + t6^2.
+// That is the order GCC 12's -O3 -ffast-math vectorizer gave the plain
+// ascending row-major loop this replaced (a two-lane reduction, even k in
+// one lane and odd k in the other, then a scalar epilogue), kept so every
+// kernel value, and so every trajectory, stayed bit for bit the same. Four
+// points run at a time, two per f64x2, each feature's z and 1/l broadcast
+// once for all four; a ragged tail runs the same order one point at a time.
+template <class Points>
+void squared_distances(const Points& x, std::size_t n, const double* z,
+                       const double* il, std::size_t d, double* s) {
+  const std::size_t pairs_end = d - d % 2;
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    f64x2 even[2] = {};
+    f64x2 odd[2] = {};
+    for (std::size_t k = 0; k < pairs_end; k += 2) {
+      for (std::size_t h = 0; h < 2; ++h) {
+        const f64x2 te = (x.pair(i + 2 * h, k) - z[k]) * il[k];
+        const f64x2 to = (x.pair(i + 2 * h, k + 1) - z[k + 1]) * il[k + 1];
+        even[h] += te * te;
+        odd[h] += to * to;
+      }
+    }
+    for (std::size_t h = 0; h < 2; ++h) {
+      f64x2 sum = even[h] + odd[h];
+      if (pairs_end < d) {
+        const f64x2 t = (x.pair(i + 2 * h, pairs_end) - z[pairs_end]) *
+                        il[pairs_end];
+        sum += t * t;
+      }
+      std::memcpy(s + i + 2 * h, &sum, sizeof sum);
+    }
+  }
+  for (; i < n; ++i) {
+    double even = 0.0;
+    double odd = 0.0;
+    for (std::size_t k = 0; k < pairs_end; k += 2) {
+      const double te = (x.at(i, k) - z[k]) * il[k];
+      const double to = (x.at(i, k + 1) - z[k + 1]) * il[k + 1];
+      even += te * te;
+      odd += to * to;
+    }
+    double sum = even + odd;
+    if (pairs_end < d) {
+      const double t = (x.at(i, pairs_end) - z[pairs_end]) * il[pairs_end];
+      sum += t * t;
+    }
+    s[i] = sum;
   }
 }
 
-void check_amplitude(double a) {
-  if (!(a > 0.0)) throw std::invalid_argument("Kernel: amplitude must be > 0");
+// out[i] = k(x_i, z) for n points, in Kernel::kChunk-point chunks from the
+// first: distances into a stack buffer, then the kernel's elementwise loop.
+template <class Points>
+void eval_chunked(const Kernel& kernel, const double* il, const Points& x,
+                  std::size_t n, const Vector& z, double* out) {
+  double s[Kernel::kChunk];
+  for (std::size_t base = 0; base < n; base += Kernel::kChunk) {
+    const std::size_t c = std::min(Kernel::kChunk, n - base);
+    squared_distances(x.from(base), c, z.data(), il, kernel.dims(), s);
+    kernel.from_squared_distances(s, c, out + base);
+  }
 }
 
 }  // namespace
 
+Kernel::Kernel(Vector lengthscales, double amplitude)
+    : lengthscales_(std::move(lengthscales)), amplitude_(amplitude) {
+  if (lengthscales_.empty())
+    throw std::invalid_argument("Kernel: empty length-scale vector");
+  for (double l : lengthscales_) {
+    if (!(l > 0.0))
+      throw std::invalid_argument("Kernel: length-scales must be > 0");
+  }
+  if (!(amplitude_ > 0.0))
+    throw std::invalid_argument("Kernel: amplitude must be > 0");
+  inv_lengthscales_.resize(lengthscales_.size());
+  for (std::size_t i = 0; i < lengthscales_.size(); ++i) {
+    inv_lengthscales_[i] = 1.0 / lengthscales_[i];
+  }
+}
+
+double Kernel::operator()(const Vector& a, const Vector& b) const {
+  if (a.size() != dims() || b.size() != dims())
+    throw std::invalid_argument("Kernel: size mismatch");
+  double s = 0.0;
+  squared_distances(RowMajor{a.data(), dims()}, 1, b.data(),
+                    inv_lengthscales_.data(), dims(), &s);
+  double k = 0.0;
+  from_squared_distances(&s, 1, &k);
+  return k;
+}
+
 void Kernel::eval_batch(const double* xs, std::size_t n, const Vector& z,
                         double* out) const {
-  const std::size_t d = dims();
-  Vector x(d);
-  for (std::size_t i = 0; i < n; ++i) {
-    x.assign(xs + i * d, xs + (i + 1) * d);
-    out[i] = (*this)(x, z);
-  }
+  eval_chunked(*this, inv_lengthscales_.data(), RowMajor{xs, dims()}, n, z,
+               out);
+}
+
+void Kernel::eval_columns(const linalg::FeatureMajorPoints& xs,
+                          std::size_t j0, std::size_t j1, const Vector& z,
+                          double* out) const {
+  eval_chunked(*this, inv_lengthscales_.data(),
+               FeatureMajor{xs.feature(0) + j0, xs.size()}, j1 - j0, z, out);
 }
 
 double anisotropic_distance(const Vector& a, const Vector& b,
                             const Vector& lengthscales) {
   if (a.size() != b.size() || a.size() != lengthscales.size())
     throw std::invalid_argument("anisotropic_distance: size mismatch");
+  Vector il(lengthscales.size());
+  for (std::size_t k = 0; k < il.size(); ++k) il[k] = 1.0 / lengthscales[k];
   double s = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    const double d = (a[i] - b[i]) / lengthscales[i];
-    s += d * d;
-  }
+  squared_distances(RowMajor{a.data(), a.size()}, 1, b.data(), il.data(),
+                    a.size(), &s);
   return std::sqrt(s);
-}
-
-Matern32Kernel::Matern32Kernel(Vector lengthscales, double amplitude)
-    : lengthscales_(std::move(lengthscales)), amplitude_(amplitude) {
-  check_lengthscales(lengthscales_);
-  check_amplitude(amplitude_);
-  inv_lengthscales_.resize(lengthscales_.size());
-  for (std::size_t i = 0; i < lengthscales_.size(); ++i) {
-    inv_lengthscales_[i] = 1.0 / lengthscales_[i];
-  }
-}
-
-double Matern32Kernel::operator()(const Vector& a, const Vector& b) const {
-  if (a.size() != b.size() || a.size() != lengthscales_.size())
-    throw std::invalid_argument("Matern32Kernel: size mismatch");
-  const double* il = inv_lengthscales_.data();
-  double s = 0.0;
-  for (std::size_t k = 0; k < a.size(); ++k) {
-    const double t = (a[k] - b[k]) * il[k];
-    s += t * t;
-  }
-  const double s3d = std::sqrt(3.0) * std::sqrt(s);
-  return amplitude_ * (1.0 + s3d) * std::exp(-s3d);
-}
-
-void Matern32Kernel::eval_batch(const double* xs, std::size_t n,
-                                const Vector& z, double* out) const {
-  const std::size_t d = lengthscales_.size();
-  const double* il = inv_lengthscales_.data();
-  const double* zp = z.data();
-  const double amp = amplitude_;
-  const double sqrt3 = std::sqrt(3.0);
-  // Two passes per chunk: squared distances into a stack buffer, then one
-  // elementwise sqrt/exp loop the compiler can vectorize (the fused form
-  // hides the transcendentals behind an unvectorizable reduction). kChunk
-  // divides the engine's column grain, so chunk boundaries — and therefore
-  // results — are identical whether a range arrives whole or as blocks.
-  constexpr std::size_t kChunk = 256;
-  double s[kChunk];
-  for (std::size_t base = 0; base < n; base += kChunk) {
-    const std::size_t c = std::min(kChunk, n - base);
-    const double* xb = xs + base * d;
-    for (std::size_t i = 0; i < c; ++i) {
-      const double* x = xb + i * d;
-      double acc = 0.0;
-      for (std::size_t k = 0; k < d; ++k) {
-        const double t = (x[k] - zp[k]) * il[k];
-        acc += t * t;
-      }
-      s[i] = acc;
-    }
-    double* ob = out + base;
-    for (std::size_t i = 0; i < c; ++i) {
-      const double s3d = sqrt3 * std::sqrt(s[i]);
-      ob[i] = amp * (1.0 + s3d) * std::exp(-s3d);
-    }
-  }
 }
 
 std::unique_ptr<Kernel> Matern32Kernel::clone() const {
   return std::make_unique<Matern32Kernel>(*this);
-}
-
-RbfKernel::RbfKernel(Vector lengthscales, double amplitude)
-    : lengthscales_(std::move(lengthscales)), amplitude_(amplitude) {
-  check_lengthscales(lengthscales_);
-  check_amplitude(amplitude_);
-  inv_lengthscales_.resize(lengthscales_.size());
-  for (std::size_t i = 0; i < lengthscales_.size(); ++i) {
-    inv_lengthscales_[i] = 1.0 / lengthscales_[i];
-  }
-}
-
-double RbfKernel::operator()(const Vector& a, const Vector& b) const {
-  if (a.size() != b.size() || a.size() != lengthscales_.size())
-    throw std::invalid_argument("RbfKernel: size mismatch");
-  const double* il = inv_lengthscales_.data();
-  double s = 0.0;
-  for (std::size_t k = 0; k < a.size(); ++k) {
-    const double t = (a[k] - b[k]) * il[k];
-    s += t * t;
-  }
-  return amplitude_ * std::exp(-0.5 * s);
-}
-
-void RbfKernel::eval_batch(const double* xs, std::size_t n, const Vector& z,
-                           double* out) const {
-  const std::size_t d = lengthscales_.size();
-  const double* il = inv_lengthscales_.data();
-  const double* zp = z.data();
-  const double amp = amplitude_;
-  constexpr std::size_t kChunk = 256;  // see Matern32Kernel::eval_batch
-  double s[kChunk];
-  for (std::size_t base = 0; base < n; base += kChunk) {
-    const std::size_t c = std::min(kChunk, n - base);
-    const double* xb = xs + base * d;
-    for (std::size_t i = 0; i < c; ++i) {
-      const double* x = xb + i * d;
-      double acc = 0.0;
-      for (std::size_t k = 0; k < d; ++k) {
-        const double t = (x[k] - zp[k]) * il[k];
-        acc += t * t;
-      }
-      s[i] = acc;
-    }
-    double* ob = out + base;
-    for (std::size_t i = 0; i < c; ++i) {
-      ob[i] = amp * std::exp(-0.5 * s[i]);
-    }
-  }
 }
 
 std::unique_ptr<Kernel> RbfKernel::clone() const {

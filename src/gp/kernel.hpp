@@ -4,10 +4,24 @@
 // kernel and picks the Matérn family with nu = 3/2 (once-differentiable
 // sample paths), with per-dimension length-scales L^(i) (eq. 5-6). We also
 // provide an anisotropic RBF for ablations.
+//
+// Both are a function of one quantity, the squared scaled distance
+// s = sum_k ((z_k - z'_k) / l_k)^2, so evaluation has two halves:
+//  - The distances: one loop in the Kernel base (gp/kernel.cpp, strict
+//    IEEE) for points stored either way — row-major training inputs or
+//    feature-major candidates (linalg::FeatureMajorPoints) — with its
+//    summation order written out (see squared_distances there). Its values
+//    do not depend on the optimization level or the target ISA.
+//  - The elementwise s -> k(s) loop of each kernel (gp/kernel_fast_math.cpp,
+//    the one unit built with -ffast-math so GCC 12 vectorizes exp with
+//    libmvec). Its bits do depend on the -O level: a vectorized run of
+//    points takes libmvec's exp, a scalar one the libm exp.
 
 #pragma once
 
+#include <cstddef>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "linalg/matrix.hpp"
@@ -16,36 +30,57 @@ namespace edgebol::gp {
 
 using linalg::Vector;
 
-/// Interface for stationary covariance functions k(z, z').
+/// A stationary anisotropic covariance function k(z, z') = f(s) of the
+/// squared scaled distance s.
 class Kernel {
  public:
+  /// Batched evaluations run in chunks of this many points from the start
+  /// of the batch: squared distances into a stack buffer, then one
+  /// from_squared_distances call. The chunk boundaries are part of the
+  /// result's bits (a chunk's odd last point takes the scalar exp). The GP
+  /// engine's 512-column blocks are chunk multiples, so a range evaluated
+  /// whole or block by block gives the same values.
+  static constexpr std::size_t kChunk = 256;
+
   virtual ~Kernel() = default;
 
   /// Covariance between two points. Both must have dims() entries.
-  virtual double operator()(const Vector& a, const Vector& b) const = 0;
+  double operator()(const Vector& a, const Vector& b) const;
 
-  /// Batched evaluation against packed row-major points: out[i] = k(x_i, z)
-  /// where x_i = xs[i*dims() .. (i+1)*dims()). The default implementation
-  /// loops over operator(); Matern32Kernel/RbfKernel override it with
-  /// devirtualized, vectorizable chunked loops (internal chunk: 256 points).
-  /// Results are identical whether a range is evaluated whole or in blocks,
-  /// provided block boundaries fall on chunk multiples — the GP engine's
-  /// column grain (512) guarantees this. The engine's add() fold and its
-  /// cache rebuild make the same per-block call for every training row, so
-  /// the tracked cache sees the same kernel values either way and stays
-  /// bitwise independent of how it was built. When the library is built with
-  /// vectorized math (see src/CMakeLists.txt) batched values may differ from
-  /// the scalar operator() at the last-ulp level.
-  virtual void eval_batch(const double* xs, std::size_t n, const Vector& z,
-                          double* out) const;
+  /// out[i] = k(x_i, z) for points packed row-major: x_i = xs[i * dims()
+  /// .. (i + 1) * dims()).
+  void eval_batch(const double* xs, std::size_t n, const Vector& z,
+                  double* out) const;
+
+  /// out[j - j0] = k(x_j, z) for points [j0, j1) of a feature-major set.
+  /// Same values as eval_batch over the same points packed row-major.
+  void eval_columns(const linalg::FeatureMajorPoints& xs, std::size_t j0,
+                    std::size_t j1, const Vector& z, double* out) const;
+
+  /// out[i] = f(s[i]), i < n: the kernel as a function of the squared
+  /// scaled distance. Vectorized across i; for the batched evaluations'
+  /// values, call it per kChunk-point chunk as they do.
+  virtual void from_squared_distances(const double* s, std::size_t n,
+                                      double* out) const = 0;
 
   /// Prior variance k(z, z); for stationary kernels this is the amplitude.
-  virtual double prior_variance() const = 0;
+  double prior_variance() const { return amplitude_; }
 
   /// Input dimensionality (length of the length-scale vector).
-  virtual std::size_t dims() const = 0;
+  std::size_t dims() const { return lengthscales_.size(); }
+  const Vector& lengthscales() const { return lengthscales_; }
 
   virtual std::unique_ptr<Kernel> clone() const = 0;
+
+ protected:
+  /// `lengthscales` must be strictly positive; `amplitude` is the signal
+  /// variance s2 (the paper normalizes observations so that s2 < 1).
+  Kernel(Vector lengthscales, double amplitude);
+
+ private:
+  Vector lengthscales_;
+  Vector inv_lengthscales_;  // reciprocals: the distance loop multiplies
+  double amplitude_;
 };
 
 /// Scaled anisotropic distance of eq. (5):
@@ -57,44 +92,24 @@ double anisotropic_distance(const Vector& a, const Vector& b,
 ///   k(z, z') = s2 * (1 + sqrt(3) d) * exp(-sqrt(3) d).
 class Matern32Kernel final : public Kernel {
  public:
-  /// `lengthscales` must be strictly positive; `amplitude` is the signal
-  /// variance s2 (the paper normalizes observations so that s2 < 1).
-  Matern32Kernel(Vector lengthscales, double amplitude = 1.0);
+  Matern32Kernel(Vector lengthscales, double amplitude = 1.0)
+      : Kernel(std::move(lengthscales), amplitude) {}
 
-  double operator()(const Vector& a, const Vector& b) const override;
-  void eval_batch(const double* xs, std::size_t n, const Vector& z,
-                  double* out) const override;
-  double prior_variance() const override { return amplitude_; }
-  std::size_t dims() const override { return lengthscales_.size(); }
+  void from_squared_distances(const double* s, std::size_t n,
+                              double* out) const override;
   std::unique_ptr<Kernel> clone() const override;
-
-  const Vector& lengthscales() const { return lengthscales_; }
-
- private:
-  Vector lengthscales_;
-  Vector inv_lengthscales_;  // reciprocals, shared by scalar & batched paths
-  double amplitude_;
 };
 
 /// Anisotropic squared-exponential kernel:
 ///   k(z, z') = s2 * exp(-d^2 / 2).
 class RbfKernel final : public Kernel {
  public:
-  RbfKernel(Vector lengthscales, double amplitude = 1.0);
+  RbfKernel(Vector lengthscales, double amplitude = 1.0)
+      : Kernel(std::move(lengthscales), amplitude) {}
 
-  double operator()(const Vector& a, const Vector& b) const override;
-  void eval_batch(const double* xs, std::size_t n, const Vector& z,
-                  double* out) const override;
-  double prior_variance() const override { return amplitude_; }
-  std::size_t dims() const override { return lengthscales_.size(); }
+  void from_squared_distances(const double* s, std::size_t n,
+                              double* out) const override;
   std::unique_ptr<Kernel> clone() const override;
-
-  const Vector& lengthscales() const { return lengthscales_; }
-
- private:
-  Vector lengthscales_;
-  Vector inv_lengthscales_;  // reciprocals, shared by scalar & batched paths
-  double amplitude_;
 };
 
 }  // namespace edgebol::gp

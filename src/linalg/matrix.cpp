@@ -60,6 +60,20 @@ double Matrix::max_abs_diff(const Matrix& other) const {
   return m;
 }
 
+FeatureMajorPoints::FeatureMajorPoints(std::size_t dims, std::size_t size)
+    : features_(dims, size) {}
+
+FeatureMajorPoints FeatureMajorPoints::from_points(
+    const std::vector<Vector>& points, std::size_t dims) {
+  FeatureMajorPoints out(dims, points.size());
+  for (std::size_t j = 0; j < points.size(); ++j) {
+    if (points[j].size() != dims)
+      throw std::invalid_argument("FeatureMajorPoints: point width mismatch");
+    for (std::size_t k = 0; k < dims; ++k) out.at(j, k) = points[j][k];
+  }
+  return out;
+}
+
 Vector matvec(const Matrix& a, const Vector& x) {
   if (a.cols() != x.size())
     throw std::invalid_argument("matvec: dimension mismatch");

@@ -57,6 +57,37 @@ class Matrix {
   std::vector<double> data_;
 };
 
+/// A set of points stored feature-major: one row per input feature, one
+/// column per point, so any run of points is contiguous in every feature
+/// row (the layout the GP kernel's candidate loop streams). Its own type,
+/// not a Matrix: a row-major point matrix, a square one included, cannot be
+/// passed where this is meant and be read transposed.
+class FeatureMajorPoints {
+ public:
+  FeatureMajorPoints(std::size_t dims, std::size_t size);
+  /// Packs `points` (each of `dims` entries). Throws std::invalid_argument
+  /// on a point of another width.
+  static FeatureMajorPoints from_points(const std::vector<Vector>& points,
+                                        std::size_t dims);
+
+  std::size_t dims() const { return features_.rows(); }
+  std::size_t size() const { return features_.cols(); }
+
+  double& at(std::size_t point, std::size_t feature) {
+    return features_(feature, point);
+  }
+  double at(std::size_t point, std::size_t feature) const {
+    return features_(feature, point);
+  }
+  /// Feature k of every point: size() contiguous entries.
+  const double* feature(std::size_t k) const {
+    return features_.data().data() + k * size();
+  }
+
+ private:
+  Matrix features_;  // dims() x size()
+};
+
 /// y = A x
 Vector matvec(const Matrix& a, const Vector& x);
 

@@ -45,9 +45,10 @@ class OranManagedTestbed {
 
   /// One orchestration period: deploy the radio policy over A1/E2, run the
   /// period over svc, and deliver the KPI back through E2/O1.
-  /// Throws std::runtime_error only if a *delivered* A1 policy is rejected
-  /// as invalid; transport failures degrade (previous policy stays active)
-  /// instead of throwing.
+  /// Throws std::runtime_error only if the policy is invalid: service knobs
+  /// out of range (refused before anything is sent) or a *delivered* A1
+  /// policy rejected; transport failures degrade (previous policy stays
+  /// active) instead of throwing.
   env::Measurement step(const env::ControlPolicy& policy);
 
   /// Attach the injector's plan to the control-plane hops (a1 both ways,

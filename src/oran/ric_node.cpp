@@ -355,6 +355,14 @@ env::Measurement NonRtRicNode::step(const env::ControlPolicy& policy) {
   if (!have_context_) {
     throw std::logic_error("NonRtRicNode: step() before handshake()");
   }
+  // The environment drops a step request with invalid service knobs
+  // unanswered (EnvNode::handle_step), so refuse them here, before any A1 or
+  // svc frame goes out, the way a rejected radio policy surfaces.
+  if (!service_policy_valid(policy.resolution, policy.gpu_speed)) {
+    throw std::runtime_error(
+        "NonRtRicNode: service policy invalid (resolution outside (0, 1] or "
+        "GPU speed outside [0, 1])");
+  }
 
   // 1. Radio policy over A1-P, reliable-with-retries (up to
   //    NodeTimeouts::a1_attempts; the backoff is the real ack wait).

@@ -197,7 +197,8 @@ class NonRtRicNode {
   env::Context context() const { return context_; }
 
   /// One orchestration period through the distributed control plane. See
-  /// the file comment for the protocol; throws std::runtime_error when a
+  /// the file comment for the protocol; throws std::runtime_error when the
+  /// service knobs are invalid (before anything is sent), when a
   /// *delivered* A1 policy is rejected (invalid by validation) or when the
   /// environment never answers the step request.
   env::Measurement step(const env::ControlPolicy& policy);

@@ -115,7 +115,7 @@ std::vector<DecisionRecord> run_battery(std::size_t threads) {
   spec.levels_per_dim = 4;  // 256 candidates keeps the battery quick
   env::ControlGrid grid(spec);
   const env::Context ctx{};
-  const auto cand_mat = std::make_shared<const linalg::Matrix>(
+  const auto cand_mat = std::make_shared<const linalg::FeatureMajorPoints>(
       grid.candidate_feature_matrix(ctx));
   const std::size_t m = grid.size();
 
@@ -257,7 +257,7 @@ std::vector<DecisionRecord> run_engine(AcquisitionKind kind,
     const env::Context& c = (t / 7) % 2 == 0 ? ctx_a : ctx_b;
     const linalg::Vector f = c.to_features();
     if (tracked != f) {  // the two contexts are far apart: rebuild on change
-      const auto cands = std::make_shared<const linalg::Matrix>(
+      const auto cands = std::make_shared<const linalg::FeatureMajorPoints>(
           grid.candidate_feature_matrix(c));
       for (gp::GpRegressor& g : shadow) g.track_candidates(cands);
       tracked = f;

@@ -8,10 +8,11 @@
 //  3. Parallelism never changes results — budgeted tracked caches and
 //     EdgeBol decision trajectories are bit-identical for thread counts
 //     {1, 2, 8}, eviction downdates included.
-//  4. Deferring add()'s fold changes no bit — whatever sequence of adds,
-//     removals, reads, re-tracks and copies runs, the tracked moments and
-//     delta accumulators equal those of an eager reference cache that folds
-//     at add() and downdates in a separate sweep.
+//  4. Deferring the cache passes of add() and remove_observation() changes
+//     no bit — whatever sequence of adds, removals, reads, re-tracks and
+//     copies runs, the tracked moments and delta accumulators equal those
+//     of an eager reference cache that folds at add() and downdates in a
+//     separate sweep at remove().
 //
 // The budget itself is a caller's loop (GenericSafeBol::enforce_budget):
 // BudgetedGp below runs the same loop around a single regressor.
@@ -54,11 +55,10 @@ std::vector<Vector> draw_points(std::size_t n, Rng& rng) {
   return out;
 }
 
-std::shared_ptr<const linalg::Matrix> pack(const std::vector<Vector>& pts) {
-  linalg::Matrix m;
-  m.reserve_rows(pts.size(), 7);
-  for (const Vector& p : pts) m.append_row(p);
-  return std::make_shared<const linalg::Matrix>(std::move(m));
+std::shared_ptr<const linalg::FeatureMajorPoints> pack(
+    const std::vector<Vector>& pts) {
+  return std::make_shared<const linalg::FeatureMajorPoints>(
+      linalg::FeatureMajorPoints::from_points(pts, 7));
 }
 
 // Fresh regressor conditioned on exactly gp's retained observations; its
@@ -244,13 +244,19 @@ struct Trajectory {
   bool operator==(const Trajectory&) const = default;
 };
 
+// EdgeBol on a levels^4 grid under a budget, the context stepping between
+// two values every 5 periods: 4 selects in 5 run the last update's pending
+// cache passes, and each step's rebuild drops them.
 Trajectory run_budgeted_trajectory(std::size_t num_threads,
-                                   gp::EvictionPolicy policy) {
+                                   gp::EvictionPolicy policy,
+                                   std::size_t levels = 4,
+                                   std::size_t budget = 12,
+                                   int periods = 30) {
   env::GridSpec spec;
-  spec.levels_per_dim = 4;  // 256 candidates keeps the test quick
+  spec.levels_per_dim = levels;
   core::EdgeBolConfig cfg;
   cfg.num_threads = num_threads;
-  cfg.gp_budget = 12;
+  cfg.gp_budget = budget;
   cfg.gp_eviction = policy;
   core::EdgeBol agent(env::ControlGrid(spec), cfg);
   env::Testbed tb = env::make_static_testbed(35.0);
@@ -259,7 +265,7 @@ Trajectory run_budgeted_trajectory(std::size_t num_threads,
   const env::Context ctx_b{6.0, 9.0, 8.0};
 
   Trajectory tr;
-  for (int t = 0; t < 30; ++t) {
+  for (int t = 0; t < periods; ++t) {
     const env::Context& c = (t / 5) % 2 == 0 ? ctx_a : ctx_b;
     const core::Decision d = agent.select(c);
     const env::Measurement m = tb.step(d.policy);
@@ -287,19 +293,34 @@ TEST(GpBudget, EdgeBolBudgetedTrajectoryBitIdenticalAcrossThreadCounts) {
   }
 }
 
+// The pending passes that select() runs concurrently (the surrogates on a
+// pool, each block-parallel on the same pool) decide exactly what the
+// serial engine decides. 6^4 = 1296 candidates span three column blocks.
+TEST(GpBudget, EdgeBolPendingPassesBitIdenticalAcrossThreadCounts) {
+  const Trajectory t1 =
+      run_budgeted_trajectory(1, gp::EvictionPolicy::kOldest, 6, 30, 70);
+  const Trajectory t2 =
+      run_budgeted_trajectory(2, gp::EvictionPolicy::kOldest, 6, 30, 70);
+  const Trajectory t3 =
+      run_budgeted_trajectory(3, gp::EvictionPolicy::kOldest, 6, 30, 70);
+  EXPECT_EQ(t1, t2);
+  EXPECT_EQ(t1, t3);
+}
+
 // ---------------------------------------------------------------------------
-// The deferred fold against an eager reference, bit for bit.
+// The deferred cache passes against an eager reference, bit for bit.
 // ---------------------------------------------------------------------------
 
 // The tracked cache kept eagerly: add() folds the new row into the cache at
 // once, and remove() rotates the cache and folds the last row out in a
 // second sweep — the loops of the engine before its fold was deferred, over
-// the same 512-column blocks (eval_batch's chunks, and so its values, depend
+// the same 512-column blocks (eval_columns' chunks, and so its values, depend
 // on them). Only the public kernel and CholeskyFactor are shared with
 // GpRegressor.
 class EagerCache {
  public:
-  EagerCache(double noise, std::shared_ptr<const linalg::Matrix> cands)
+  EagerCache(double noise,
+             std::shared_ptr<const linalg::FeatureMajorPoints> cands)
       : kernel_(make_kernel()), noise_(noise), cands_(std::move(cands)) {}
 
   std::size_t rows() const { return w_.size(); }
@@ -366,8 +387,7 @@ class EagerCache {
     for_blocks([&](std::size_t j0, std::size_t j1) {
       for (std::size_t i = 0; i < n; ++i) {
         double* ai = amat_.data() + i * mm;
-        kernel_->eval_batch(cands_->data().data() + j0 * 7, j1 - j0, zs_[i],
-                            ai + j0);
+        kernel_->eval_columns(*cands_, j0, j1, zs_[i], ai + j0);
         const double* li = chol_.row_data(i);
         for (std::size_t k = 0; k < i; ++k) {
           const double* ak = amat_.data() + k * mm;
@@ -393,7 +413,7 @@ class EagerCache {
   std::size_t events = 0;
 
  private:
-  std::size_t m() const { return cands_->rows(); }
+  std::size_t m() const { return cands_->size(); }
 
   template <class Fn>
   void for_blocks(const Fn& fn) {
@@ -407,8 +427,7 @@ class EagerCache {
                     std::size_t j1) {
     const std::size_t mm = m();
     double* arow = amat_.data() + n * mm;
-    kernel_->eval_batch(cands_->data().data() + j0 * 7, j1 - j0, z,
-                        arow + j0);
+    kernel_->eval_columns(*cands_, j0, j1, z, arow + j0);
     for (std::size_t i = 0; i < n; ++i) {
       const double* ai = amat_.data() + i * mm;
       for (std::size_t j = j0; j < j1; ++j) arow[j] -= lrow[i] * ai[j];
@@ -450,7 +469,7 @@ class EagerCache {
 
   std::unique_ptr<gp::Kernel> kernel_;
   double noise_;
-  std::shared_ptr<const linalg::Matrix> cands_;
+  std::shared_ptr<const linalg::FeatureMajorPoints> cands_;
   bool tracking_ = false;
   linalg::CholeskyFactor chol_;
   Vector w_;
@@ -478,12 +497,15 @@ void expect_same_bits(const gp::GpRegressor& gp, const EagerCache& ref,
 }
 
 // Runs `script` on a GpRegressor and on the eager reference, comparing
-// their bits after every removal and read (never right after an add: a
-// comparison reads the cache, and would apply the pending fold on its own).
-//   a  add a fresh observation        R  tracked read (applies the fold)
-//   0  remove the oldest              t  track_candidates (drops the fold)
-//   h  remove the middle              c  replace by a copy of itself
-//   l  remove the last (newest)       x  reset_tracked_deltas
+// their bits after the ops marked * (a comparison reads the cache, so it
+// runs any pending pass on its own; the other ops leave theirs pending).
+//   a  add a fresh observation        R* tracked read (runs the pass)
+//   0* remove the oldest              t* track_candidates (drops the pass)
+//   h* remove the middle              c  replace by a copy of itself
+//   l* remove the last (newest)       k  compare a copy (the original
+//   <  remove the oldest                 keeps its pending pass)
+//   |  remove the middle              x* reset_tracked_deltas
+//   >  remove the last (newest)
 void run_script(std::size_t m, std::size_t threads, std::size_t initial,
                 const std::string& script) {
   const std::string where0 = "m=" + std::to_string(m) +
@@ -518,11 +540,17 @@ void run_script(std::size_t m, std::size_t threads, std::size_t initial,
         continue;
       case '0':
       case 'h':
-      case 'l': {
-        const std::size_t victim =
-            script[s] == '0' ? 0 : script[s] == 'h' ? n / 2 : n - 1;
+      case 'l':
+      case '<':
+      case '|':
+      case '>': {
+        const char op = script[s];
+        const std::size_t victim = op == '0' || op == '<'   ? 0
+                                   : op == 'h' || op == '|' ? n / 2
+                                                            : n - 1;
         gp.remove_observation(victim);
         ref.remove(victim);
+        if (op == '<' || op == '|' || op == '>') continue;  // left pending
         break;
       }
       case 'R':
@@ -535,6 +563,11 @@ void run_script(std::size_t m, std::size_t threads, std::size_t initial,
       case 'c': {
         gp::GpRegressor copy(gp);
         gp = std::move(copy);
+        continue;
+      }
+      case 'k': {
+        const gp::GpRegressor copy(gp);
+        expect_same_bits(copy, ref, where + " (copy)");
         continue;
       }
       case 'x':
@@ -562,9 +595,19 @@ TEST(GpBudget, DeferredFoldBitIdenticalToEagerCache) {
       "ac0achacl",   // a copy while a fold is pending
       "ax0axhx",     // a delta reset while a fold is pending
       "aaaRaa0",     // unbounded growth: folds applied alone
+      // An eviction left pending (fused with the fold, or alone), then:
+      "a<Ra|Ra>R",   // a tracked read
+      "a0<R0|R",     // (an eviction alone) a tracked read
+      "a<ta|t0>t",   // a re-track, which drops the pass unrun
+      "a<aRa|a>aR",  // an add, which runs the pass first
+      "a<<Ra>|R",    // another eviction, which runs the first pass first
+      "a<cRa|k0",    // a copy: the copy and the original run it apart
+      "a<xa>x",      // a delta reset
+      "a<a<a<a<",    // the steady state of a full budget, read at the end
   };
   // From an empty regressor: the pending fold meets a cache with no rows.
-  const std::vector<std::string> from_empty = {"a0a0a0", "aal0", "aRlaxl"};
+  const std::vector<std::string> from_empty = {"a0a0a0", "aal0", "aRlaxl",
+                                               "a>a>R", "aa>|k"};
   for (const std::size_t m : {std::size_t{1}, std::size_t{7}, std::size_t{9},
                               std::size_t{17}, std::size_t{1100}}) {
     for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {

@@ -43,11 +43,10 @@ std::vector<Vector> draw_points(std::size_t n, Rng& rng) {
   return out;
 }
 
-std::shared_ptr<const linalg::Matrix> pack(const std::vector<Vector>& pts) {
-  linalg::Matrix m;
-  m.reserve_rows(pts.size(), 7);
-  for (const Vector& p : pts) m.append_row(p);
-  return std::make_shared<const linalg::Matrix>(std::move(m));
+std::shared_ptr<const linalg::FeatureMajorPoints> pack(
+    const std::vector<Vector>& pts) {
+  return std::make_shared<const linalg::FeatureMajorPoints>(
+      linalg::FeatureMajorPoints::from_points(pts, 7));
 }
 
 // ---------------------------------------------------------------------------

@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <memory>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "linalg/cholesky.hpp"
@@ -96,6 +101,95 @@ TEST(Kernel, InvalidParametersThrow) {
   EXPECT_THROW(Matern32Kernel({0.0}, 1.0), std::invalid_argument);
   EXPECT_THROW(Matern32Kernel({1.0}, 0.0), std::invalid_argument);
   EXPECT_THROW(RbfKernel({-1.0}, 1.0), std::invalid_argument);
+}
+
+// s = sum_k ((x_k - z_k) / l_k)^2 in the order gp/kernel.cpp documents:
+// the even-k and the odd-k terms each summed in ascending k, the two
+// partial sums added, then the last term when d is odd.
+double documented_squared_distance(const double* x, const linalg::Vector& z,
+                                   const linalg::Vector& ls) {
+  const std::size_t d = z.size();
+  double even = 0.0;
+  double odd = 0.0;
+  std::size_t k = 0;
+  for (; k + 2 <= d; k += 2) {
+    const double te = (x[k] - z[k]) * (1.0 / ls[k]);
+    const double to = (x[k + 1] - z[k + 1]) * (1.0 / ls[k + 1]);
+    even += te * te;
+    odd += to * to;
+  }
+  double s = even + odd;
+  if (k < d) {
+    const double t = (x[k] - z[k]) * (1.0 / ls[k]);
+    s += t * t;
+  }
+  return s;
+}
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+// The batched evaluations, row-major and feature-major, give bit for bit
+// the kernel of the documented distance order, fed to the elementwise loop
+// in the same Kernel::kChunk-point chunks: the summation order is part of
+// every tracked posterior's bits (and, through them, of every trajectory).
+TEST(Kernel, BatchedEvaluationSumsInTheDocumentedOrder) {
+  Rng rng(29);
+  const std::size_t lead = 3;  // the feature-major block starts mid-set
+  for (const bool rbf : {false, true}) {
+    for (const std::size_t d : {1, 2, 3, 4, 5, 6, 7, 8, 14}) {
+      for (const std::size_t n : {1, 2, 3, 255, 256, 257, 513}) {
+        const std::string where = std::string(rbf ? "rbf" : "matern") +
+                                  " d=" + std::to_string(d) +
+                                  " n=" + std::to_string(n);
+        linalg::Vector ls(d), z(d);
+        for (double& l : ls) l = 0.3 + 1.7 * rng.uniform();
+        for (double& v : z) v = rng.uniform();
+        const double amp = 0.5 + rng.uniform();
+        std::unique_ptr<Kernel> k;
+        if (rbf) {
+          k = std::make_unique<RbfKernel>(ls, amp);
+        } else {
+          k = std::make_unique<Matern32Kernel>(ls, amp);
+        }
+
+        std::vector<double> rows(n * d);
+        for (double& v : rows) v = 2.0 * rng.uniform() - 0.5;
+        linalg::FeatureMajorPoints cols(d, lead + n);
+        for (std::size_t j = 0; j < n; ++j) {
+          for (std::size_t f = 0; f < d; ++f) {
+            cols.at(lead + j, f) = rows[j * d + f];
+          }
+        }
+
+        std::vector<double> s(n), expected(n);
+        for (std::size_t i = 0; i < n; ++i) {
+          s[i] = documented_squared_distance(&rows[i * d], z, ls);
+        }
+        for (std::size_t base = 0; base < n; base += Kernel::kChunk) {
+          k->from_squared_distances(s.data() + base,
+                                    std::min(Kernel::kChunk, n - base),
+                                    expected.data() + base);
+        }
+
+        std::vector<double> by_rows(n), by_cols(n);
+        k->eval_batch(rows.data(), n, z, by_rows.data());
+        k->eval_columns(cols, lead, lead + n, z, by_cols.data());
+        EXPECT_TRUE(same_bits(by_rows, expected)) << "row-major, " << where;
+        EXPECT_TRUE(same_bits(by_cols, expected))
+            << "feature-major, " << where;
+
+        // The scalar operator() is the same distance and a one-point run.
+        std::vector<double> one(1), point_value(1);
+        k->from_squared_distances(s.data(), 1, one.data());
+        point_value[0] = (*k)(linalg::Vector(rows.begin(), rows.begin() + d),
+                              z);
+        EXPECT_TRUE(same_bits(point_value, one)) << "operator(), " << where;
+      }
+    }
+  }
 }
 
 TEST(Kernel, CloneIsIndependentCopy) {

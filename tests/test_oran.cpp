@@ -289,6 +289,22 @@ TEST(OranManagedTestbed, RejectedPolicyThrows) {
   }
   EXPECT_EQ(managed.near_rt().policies_rejected(), 3u);
   EXPECT_EQ(managed.e2().down.messages_carried(), 0u);
+
+  // Invalid for the service side: resolution outside (0, 1], GPU speed
+  // outside [0, 1]. The learner refuses each before any A1 or svc frame
+  // goes out, instead of retrying a step the environment drops unanswered.
+  env::Testbed tb2 = env::make_static_testbed(30.0);
+  OranManagedTestbed fresh(tb2);
+  const std::size_t a1_sent = fresh.a1().down.messages_carried();
+  const std::size_t svc_sent = fresh.svc().down.messages_carried();
+  for (const env::ControlPolicy& p :
+       {env::ControlPolicy{0.0, 0.5, 1.0, 10},
+        env::ControlPolicy{1.0, 0.5, 1.5, 10}}) {
+    EXPECT_THROW(fresh.step(p), std::runtime_error);
+    EXPECT_EQ(fresh.a1().down.messages_carried(), a1_sent);
+    EXPECT_EQ(fresh.svc().down.messages_carried(), svc_sent);
+    EXPECT_EQ(fresh.env_node().decode_rejects(), 0u);
+  }
 }
 
 }  // namespace
