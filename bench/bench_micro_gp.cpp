@@ -29,12 +29,14 @@
 //                        legacy rescan every iteration.
 //
 // Emits machine-readable JSON (default BENCH_gp.json):
-//   { n_obs, n_candidates, dims, threads, smoke,
+//   { n_obs, n_candidates, dims, threads, isa, smoke,
 //     phases: [{name, baseline_ms, engine_ms, speedup}],
 //     metrics: {decide_p50_ms_t1, decide_p99_ms_t1,
 //               decide_p50_ms_t8, decide_p99_ms_t8} }
-// The phases feed scripts/perf_gate.py's speedup mode; the metrics feed its
-// --ceiling mode (absolute wall-clock bounds).
+// isa names the clones of the rebuild's loops the engine ran ("avx2" or
+// "sse2", chosen from the CPU; see src/gp/lanes.hpp). The phases feed
+// scripts/perf_gate.py's speedup mode; the metrics feed its --ceiling mode
+// (absolute wall-clock bounds).
 //
 // Usage: bench_micro_gp [--smoke] [--threads N] [--out PATH]
 //   --smoke    small sizes + engine-vs-reference correctness gate (CI).
@@ -57,6 +59,8 @@
 #include <vector>
 
 #include <edgebol/edgebol.hpp>
+
+#include "gp/lanes.hpp"
 
 namespace {
 
@@ -335,8 +339,9 @@ std::vector<PhaseResult> run_phases(const Config& cfg) {
   }
 
   std::vector<PhaseResult> out;
-  std::fprintf(stderr, "phases: n=%zu m=%zu threads=%zu reps=%d\n", cfg.n_obs,
-               m, cfg.threads, cfg.reps);
+  std::fprintf(stderr, "phases: n=%zu m=%zu threads=%zu isa=%s reps=%d\n",
+               cfg.n_obs, m, cfg.threads,
+               gp::lanes::isa_name(gp::lanes::host_isa()), cfg.reps);
 
   // -- track: O(m n^2) rebuild on context switch ----------------------------
   {
@@ -690,6 +695,8 @@ void write_json(const Config& cfg, const std::vector<PhaseResult>& phases,
      << "  \"n_candidates\": " << m << ",\n"
      << "  \"dims\": 7,\n"
      << "  \"threads\": " << cfg.threads << ",\n"
+     << "  \"isa\": \"" << gp::lanes::isa_name(gp::lanes::host_isa())
+     << "\",\n"
      << "  \"smoke\": " << (cfg.smoke ? "true" : "false") << ",\n"
      << "  \"phases\": [\n";
   for (std::size_t i = 0; i < phases.size(); ++i) {

@@ -23,6 +23,11 @@ cd "$(dirname "$0")/.."
 FAST=0
 [[ "${1:-}" == "--fast" ]] && FAST=1
 
+# Compile jobs per build: min(4, cores), as perfbench/run.py builds. A bare
+# `cmake --build -j` hands make an unbounded -j, which after an edit to a
+# widely included header starts a compiler for every stale file at once.
+JOBS=$(( $(nproc) < 4 ? $(nproc) : 4 ))
+
 declare -a TIER_NAMES=() TIER_STATUS=()
 CURRENT_TIER=""
 
@@ -60,14 +65,14 @@ end_tier pass
 
 begin_tier "tier-1 (debug ctest)"
 cmake -B build -S . -DEDGEBOL_WERROR=ON >/dev/null
-cmake --build build -j >/dev/null
+cmake --build build -j "$JOBS" >/dev/null
 ctest --test-dir build --output-on-failure -j "$(nproc)"
 end_tier pass
 
 begin_tier "release smoke + perf gate"
 cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release -DEDGEBOL_WERROR=ON \
   -DCMAKE_CXX_FLAGS_RELEASE="-O2 -DNDEBUG" >/dev/null
-cmake --build build-release -j >/dev/null
+cmake --build build-release -j "$JOBS" >/dev/null
 ctest --test-dir build-release --output-on-failure -j "$(nproc)"
 # Runtime smoke of surfaces no test binary runs end to end, each must exit
 # 0: the single-cell O-RAN integration demo, the chaos bench (faults off vs
@@ -223,7 +228,7 @@ begin_tier "ASan + UBSan + LSan"
 # Leak detection is ON (no detect_leaks=0): ThreadPool shutdown and fixture
 # teardown must release everything.
 cmake -B build-asan -S . -DEDGEBOL_SANITIZE=address -DEDGEBOL_WERROR=ON >/dev/null
-cmake --build build-asan -j >/dev/null
+cmake --build build-asan -j "$JOBS" >/dev/null
 UBSAN_OPTIONS=halt_on_error=1 ASAN_OPTIONS=detect_leaks=1 \
   ctest --test-dir build-asan --output-on-failure -j "$(nproc)"
 end_tier pass
@@ -233,7 +238,7 @@ begin_tier "TSan (threads 2, 8)"
 # 2 then 8 (tests with explicit pools add their own counts on top).
 # tsan.supp is intentionally empty — races get fixed, not suppressed.
 cmake -B build-tsan -S . -DEDGEBOL_SANITIZE=thread -DEDGEBOL_WERROR=ON >/dev/null
-cmake --build build-tsan -j >/dev/null
+cmake --build build-tsan -j "$JOBS" >/dev/null
 for threads in 2 8; do
   echo "-- TSan pass: EDGEBOL_THREADS=$threads --"
   TSAN_OPTIONS="suppressions=$PWD/tsan.supp halt_on_error=1 second_deadlock_stack=1" \
@@ -247,7 +252,7 @@ begin_tier "UBSan (standalone, fatal)"
 # tier cannot pass with findings scrolling by (the ASan tier's UBSan is
 # recoverable and halts via halt_on_error instead).
 cmake -B build-ubsan -S . -DEDGEBOL_SANITIZE=undefined -DEDGEBOL_WERROR=ON >/dev/null
-cmake --build build-ubsan -j >/dev/null
+cmake --build build-ubsan -j "$JOBS" >/dev/null
 ctest --test-dir build-ubsan --output-on-failure -j "$(nproc)"
 end_tier pass
 
@@ -258,7 +263,7 @@ begin_tier "lockdep (debug, fatal)"
 # pass means the whole suite AND the three-process transport smoke ran with
 # zero lock-order cycles against the DESIGN.md §5e hierarchy.
 cmake -B build-lockdep -S . -DCMAKE_BUILD_TYPE=Debug -DEDGEBOL_WERROR=ON >/dev/null
-cmake --build build-lockdep -j >/dev/null
+cmake --build build-lockdep -j "$JOBS" >/dev/null
 EDGEBOL_LOCKDEP=1 EDGEBOL_LOCKDEP_FATAL=1 \
   ctest --test-dir build-lockdep --output-on-failure -j "$(nproc)"
 EDGEBOL_LOCKDEP=1 EDGEBOL_LOCKDEP_FATAL=1 scripts/transport_smoke.sh build-lockdep

@@ -3,11 +3,12 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <cstring>
 #include <limits>
 #include <numbers>
 #include <stdexcept>
 #include <type_traits>
+
+#include "gp/lanes.hpp"
 
 namespace edgebol::gp {
 
@@ -21,24 +22,19 @@ namespace {
 // so only a grid's last block has a ragged (scalar) tail.
 constexpr std::size_t kColumnGrain = 512;
 
+using lanes::f64x2;
+using lanes::f64x4;
+using lanes::load;
+using lanes::store;
+
 // Register tile of the rebuild's forward substitution: kTileRows rows of A
-// by kTileCols columns, held as GCC vector types (two doubles, baseline
-// SSE2). Plain double arrays of the same shape get spilled to the stack.
-using f64x2 = double __attribute__((vector_size(16)));
+// by kTileCols columns, held as lanes (f64x2 or f64x4; see gp/lanes.hpp).
+// Plain double arrays of the same shape get spilled to the stack, and so do
+// the lanes unless the tile's fixed-trip loops unroll fully: -O3 does that
+// on its own, -O2 (scripts/check.sh's release tier) only under the
+// `#pragma GCC unroll`s below.
 constexpr std::size_t kTileRows = 3;
 constexpr std::size_t kTileCols = 8;
-
-template <class V>
-V load(const double* p) {
-  V v;
-  std::memcpy(&v, p, sizeof v);
-  return v;
-}
-
-template <class V>
-void store(double* p, V v) {
-  std::memcpy(p, &v, sizeof v);
-}
 
 // |x| lane by lane, bitwise what std::abs gives: the sign bits cleared.
 double vabs(double x) { return std::abs(x); }
@@ -72,24 +68,31 @@ void substitute_tile(const linalg::CholeskyFactor& chol, const double* w,
   constexpr std::size_t kLanes = sizeof(V) / sizeof(double);
   const double* l[R];
   V t[R][C];
+#pragma GCC unroll kTileRows
   for (std::size_t r = 0; r < R; ++r) {
     l[r] = chol.row_data(i0 + r);
+#pragma GCC unroll kTileCols
     for (std::size_t c = 0; c < C; ++c) {
       t[r][c] = load<V>(a + (i0 + r) * m + j + c * kLanes);
     }
   }
   for (std::size_t k = 0; k < i0; ++k) {
     const double* ak = a + k * m + j;
+#pragma GCC unroll kTileCols
     for (std::size_t c = 0; c < C; ++c) {
       const V x = load<V>(ak + c * kLanes);
+#pragma GCC unroll kTileRows
       for (std::size_t r = 0; r < R; ++r) t[r][c] -= l[r][k] * x;
     }
   }
+#pragma GCC unroll kTileRows
   for (std::size_t r = 0; r < R; ++r) {
     const double lii = l[r][i0 + r];
     const double wi = w[i0 + r];
     double* ai = a + (i0 + r) * m + j;
+#pragma GCC unroll kTileCols
     for (std::size_t c = 0; c < C; ++c) {
+#pragma GCC unroll kTileRows
       for (std::size_t q = 0; q < r; ++q) t[r][c] -= l[r][i0 + q] * t[q][c];
       t[r][c] /= lii;
       store(ai + c * kLanes, t[r][c]);
@@ -115,7 +118,50 @@ void substitute_panel(const linalg::CholeskyFactor& chol, const double* w,
   if (n - i0 == 1) substitute_tile<1, C, V>(chol, w, a, m, i0, j, mean, var);
 }
 
+// Columns [j0, j1) of the rebuild's substitution: kTileCols-column panels
+// in lanes of type V, then the ragged tail one scalar column at a time.
+template <class V>
+void substitute_columns_in(const linalg::CholeskyFactor& chol,
+                           const double* w, double* a, std::size_t m,
+                           std::size_t n, std::size_t j0, std::size_t j1,
+                           double* mean, double* var) {
+  constexpr std::size_t kLanes = sizeof(V) / sizeof(double);
+  static_assert(kTileCols % kLanes == 0, "a panel is whole lanes");
+  std::size_t j = j0;
+  for (; j + kTileCols <= j1; j += kTileCols) {
+    substitute_panel<kTileCols / kLanes, V>(chol, w, a, m, n, j, mean, var);
+  }
+  for (; j < j1; ++j) {
+    substitute_panel<1, double>(chol, w, a, m, n, j, mean, var);
+  }
+}
+
+[[gnu::flatten]] void substitute_columns_sse2(
+    const linalg::CholeskyFactor& chol, const double* w, double* a,
+    std::size_t m, std::size_t n, std::size_t j0, std::size_t j1,
+    double* mean, double* var) {
+  substitute_columns_in<f64x2>(chol, w, a, m, n, j0, j1, mean, var);
+}
+
+[[gnu::target("avx2"), gnu::flatten]] void substitute_columns_avx2(
+    const linalg::CholeskyFactor& chol, const double* w, double* a,
+    std::size_t m, std::size_t n, std::size_t j0, std::size_t j1,
+    double* mean, double* var) {
+  substitute_columns_in<f64x4>(chol, w, a, m, n, j0, j1, mean, var);
+}
+
 }  // namespace
+
+void lanes::substitute_columns(Isa isa, const linalg::CholeskyFactor& chol,
+                               const double* w, double* a, std::size_t m,
+                               std::size_t n, std::size_t j0, std::size_t j1,
+                               double* mean, double* var) {
+  if (isa == Isa::kAvx2) {
+    substitute_columns_avx2(chol, w, a, m, n, j0, j1, mean, var);
+  } else {
+    substitute_columns_sse2(chol, w, a, m, n, j0, j1, mean, var);
+  }
+}
 
 double Prediction::stddev() const {
   return std::sqrt(std::max(0.0, variance));
@@ -543,19 +589,13 @@ void GpRegressor::rebuild_columns(std::size_t j0, std::size_t j1) {
 
   // Kernel rows straight into the A-cache, one eval_columns per training
   // row over the whole block (the same call, chunked from j0, that a fold
-  // makes), then the forward substitution A = L^{-1} K in place: 8-column
-  // panels in registers, the ragged tail one scalar column at a time.
+  // makes), then the forward substitution A = L^{-1} K in place at the
+  // host's lane width.
   for (std::size_t i = 0; i < n; ++i) {
     kernel_->eval_columns(*cands_, j0, j1, z_[i], a + i * m + j0);
   }
-  std::size_t j = j0;
-  for (; j + kTileCols <= j1; j += kTileCols) {
-    substitute_panel<kTileCols / 2, f64x2>(chol_, w_.data(), a, m, n, j, mean,
-                                           var);
-  }
-  for (; j < j1; ++j) {
-    substitute_panel<1, double>(chol_, w_.data(), a, m, n, j, mean, var);
-  }
+  lanes::substitute_columns(lanes::host_isa(), chol_, w_.data(), a, m, n, j0,
+                            j1, mean, var);
 }
 
 }  // namespace edgebol::gp

@@ -7,23 +7,28 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <stdexcept>
+#include <type_traits>
+
+#include "gp/lanes.hpp"
 
 namespace edgebol::gp {
 
 namespace {
 
-// Two doubles, baseline SSE2: plain IEEE operations lane by lane.
-using f64x2 = double __attribute__((vector_size(16)));
+using lanes::f64x2;
+using lanes::f64x4;
 
 // Points packed row-major: point i's features are x[i * d .. (i + 1) * d).
+// Only the baseline f64x2 path reads them.
 struct RowMajor {
   const double* x;
   std::size_t d;
   RowMajor from(std::size_t i) const { return {x + i * d, d}; }
   double at(std::size_t i, std::size_t k) const { return x[i * d + k]; }
-  f64x2 pair(std::size_t i, std::size_t k) const {
+  template <class V>
+  [[gnu::always_inline]] V pack(std::size_t i, std::size_t k) const {
+    static_assert(std::is_same_v<V, f64x2>);
     return f64x2{at(i, k), at(i + 1, k)};
   }
 };
@@ -34,12 +39,14 @@ struct FeatureMajor {
   std::size_t stride;
   FeatureMajor from(std::size_t i) const { return {x + i, stride}; }
   double at(std::size_t i, std::size_t k) const { return x[k * stride + i]; }
-  f64x2 pair(std::size_t i, std::size_t k) const {
-    f64x2 v;
-    std::memcpy(&v, x + k * stride + i, sizeof v);
-    return v;
+  template <class V>
+  [[gnu::always_inline]] V pack(std::size_t i, std::size_t k) const {
+    return lanes::load<V>(x + k * stride + i);
   }
 };
+
+// Lane vectors per step of the distance loop.
+constexpr std::size_t kStepVectors = 2;
 
 // s[i] = sum over k < d of t_k^2, t_k = (x_i[k] - z[k]) * il[k], for the n
 // points of `x`, summed in one fixed order: the even-k terms accumulate in
@@ -49,33 +56,41 @@ struct FeatureMajor {
 // That is the order GCC 12's -O3 -ffast-math vectorizer gave the plain
 // ascending row-major loop this replaced (a two-lane reduction, even k in
 // one lane and odd k in the other, then a scalar epilogue), kept so every
-// kernel value, and so every trajectory, stayed bit for bit the same. Four
-// points run at a time, two per f64x2, each feature's z and 1/l broadcast
-// once for all four; a ragged tail runs the same order one point at a time.
-template <class Points>
+// kernel value, and so every trajectory, stayed bit for bit the same. Two
+// lane vectors of points run at a time (4 points as f64x2, 8 as f64x4),
+// each feature's z and 1/l broadcast once for all of them; a ragged tail
+// runs the same order one point at a time, so the lane type and the point
+// count change no value.
+template <class V, class Points>
 void squared_distances(const Points& x, std::size_t n, const double* z,
                        const double* il, std::size_t d, double* s) {
+  constexpr std::size_t kLanes = sizeof(V) / sizeof(double);
+  constexpr std::size_t kStep = kStepVectors * kLanes;
   const std::size_t pairs_end = d - d % 2;
   std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    f64x2 even[2] = {};
-    f64x2 odd[2] = {};
+  for (; i + kStep <= n; i += kStep) {
+    V even[kStepVectors] = {};
+    V odd[kStepVectors] = {};
     for (std::size_t k = 0; k < pairs_end; k += 2) {
-      for (std::size_t h = 0; h < 2; ++h) {
-        const f64x2 te = (x.pair(i + 2 * h, k) - z[k]) * il[k];
-        const f64x2 to = (x.pair(i + 2 * h, k + 1) - z[k + 1]) * il[k + 1];
+#pragma GCC unroll kStepVectors
+      for (std::size_t h = 0; h < kStepVectors; ++h) {
+        const std::size_t p = i + h * kLanes;
+        const V te = (x.template pack<V>(p, k) - z[k]) * il[k];
+        const V to = (x.template pack<V>(p, k + 1) - z[k + 1]) * il[k + 1];
         even[h] += te * te;
         odd[h] += to * to;
       }
     }
-    for (std::size_t h = 0; h < 2; ++h) {
-      f64x2 sum = even[h] + odd[h];
+#pragma GCC unroll kStepVectors
+    for (std::size_t h = 0; h < kStepVectors; ++h) {
+      V sum = even[h] + odd[h];
       if (pairs_end < d) {
-        const f64x2 t = (x.pair(i + 2 * h, pairs_end) - z[pairs_end]) *
-                        il[pairs_end];
+        const V t = (x.template pack<V>(i + h * kLanes, pairs_end) -
+                     z[pairs_end]) *
+                    il[pairs_end];
         sum += t * t;
       }
-      std::memcpy(s + i + 2 * h, &sum, sizeof sum);
+      lanes::store(s + i + h * kLanes, sum);
     }
   }
   for (; i < n; ++i) {
@@ -96,6 +111,31 @@ void squared_distances(const Points& x, std::size_t n, const double* z,
   }
 }
 
+[[gnu::flatten]] void feature_major_sse2(const FeatureMajor& x, std::size_t n,
+                                         const double* z, const double* il,
+                                         std::size_t d, double* s) {
+  squared_distances<f64x2>(x, n, z, il, d, s);
+}
+
+[[gnu::target("avx2"), gnu::flatten]] void feature_major_avx2(
+    const FeatureMajor& x, std::size_t n, const double* z, const double* il,
+    std::size_t d, double* s) {
+  squared_distances<f64x4>(x, n, z, il, d, s);
+}
+
+// The squared distances of one chunk: training rows (row-major) at the
+// baseline width, candidate blocks (feature-major) in the host's clone.
+void chunk_distances(const RowMajor& x, std::size_t n, const double* z,
+                     const double* il, std::size_t d, double* s) {
+  squared_distances<f64x2>(x, n, z, il, d, s);
+}
+
+void chunk_distances(const FeatureMajor& x, std::size_t n, const double* z,
+                     const double* il, std::size_t d, double* s) {
+  lanes::feature_major_squared_distances(lanes::host_isa(), x.x, x.stride, n,
+                                         z, il, d, s);
+}
+
 // out[i] = k(x_i, z) for n points, in Kernel::kChunk-point chunks from the
 // first: distances into a stack buffer, then the kernel's elementwise loop.
 template <class Points>
@@ -104,12 +144,23 @@ void eval_chunked(const Kernel& kernel, const double* il, const Points& x,
   double s[Kernel::kChunk];
   for (std::size_t base = 0; base < n; base += Kernel::kChunk) {
     const std::size_t c = std::min(Kernel::kChunk, n - base);
-    squared_distances(x.from(base), c, z.data(), il, kernel.dims(), s);
+    chunk_distances(x.from(base), c, z.data(), il, kernel.dims(), s);
     kernel.from_squared_distances(s, c, out + base);
   }
 }
 
 }  // namespace
+
+void lanes::feature_major_squared_distances(Isa isa, const double* x,
+                                            std::size_t stride, std::size_t n,
+                                            const double* z, const double* il,
+                                            std::size_t d, double* s) {
+  if (isa == Isa::kAvx2) {
+    feature_major_avx2(FeatureMajor{x, stride}, n, z, il, d, s);
+  } else {
+    feature_major_sse2(FeatureMajor{x, stride}, n, z, il, d, s);
+  }
+}
 
 Kernel::Kernel(Vector lengthscales, double amplitude)
     : lengthscales_(std::move(lengthscales)), amplitude_(amplitude) {
@@ -131,8 +182,8 @@ double Kernel::operator()(const Vector& a, const Vector& b) const {
   if (a.size() != dims() || b.size() != dims())
     throw std::invalid_argument("Kernel: size mismatch");
   double s = 0.0;
-  squared_distances(RowMajor{a.data(), dims()}, 1, b.data(),
-                    inv_lengthscales_.data(), dims(), &s);
+  squared_distances<f64x2>(RowMajor{a.data(), dims()}, 1, b.data(),
+                           inv_lengthscales_.data(), dims(), &s);
   double k = 0.0;
   from_squared_distances(&s, 1, &k);
   return k;
@@ -158,8 +209,8 @@ double anisotropic_distance(const Vector& a, const Vector& b,
   Vector il(lengthscales.size());
   for (std::size_t k = 0; k < il.size(); ++k) il[k] = 1.0 / lengthscales[k];
   double s = 0.0;
-  squared_distances(RowMajor{a.data(), a.size()}, 1, b.data(), il.data(),
-                    a.size(), &s);
+  squared_distances<f64x2>(RowMajor{a.data(), a.size()}, 1, b.data(),
+                           il.data(), a.size(), &s);
   return std::sqrt(s);
 }
 

@@ -11,7 +11,8 @@
 //    IEEE) for points stored either way — row-major training inputs or
 //    feature-major candidates (linalg::FeatureMajorPoints) — with its
 //    summation order written out (see squared_distances there). Its values
-//    do not depend on the optimization level or the target ISA.
+//    do not depend on the optimization level or the target ISA, nor on
+//    which clone of the candidate loop (SSE2 or AVX2, gp/lanes.hpp) ran.
 //  - The elementwise s -> k(s) loop of each kernel (gp/kernel_fast_math.cpp,
 //    the one unit built with -ffast-math so GCC 12 vectorizes exp with
 //    libmvec). Its bits do depend on the -O level: a vectorized run of
