@@ -33,8 +33,9 @@
 //     phases: [{name, baseline_ms, engine_ms, speedup}],
 //     metrics: {decide_p50_ms_t1, decide_p99_ms_t1,
 //               decide_p50_ms_t8, decide_p99_ms_t8} }
-// isa names the clones of the rebuild's loops the engine ran ("avx2" or
-// "sse2", chosen from the CPU; see src/gp/lanes.hpp). The phases feed
+// isa names the clones of the rebuild's loops and the cache pass the engine
+// ran ("avx512", "avx2" or "sse2", the widest the CPU has; see
+// src/gp/lanes.hpp). The phases feed
 // scripts/perf_gate.py's speedup mode; the metrics feed its --ceiling mode
 // (absolute wall-clock bounds).
 //

@@ -57,6 +57,15 @@ Rules (see DESIGN.md "Concurrency invariants & analysis tooling"):
                    heuristic, not a points-to analysis; a deliberate
                    unguarded touch gets a `// unguarded-ok: <reason>`
                    escape on the line.
+  R10 isa          a function-level ISA clone in src/ (`gnu::target(...)`
+                   or `__attribute__((target(...)))`) names only "avx2" or
+                   "avx512f" (never "fma": contraction would fuse a
+                   multiply-subtract and change the clone's bits), carries
+                   `flatten` in the same attribute list (so the shared
+                   templates compile at the clone's width), and never
+                   appears in src/gp/kernel_fast_math.cpp (a wider target
+                   there swaps libmvec's exp variant, whose 2- and 4-lane
+                   versions disagree on some inputs). See src/gp/lanes.hpp.
 
 The lexer that feeds every rule is a comment/string-aware tokenizer: raw
 strings, encoding prefixes, digit separators (1'000'000 is a number, not a
@@ -583,6 +592,71 @@ def check_guarded_access(s: Source, guards, requires, errors):
 
 
 # ---------------------------------------------------------------------------
+# R10 ISA clones
+
+ISA_TARGETS = {"avx2", "avx512f"}
+_TARGET_ATTR = re.compile(r"\bgnu::target\s*\(|"
+                          r"\b__attribute__\s*\(\(\s*target\s*\(")
+
+
+def _balanced_end(code: str, open_paren: int) -> int:
+    """Index just past the parenthesis that closes code[open_paren]."""
+    depth = 0
+    for k in range(open_paren, len(code)):
+        if code[k] == "(":
+            depth += 1
+        elif code[k] == ")":
+            depth -= 1
+            if depth == 0:
+                return k + 1
+    return len(code)
+
+
+def check_isa_targets(s: Source, errors):
+    """R10: target() clones are avx2/avx512f only, flattened, and kept out
+    of the fast-math kernel unit.
+
+    The attribute list is the enclosing [[...]] or __attribute__((...)):
+    its features are read from the raw text (they are string literals,
+    which the stripped twin blanks out at the same offsets)."""
+    r = s.rel
+    if not r.startswith("src" + os.sep):
+        return
+    for m in _TARGET_ATTR.finditer(s.code):
+        line = s.line_of(m.start())
+        args_end = _balanced_end(s.code, m.end() - 1)
+        features = []
+        for lit in re.findall(r'"([^"]*)"', s.raw[m.end():args_end]):
+            features += [f.strip() for f in lit.split(",") if f.strip()]
+        if m.group(0).startswith("gnu::"):
+            start = s.code.rfind("[[", 0, m.start())
+            end = s.code.find("]]", args_end)
+            attr_list = s.code[start:end if end != -1 else len(s.code)]
+        else:
+            attr_list = s.code[m.start():_balanced_end(
+                s.code, s.code.index("(", m.start()))]
+        if r == os.path.join("src", "gp", "kernel_fast_math.cpp"):
+            errors.append(
+                f"{r}:{line}: [isa] target() clone in the fast-math kernel "
+                "unit — a wider target swaps libmvec's exp variant and "
+                "the kernel's bits")
+            continue
+        bad = [f for f in features if f not in ISA_TARGETS]
+        if not features or bad:
+            named = ", ".join(f'"{f}"' for f in bad) or "nothing"
+            why = (" (fma would contract multiply-subtracts)"
+                   if any("fma" in f for f in bad) else "")
+            errors.append(
+                f"{r}:{line}: [isa] target() names {named}{why} — a clone "
+                'names only "avx2" or "avx512f"')
+        if not re.search(r"\bflatten\b", attr_list):
+            errors.append(
+                f"{r}:{line}: [isa] target() clone without flatten in the "
+                "same attribute list — the shared templates it calls "
+                "would stay at the baseline width")
+
+
+# ---------------------------------------------------------------------------
 # R4 headers (filesystem-backed; not part of analyze_sources)
 
 def check_headers_self_contained(errors):
@@ -623,6 +697,7 @@ def analyze_sources(sources):
         check_decide_hot_alloc(s, errors)
         check_raw_sync(s, errors)
         check_guarded_access(s, guards, requires, errors)
+        check_isa_targets(s, errors)
     return errors
 
 

@@ -18,41 +18,178 @@ namespace {
 // function of the thread count) so the parallel partition — and therefore
 // the result, bit for bit — is identical for any pool size. 512 columns keep
 // a block's active rows within L1/L2 while leaving ~29 blocks of work per
-// rebuild of the 11^4 grid; it is a multiple of the rebuild's 8-column tile,
-// so only a grid's last block has a ragged (scalar) tail.
+// rebuild of the 11^4 grid; it is a multiple of every width's substitution
+// tile (8 or 16 columns), so only a grid's last block has a ragged (scalar)
+// tail.
 constexpr std::size_t kColumnGrain = 512;
 
 using lanes::f64x2;
 using lanes::f64x4;
+using lanes::f64x8;
 using lanes::load;
 using lanes::store;
 
-// Register tile of the rebuild's forward substitution: kTileRows rows of A
-// by kTileCols columns, held as lanes (f64x2 or f64x4; see gp/lanes.hpp).
-// Plain double arrays of the same shape get spilled to the stack, and so do
-// the lanes unless the tile's fixed-trip loops unroll fully: -O3 does that
-// on its own, -O2 (scripts/check.sh's release tier) only under the
-// `#pragma GCC unroll`s below.
-constexpr std::size_t kTileRows = 3;
-constexpr std::size_t kTileCols = 8;
-
 // |x| lane by lane, bitwise what std::abs gives: the sign bits cleared.
-double vabs(double x) { return std::abs(x); }
-f64x2 vabs(f64x2 x) {
-  using u64x2 = std::uint64_t __attribute__((vector_size(16)));
-  constexpr std::uint64_t kMagnitude = ~(std::uint64_t{1} << 63);
-  return std::bit_cast<f64x2>(std::bit_cast<u64x2>(x) & kMagnitude);
+template <class V>
+[[gnu::always_inline]] inline V vabs(const V& x) {
+  if constexpr (std::is_same_v<V, double>) {
+    return std::abs(x);
+  } else {
+    // The typedef form: GCC 12 drops a dependent vector_size from a using.
+    typedef std::uint64_t U __attribute__((vector_size(sizeof(V))));
+    constexpr std::uint64_t kMagnitude = ~(std::uint64_t{1} << 63);
+    return std::bit_cast<V>(std::bit_cast<U>(x) & kMagnitude);
+  }
 }
 
-// Runs op(lane, j) over columns [j0, j1): pairs of columns as f64x2, then a
-// scalar tail; `lane` is a value of the lane type. Lanes are plain IEEE
+// Runs op(lane, j) over columns [j0, j1): whole lanes of V, then a scalar
+// tail; `lane` names the lane type (std::type_identity<V> or <double>), so
+// no callback takes a vector by value (gp/lanes.hpp). Lanes are plain IEEE
 // operations, so a column's operation sequence does not depend on the path.
-template <class Op>
+template <class V, class Op>
 void for_lanes(std::size_t j0, std::size_t j1, const Op& op) {
+  constexpr std::size_t kLanes = sizeof(V) / sizeof(double);
   std::size_t j = j0;
-  for (; j + 2 <= j1; j += 2) op(f64x2{}, j);
-  for (; j < j1; ++j) op(0.0, j);
+  for (; j + kLanes <= j1; j += kLanes) op(std::type_identity<V>{}, j);
+  for (; j < j1; ++j) op(std::type_identity<double>{}, j);
 }
+
+// One fold/evict pass over columns [j0, j1) at lane type V (lanes::PassState
+// and lanes::stream_columns in gp/lanes.hpp). Each cache row is loaded once
+// and stored at most once.
+template <class V>
+void stream_columns_in(const lanes::PassState& p, std::size_t j0,
+                       std::size_t j1, double* acc, double* carry) {
+  const std::size_t m = p.m;
+  const std::size_t n = p.rows;
+  double* a = p.a;
+  // Rows from `first` on are rotated: the victim, or none.
+  const std::size_t first = p.evict ? std::min(p.victim, n) : n;
+
+  if (p.fold) {
+    // Rows above the victim only feed the fold.
+    for (std::size_t i = 0; i < first; ++i) {
+      const double li = p.lrow[i];
+      const double* ai = a + i * m;
+      for_lanes<V>(j0, j1, [&](auto lane, std::size_t j) {
+        using L = typename decltype(lane)::type;
+        double* s = acc + (j - j0);
+        store(s, load<L>(s) - li * load<L>(ai + j));
+      });
+    }
+  }
+
+  // The victim row seeds the carry. Each later row is loaded once, feeds the
+  // fold, and is rotated against the carry; the rotation's first output is
+  // final for the row above and is stored once.
+  const auto rotate_rows = [&](auto with_fold) {
+    constexpr bool kFold = decltype(with_fold)::value;
+    const double* av = a + first * m;
+    const double lv = kFold ? p.lrow[first] : 0.0;
+    for_lanes<V>(j0, j1, [&](auto lane, std::size_t j) {
+      using L = typename decltype(lane)::type;
+      const L x = load<L>(av + j);
+      if constexpr (kFold) {
+        double* s = acc + (j - j0);
+        store(s, load<L>(s) - lv * x);
+      }
+      store(carry + (j - j0), x);
+    });
+    for (std::size_t i = first + 1; i < n; ++i) {
+      const double c = p.rotations[i - first - 1].c;
+      const double s = p.rotations[i - first - 1].s;
+      const double li = kFold ? p.lrow[i] : 0.0;
+      double* ai = a + i * m;
+      double* above = ai - m;
+      for_lanes<V>(j0, j1, [&](auto lane, std::size_t j) {
+        using L = typename decltype(lane)::type;
+        const L b = load<L>(ai + j);
+        if constexpr (kFold) {
+          double* q = acc + (j - j0);
+          store(q, load<L>(q) - li * b);
+        }
+        double* k = carry + (j - j0);
+        const L x = load<L>(k);
+        store(above + j, c * x + s * b);
+        store(k, c * b - s * x);
+      });
+    }
+  };
+  if (first < n) {
+    if (p.fold) {
+      rotate_rows(std::true_type{});
+    } else {
+      rotate_rows(std::false_type{});
+    }
+  }
+
+  // The new row: divided by the pivot, folded into the moments, then stored
+  // (fold only) or rotated against the carry (its rotation is the last). The
+  // row that leaves — the carry, the rotated new row, or the new row itself
+  // when it is the victim — folds out last. The delta accumulators record
+  // exactly the terms folded into the moments (dm is the same product added
+  // to the mean), so a candidate whose accumulators stay zero has a
+  // bitwise-unchanged cached posterior.
+  const auto fold_in = [&](const auto& x, std::size_t j) {
+    using L = std::remove_cvref_t<decltype(x)>;
+    const L dm = x * p.w_new;
+    store(p.mean + j, load<L>(p.mean + j) + dm);
+    store(p.var + j, load<L>(p.var + j) - x * x);
+    store(p.delta_mean + j, load<L>(p.delta_mean + j) + vabs(dm));
+    store(p.delta_sigma + j, load<L>(p.delta_sigma + j) + vabs(x));
+  };
+  const auto fold_out = [&](const auto& x, std::size_t j) {
+    using L = std::remove_cvref_t<decltype(x)>;
+    const L dm = x * p.w_last;
+    store(p.mean + j, load<L>(p.mean + j) - dm);
+    store(p.var + j, load<L>(p.var + j) + x * x);
+    store(p.delta_mean + j, load<L>(p.delta_mean + j) + vabs(dm));
+    store(p.delta_sigma + j, load<L>(p.delta_sigma + j) + vabs(x));
+  };
+  const linalg::GivensRotation last_rot =
+      p.fold && first < n ? p.rotations[n - first - 1]
+                          : linalg::GivensRotation{};
+  for_lanes<V>(j0, j1, [&](auto lane, std::size_t j) {
+    using L = typename decltype(lane)::type;
+    if (!p.fold) {
+      fold_out(load<L>(carry + (j - j0)), j);
+      return;
+    }
+    const L an = load<L>(acc + (j - j0)) / p.pivot;
+    fold_in(an, j);
+    if (!p.evict) {
+      store(a + n * m + j, an);
+    } else if (first == n) {
+      fold_out(an, j);
+    } else {
+      const L x = load<L>(carry + (j - j0));
+      store(a + (n - 1) * m + j, last_rot.c * x + last_rot.s * an);
+      fold_out(last_rot.c * an - last_rot.s * x, j);
+    }
+  });
+}
+
+// Register tile of the rebuild's forward substitution at lane type V:
+// kRows rows of A by kCols columns, held as lanes. 2-lane SSE2 and 4-lane
+// AVX2 run 3 x 8; 8-lane AVX-512F needs 4 x 16 (8 zmm accumulators) to beat
+// the 4-lane tile, which it merely matches at 3 x 8. Plain double arrays of
+// the same shape get spilled to the stack, and so do the lanes unless the
+// tile's fixed-trip loops unroll fully: -O3 does that on its own, -O2
+// (scripts/check.sh's release tier) only under the `#pragma GCC unroll`s
+// below. GCC 12 takes no template-dependent count there, so they name the
+// largest tile's trip counts, which unroll every smaller tile fully too.
+template <class V>
+struct Tile {
+  static constexpr std::size_t kRows = 3;
+  static constexpr std::size_t kCols = 8;
+};
+template <>
+struct Tile<f64x8> {
+  static constexpr std::size_t kRows = 4;
+  static constexpr std::size_t kCols = 16;
+};
+constexpr std::size_t kMaxTileRows = 4;     // Tile<f64x8>::kRows
+constexpr std::size_t kMaxTileVectors = 4;  // Tile<f64x2>: 8 columns / 2
 
 // Finish rows [i0, i0 + R) of A = L^{-1} K over the C vectors of V that
 // start at column j, in place. On entry those rows hold kernel values and
@@ -65,34 +202,35 @@ template <std::size_t R, std::size_t C, class V>
 void substitute_tile(const linalg::CholeskyFactor& chol, const double* w,
                      double* a, std::size_t m, std::size_t i0, std::size_t j,
                      double* mean, double* var) {
+  static_assert(R <= kMaxTileRows && C <= kMaxTileVectors);
   constexpr std::size_t kLanes = sizeof(V) / sizeof(double);
   const double* l[R];
   V t[R][C];
-#pragma GCC unroll kTileRows
+#pragma GCC unroll kMaxTileRows
   for (std::size_t r = 0; r < R; ++r) {
     l[r] = chol.row_data(i0 + r);
-#pragma GCC unroll kTileCols
+#pragma GCC unroll kMaxTileVectors
     for (std::size_t c = 0; c < C; ++c) {
       t[r][c] = load<V>(a + (i0 + r) * m + j + c * kLanes);
     }
   }
   for (std::size_t k = 0; k < i0; ++k) {
     const double* ak = a + k * m + j;
-#pragma GCC unroll kTileCols
+#pragma GCC unroll kMaxTileVectors
     for (std::size_t c = 0; c < C; ++c) {
       const V x = load<V>(ak + c * kLanes);
-#pragma GCC unroll kTileRows
+#pragma GCC unroll kMaxTileRows
       for (std::size_t r = 0; r < R; ++r) t[r][c] -= l[r][k] * x;
     }
   }
-#pragma GCC unroll kTileRows
+#pragma GCC unroll kMaxTileRows
   for (std::size_t r = 0; r < R; ++r) {
     const double lii = l[r][i0 + r];
     const double wi = w[i0 + r];
     double* ai = a + (i0 + r) * m + j;
-#pragma GCC unroll kTileCols
+#pragma GCC unroll kMaxTileVectors
     for (std::size_t c = 0; c < C; ++c) {
-#pragma GCC unroll kTileRows
+#pragma GCC unroll kMaxTileRows
       for (std::size_t q = 0; q < r; ++q) t[r][c] -= l[r][i0 + q] * t[q][c];
       t[r][c] /= lii;
       store(ai + c * kLanes, t[r][c]);
@@ -104,38 +242,58 @@ void substitute_tile(const linalg::CholeskyFactor& chol, const double* w,
   }
 }
 
-// All n rows of one column panel, in row tiles with a ragged last tile.
-template <std::size_t C, class V>
+// The last `rows` (< R) rows of a panel from row i0: one tile of that many.
+template <std::size_t R, std::size_t C, class V>
+void substitute_last_rows(const linalg::CholeskyFactor& chol,
+                          const double* w, double* a, std::size_t m,
+                          std::size_t rows, std::size_t i0, std::size_t j,
+                          double* mean, double* var) {
+  if constexpr (R > 1) {
+    if (rows == R - 1) {
+      substitute_tile<R - 1, C, V>(chol, w, a, m, i0, j, mean, var);
+    } else {
+      substitute_last_rows<R - 1, C, V>(chol, w, a, m, rows, i0, j, mean,
+                                        var);
+    }
+  }
+}
+
+// All n rows of one column panel, in R-row tiles with a ragged last tile.
+template <std::size_t R, std::size_t C, class V>
 void substitute_panel(const linalg::CholeskyFactor& chol, const double* w,
                       double* a, std::size_t m, std::size_t n, std::size_t j,
                       double* mean, double* var) {
-  static_assert(kTileRows == 3, "the ragged last tile has 1 or 2 rows");
   std::size_t i0 = 0;
-  for (; i0 + kTileRows <= n; i0 += kTileRows) {
-    substitute_tile<kTileRows, C, V>(chol, w, a, m, i0, j, mean, var);
+  for (; i0 + R <= n; i0 += R) {
+    substitute_tile<R, C, V>(chol, w, a, m, i0, j, mean, var);
   }
-  if (n - i0 == 2) substitute_tile<2, C, V>(chol, w, a, m, i0, j, mean, var);
-  if (n - i0 == 1) substitute_tile<1, C, V>(chol, w, a, m, i0, j, mean, var);
+  substitute_last_rows<R, C, V>(chol, w, a, m, n - i0, i0, j, mean, var);
 }
 
-// Columns [j0, j1) of the rebuild's substitution: kTileCols-column panels
-// in lanes of type V, then the ragged tail one scalar column at a time.
+// Columns [j0, j1) of the rebuild's substitution: Tile<V> panels in lanes
+// of type V, then the ragged tail one scalar column at a time.
 template <class V>
 void substitute_columns_in(const linalg::CholeskyFactor& chol,
                            const double* w, double* a, std::size_t m,
                            std::size_t n, std::size_t j0, std::size_t j1,
                            double* mean, double* var) {
   constexpr std::size_t kLanes = sizeof(V) / sizeof(double);
-  static_assert(kTileCols % kLanes == 0, "a panel is whole lanes");
+  constexpr std::size_t kRows = Tile<V>::kRows;
+  constexpr std::size_t kCols = Tile<V>::kCols;
+  static_assert(kCols % kLanes == 0, "a panel is whole lanes");
+  static_assert(kColumnGrain % kCols == 0, "a block is whole panels");
   std::size_t j = j0;
-  for (; j + kTileCols <= j1; j += kTileCols) {
-    substitute_panel<kTileCols / kLanes, V>(chol, w, a, m, n, j, mean, var);
+  for (; j + kCols <= j1; j += kCols) {
+    substitute_panel<kRows, kCols / kLanes, V>(chol, w, a, m, n, j, mean,
+                                               var);
   }
   for (; j < j1; ++j) {
-    substitute_panel<1, double>(chol, w, a, m, n, j, mean, var);
+    substitute_panel<kRows, 1, double>(chol, w, a, m, n, j, mean, var);
   }
 }
 
+// The clones: each instantiates its loop's template at its width, flattened
+// so that every template it calls is compiled at the clone's target.
 [[gnu::flatten]] void substitute_columns_sse2(
     const linalg::CholeskyFactor& chol, const double* w, double* a,
     std::size_t m, std::size_t n, std::size_t j0, std::size_t j1,
@@ -150,17 +308,63 @@ void substitute_columns_in(const linalg::CholeskyFactor& chol,
   substitute_columns_in<f64x4>(chol, w, a, m, n, j0, j1, mean, var);
 }
 
+[[gnu::target("avx512f"), gnu::flatten]] void substitute_columns_avx512(
+    const linalg::CholeskyFactor& chol, const double* w, double* a,
+    std::size_t m, std::size_t n, std::size_t j0, std::size_t j1,
+    double* mean, double* var) {
+  substitute_columns_in<f64x8>(chol, w, a, m, n, j0, j1, mean, var);
+}
+
+[[gnu::flatten]] void stream_columns_sse2(const lanes::PassState& p,
+                                          std::size_t j0, std::size_t j1,
+                                          double* acc, double* carry) {
+  stream_columns_in<f64x2>(p, j0, j1, acc, carry);
+}
+
+[[gnu::target("avx2"), gnu::flatten]] void stream_columns_avx2(
+    const lanes::PassState& p, std::size_t j0, std::size_t j1, double* acc,
+    double* carry) {
+  stream_columns_in<f64x4>(p, j0, j1, acc, carry);
+}
+
+[[gnu::target("avx512f"), gnu::flatten]] void stream_columns_avx512(
+    const lanes::PassState& p, std::size_t j0, std::size_t j1, double* acc,
+    double* carry) {
+  stream_columns_in<f64x8>(p, j0, j1, acc, carry);
+}
+
 }  // namespace
 
 void lanes::substitute_columns(Isa isa, const linalg::CholeskyFactor& chol,
                                const double* w, double* a, std::size_t m,
                                std::size_t n, std::size_t j0, std::size_t j1,
                                double* mean, double* var) {
-  if (isa == Isa::kAvx2) {
-    substitute_columns_avx2(chol, w, a, m, n, j0, j1, mean, var);
-  } else {
-    substitute_columns_sse2(chol, w, a, m, n, j0, j1, mean, var);
+  switch (isa) {
+    case Isa::kAvx512:
+      substitute_columns_avx512(chol, w, a, m, n, j0, j1, mean, var);
+      return;
+    case Isa::kAvx2:
+      substitute_columns_avx2(chol, w, a, m, n, j0, j1, mean, var);
+      return;
+    case Isa::kSse2:
+      break;
   }
+  substitute_columns_sse2(chol, w, a, m, n, j0, j1, mean, var);
+}
+
+void lanes::stream_columns(Isa isa, const PassState& p, std::size_t j0,
+                           std::size_t j1, double* acc, double* carry) {
+  switch (isa) {
+    case Isa::kAvx512:
+      stream_columns_avx512(p, j0, j1, acc, carry);
+      return;
+    case Isa::kAvx2:
+      stream_columns_avx2(p, j0, j1, acc, carry);
+      return;
+    case Isa::kSse2:
+      break;
+  }
+  stream_columns_sse2(p, j0, j1, acc, carry);
 }
 
 double Prediction::stddev() const {
@@ -348,134 +552,37 @@ void GpRegressor::run_pending_pass() const {
     reserve_cache_rows(rows);
     amat_.resize(rows * m);  // a fold alone stores the new row
   }
+  const lanes::PassState state{
+      .a = amat_.data(),
+      .m = m,
+      .rows = p.rows,
+      .fold = p.fold,
+      .lrow = p.lrow.data(),
+      .pivot = p.pivot,
+      .w_new = p.w_new,
+      .evict = p.evict,
+      .victim = p.victim,
+      .rotations = p.rotations.data(),
+      .w_last = p.w_last,
+      .mean = tracked_mean_.data(),
+      .var = tracked_var_.data(),
+      .delta_mean = delta_mean_.data(),
+      .delta_sigma = delta_sigma_.data(),
+  };
   over_columns([&](std::size_t j0, std::size_t j1) {
-    stream_columns(j0, j1);
+    // Block-local rows, column j at [j - j0]: the new row's accumulator,
+    // seeded with its kernel values (it is never written into the cache
+    // when an eviction follows), and the rotated row carried down to the
+    // next rotation.
+    double acc[kColumnGrain];
+    double carry[kColumnGrain];
+    if (p.fold) kernel_->eval_columns(*cands_, j0, j1, p.z, acc);
+    lanes::stream_columns(lanes::host_isa(), state, j0, j1, acc, carry);
   });
   amat_.resize(rows * m);
   delta_events_ += (p.fold ? 1 : 0) + (p.evict ? 1 : 0);
   pending_.fold = false;
   pending_.evict = false;
-}
-
-void GpRegressor::stream_columns(std::size_t j0, std::size_t j1) const {
-  const CachePass& p = pending_;
-  const std::size_t m = num_tracked();
-  const std::size_t n = p.rows;
-  double* a = amat_.data();
-  double* mean = tracked_mean_.data();
-  double* var = tracked_var_.data();
-  double* dmu = delta_mean_.data();
-  double* dsg = delta_sigma_.data();
-  // Block-local rows, column j at [j - j0]: the new row's accumulator (it is
-  // never written into the cache when an eviction follows) and the rotated
-  // row carried down to the next rotation.
-  double acc[kColumnGrain];
-  double carry[kColumnGrain];
-  // Rows from `first` on are rotated: the victim, or none.
-  const std::size_t first = p.evict ? std::min(p.victim, n) : n;
-
-  if (p.fold) {
-    kernel_->eval_columns(*cands_, j0, j1, p.z, acc);
-    // Rows above the victim only feed the fold.
-    for (std::size_t i = 0; i < first; ++i) {
-      const double li = p.lrow[i];
-      const double* ai = a + i * m;
-      for_lanes(j0, j1, [&](auto lane, std::size_t j) {
-        using V = decltype(lane);
-        double* s = acc + (j - j0);
-        store(s, load<V>(s) - li * load<V>(ai + j));
-      });
-    }
-  }
-
-  // The victim row seeds the carry. Each later row is loaded once, feeds the
-  // fold, and is rotated against the carry; the rotation's first output is
-  // final for the row above and is stored once.
-  const auto rotate_rows = [&](auto with_fold) {
-    constexpr bool kFold = decltype(with_fold)::value;
-    const double* av = a + first * m;
-    const double lv = kFold ? p.lrow[first] : 0.0;
-    for_lanes(j0, j1, [&](auto lane, std::size_t j) {
-      using V = decltype(lane);
-      const V x = load<V>(av + j);
-      if constexpr (kFold) {
-        double* s = acc + (j - j0);
-        store(s, load<V>(s) - lv * x);
-      }
-      store(carry + (j - j0), x);
-    });
-    for (std::size_t i = first + 1; i < n; ++i) {
-      const double c = p.rotations[i - first - 1].c;
-      const double s = p.rotations[i - first - 1].s;
-      const double li = kFold ? p.lrow[i] : 0.0;
-      double* ai = a + i * m;
-      double* above = ai - m;
-      for_lanes(j0, j1, [&](auto lane, std::size_t j) {
-        using V = decltype(lane);
-        const V b = load<V>(ai + j);
-        if constexpr (kFold) {
-          double* q = acc + (j - j0);
-          store(q, load<V>(q) - li * b);
-        }
-        double* k = carry + (j - j0);
-        const V x = load<V>(k);
-        store(above + j, c * x + s * b);
-        store(k, c * b - s * x);
-      });
-    }
-  };
-  if (first < n) {
-    if (p.fold) {
-      rotate_rows(std::true_type{});
-    } else {
-      rotate_rows(std::false_type{});
-    }
-  }
-
-  // The new row: divided by the pivot, folded into the moments, then stored
-  // (fold only) or rotated against the carry (its rotation is the last). The
-  // row that leaves — the carry, the rotated new row, or the new row itself
-  // when it is the victim — folds out last. The delta accumulators record
-  // exactly the terms folded into the moments (dm is the same product added
-  // to the mean), so a candidate whose accumulators stay zero has a
-  // bitwise-unchanged cached posterior.
-  const auto fold_in = [&](auto x, std::size_t j) {
-    using V = decltype(x);
-    const V dm = x * p.w_new;
-    store(mean + j, load<V>(mean + j) + dm);
-    store(var + j, load<V>(var + j) - x * x);
-    store(dmu + j, load<V>(dmu + j) + vabs(dm));
-    store(dsg + j, load<V>(dsg + j) + vabs(x));
-  };
-  const auto fold_out = [&](auto x, std::size_t j) {
-    using V = decltype(x);
-    const V dm = x * p.w_last;
-    store(mean + j, load<V>(mean + j) - dm);
-    store(var + j, load<V>(var + j) + x * x);
-    store(dmu + j, load<V>(dmu + j) + vabs(dm));
-    store(dsg + j, load<V>(dsg + j) + vabs(x));
-  };
-  const linalg::GivensRotation last_rot =
-      p.fold && first < n ? p.rotations[n - first - 1]
-                          : linalg::GivensRotation{};
-  for_lanes(j0, j1, [&](auto lane, std::size_t j) {
-    using V = decltype(lane);
-    if (!p.fold) {
-      fold_out(load<V>(carry + (j - j0)), j);
-      return;
-    }
-    const V an = load<V>(acc + (j - j0)) / p.pivot;
-    fold_in(an, j);
-    if (!p.evict) {
-      store(a + n * m + j, an);
-    } else if (first == n) {
-      fold_out(an, j);
-    } else {
-      const V x = load<V>(carry + (j - j0));
-      store(a + (n - 1) * m + j, last_rot.c * x + last_rot.s * an);
-      fold_out(last_rot.c * an - last_rot.s * x, j);
-    }
-  });
 }
 
 Prediction GpRegressor::predict(const Vector& z) const {

@@ -19,12 +19,13 @@
 // blocked, vectorizable row operations, and the O(T^2 |X|) rebuild on
 // context switch evaluates the kernel rows straight into the buffer and
 // forward-substitutes them in place, a register tile of rows at a time.
-// Both are optionally parallelized over candidate-column blocks on a
-// common::ThreadPool. Parallel partitioning is a function of |X| only
-// (never the thread count) and each column's floating-point operation
-// sequence is independent of the blocking and the tiling — and the same
-// whether the cache was built by folds or by a rebuild — so results are
-// bit-identical for any thread count, including the serial path.
+// Both run at the host's vector width (gp/lanes.hpp) and are optionally
+// parallelized over candidate-column blocks on a common::ThreadPool.
+// Parallel partitioning is a function of |X| only (never the thread count)
+// and each column's floating-point operation sequence is independent of
+// the blocking, the tiling and the width — and the same whether the cache
+// was built by folds or by a rebuild — so results are bit-identical for any
+// thread count, including the serial path, and for any of the widths.
 //
 // add() and remove_observation() update the factor, w and the stored data
 // at once and leave their O(T |X|) cache work pending: one pass that folds
@@ -237,9 +238,9 @@ class GpRegressor {
   void rebuild_tracked_cache();
   // Rebuild the tracked cache for candidate columns [j0, j1).
   void rebuild_columns(std::size_t j0, std::size_t j1);
+  // Streams pending_ over the cache at the host's lane width
+  // (lanes::stream_columns), block by block.
   void run_pending_pass() const;
-  // One streamed pass of pending_ over cache columns [j0, j1).
-  void stream_columns(std::size_t j0, std::size_t j1) const;
   // Runs fn over candidate-column blocks (fixed width, thread pool if set).
   void over_columns(
       const std::function<void(std::size_t, std::size_t)>& fn) const;

@@ -18,6 +18,7 @@ namespace {
 
 using lanes::f64x2;
 using lanes::f64x4;
+using lanes::f64x8;
 
 // Points packed row-major: point i's features are x[i * d .. (i + 1) * d).
 // Only the baseline f64x2 path reads them.
@@ -57,10 +58,10 @@ constexpr std::size_t kStepVectors = 2;
 // ascending row-major loop this replaced (a two-lane reduction, even k in
 // one lane and odd k in the other, then a scalar epilogue), kept so every
 // kernel value, and so every trajectory, stayed bit for bit the same. Two
-// lane vectors of points run at a time (4 points as f64x2, 8 as f64x4),
-// each feature's z and 1/l broadcast once for all of them; a ragged tail
-// runs the same order one point at a time, so the lane type and the point
-// count change no value.
+// lane vectors of points run at a time (4 points as f64x2, 8 as f64x4, 16
+// as f64x8), each feature's z and 1/l broadcast once for all of them; a
+// ragged tail runs the same order one point at a time, so the lane type and
+// the point count change no value.
 template <class V, class Points>
 void squared_distances(const Points& x, std::size_t n, const double* z,
                        const double* il, std::size_t d, double* s) {
@@ -123,6 +124,12 @@ void squared_distances(const Points& x, std::size_t n, const double* z,
   squared_distances<f64x4>(x, n, z, il, d, s);
 }
 
+[[gnu::target("avx512f"), gnu::flatten]] void feature_major_avx512(
+    const FeatureMajor& x, std::size_t n, const double* z, const double* il,
+    std::size_t d, double* s) {
+  squared_distances<f64x8>(x, n, z, il, d, s);
+}
+
 // The squared distances of one chunk: training rows (row-major) at the
 // baseline width, candidate blocks (feature-major) in the host's clone.
 void chunk_distances(const RowMajor& x, std::size_t n, const double* z,
@@ -155,11 +162,18 @@ void lanes::feature_major_squared_distances(Isa isa, const double* x,
                                             std::size_t stride, std::size_t n,
                                             const double* z, const double* il,
                                             std::size_t d, double* s) {
-  if (isa == Isa::kAvx2) {
-    feature_major_avx2(FeatureMajor{x, stride}, n, z, il, d, s);
-  } else {
-    feature_major_sse2(FeatureMajor{x, stride}, n, z, il, d, s);
+  const FeatureMajor points{x, stride};
+  switch (isa) {
+    case Isa::kAvx512:
+      feature_major_avx512(points, n, z, il, d, s);
+      return;
+    case Isa::kAvx2:
+      feature_major_avx2(points, n, z, il, d, s);
+      return;
+    case Isa::kSse2:
+      break;
   }
+  feature_major_sse2(points, n, z, il, d, s);
 }
 
 Kernel::Kernel(Vector lengthscales, double amplitude)

@@ -12,11 +12,13 @@
 //    feature-major candidates (linalg::FeatureMajorPoints) — with its
 //    summation order written out (see squared_distances there). Its values
 //    do not depend on the optimization level or the target ISA, nor on
-//    which clone of the candidate loop (SSE2 or AVX2, gp/lanes.hpp) ran.
+//    which clone of the candidate loop (SSE2, AVX2 or AVX-512F,
+//    gp/lanes.hpp) ran.
 //  - The elementwise s -> k(s) loop of each kernel (gp/kernel_fast_math.cpp,
 //    the one unit built with -ffast-math so GCC 12 vectorizes exp with
-//    libmvec). Its bits do depend on the -O level: a vectorized run of
-//    points takes libmvec's exp, a scalar one the libm exp.
+//    libmvec, at -O2 as at -O3). Its bits depend on that vectorization: a
+//    vectorized run of points takes libmvec's exp, a scalar one (an
+//    unoptimized build, a chunk's odd last point) the libm exp.
 
 #pragma once
 

@@ -1,8 +1,10 @@
 // The kernels' elementwise s -> k(s) loops: one exp per point pair, so
 // transcendental-bound over the 11^4 grid. This is the one unit built with
 // -ffast-math (src/CMakeLists.txt), which lets GCC vectorize the loops with
-// libmvec's two-lane exp. Keep anything else out of it: the squared
-// distances feeding these loops are strict IEEE (gp/kernel.cpp).
+// libmvec's two-lane exp, with -O3's vectorizer at -O2 too, so both levels
+// run the same exp. Keep anything else out of it, ISA clones included (lint
+// rule R10): the squared distances feeding these loops are strict IEEE
+// (gp/kernel.cpp).
 
 #include <cmath>
 

@@ -1,46 +1,54 @@
 // Vector lanes for the GP engine's strict-IEEE loops, and the one choice of
 // their width.
 //
-// f64x2 (two doubles, baseline SSE2) and f64x4 (four, AVX2) are GCC vector
-// types: every lane operation is a plain IEEE multiply, add, subtract or
-// divide of one double, so a loop written once over a lane type gives the
-// same bits at either width as long as each element sees the same
-// operations in the same order. Two such loops have a 4-lane clone: the
-// rebuild's forward substitution (gp/gp_regressor.cpp) and the feature-major
-// squared distances (gp/kernel.cpp). Each clone is a function of its unit
-// under __attribute__((target("avx2"), flatten)), so the shared templates are
-// compiled into it at AVX2; never "fma", which would let GCC contract a
-// multiply-subtract. Nothing in the build passes -mavx2 or -march: inline
-// functions compiled under such a flag are COMDAT, and the linker may hand
-// their AVX2 copy to an SSE2 caller. host_isa() picks the clones once per
-// process from the CPU; a host without AVX2 runs the SSE2 ones.
+// f64x2 (two doubles, baseline SSE2), f64x4 (four, AVX2) and f64x8 (eight,
+// AVX-512F) are GCC vector types: every lane operation is a plain IEEE
+// multiply, add, subtract or divide of one double, so a loop written once
+// over a lane type gives the same bits at any width as long as each element
+// sees the same operations in the same order. Three loops are written that
+// way and have a clone per width: the rebuild's forward substitution and
+// the fold/evict cache pass (gp/gp_regressor.cpp), and the feature-major
+// squared distances (gp/kernel.cpp). Each wider clone is a function of its
+// unit under __attribute__((target("avx2" or "avx512f"), flatten)), so the
+// shared templates are compiled into it at that width; never "fma". The
+// avx512f target brings FMA encodings with it, so the library is built with
+// -ffp-contract=off (src/CMakeLists.txt): without it GCC would contract a
+// multiply-subtract into one rounding and change the bits. Nothing in the
+// build passes -mavx2, -mavx512f or -march: inline functions compiled under
+// such a flag are COMDAT, and the linker may hand their wide copy to an
+// SSE2 caller. host_isa() picks the clones once per process from the CPU; a
+// host without AVX-512F runs the AVX2 ones, a host without AVX2 the SSE2
+// ones.
 
 #pragma once
 
 #include <cstddef>
 #include <cstring>
 
-// A function compiled without AVX that takes or returns a vector_size(32)
-// value warns "AVX vector return without AVX enabled changes the ABI"
-// (-Wpsabi), and EDGEBOL_WERROR makes it an error. The 4-lane template
-// instantiations in the including unit are such functions: they are compiled
-// for the baseline target and flattened into the AVX2 clones, and the
-// warning points at their calls of load() below. The ABI it describes is
-// never used across a call: every function that takes or returns a 4-lane
-// vector by value (load() here, the distance loop's pack()) is
-// always_inline, so it is compiled into its caller at the caller's target.
-// So the warning is ignored for the rest of the including unit,
-// deliberately without a pop.
+// A function compiled without AVX (AVX-512F) that takes or returns a
+// vector_size(32) (vector_size(64)) value warns "AVX vector return without
+// AVX enabled changes the ABI" (-Wpsabi), and EDGEBOL_WERROR makes it an
+// error. The wide template instantiations in the including unit are such
+// functions: they are compiled for the baseline target and flattened into
+// the wide clones, and the warning points at their calls of load() below.
+// The ABI it describes is never used across a call: every function or
+// lambda that takes or returns a lane vector by value (load() here, the
+// distance loop's pack(), the cache pass's vabs()) is always_inline, so it
+// is compiled into its caller at the caller's target; the cache pass's
+// callbacks take a lane-type tag or a reference instead. So the warning is
+// ignored for the rest of the including unit, deliberately without a pop.
 #pragma GCC diagnostic ignored "-Wpsabi"
 
 namespace edgebol::linalg {
 class CholeskyFactor;
-}
+struct GivensRotation;
+}  // namespace edgebol::linalg
 
 namespace edgebol::gp::lanes {
 
 using f64x2 = double __attribute__((vector_size(16)));
 using f64x4 = double __attribute__((vector_size(32)));
+using f64x8 = double __attribute__((vector_size(64)));
 
 template <class V>
 [[gnu::always_inline]] inline V load(const double* p) {
@@ -57,26 +65,35 @@ template <class V>
 }
 
 /// Lane width of a clone.
-enum class Isa { kSse2, kAvx2 };
+enum class Isa { kSse2, kAvx2, kAvx512 };
 
-/// The clones this process runs: kAvx2 when the CPU and the OS support
-/// AVX2, else kSse2. Probed on first use and fixed for the process; the
-/// program's only instruction-set selection.
+/// The clones this process runs: the widest of kAvx512 (AVX-512F), kAvx2
+/// and kSse2 that the CPU and the OS support. Probed on first use and fixed
+/// for the process; the program's only instruction-set selection.
 inline Isa host_isa() {
   static const Isa isa = [] {
     __builtin_cpu_init();
+    if (__builtin_cpu_supports("avx512f")) return Isa::kAvx512;
     return __builtin_cpu_supports("avx2") ? Isa::kAvx2 : Isa::kSse2;
   }();
   return isa;
 }
 
 inline const char* isa_name(Isa isa) {
-  return isa == Isa::kAvx2 ? "avx2" : "sse2";
+  switch (isa) {
+    case Isa::kAvx512:
+      return "avx512";
+    case Isa::kAvx2:
+      return "avx2";
+    case Isa::kSse2:
+      break;
+  }
+  return "sse2";
 }
 
-// The two cloned loops, each run at the width `isa` names (kAvx2 needs a
-// host with AVX2). The engine passes host_isa(); a test calls both widths
-// on the same inputs and compares the bits.
+// The three cloned loops, each run at the width `isa` names (which the host
+// must support). The engine passes host_isa(); a test calls every width on
+// the same inputs and compares the bits.
 
 /// The rebuild's forward substitution A = L^{-1} K in place over columns
 /// [j0, j1) of the row-major n x m cache `a`, whose first n rows hold kernel
@@ -94,5 +111,37 @@ void feature_major_squared_distances(Isa isa, const double* x,
                                      std::size_t stride, std::size_t n,
                                      const double* z, const double* il,
                                      std::size_t d, double* s);
+
+/// One fold/evict pass over the tracked cache: the row-major cache `a`
+/// (m columns, `rows` rows on entry), the tracked moments and their delta
+/// accumulators (m entries each).
+struct PassState {
+  double* a = nullptr;
+  std::size_t m = 0;
+  std::size_t rows = 0;
+  /// The added observation's row a = (k(z, c) - sum_i lrow[i] a_i) / pivot
+  /// joins the cache and folds into the moments with w entry w_new.
+  bool fold = false;
+  const double* lrow = nullptr;  // `rows` entries
+  double pivot = 1.0;
+  double w_new = 0.0;
+  /// Then rotations[r] mixes rows (victim + r, victim + r + 1) of the cache,
+  /// the new row included, and the rotated-out last row folds out of the
+  /// moments with w entry w_last.
+  bool evict = false;
+  std::size_t victim = 0;
+  const linalg::GivensRotation* rotations = nullptr;
+  double w_last = 0.0;
+  double* mean = nullptr;
+  double* var = nullptr;
+  double* delta_mean = nullptr;
+  double* delta_sigma = nullptr;
+};
+
+/// The pass over columns [j0, j1) (gp/gp_regressor.cpp). With a fold,
+/// acc[j - j0] holds k(z, c_j) on entry, the new row's kernel values; acc
+/// and carry are scratch of j1 - j0 entries.
+void stream_columns(Isa isa, const PassState& p, std::size_t j0,
+                    std::size_t j1, double* acc, double* carry);
 
 }  // namespace edgebol::gp::lanes
