@@ -34,12 +34,14 @@ int main(int argc, char** argv) {
       cfg.constraints = {0.4, 0.5};
       cfg.acquisition = kind;
       core::EdgeBol agent(env::ControlGrid{}, cfg);
-      const Trajectory tr = run_edgebol(tb, agent, periods);
-      costs.push_back(tr.cost);
-      for (std::size_t ti = 0; ti < tr.delay_s.size(); ++ti) {
+      costs.emplace_back();
+      core::run_periods(tb, agent, periods, [&](const auto& r) {
+        const env::Measurement& m = r.measurement;
+        costs.back().push_back(
+            cfg.weights.cost(m.server_power_w, m.bs_power_w));
         ++considered;
-        viol += tr.delay_s[ti] > 0.4 * 1.05 || tr.map[ti] < 0.5 - 0.03;
-      }
+        viol += core::violates(cfg.constraints, *r.expected);
+      });
     }
     KindResult r;
     r.cost_med = percentile_series(costs, 50);

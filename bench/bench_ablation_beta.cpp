@@ -32,19 +32,23 @@ int main(int argc, char** argv) {
       cfg.constraints = {0.4, 0.5};
       cfg.beta_sqrt = beta;
       core::EdgeBol agent(env::ControlGrid{}, cfg);
-      const Trajectory tr = run_edgebol(tb, agent, periods);
-
-      const double converged = tail_mean(tr.cost, 30);
-      conv.add(converged);
+      std::vector<double> cost;
       int v = 0;
-      for (std::size_t ti = 0; ti < tr.delay_s.size(); ++ti) {
-        v += tr.delay_s[ti] > 0.4 * 1.05 || tr.map[ti] < 0.5 - 0.03;
-      }
+      std::size_t final_safe = 0;
+      core::run_periods(tb, agent, periods, [&](const auto& r) {
+        const env::Measurement& m = r.measurement;
+        cost.push_back(cfg.weights.cost(m.server_power_w, m.bs_power_w));
+        v += core::violates(cfg.constraints, *r.expected);
+        final_safe = r.decision.safe_set_size;
+      });
+
+      const double converged = tail_mean(cost, 30);
+      conv.add(converged);
       viol.add(static_cast<double>(v) / periods);
-      safe.add(tr.safe_set_size.back());
+      safe.add(static_cast<double>(final_safe));
       int reach = periods;
       for (int ti = 0; ti < periods; ++ti) {
-        if (tr.cost[ti] <= converged * 1.05) {
+        if (cost[ti] <= converged * 1.05) {
           reach = ti;
           break;
         }

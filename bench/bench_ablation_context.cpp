@@ -9,6 +9,25 @@
 
 #include "bench_common.hpp"
 
+namespace {
+
+using namespace edgebol;
+
+// The context-blind variant's environment: the testbed, with the context
+// frozen at the one observed before the first period.
+struct FrozenContext {
+  env::Testbed& tb;
+  env::Context frozen = tb.context();
+
+  env::Context context() const { return frozen; }
+  env::Measurement step(const env::ControlPolicy& p) { return tb.step(p); }
+  env::Measurement expected(const env::ControlPolicy& p) const {
+    return tb.expected(p);
+  }
+};
+
+}  // namespace
+
 int main(int argc, char** argv) {
   using namespace edgebol;
   using namespace edgebol::bench;
@@ -33,19 +52,20 @@ int main(int argc, char** argv) {
       cfg.constraints = {0.6, 0.5};
       core::EdgeBol agent(env::ControlGrid{}, cfg);
 
-      env::Context frozen = tb.context();
       int v = 0, n = 0;
       RunningStats c_run;
-      for (int ti = 0; ti < periods; ++ti) {
-        const env::Context ctx = blind ? frozen : tb.context();
-        const core::Decision d = agent.select(ctx);
-        const env::Measurement m = tb.step(d.policy);
-        agent.update(ctx, d.policy_index, m);
-        if (ti >= 50) {
-          ++n;
-          v += m.delay_s > 0.6 * 1.05 || m.map < 0.5 - 0.03;
-          c_run.add(agent.weights().cost(m.server_power_w, m.bs_power_w));
-        }
+      auto on_period = [&](const auto& r) {
+        if (r.period < 50) return;
+        const env::Measurement& m = r.measurement;
+        ++n;
+        v += core::violates(cfg.constraints, *r.expected);
+        c_run.add(agent.weights().cost(m.server_power_w, m.bs_power_w));
+      };
+      if (blind) {
+        FrozenContext frozen{tb};
+        core::run_periods(frozen, agent, periods, on_period);
+      } else {
+        core::run_periods(tb, agent, periods, on_period);
       }
       cost.add(c_run.mean());
       viol.add(static_cast<double>(v) / n);

@@ -54,17 +54,25 @@ int main(int argc, char** argv) {
                 false},
         Variant{"anisotropic RBF", gp::KernelFamily::kRbf, false},
         Variant{"isotropic Matern-3/2", gp::KernelFamily::kMatern32, true}}) {
-    std::vector<std::vector<double>> costs, delays, maps;
+    std::vector<std::vector<double>> costs, delays;
+    int viol = 0, considered = 0;
     for (int rep = 0; rep < reps; ++rep) {
       env::TestbedConfig tcfg;
       tcfg.seed = 7500 + static_cast<std::uint64_t>(rep);
       env::Testbed tb = env::make_static_testbed(35.0, tcfg);
       core::EdgeBol agent(env::ControlGrid{},
                           variant_config(v.family, v.isotropic));
-      const Trajectory tr = run_edgebol(tb, agent, periods);
-      costs.push_back(tr.cost);
-      delays.push_back(tr.delay_s);
-      maps.push_back(tr.map);
+      costs.emplace_back();
+      delays.emplace_back();
+      core::run_periods(tb, agent, periods, [&](const auto& r) {
+        const env::Measurement& m = r.measurement;
+        costs.back().push_back(
+            agent.weights().cost(m.server_power_w, m.bs_power_w));
+        delays.back().push_back(m.delay_s);
+        if (r.period < 25) return;
+        ++considered;
+        viol += core::violates(agent.constraints(), *r.expected);
+      });
     }
     const auto c50 = percentile_series(costs, 50);
     const auto d50 = percentile_series(delays, 50);
@@ -75,14 +83,6 @@ int main(int argc, char** argv) {
       t.add_row({fmt(ti, 0), fmt(c50[ti], 1), fmt(d50[ti], 3)});
     }
     t.print(std::cout);
-
-    int viol = 0, considered = 0;
-    for (std::size_t rep = 0; rep < delays.size(); ++rep) {
-      for (std::size_t ti = 25; ti < delays[rep].size(); ++ti) {
-        ++considered;
-        viol += delays[rep][ti] > 0.4 * 1.05 || maps[rep][ti] < 0.5 - 0.03;
-      }
-    }
     std::cout << "constraint violations after t=25: " << viol << "/"
               << considered << "\n";
   }

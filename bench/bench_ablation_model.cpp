@@ -34,118 +34,45 @@ int main(int argc, char** argv) {
   const auto oracle = baselines::exhaustive_oracle(oracle_tb, grid, weights,
                                                    sla);
 
-  auto report = [&](const char* name, RunningStats& cost,
-                    RunningStats& viol) {
+  // Every agent runs the same seeds; cost and violations are averaged over
+  // the last 50 periods of each run.
+  auto evaluate = [&](const char* name, auto make_agent) {
+    RunningStats cost, viol;
+    for (int rep = 0; rep < reps; ++rep) {
+      env::TestbedConfig tcfg;
+      tcfg.seed = 8500 + static_cast<std::uint64_t>(rep);
+      env::Testbed tb = env::make_static_testbed(35.0, tcfg);
+      auto agent = make_agent(static_cast<std::uint64_t>(rep));
+      int v = 0;
+      RunningStats c_run;
+      core::run_periods(tb, agent, periods, [&](const auto& r) {
+        if (r.period < periods - 50) return;
+        const env::Measurement& m = r.measurement;
+        c_run.add(weights.cost(m.server_power_w, m.bs_power_w));
+        v += core::violates(sla, *r.expected);
+      });
+      cost.add(c_run.mean());
+      viol.add(static_cast<double>(v) / 50.0);
+    }
     t.add_row({name, fmt(cost.mean(), 1), fmt(viol.mean(), 3),
                fmt(100.0 * (cost.mean() / oracle.cost - 1.0), 1)});
   };
 
-  auto violated = [&](const env::Measurement& m) {
-    return m.delay_s > sla.d_max_s * 1.05 || m.map < sla.map_min - 0.03;
-  };
-
-  {  // EdgeBOL
-    RunningStats cost, viol;
-    for (int rep = 0; rep < reps; ++rep) {
-      env::TestbedConfig tcfg;
-      tcfg.seed = 8500 + static_cast<std::uint64_t>(rep);
-      env::Testbed tb = env::make_static_testbed(35.0, tcfg);
-      core::EdgeBolConfig cfg;
-      cfg.weights = weights;
-      cfg.constraints = sla;
-      core::EdgeBol agent(grid, cfg);
-      int v = 0;
-      RunningStats c_run;
-      for (int tt = 0; tt < periods; ++tt) {
-        const env::Context c = tb.context();
-        const core::Decision d = agent.select(c);
-        const env::Measurement m = tb.step(d.policy);
-        agent.update(c, d.policy_index, m);
-        if (tt >= periods - 50) {
-          c_run.add(weights.cost(m.server_power_w, m.bs_power_w));
-          v += violated(m);
-        }
-      }
-      cost.add(c_run.mean());
-      viol.add(static_cast<double>(v) / 50.0);
-    }
-    report("EdgeBOL (GP)", cost, viol);
-  }
-
-  {  // LinUCB
-    RunningStats cost, viol;
-    for (int rep = 0; rep < reps; ++rep) {
-      env::TestbedConfig tcfg;
-      tcfg.seed = 8500 + static_cast<std::uint64_t>(rep);
-      env::Testbed tb = env::make_static_testbed(35.0, tcfg);
-      baselines::LinUcbAgent agent(grid, weights, sla, {});
-      int v = 0;
-      RunningStats c_run;
-      for (int tt = 0; tt < periods; ++tt) {
-        const env::Context c = tb.context();
-        const std::size_t idx = agent.select(c);
-        const env::Measurement m = tb.step(grid.policy(idx));
-        agent.update(c, idx, m);
-        if (tt >= periods - 50) {
-          c_run.add(weights.cost(m.server_power_w, m.bs_power_w));
-          v += violated(m);
-        }
-      }
-      cost.add(c_run.mean());
-      viol.add(static_cast<double>(v) / 50.0);
-    }
-    report("LinUCB (linear)", cost, viol);
-  }
-
-  {  // epsilon-greedy (tabular)
-    RunningStats cost, viol;
-    for (int rep = 0; rep < reps; ++rep) {
-      env::TestbedConfig tcfg;
-      tcfg.seed = 8500 + static_cast<std::uint64_t>(rep);
-      env::Testbed tb = env::make_static_testbed(35.0, tcfg);
-      baselines::EGreedyAgent agent(grid.size(), weights, sla, {},
-                                    900 + static_cast<std::uint64_t>(rep));
-      int v = 0;
-      RunningStats c_run;
-      for (int tt = 0; tt < periods; ++tt) {
-        const std::size_t idx = agent.select();
-        const env::Measurement m = tb.step(grid.policy(idx));
-        agent.update(idx, m);
-        if (tt >= periods - 50) {
-          c_run.add(weights.cost(m.server_power_w, m.bs_power_w));
-          v += violated(m);
-        }
-      }
-      cost.add(c_run.mean());
-      viol.add(static_cast<double>(v) / 50.0);
-    }
-    report("epsilon-greedy (tabular)", cost, viol);
-  }
-
-  {  // random search
-    RunningStats cost, viol;
-    for (int rep = 0; rep < reps; ++rep) {
-      env::TestbedConfig tcfg;
-      tcfg.seed = 8500 + static_cast<std::uint64_t>(rep);
-      env::Testbed tb = env::make_static_testbed(35.0, tcfg);
-      baselines::RandomSearchAgent agent(grid.size(), weights, sla,
-                                         700 + static_cast<std::uint64_t>(rep));
-      int v = 0;
-      RunningStats c_run;
-      for (int tt = 0; tt < periods; ++tt) {
-        const std::size_t idx = agent.select();
-        const env::Measurement m = tb.step(grid.policy(idx));
-        agent.update(idx, m);
-        if (tt >= periods - 50) {
-          c_run.add(weights.cost(m.server_power_w, m.bs_power_w));
-          v += violated(m);
-        }
-      }
-      cost.add(c_run.mean());
-      viol.add(static_cast<double>(v) / 50.0);
-    }
-    report("random search", cost, viol);
-  }
+  evaluate("EdgeBOL (GP)", [&](std::uint64_t) {
+    core::EdgeBolConfig cfg;
+    cfg.weights = weights;
+    cfg.constraints = sla;
+    return core::EdgeBol(grid, cfg);
+  });
+  evaluate("LinUCB (linear)", [&](std::uint64_t) {
+    return baselines::LinUcbAgent(grid, weights, sla, {});
+  });
+  evaluate("epsilon-greedy (tabular)", [&](std::uint64_t rep) {
+    return baselines::EGreedyAgent(grid, weights, sla, {}, 900 + rep);
+  });
+  evaluate("random search", [&](std::uint64_t rep) {
+    return baselines::RandomSearchAgent(grid, weights, sla, 700 + rep);
+  });
 
   t.print(std::cout);
 

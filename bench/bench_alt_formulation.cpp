@@ -3,6 +3,8 @@
 // minimum precision, instead of minimizing energy under a delay SLA. Runs
 // PowerBudgetBol across a sweep of server-power budgets and reports the
 // achieved delay frontier, plus a runtime budget cut (battery running low).
+// A budget violation is judged as core::violates judges the SLA: on the
+// chosen policy's noise-free outcome, with no slack.
 
 #include <iostream>
 
@@ -39,21 +41,18 @@ int main(int argc, char** argv) {
 
     RunningStats delay, ps, pb, map;
     int viol = 0, n = 0;
-    for (int tt = 0; tt < periods; ++tt) {
-      const env::Context c = tb.context();
-      const core::GenericDecision d = agent.select(c);
-      const env::Measurement m = tb.step(agent.policy(d.index));
-      agent.update(c, d.index, m);
-      if (tt >= periods - 50) {
-        ++n;
-        delay.add(m.delay_s);
-        ps.add(m.server_power_w);
-        pb.add(m.bs_power_w);
-        map.add(m.map);
-        viol += (m.server_power_w > budget * 1.05 ||
-                 m.bs_power_w > 5.6 * 1.05 || m.map < 0.5 - 0.03);
-      }
-    }
+    core::run_periods(tb, agent, periods, [&](const auto& r) {
+      if (r.period < periods - 50) return;
+      const env::Measurement& m = r.measurement;
+      const env::Measurement& e = *r.expected;
+      ++n;
+      delay.add(m.delay_s);
+      ps.add(m.server_power_w);
+      pb.add(m.bs_power_w);
+      map.add(m.map);
+      viol += !(e.server_power_w <= budget && e.bs_power_w <= 5.6 &&
+                e.map >= 0.5);
+    });
     t.add_row({fmt(budget, 0), fmt(delay.mean(), 3), fmt(ps.mean(), 1),
                fmt(pb.mean(), 2), fmt(map.mean(), 3),
                fmt(static_cast<double>(viol) / n, 3)});
@@ -79,17 +78,12 @@ int main(int argc, char** argv) {
     agent.set_server_power_budget(budget);
     RunningStats delay, power;
     int viol = 0;
-    for (int tt = 0; tt < len; ++tt) {
-      const env::Context c = tb.context();
-      const core::GenericDecision d = agent.select(c);
-      const env::Measurement m = tb.step(agent.policy(d.index));
-      agent.update(c, d.index, m);
-      if (tt >= len / 3) {
-        delay.add(m.delay_s);
-        power.add(m.server_power_w);
-        viol += (m.server_power_w > budget * 1.05);
-      }
-    }
+    core::run_periods(tb, agent, len, [&](const auto& r) {
+      if (r.period < len / 3) return;
+      delay.add(r.measurement.delay_s);
+      power.add(r.measurement.server_power_w);
+      viol += !(r.expected->server_power_w <= budget);
+    });
     t2.add_row({label, fmt(delay.mean(), 3), fmt(power.mean(), 1),
                 fmt(static_cast<double>(viol) / (len - len / 3), 3)});
   }

@@ -6,7 +6,10 @@
 // agent's resilience tallies. The paper's loop assumes clean feedback; this
 // bench quantifies how little the hardened loop loses under realistic
 // hostility, and exits 1 when the faulted run fails the printed shape
-// check (usage: bench_chaos_convergence [periods]).
+// check (usage: bench_chaos_convergence [periods]). Violations are
+// core::violates on the chosen policy's noise-free outcome (no slack): the
+// gate reads whether corrupted feedback led the learner to an unsafe
+// choice, with the same thresholds it had on the measured, slackened rate.
 
 #include <cmath>
 #include <iostream>
@@ -20,8 +23,10 @@ using namespace edgebol;
 
 struct ChaosTrace {
   std::vector<double> cost;          // NaN when the period's KPI was lost
-  std::vector<int> violations;       // cumulative, with the noise slack
-  core::RunSummary summary{};
+  std::vector<int> violations;       // cumulative, on the noise-free outcome
+  double tail_mean_cost = 0.0;       // last quarter, lost KPIs left out
+  double violation_rate = 0.0;
+  std::size_t final_safe_set = 0;
   core::ResilienceStats resilience{};
   std::size_t delivery_failures = 0;
   std::size_t kpi_losses = 0;
@@ -40,13 +45,19 @@ ChaosTrace run(fault::FaultInjector* injector, int periods) {
 
   ChaosTrace trace;
   int violations = 0;
-  core::Orchestrator orch(agent, {.keep_history = false});
-  orch.set_callback([&](const core::PeriodRecord& rec) {
-    violations += rec.delay_violated || rec.map_violated;
-    trace.cost.push_back(rec.cost);
+  RunningStats tail;
+  const int tail_start = periods - std::max(1, periods / 4);
+  core::run_periods(managed, agent, periods, [&](const auto& r) {
+    const env::Measurement& m = r.measurement;
+    const double cost = agent.weights().cost(m.server_power_w, m.bs_power_w);
+    violations += core::violates(agent.constraints(), *r.expected);
+    trace.cost.push_back(cost);
     trace.violations.push_back(violations);
+    if (r.period >= tail_start && std::isfinite(cost)) tail.add(cost);
+    trace.final_safe_set = r.decision.safe_set_size;
   });
-  trace.summary = orch.run(managed, periods);
+  trace.tail_mean_cost = tail.mean();
+  trace.violation_rate = static_cast<double>(violations) / periods;
   trace.resilience = agent.resilience_stats();
   trace.delivery_failures = managed.policy_delivery_failures();
   trace.kpi_losses = managed.kpi_losses();
@@ -95,12 +106,11 @@ int main(int argc, char** argv) {
 
   std::cout << "\n-- run summaries --\n";
   Table s({"run", "tail_mean_cost", "violation_rate", "final_safe_set"});
-  s.add_row({"clean", fmt(clean.summary.tail_mean_cost, 1),
-             fmt(clean.summary.violation_rate, 3),
-             fmt(static_cast<double>(clean.summary.final_safe_set_size), 0)});
-  s.add_row({"faulted", fmt(faulted.summary.tail_mean_cost, 1),
-             fmt(faulted.summary.violation_rate, 3),
-             fmt(static_cast<double>(faulted.summary.final_safe_set_size), 0)});
+  for (const auto& [name, run] : {std::pair{"clean", &clean},
+                                  std::pair{"faulted", &faulted}}) {
+    s.add_row({name, fmt(run->tail_mean_cost, 1), fmt(run->violation_rate, 3),
+               fmt(static_cast<double>(run->final_safe_set), 0)});
+  }
   s.print(std::cout);
 
   const fault::FaultStats& fs = injector.stats();
@@ -129,13 +139,13 @@ int main(int argc, char** argv) {
   // violation rate within 2x of the clean run's (+0.01), and a finite,
   // positive tail cost within 2x of the clean run's. A tail cost of 0
   // means no tail period kept a KPI.
-  const double tail = faulted.summary.tail_mean_cost;
+  const double tail = faulted.tail_mean_cost;
   const bool kpis_ok =
       faulted.kpi_losses <= static_cast<std::size_t>(periods) / 2;
-  const bool violations_ok = faulted.summary.violation_rate <=
-                             2.0 * clean.summary.violation_rate + 0.01;
+  const bool violations_ok =
+      faulted.violation_rate <= 2.0 * clean.violation_rate + 0.01;
   const bool cost_ok = std::isfinite(tail) && tail > 0.0 &&
-                       tail <= 2.0 * clean.summary.tail_mean_cost;
+                       tail <= 2.0 * clean.tail_mean_cost;
   const bool pass = kpis_ok && violations_ok && cost_ok;
   std::cout << "\nShape check: " << (pass ? "PASS" : "FAIL")
             << " (faulted run: KPI losses <= periods/2 "

@@ -7,54 +7,12 @@
 
 #pragma once
 
-#include <functional>
 #include <iostream>
 #include <vector>
 
 #include <edgebol/edgebol.hpp>
 
 namespace edgebol::bench {
-
-/// Per-period trajectory of one EdgeBOL run.
-struct Trajectory {
-  std::vector<double> cost;
-  std::vector<double> delay_s;
-  std::vector<double> map;
-  std::vector<double> bs_power_w;
-  std::vector<double> server_power_w;
-  std::vector<double> safe_set_size;
-  std::vector<double> resolution;
-  std::vector<double> airtime;
-  std::vector<double> gpu_speed;
-  std::vector<double> mcs_norm;
-  std::vector<double> mean_snr_db;
-};
-
-/// Run Algorithm 1 for `periods` periods on `testbed` and record everything.
-inline Trajectory run_edgebol(env::Testbed& testbed, core::EdgeBol& agent,
-                              int periods) {
-  Trajectory tr;
-  for (int t = 0; t < periods; ++t) {
-    const env::Context c = testbed.context();
-    const core::Decision d = agent.select(c);
-    const env::Measurement m = testbed.step(d.policy);
-    agent.update(c, d.policy_index, m);
-
-    tr.cost.push_back(agent.weights().cost(m.server_power_w, m.bs_power_w));
-    tr.delay_s.push_back(m.delay_s);
-    tr.map.push_back(m.map);
-    tr.bs_power_w.push_back(m.bs_power_w);
-    tr.server_power_w.push_back(m.server_power_w);
-    tr.safe_set_size.push_back(static_cast<double>(d.safe_set_size));
-    tr.resolution.push_back(d.policy.resolution);
-    tr.airtime.push_back(d.policy.airtime);
-    tr.gpu_speed.push_back(d.policy.gpu_speed);
-    tr.mcs_norm.push_back(static_cast<double>(d.policy.mcs_cap) /
-                          ran::kMaxUlMcs);
-    tr.mean_snr_db.push_back(m.mean_snr_db);
-  }
-  return tr;
-}
 
 /// Percentile across repetitions at each time index (series must be equal
 /// length).

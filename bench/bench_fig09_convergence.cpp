@@ -28,12 +28,16 @@ int main(int argc, char** argv) {
       cfg.weights = {1.0, delta2};
       cfg.constraints = {0.4, 0.5};
       core::EdgeBol agent(env::ControlGrid{}, cfg);
-      const Trajectory tr = run_edgebol(tb, agent, periods);
-      cost.push_back(tr.cost);
-      map.push_back(tr.map);
-      delay.push_back(tr.delay_s);
-      pbs.push_back(tr.bs_power_w);
-      psrv.push_back(tr.server_power_w);
+      for (auto* s : {&cost, &map, &delay, &pbs, &psrv}) s->emplace_back();
+      core::run_periods(tb, agent, periods, [&](const auto& r) {
+        const env::Measurement& m = r.measurement;
+        cost.back().push_back(
+            cfg.weights.cost(m.server_power_w, m.bs_power_w));
+        map.back().push_back(m.map);
+        delay.back().push_back(m.delay_s);
+        pbs.back().push_back(m.bs_power_w);
+        psrv.back().push_back(m.server_power_w);
+      });
     }
 
     std::cout << "\n-- delta2 = " << fmt(delta2, 0) << " --\n";

@@ -47,10 +47,16 @@ int main(int argc, char** argv) {
         cfg.weights = w;
         cfg.constraints = setting.spec;
         core::EdgeBol agent(grid, cfg);
-        const Trajectory tr = run_edgebol(tb, agent, periods);
-        bs.add(tail_mean(tr.bs_power_w, 50));
-        srv.add(tail_mean(tr.server_power_w, 50));
-        cost.add(tail_mean(tr.cost, 50));
+        std::vector<double> b, s, c;
+        core::run_periods(tb, agent, periods, [&](const auto& r) {
+          const env::Measurement& m = r.measurement;
+          b.push_back(m.bs_power_w);
+          s.push_back(m.server_power_w);
+          c.push_back(w.cost(m.server_power_w, m.bs_power_w));
+        });
+        bs.add(tail_mean(b, 50));
+        srv.add(tail_mean(s, 50));
+        cost.add(tail_mean(c, 50));
       }
 
       env::Testbed oracle_tb = env::make_static_testbed(35.0);

@@ -33,11 +33,18 @@ int main(int argc, char** argv) {
         cfg.weights = {1.0, delta2};
         cfg.constraints = setting.spec;
         core::EdgeBol agent(grid, cfg);
-        const Trajectory tr = run_edgebol(tb, agent, periods);
-        gpu.add(tail_mean(tr.gpu_speed, 50));
-        res.add(tail_mean(tr.resolution, 50));
-        air.add(tail_mean(tr.airtime, 50));
-        mcs.add(tail_mean(tr.mcs_norm, 50));
+        std::vector<double> g, r, a, m;
+        core::run_periods(tb, agent, periods, [&](const auto& rec) {
+          const env::ControlPolicy& p = rec.policy;
+          g.push_back(p.gpu_speed);
+          r.push_back(p.resolution);
+          a.push_back(p.airtime);
+          m.push_back(static_cast<double>(p.mcs_cap) / ran::kMaxUlMcs);
+        });
+        gpu.add(tail_mean(g, 50));
+        res.add(tail_mean(r, 50));
+        air.add(tail_mean(a, 50));
+        mcs.add(tail_mean(m, 50));
       }
       t.add_row({fmt(delta2, 0), fmt(gpu.mean(), 3), fmt(res.mean(), 3),
                  fmt(air.mean(), 3), fmt(mcs.mean(), 3)});

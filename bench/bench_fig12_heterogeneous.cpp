@@ -3,7 +3,9 @@
 // additional user 20% lower. d_max = 2 s, rho_min = 0.6 (feasible even with
 // 6 users), delta1 = 1, delta2 in {1, 2, 4, 8}. EdgeBOL's converged cost is
 // compared with the offline exhaustive-search optimum, and the constraint
-// satisfaction probability is reported (the paper quotes ~2% gap, 0.98).
+// satisfaction probability is reported (the paper quotes ~2% gap, 0.98):
+// on the chosen policy's noise-free outcome, and, since the paper's 0.98
+// was measured, the same rule on the noisy measurement beside it.
 
 #include <iostream>
 
@@ -24,7 +26,7 @@ int main(int argc, char** argv) {
   for (double delta2 : {1.0, 2.0, 4.0, 8.0}) {
     std::cout << "\n-- delta2 = " << fmt(delta2, 0) << " --\n";
     Table t({"n_users", "edgebol_cost", "optimal_cost", "gap_pct",
-             "constraint_sat_prob"});
+             "constraint_sat_prob", "measured_sat_prob"});
     for (int n = 1; n <= max_users; ++n) {
       const core::CostWeights w{1.0, delta2};
 
@@ -37,21 +39,24 @@ int main(int argc, char** argv) {
       cfg.weights = w;
       cfg.constraints = constraints;
       core::EdgeBol agent(grid, cfg);
-      const Trajectory tr = run_edgebol(tb, agent, periods);
-
-      int ok = 0, considered = 0;
-      for (std::size_t ti = 25; ti < tr.delay_s.size(); ++ti) {
+      std::vector<double> cost;
+      int ok = 0, ok_measured = 0, considered = 0;
+      core::run_periods(tb, agent, periods, [&](const auto& r) {
+        const env::Measurement& m = r.measurement;
+        cost.push_back(w.cost(m.server_power_w, m.bs_power_w));
+        if (r.period < 25) return;
         ++considered;
-        ok += (tr.delay_s[ti] <= constraints.d_max_s &&
-               tr.map[ti] >= constraints.map_min - 0.02);
-      }
+        ok += !core::violates(constraints, *r.expected);
+        ok_measured += !core::violates(constraints, m);
+      });
 
       const auto oracle = baselines::exhaustive_oracle(tb, grid, w,
                                                        constraints);
-      const double converged = tail_mean(tr.cost, 40);
+      const double converged = tail_mean(cost, 40);
       t.add_row({fmt(n, 0), fmt(converged, 1), fmt(oracle.cost, 1),
                  fmt(100.0 * (converged / oracle.cost - 1.0), 1),
-                 fmt(static_cast<double>(ok) / considered, 3)});
+                 fmt(static_cast<double>(ok) / considered, 3),
+                 fmt(static_cast<double>(ok_measured) / considered, 3)});
     }
     t.print(std::cout);
   }

@@ -27,13 +27,16 @@ int main(int argc, char** argv) {
     cfg.weights = {1.0, 8.0};
     cfg.constraints = {0.6, 0.5};
     core::EdgeBol agent(env::ControlGrid{}, cfg);
-    const Trajectory tr = run_edgebol(tb, agent, periods);
-    snr.push_back(tr.mean_snr_db);
-    safe.push_back(tr.safe_set_size);
-    gpu.push_back(tr.gpu_speed);
-    res.push_back(tr.resolution);
-    air.push_back(tr.airtime);
-    mcs.push_back(tr.mcs_norm);
+    for (auto* s : {&snr, &safe, &gpu, &res, &air, &mcs}) s->emplace_back();
+    core::run_periods(tb, agent, periods, [&](const auto& r) {
+      snr.back().push_back(r.measurement.mean_snr_db);
+      safe.back().push_back(static_cast<double>(r.decision.safe_set_size));
+      gpu.back().push_back(r.policy.gpu_speed);
+      res.back().push_back(r.policy.resolution);
+      air.back().push_back(r.policy.airtime);
+      mcs.back().push_back(static_cast<double>(r.policy.mcs_cap) /
+                           ran::kMaxUlMcs);
+    });
   }
 
   Table t({"t", "avg_snr_dB", "safe_set_size", "gpu_speed", "image_res",

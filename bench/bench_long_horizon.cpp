@@ -13,7 +13,12 @@
 //   * latency flat: budgeted p50 at t=T within ~1.25x of t=T/10, while the
 //     unbounded run's grows with t (O(t) fold + O(t^2) memory traffic);
 //   * quality kept: budgeted mean cost and constraint-violation count stay
-//     within a few percent of the unbounded run's on the same seed.
+//     within a few percent of the unbounded run's on the same seed. A
+//     violation is core::violates on the chosen policy's noise-free
+//     outcome.
+//
+// The loop is written out rather than run through core::run_periods
+// because it times select and update apart from the step.
 //
 // Usage: bench_long_horizon [--smoke] [--periods N] [--budget B]
 //                           [--grid L] [--threads N] [--eviction oldest|minlev]
@@ -86,7 +91,8 @@ struct Config {
 };
 
 // One full loop; budget 0 = unbounded. Timing covers the agent's work only
-// (select + update); the testbed step in between is simulation, not agent.
+// (select + update); the noise-free outcome and the testbed step in between
+// are simulation, not agent.
 RunResult run_loop(const Config& cfg, std::size_t budget, const char* name) {
   env::Testbed tb = env::make_static_testbed(35.0);
 
@@ -122,14 +128,14 @@ RunResult run_loop(const Config& cfg, std::size_t budget, const char* name) {
     const double t0 = now_ms();
     const core::Decision d = agent.select(c);
     const double t1 = now_ms();
+    const env::Measurement truth = tb.expected(d.policy);
     const env::Measurement m = tb.step(d.policy);
     const double t2 = now_ms();
     agent.update(c, d.policy_index, m);
     period_ms.push_back((t1 - t0) + (now_ms() - t2));
 
     cost_sum += agent.weights().cost(m.server_power_w, m.bs_power_w);
-    res.violations += (m.delay_s > agent.constraints().d_max_s) ||
-                      (m.map < agent.constraints().map_min);
+    res.violations += core::violates(agent.constraints(), truth);
 
     if (std::find(marks.begin(), marks.end(), t) != marks.end()) {
       const std::size_t lo = period_ms.size() - std::min(window, t);

@@ -5,7 +5,10 @@
 // instances under a static 50/50 airtime split. The paper argues the joint
 // problem needs far more data (curse of dimensionality) — this bench
 // measures exactly that trade-off: the joint optimum is at least as good,
-// but convergence is much slower.
+// but convergence is much slower. Each slice is judged with core::violates
+// on the noise-free outcome of the chosen policy pair. The loops are
+// written out: core::run_periods drives one agent on a single-slice
+// environment, and this testbed steps both slices at once.
 
 #include <iostream>
 
@@ -27,6 +30,10 @@ int main(int argc, char** argv) {
   const core::CostWeights weights{1.0, 8.0};
   const core::ConstraintSpec sla{0.8, 0.5};
   const int window = 25;
+  auto violated = [&](const env::MultiMeasurement& e) {
+    return core::violates(sla, e.service[0]) ||
+           core::violates(sla, e.service[1]);
+  };
 
   // --- Joint agent over the coupled action space. ---
   env::TestbedConfig cfg_j;
@@ -47,15 +54,12 @@ int main(int argc, char** argv) {
   for (int t = 0; t < periods; ++t) {
     const linalg::Vector ctx = tb_j.joint_context_features();
     const core::JointDecision d = joint.select(ctx);
+    const env::MultiMeasurement e = tb_j.expected(d.policy.a, d.policy.b);
     const env::MultiMeasurement m = tb_j.step(d.policy.a, d.policy.b);
     joint.update(ctx, d.index, m);
     const auto wi = static_cast<std::size_t>(t / window);
     joint_cost[wi].add(weights.cost(m.server_power_w, m.bs_power_w));
-    joint_viol[wi].add(
-        static_cast<double>(m.service[0].delay_s > sla.d_max_s * 1.05 ||
-                            m.service[1].delay_s > sla.d_max_s * 1.05 ||
-                            m.service[0].map < sla.map_min - 0.03 ||
-                            m.service[1].map < sla.map_min - 0.03));
+    joint_viol[wi].add(static_cast<double>(violated(e)));
   }
 
   // --- Per-slice design: two EdgeBOL instances, static 50/50 airtime. ---
@@ -79,16 +83,13 @@ int main(int argc, char** argv) {
     const env::Context cb = tb_p.context(1);
     const core::Decision da = agent_a.select(ca);
     const core::Decision db = agent_b.select(cb);
+    const env::MultiMeasurement e = tb_p.expected(da.policy, db.policy);
     const env::MultiMeasurement m = tb_p.step(da.policy, db.policy);
     agent_a.update(ca, da.policy_index, m.service[0]);
     agent_b.update(cb, db.policy_index, m.service[1]);
     const auto wi = static_cast<std::size_t>(t / window);
     slice_cost[wi].add(weights.cost(m.server_power_w, m.bs_power_w));
-    slice_viol[wi].add(
-        static_cast<double>(m.service[0].delay_s > sla.d_max_s * 1.05 ||
-                            m.service[1].delay_s > sla.d_max_s * 1.05 ||
-                            m.service[0].map < sla.map_min - 0.03 ||
-                            m.service[1].map < sla.map_min - 0.03));
+    slice_viol[wi].add(static_cast<double>(violated(e)));
   }
 
   Table t({"t", "joint_cost", "per_slice_cost", "joint_viol_rate",

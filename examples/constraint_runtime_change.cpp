@@ -20,17 +20,14 @@ void run_phase(const char* label, core::EdgeBol& agent, env::Testbed& tb,
   RunningStats delay, map, cost;
   std::size_t last_safe = 0;
   bool fell_back = false;
-  for (int t = 0; t < periods; ++t) {
-    const env::Context c = tb.context();
-    const core::Decision d = agent.select(c);
-    const env::Measurement m = tb.step(d.policy);
-    agent.update(c, d.policy_index, m);
+  core::run_periods(tb, agent, periods, [&](const auto& r) {
+    const env::Measurement& m = r.measurement;
     delay.add(m.delay_s);
     map.add(m.map);
     cost.add(agent.weights().cost(m.server_power_w, m.bs_power_w));
-    last_safe = d.safe_set_size;
-    fell_back = d.fell_back_to_s0;
-  }
+    last_safe = r.decision.safe_set_size;
+    fell_back = r.decision.fell_back_to_s0;
+  });
   table.add_row({label, fmt(agent.constraints().d_max_s, 2),
                  fmt(agent.constraints().map_min, 2), fmt(cost.mean(), 1),
                  fmt(delay.mean(), 3), fmt(map.mean(), 3),

@@ -37,6 +37,8 @@ int main(int argc, char** argv) {
   acfg.constraints = factory_sla;
   core::EdgeBol factory(env::ControlGrid{slice_spec}, acfg);
 
+  // Both loops are written out: core::run_periods drives one agent on a
+  // single-slice environment, and this step takes both slices' policies.
   RunningStats per_slice_tail;
   for (int t = 0; t < periods; ++t) {
     const env::Context ca = tb.context(0);

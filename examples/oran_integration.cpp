@@ -41,15 +41,11 @@ int main() {
 
   std::cout << "Running EdgeBOL through the O-RAN control plane...\n";
   env::Measurement last{};
-  for (int t = 0; t < 40; ++t) {
-    const env::Context c = managed.context();
-    const core::Decision d = agent.select(c);
-    last = managed.step(d.policy);
-    agent.update(c, d.policy_index, last);
-
-    if (t < 3) {
+  core::run_periods(managed, agent, 40, [&](const auto& r) {
+    last = r.measurement;
+    if (r.period < 3) {
       // Period 0 also shows the svc hello exchanged at construction.
-      std::cout << "\n-- period " << t << " wire frames --\n";
+      std::cout << "\n-- period " << r.period << " wire frames --\n";
       for (Direction& dir : dirs) {
         const std::vector<std::string>& log = dir.fabric->frame_log();
         const std::size_t fresh = std::min(
@@ -60,7 +56,7 @@ int main() {
         dir.printed = dir.fabric->messages_carried();
       }
     }
-  }
+  });
 
   std::cout << "\n-- link statistics after 40 periods --\n";
   Table t({"link direction", "messages_carried"});

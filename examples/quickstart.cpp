@@ -24,23 +24,21 @@ int main() {
   cfg.constraints = {.d_max_s = 0.4, .map_min = 0.5};
   core::EdgeBol agent(grid, cfg);
 
-  // 3. Algorithm 1: observe context -> select -> act -> observe KPIs.
+  // 3. Algorithm 1: observe context -> select -> act -> observe KPIs, one
+  //    call per period of core::run_periods.
   Table table({"t", "cost_mu", "delay_s", "mAP", "p_server_W", "p_bs_W",
                "safe_set"});
-  for (int t = 1; t <= 150; ++t) {
-    const env::Context ctx = testbed.context();
-    const core::Decision dec = agent.select(ctx);
-    const env::Measurement m = testbed.step(dec.policy);
-    agent.update(ctx, dec.policy_index, m);
-
+  core::run_periods(testbed, agent, 150, [&](const auto& r) {
+    const int t = r.period + 1;
+    const env::Measurement& m = r.measurement;
     if (t <= 5 || t % 25 == 0) {
       table.add_row({fmt(t, 0),
                      fmt(agent.weights().cost(m.server_power_w, m.bs_power_w), 1),
                      fmt(m.delay_s, 3), fmt(m.map, 3),
                      fmt(m.server_power_w, 1), fmt(m.bs_power_w, 2),
-                     fmt(static_cast<double>(dec.safe_set_size), 0)});
+                     fmt(static_cast<double>(r.decision.safe_set_size), 0)});
     }
-  }
+  });
   table.print(std::cout);
 
   // 4. Compare with the offline exhaustive-search oracle.

@@ -100,20 +100,17 @@ int main(int argc, char** argv) {
   Table t({"t", "cost", "delay_s", "map", "server_power_w", "bs_power_w",
            "resolution", "airtime", "gpu_speed", "mcs_cap", "safe_set",
            "mean_snr_db"});
-  for (int tt = 0; tt < args.periods; ++tt) {
-    const env::Context c = tb.context();
-    const core::Decision d = agent.select(c);
-    const env::Measurement m = tb.step(d.policy);
-    agent.update(c, d.policy_index, m);
-    t.add_row({fmt(tt, 0),
+  core::run_periods(tb, agent, args.periods, [&](const auto& r) {
+    const env::Measurement& m = r.measurement;
+    t.add_row({fmt(r.period, 0),
                fmt(cfg.weights.cost(m.server_power_w, m.bs_power_w), 2),
                fmt(m.delay_s, 4), fmt(m.map, 3), fmt(m.server_power_w, 1),
-               fmt(m.bs_power_w, 3), fmt(d.policy.resolution, 3),
-               fmt(d.policy.airtime, 3), fmt(d.policy.gpu_speed, 3),
-               fmt(d.policy.mcs_cap, 0),
-               fmt(static_cast<double>(d.safe_set_size), 0),
+               fmt(m.bs_power_w, 3), fmt(r.policy.resolution, 3),
+               fmt(r.policy.airtime, 3), fmt(r.policy.gpu_speed, 3),
+               fmt(r.policy.mcs_cap, 0),
+               fmt(static_cast<double>(r.decision.safe_set_size), 0),
                fmt(m.mean_snr_db, 1)});
-  }
+  });
   if (args.csv) {
     t.print_csv(std::cout);
   } else {

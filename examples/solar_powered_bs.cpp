@@ -48,19 +48,14 @@ int main() {
   bcfg.constraints = sla;
   core::EdgeBol agent(grid, bcfg);
   RunningStats learned_bs, learned_cost;
-  int violations = 0;
-  for (int t = 0; t < periods; ++t) {
-    const env::Context c = tb2.context();
-    const core::Decision d = agent.select(c);
-    const env::Measurement m = tb2.step(d.policy);
-    agent.update(c, d.policy_index, m);
-    if (t >= 30) {  // steady state
-      learned_bs.add(m.bs_power_w);
-      learned_cost.add(weights.cost(m.server_power_w, m.bs_power_w));
-      violations += (m.delay_s > sla.d_max_s * 1.05 ||
-                     m.map < sla.map_min - 0.03);
-    }
-  }
+  int violations = 0;  // on the chosen policy's noise-free outcome
+  core::run_periods(tb2, agent, periods, [&](const auto& r) {
+    if (r.period < 30) return;  // steady state
+    const env::Measurement& m = r.measurement;
+    learned_bs.add(m.bs_power_w);
+    learned_cost.add(weights.cost(m.server_power_w, m.bs_power_w));
+    violations += core::violates(sla, *r.expected);
+  });
 
   // Strategy 3: oracle.
   env::Testbed tb3 = env::make_static_testbed(32.0);

@@ -46,21 +46,19 @@ int main(int argc, char** argv) {
     core::EdgeBol agent(env::ControlGrid{}, cfg);
 
     RunningStats tail_cost;
-    for (int p = 0; p < periods_per_tariff; ++p) {
-      const env::Context c = tb.context();
-      const core::Decision d = agent.select(c);
-      const env::Measurement m = tb.step(d.policy);
-      agent.update(c, d.policy_index, m);
+    core::run_periods(tb, agent, periods_per_tariff, [&](const auto& r) {
+      const int p = r.period;
+      const env::Measurement& m = r.measurement;
       if (p >= periods_per_tariff - 10)
         tail_cost.add(weights.cost(m.server_power_w, m.bs_power_w));
       if (p % 20 == 19) {
         t.add_row({label, fmt(p, 0),
                    fmt(weights.cost(m.server_power_w, m.bs_power_w), 1),
                    fmt(m.delay_s, 3), fmt(m.map, 3), fmt(m.server_power_w, 1),
-                   fmt(m.bs_power_w, 2), fmt(d.policy.airtime, 2),
-                   fmt(d.policy.gpu_speed, 2)});
+                   fmt(m.bs_power_w, 2), fmt(r.policy.airtime, 2),
+                   fmt(r.policy.gpu_speed, 2)});
       }
-    }
+    });
     std::cout << "tariff " << label
               << ": converged cost = " << fmt(tail_cost.mean(), 1)
               << " mu\n";

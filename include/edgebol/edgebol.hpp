@@ -9,7 +9,8 @@
 //   net                             (asynchronous TCP message plane)
 //   ran/edge/service -> env         (the calibrated testbed simulator)
 //   oran                            (A1/E2/O1 control-plane plumbing)
-//   core                            (the EdgeBOL algorithm itself)
+//   core                            (the EdgeBOL algorithm itself, and the
+//                                    one period loop: core::run_periods)
 //   nn -> baselines                 (oracle, DDPG, epsilon-greedy, random)
 
 #pragma once
@@ -28,7 +29,7 @@
 #include "core/formulations.hpp"
 #include "core/generic_bol.hpp"
 #include "core/multi_service_bol.hpp"
-#include "core/orchestrator.hpp"
+#include "core/period_loop.hpp"
 #include "core/safe_set.hpp"
 #include "edge/gpu_model.hpp"
 #include "edge/server.hpp"

@@ -51,7 +51,7 @@ with open(sys.argv[1]) as f:
     data = json.load(f)
 traj = data["trajectory"]
 print(f"{len(traj)} periods, mean cost {data['mean_cost']:.4f}, "
-      f"violation rate {data['violation_rate']:.4f}")
+      f"measured violation rate {data['measured_violation_rate']:.4f}")
 for i, p in enumerate(traj[-3:], len(traj) - 3):
     print(f"  period {i:3d}: cost {p['cost']:.4f} "
           f"airtime {p['airtime']:.3f} gpu {p['gpu_speed']:.3f}")

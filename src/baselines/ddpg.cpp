@@ -4,6 +4,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "core/period_loop.hpp"
+
 namespace edgebol::baselines {
 
 namespace {
@@ -95,14 +97,13 @@ env::ControlPolicy DdpgAgent::select(const env::Context& context) {
 void DdpgAgent::update(const env::Context& context,
                        const env::ControlPolicy& policy,
                        const env::Measurement& m) {
-  const bool ok =
-      m.delay_s <= constraints_.d_max_s && m.map >= constraints_.map_min;
   Transition t;
   t.context_features = context.to_features();
   t.action = to_action(policy);
-  t.ddpg_cost = ok ? weights_.cost(m.server_power_w, m.bs_power_w) /
-                         cost_scale_
-                   : cfg_.penalty_cost;
+  t.ddpg_cost = core::violates(constraints_, m)
+                    ? cfg_.penalty_cost
+                    : weights_.cost(m.server_power_w, m.bs_power_w) /
+                          cost_scale_;
 
   if (replay_.size() < cfg_.replay_capacity) {
     replay_.push_back(std::move(t));

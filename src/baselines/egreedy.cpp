@@ -4,24 +4,25 @@
 #include <limits>
 #include <stdexcept>
 
+#include "core/period_loop.hpp"
+
 namespace edgebol::baselines {
 
-EGreedyAgent::EGreedyAgent(std::size_t num_arms, core::CostWeights weights,
+EGreedyAgent::EGreedyAgent(env::ControlGrid grid, core::CostWeights weights,
                            core::ConstraintSpec constraints,
                            EGreedyConfig config, std::uint64_t seed)
-    : weights_(weights),
+    : grid_(std::move(grid)),
+      weights_(weights),
       constraints_(constraints),
       cfg_(config),
       cost_scale_(config.cost_scale > 0.0 ? config.cost_scale
                                           : weights.cost(190.0, 7.0)),
       rng_(seed),
-      mean_cost_(num_arms, 0.0),
-      pulls_(num_arms, 0),
-      epsilon_(config.epsilon_init) {
-  if (num_arms == 0) throw std::invalid_argument("EGreedyAgent: no arms");
-}
+      mean_cost_(grid_.size(), 0.0),
+      pulls_(grid_.size(), 0),
+      epsilon_(config.epsilon_init) {}
 
-std::size_t EGreedyAgent::select() {
+std::size_t EGreedyAgent::select(const env::Context&) {
   std::size_t pick;
   if (rng_.bernoulli(epsilon_)) {
     pick = rng_.uniform_index(mean_cost_.size());
@@ -41,14 +42,14 @@ std::size_t EGreedyAgent::select() {
   return pick;
 }
 
-void EGreedyAgent::update(std::size_t arm, const env::Measurement& m) {
+void EGreedyAgent::update(const env::Context&, std::size_t arm,
+                          const env::Measurement& m) {
   if (arm >= mean_cost_.size())
     throw std::invalid_argument("EGreedyAgent: arm out of range");
-  const bool ok =
-      m.delay_s <= constraints_.d_max_s && m.map >= constraints_.map_min;
   const double cost =
-      ok ? weights_.cost(m.server_power_w, m.bs_power_w) / cost_scale_
-         : cfg_.penalty_cost;
+      core::violates(constraints_, m)
+          ? cfg_.penalty_cost
+          : weights_.cost(m.server_power_w, m.bs_power_w) / cost_scale_;
   ++pulls_[arm];
   mean_cost_[arm] +=
       (cost - mean_cost_[arm]) / static_cast<double>(pulls_[arm]);

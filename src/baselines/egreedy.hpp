@@ -1,9 +1,10 @@
 // Epsilon-greedy tabular bandit over the control grid.
 //
-// A deliberately simple ablation baseline: ignores the context, keeps a
-// running mean of the constraint-penalized cost per grid policy, and
-// explores uniformly with decaying epsilon. Useful to quantify what the GP
-// correlation structure buys EdgeBOL (a 14,641-arm table needs far more
+// A deliberately simple ablation baseline: ignores the context (select and
+// update take it so core::run_periods drives it like any other agent),
+// keeps a running mean of the constraint-penalized cost per grid policy,
+// and explores uniformly with decaying epsilon. Useful to quantify what the
+// GP correlation structure buys EdgeBOL (a 14,641-arm table needs far more
 // samples than 25 periods to converge).
 
 #pragma once
@@ -28,18 +29,23 @@ struct EGreedyConfig {
 
 class EGreedyAgent {
  public:
-  EGreedyAgent(std::size_t num_arms, core::CostWeights weights,
+  /// One arm per grid policy.
+  EGreedyAgent(env::ControlGrid grid, core::CostWeights weights,
                core::ConstraintSpec constraints, EGreedyConfig config,
                std::uint64_t seed);
 
-  std::size_t select();
-  void update(std::size_t arm, const env::Measurement& measurement);
+  std::size_t select(const env::Context& context);
+  void update(const env::Context& context, std::size_t arm,
+              const env::Measurement& measurement);
+
+  const env::ControlGrid& grid() const { return grid_; }
 
   double epsilon() const { return epsilon_; }
   double arm_estimate(std::size_t arm) const;
   std::size_t arm_pulls(std::size_t arm) const;
 
  private:
+  env::ControlGrid grid_;
   core::CostWeights weights_;
   core::ConstraintSpec constraints_;
   EGreedyConfig cfg_;

@@ -4,6 +4,7 @@
 #include <limits>
 #include <stdexcept>
 
+#include "core/period_loop.hpp"
 #include "linalg/cholesky.hpp"
 
 namespace edgebol::baselines {
@@ -58,11 +59,10 @@ void LinUcbAgent::update(const env::Context& context,
                          const env::Measurement& m) {
   if (policy_index >= grid_.size())
     throw std::invalid_argument("LinUcbAgent: policy index out of range");
-  const bool ok =
-      m.delay_s <= constraints_.d_max_s && m.map >= constraints_.map_min;
   const double reward =
-      ok ? weights_.cost(m.server_power_w, m.bs_power_w) / cost_scale_
-         : cfg_.penalty_cost;
+      core::violates(constraints_, m)
+          ? cfg_.penalty_cost
+          : weights_.cost(m.server_power_w, m.bs_power_w) / cost_scale_;
   const linalg::Vector phi = features(context, grid_.policy(policy_index));
   for (std::size_t r = 0; r < dims_; ++r) {
     for (std::size_t c = 0; c < dims_; ++c) {

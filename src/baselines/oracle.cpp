@@ -2,6 +2,8 @@
 
 #include <limits>
 
+#include "core/period_loop.hpp"
+
 namespace edgebol::baselines {
 
 OracleResult exhaustive_oracle(const env::Testbed& testbed,
@@ -14,9 +16,7 @@ OracleResult exhaustive_oracle(const env::Testbed& testbed,
   for (std::size_t i = 0; i < grid.size(); ++i) {
     const env::ControlPolicy& p = grid.policy(i);
     const env::Measurement m = testbed.expected(p);
-    const bool ok =
-        m.delay_s <= constraints.d_max_s && m.map >= constraints.map_min;
-    if (!ok) continue;
+    if (core::violates(constraints, m)) continue;
     const double cost = weights.cost(m.server_power_w, m.bs_power_w);
     if (cost < best_cost) {
       best_cost = cost;

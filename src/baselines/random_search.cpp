@@ -2,36 +2,36 @@
 
 #include <stdexcept>
 
+#include "core/period_loop.hpp"
+
 namespace edgebol::baselines {
 
-RandomSearchAgent::RandomSearchAgent(std::size_t num_arms,
+RandomSearchAgent::RandomSearchAgent(env::ControlGrid grid,
                                      core::CostWeights weights,
                                      core::ConstraintSpec constraints,
                                      std::uint64_t seed,
                                      double explore_fraction)
-    : weights_(weights),
+    : grid_(std::move(grid)),
+      weights_(weights),
       constraints_(constraints),
       rng_(seed),
-      num_arms_(num_arms),
       explore_fraction_(explore_fraction) {
-  if (num_arms == 0) throw std::invalid_argument("RandomSearchAgent: no arms");
   if (explore_fraction < 0.0 || explore_fraction > 1.0)
     throw std::invalid_argument("RandomSearchAgent: bad explore fraction");
 }
 
-std::size_t RandomSearchAgent::select() {
+std::size_t RandomSearchAgent::select(const env::Context&) {
   if (!best_arm_ || rng_.bernoulli(explore_fraction_)) {
-    return rng_.uniform_index(num_arms_);
+    return rng_.uniform_index(grid_.size());
   }
   return *best_arm_;
 }
 
-void RandomSearchAgent::update(std::size_t arm, const env::Measurement& m) {
-  if (arm >= num_arms_)
+void RandomSearchAgent::update(const env::Context&, std::size_t arm,
+                               const env::Measurement& m) {
+  if (arm >= grid_.size())
     throw std::invalid_argument("RandomSearchAgent: arm out of range");
-  const bool ok =
-      m.delay_s <= constraints_.d_max_s && m.map >= constraints_.map_min;
-  if (!ok) return;
+  if (core::violates(constraints_, m)) return;
   const double cost = weights_.cost(m.server_power_w, m.bs_power_w);
   if (!best_arm_ || cost < best_cost_) {
     best_arm_ = arm;

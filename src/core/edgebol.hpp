@@ -64,8 +64,8 @@ struct ResilienceConfig {
   // After `watchdog_violations` consecutive measured constraint violations
   // the agent rolls back to the most conservative assumed-safe control for
   // `watchdog_hold_periods` periods (learning continues meanwhile). The
-  // slacks forgive pure observation noise, mirroring the orchestrator's
-  // violation accounting.
+  // slacks forgive observation noise in this control rule; violation counts
+  // use core::violates on the noise-free outcome, with no slack.
   int watchdog_violations = 4;
   int watchdog_hold_periods = 3;
   double delay_slack = 1.05;

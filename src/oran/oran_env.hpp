@@ -51,6 +51,12 @@ class OranManagedTestbed {
   /// active) instead of throwing.
   env::Measurement step(const env::ControlPolicy& policy);
 
+  /// The wrapped testbed's noise-free outcome of `policy` (never
+  /// fault-injected; see env::Testbed::expected).
+  env::Measurement expected(const env::ControlPolicy& policy) const {
+    return testbed_.expected(policy);
+  }
+
   /// Attach the injector's plan to the control-plane hops (a1 both ways,
   /// e2 both ways, o1 northbound; svc stays clean) and to the wrapped
   /// testbed's telemetry/environment path. nullptr detaches.

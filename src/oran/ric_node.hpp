@@ -7,8 +7,8 @@
 //
 //   NonRtRicNode  (learner side)  -- A1-P client, O1 data collector, and
 //                                    custom service-interface client. It
-//                                    exposes context()/step() so the
-//                                    Orchestrator drives it exactly like a
+//                                    exposes context()/step() so
+//                                    core::run_periods drives it like a
 //                                    testbed.
 //   NearRtRicNode (mid tier)      -- policy-service xApp (A1 southbound ->
 //                                    E2) and database xApp (E2 indications
@@ -183,8 +183,8 @@ class EnvNode {
   std::vector<double> indication_to_policy_ms_;
 };
 
-/// Learner-side node: Orchestrator-compatible context()/step() facade over
-/// the A1/O1/svc links.
+/// Learner-side node: a context()/step() facade over the A1/O1/svc links
+/// for core::run_periods (no expected(): the testbed is remote).
 class NonRtRicNode {
  public:
   NonRtRicNode(net::Transport* a1, net::Transport* o1, net::Transport* svc,

@@ -9,6 +9,7 @@
 #include "baselines/oracle.hpp"
 #include "baselines/random_search.hpp"
 #include "common/stats.hpp"
+#include "core/period_loop.hpp"
 #include "env/scenarios.hpp"
 
 namespace edgebol::baselines {
@@ -56,6 +57,30 @@ TEST(Oracle, InfeasibleFallsBackToMaxPerformance) {
       exhaustive_oracle(tb, grid, {1.0, 1.0}, {0.01, 0.74});
   EXPECT_FALSE(r.feasible);
   EXPECT_EQ(r.policy_index, grid.max_performance_index());
+}
+
+TEST(Oracle, FeasibilityIsTheViolationRuleNegated) {
+  // On the same testbed, the optimum is never counted as a violation and
+  // the infeasible fallback always is.
+  env::Testbed tb = env::make_static_testbed(35.0);
+  const env::ControlGrid grid = small_grid();
+  const core::CostWeights w{1.0, 8.0};
+  for (const core::ConstraintSpec cs :
+       {core::ConstraintSpec{0.4, 0.5}, core::ConstraintSpec{0.5, 0.4},
+        core::ConstraintSpec{0.32, 0.6}}) {
+    const OracleResult r = exhaustive_oracle(tb, grid, w, cs);
+    ASSERT_TRUE(r.feasible);
+    EXPECT_FALSE(core::violates(cs, r.expected));
+    EXPECT_FALSE(core::violates(cs, tb.expected(r.policy)));
+  }
+  for (const core::ConstraintSpec cs :
+       {core::ConstraintSpec{0.01, 0.74}, core::ConstraintSpec{0.4, 0.99},
+        core::ConstraintSpec{0.05, 0.1}}) {
+    const OracleResult r = exhaustive_oracle(tb, grid, w, cs);
+    ASSERT_FALSE(r.feasible);
+    EXPECT_TRUE(core::violates(cs, r.expected));
+    EXPECT_TRUE(core::violates(cs, tb.expected(r.policy)));
+  }
 }
 
 TEST(Ddpg, ActionsStayInPhysicalRanges) {
@@ -135,23 +160,32 @@ TEST(Ddpg, Validation) {
                std::invalid_argument);
 }
 
+// The smallest control grid: 2 levels per dimension, 16 arms.
+env::ControlGrid arm_grid() {
+  env::GridSpec spec;
+  spec.levels_per_dim = 2;
+  return env::ControlGrid(spec);
+}
+
 TEST(EGreedy, ExploresThenExploits) {
   EGreedyConfig cfg;
   cfg.epsilon_decay = 0.9;
   cfg.epsilon_min = 0.0;
   cfg.cost_scale = 1.0;
-  EGreedyAgent agent(3, {1.0, 0.0}, {1e9, -1.0}, cfg, 5);
-  // Arm costs 0.9 / 0.1 / 0.5, always feasible.
+  EGreedyAgent agent(arm_grid(), {1.0, 0.0}, {1e9, -1.0}, cfg, 5);
+  const env::Context ctx;
+  // Arm costs 0.9 / 0.1 / 0.5 (and 0.5 for every further arm), always
+  // feasible.
   auto feed = [&](std::size_t arm) {
     env::Measurement m;
     m.server_power_w = arm == 1 ? 0.1 : (arm == 0 ? 0.9 : 0.5);
     m.map = 1.0;
-    agent.update(arm, m);
+    agent.update(ctx, arm, m);
   };
-  for (int t = 0; t < 300; ++t) feed(agent.select());
+  for (int t = 0; t < 300; ++t) feed(agent.select(ctx));
   EXPECT_LT(agent.epsilon(), 0.01);
   int picks_best = 0;
-  for (int t = 0; t < 50; ++t) picks_best += (agent.select() == 1u);
+  for (int t = 0; t < 50; ++t) picks_best += (agent.select(ctx) == 1u);
   EXPECT_GT(picks_best, 45);
   EXPECT_NEAR(agent.arm_estimate(1), 0.1, 1e-9);
   EXPECT_GT(agent.arm_pulls(1), 50u);
@@ -160,21 +194,21 @@ TEST(EGreedy, ExploresThenExploits) {
 TEST(EGreedy, PenalizesViolations) {
   EGreedyConfig cfg;
   cfg.cost_scale = 1.0;
-  EGreedyAgent agent(2, {1.0, 0.0}, {0.4, 0.5}, cfg, 5);
+  EGreedyAgent agent(arm_grid(), {1.0, 0.0}, {0.4, 0.5}, cfg, 5);
   env::Measurement bad;
   bad.server_power_w = 0.01;  // cheap but...
   bad.delay_s = 10.0;         // ...violates the delay constraint
   bad.map = 1.0;
-  agent.update(0, bad);
+  agent.update(env::Context{}, 0, bad);
   EXPECT_DOUBLE_EQ(agent.arm_estimate(0), cfg.penalty_cost);
 }
 
 TEST(EGreedy, Validation) {
-  EXPECT_THROW(EGreedyAgent(0, {1, 1}, {0.4, 0.5}, {}, 1),
+  EGreedyAgent agent(arm_grid(), {1, 1}, {0.4, 0.5}, {}, 1);
+  const std::size_t past_last = agent.grid().size();
+  EXPECT_THROW(agent.update(env::Context{}, past_last, {}),
                std::invalid_argument);
-  EGreedyAgent agent(2, {1, 1}, {0.4, 0.5}, {}, 1);
-  EXPECT_THROW(agent.update(5, {}), std::invalid_argument);
-  EXPECT_THROW(agent.arm_estimate(5), std::invalid_argument);
+  EXPECT_THROW(agent.arm_estimate(past_last), std::invalid_argument);
 }
 
 env::ControlGrid tiny_grid() {
@@ -258,39 +292,39 @@ TEST(LinUcb, Validation) {
 }
 
 TEST(RandomSearch, RemembersBestFeasible) {
-  RandomSearchAgent agent(10, {1.0, 0.0}, {0.4, 0.5}, 9, 0.5);
+  RandomSearchAgent agent(arm_grid(), {1.0, 0.0}, {0.4, 0.5}, 9, 0.5);
+  const env::Context ctx;
   env::Measurement m;
   m.map = 1.0;
   m.delay_s = 0.1;
   m.server_power_w = 5.0;
-  agent.update(3, m);
+  agent.update(ctx, 3, m);
   m.server_power_w = 2.0;
-  agent.update(7, m);
+  agent.update(ctx, 7, m);
   m.server_power_w = 9.0;
-  agent.update(1, m);
+  agent.update(ctx, 1, m);
   ASSERT_TRUE(agent.incumbent().has_value());
   EXPECT_EQ(*agent.incumbent(), 7u);
   EXPECT_DOUBLE_EQ(agent.incumbent_cost(), 2.0);
 }
 
 TEST(RandomSearch, IgnoresInfeasible) {
-  RandomSearchAgent agent(10, {1.0, 0.0}, {0.4, 0.5}, 9);
+  RandomSearchAgent agent(arm_grid(), {1.0, 0.0}, {0.4, 0.5}, 9);
   env::Measurement m;
   m.map = 0.1;  // violates
   m.delay_s = 0.1;
   m.server_power_w = 1.0;
-  agent.update(3, m);
+  agent.update(env::Context{}, 3, m);
   EXPECT_FALSE(agent.incumbent().has_value());
   EXPECT_THROW(agent.incumbent_cost(), std::logic_error);
 }
 
 TEST(RandomSearch, Validation) {
-  EXPECT_THROW(RandomSearchAgent(0, {1, 1}, {0.4, 0.5}, 1),
+  EXPECT_THROW(RandomSearchAgent(arm_grid(), {1, 1}, {0.4, 0.5}, 1, 1.5),
                std::invalid_argument);
-  EXPECT_THROW(RandomSearchAgent(5, {1, 1}, {0.4, 0.5}, 1, 1.5),
+  RandomSearchAgent agent(arm_grid(), {1, 1}, {0.4, 0.5}, 1);
+  EXPECT_THROW(agent.update(env::Context{}, agent.grid().size(), {}),
                std::invalid_argument);
-  RandomSearchAgent agent(5, {1, 1}, {0.4, 0.5}, 1);
-  EXPECT_THROW(agent.update(9, {}), std::invalid_argument);
 }
 
 }  // namespace

@@ -9,7 +9,7 @@
 #include <tuple>
 #include <vector>
 
-#include "core/orchestrator.hpp"
+#include "core/period_loop.hpp"
 #include "env/scenarios.hpp"
 #include "fault/fault.hpp"
 #include "oran/messages.hpp"
@@ -199,7 +199,7 @@ TEST(ServiceController, AppliesAndValidates) {
 
 TEST(OranManagedTestbed, EquivalentToDirectStepping) {
   // Fault-free, the control plane is invisible: an agent-driven run through
-  // it reproduces Orchestrator::run on the bare testbed bit for bit —
+  // it reproduces core::run_periods on the bare testbed bit for bit —
   // every period's decision, the four KPIs and the context.
   constexpr int kPeriods = 60;
   core::EdgeBolConfig acfg;
@@ -209,19 +209,20 @@ TEST(OranManagedTestbed, EquivalentToDirectStepping) {
   env::TestbedConfig cfg;
   cfg.seed = 1234;
 
+  using Period = core::PeriodRecord<core::Decision>;
   env::Testbed direct = env::make_static_testbed(30.0, cfg);
   core::EdgeBol direct_agent(env::ControlGrid{}, acfg);
-  core::Orchestrator direct_orch(direct_agent);
-  direct_orch.run(direct, kPeriods);
+  std::vector<Period> a;
+  core::run_periods(direct, direct_agent, kPeriods,
+                    [&](const Period& r) { a.push_back(r); });
 
   env::Testbed managed_tb = env::make_static_testbed(30.0, cfg);
   OranManagedTestbed managed(managed_tb);
   core::EdgeBol managed_agent(env::ControlGrid{}, acfg);
-  core::Orchestrator managed_orch(managed_agent);
-  managed_orch.run(managed, kPeriods);
+  std::vector<Period> b;
+  core::run_periods(managed, managed_agent, kPeriods,
+                    [&](const Period& r) { b.push_back(r); });
 
-  const auto& a = direct_orch.history();
-  const auto& b = managed_orch.history();
   ASSERT_EQ(a.size(), static_cast<std::size_t>(kPeriods));
   ASSERT_EQ(b.size(), a.size());
   for (std::size_t t = 0; t < a.size(); ++t) {

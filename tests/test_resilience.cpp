@@ -6,9 +6,10 @@
 
 #include <cmath>
 #include <limits>
+#include <vector>
 
 #include "core/edgebol.hpp"
-#include "core/orchestrator.hpp"
+#include "core/period_loop.hpp"
 #include "env/scenarios.hpp"
 #include "fault/fault.hpp"
 #include "oran/oran_env.hpp"
@@ -210,25 +211,38 @@ fault::FaultPlan chaos_plan() {
   return plan;
 }
 
-RunSummary run_managed(fault::FaultInjector* injector, int periods) {
+struct ChaosSummary {
+  int periods = 0;
+  double violation_rate = 0.0;  // core::violates on the noise-free outcome
+  std::size_t final_safe_set_size = 0;
+};
+
+ChaosSummary run_managed(fault::FaultInjector* injector, int periods) {
   env::Testbed tb = env::make_static_testbed(35.0);
   oran::OranManagedTestbed managed(tb);
   if (injector != nullptr) managed.enable_fault_injection(injector);
   EdgeBolConfig cfg = resilient_config();
   EdgeBol agent(small_grid(), cfg);
-  Orchestrator orch(agent, {.keep_history = false});
-  return orch.run(managed, periods);
+  ChaosSummary s;
+  int violations = 0;
+  run_periods(managed, agent, periods, [&](const PeriodRecord<Decision>& r) {
+    ++s.periods;
+    violations += violates(cfg.constraints, *r.expected);
+    s.final_safe_set_size = r.decision.safe_set_size;
+  });
+  s.violation_rate = static_cast<double>(violations) / periods;
+  return s;
 }
 
 TEST(ChaosRun, SurvivesSeededFaultScheduleWithBoundedViolations) {
   const int periods = 300;
-  const RunSummary clean = run_managed(nullptr, periods);
+  const ChaosSummary clean = run_managed(nullptr, periods);
 
   fault::FaultInjector injector(chaos_plan());
-  RunSummary faulted{};
+  ChaosSummary faulted{};
   ASSERT_NO_THROW(faulted = run_managed(&injector, periods));
 
-  EXPECT_EQ(faulted.periods, static_cast<std::size_t>(periods));
+  EXPECT_EQ(faulted.periods, periods);
   // The schedule actually fired.
   EXPECT_GT(injector.stats().total_frame_faults(), 30u);
   EXPECT_GT(injector.stats().power_blanks + injector.stats().map_dropouts +
@@ -317,15 +331,16 @@ TEST(ChaosRun, RecoversFromE2PartitionMidConvergence) {
   env::Testbed tb = env::make_static_testbed(35.0);
   oran::OranManagedTestbed managed(tb);
   EdgeBol agent(small_grid(), resilient_config());
-  Orchestrator orch(agent);
-  orch.set_callback([&](const PeriodRecord& rec) {
-    if (rec.period == kPartitionStart - 1) managed.set_e2_partitioned(true);
-    if (rec.period == kPartitionEnd - 1) managed.set_e2_partitioned(false);
-  });
-
-  RunSummary summary{};
-  ASSERT_NO_THROW(summary = orch.run(managed, kPeriods));
-  ASSERT_EQ(summary.periods, static_cast<std::size_t>(kPeriods));
+  std::vector<PeriodRecord<Decision>> hist;
+  ASSERT_NO_THROW(run_periods(
+      managed, agent, kPeriods, [&](const PeriodRecord<Decision>& rec) {
+        hist.push_back(rec);
+        if (rec.period == kPartitionStart - 1)
+          managed.set_e2_partitioned(true);
+        if (rec.period == kPartitionEnd - 1)
+          managed.set_e2_partitioned(false);
+      }));
+  ASSERT_EQ(hist.size(), static_cast<std::size_t>(kPeriods));
 
   // The partition actually bit: every dark period lost both its policy
   // delivery and its KPI, and the NaN samples fed the gate (not the GP).
@@ -333,8 +348,6 @@ TEST(ChaosRun, RecoversFromE2PartitionMidConvergence) {
   EXPECT_GE(managed.policy_delivery_failures(), kDark);
   EXPECT_GE(managed.kpi_losses(), kDark);
   EXPECT_GE(agent.resilience_stats().kpi_rejected_nan, kDark);
-  const std::vector<PeriodRecord>& hist = orch.history();
-  ASSERT_EQ(hist.size(), static_cast<std::size_t>(kPeriods));
   for (int t = kPartitionStart; t < kPartitionEnd; ++t) {
     EXPECT_TRUE(std::isnan(hist[t].measurement.bs_power_w))
         << "period " << t << " should have run dark";
@@ -347,11 +360,11 @@ TEST(ChaosRun, RecoversFromE2PartitionMidConvergence) {
     EXPECT_FALSE(std::isnan(hist[t].measurement.bs_power_w))
         << "period " << t << " should see KPIs again";
     if (t >= kPartitionEnd + kRecoveryBudget) {
-      EXPECT_FALSE(hist[t].delay_violated || hist[t].map_violated)
+      EXPECT_FALSE(violates(agent.constraints(), *hist[t].expected))
           << "constraint violated at period " << t << " after recovery";
     }
   }
-  EXPECT_GT(summary.final_safe_set_size, 1u);
+  EXPECT_GT(hist.back().decision.safe_set_size, 1u);
 }
 
 }  // namespace

@@ -15,7 +15,7 @@
 
 #include "../tools/plane_harness.hpp"
 #include "core/edgebol.hpp"
-#include "core/orchestrator.hpp"
+#include "core/period_loop.hpp"
 #include "env/scenarios.hpp"
 #include "net/transport.hpp"
 #include "oran/oran_env.hpp"
@@ -333,14 +333,14 @@ TEST(PlaneRun, TrajectoryMatchesInProcessLoopback) {
   env::TestbedConfig tcfg;
   tcfg.seed = 3;
 
-  std::vector<core::PeriodRecord> ref;
+  using Period = core::PeriodRecord<core::Decision>;
+  std::vector<Period> ref;
   {
     env::Testbed tb = env::make_static_testbed(35.0, tcfg);
     OranManagedTestbed managed(tb);
     core::EdgeBol agent(env::ControlGrid{}, plane::canonical_agent_config());
-    core::Orchestrator orch(agent, {.keep_history = true});
-    orch.run(managed, kPeriods);
-    ref = orch.history();
+    core::run_periods(managed, agent, kPeriods,
+                      [&](const Period& r) { ref.push_back(r); });
   }
 
   plane::MuxPlane net_plane;
@@ -356,8 +356,11 @@ TEST(PlaneRun, TrajectoryMatchesInProcessLoopback) {
 
   ASSERT_TRUE(nonrt.handshake());
   core::EdgeBol agent(env::ControlGrid{}, plane::canonical_agent_config());
-  core::Orchestrator orch(agent, {.keep_history = true});
-  orch.run(nonrt, kPeriods);
+  std::vector<Period> got;
+  core::run_periods(nonrt, agent, kPeriods, [&](const Period& r) {
+    EXPECT_FALSE(r.expected.has_value());  // the testbed is remote
+    got.push_back(r);
+  });
 
   stop.store(true);
   net_plane.nearrt_ready.notify();
@@ -367,7 +370,6 @@ TEST(PlaneRun, TrajectoryMatchesInProcessLoopback) {
 
   EXPECT_EQ(nonrt.kpi_losses(), 0u);
   EXPECT_EQ(nonrt.policy_delivery_failures(), 0u);
-  const auto& got = orch.history();
   ASSERT_EQ(got.size(), ref.size());
   for (std::size_t i = 0; i < ref.size(); ++i) {
     const env::ControlPolicy& a = ref[i].decision.policy;
@@ -411,8 +413,9 @@ TEST(PlaneRun, SurvivesE2FrameChaos) {
 
   ASSERT_TRUE(nonrt.handshake());
   core::EdgeBol agent(env::ControlGrid{}, plane::canonical_agent_config());
-  core::Orchestrator orch(agent, {.keep_history = true});
-  const core::RunSummary s = orch.run(nonrt, kPeriods);
+  std::size_t periods_run = 0;
+  core::run_periods(nonrt, agent, kPeriods,
+                    [&](const auto&) { ++periods_run; });
 
   stop.store(true);
   net_plane.nearrt_ready.notify();
@@ -423,7 +426,7 @@ TEST(PlaneRun, SurvivesE2FrameChaos) {
   // Chaos on e2 degrades (lost KPIs, failed pushes) but must never wedge
   // the loop or violate the protocol's idempotency: every period completes
   // and the environment never double-steps.
-  EXPECT_EQ(s.periods, static_cast<std::size_t>(kPeriods));
+  EXPECT_EQ(periods_run, static_cast<std::size_t>(kPeriods));
   EXPECT_EQ(envnode.steps_run(), static_cast<std::size_t>(kPeriods));
   EXPECT_LE(nonrt.kpi_losses(), static_cast<std::size_t>(kPeriods));
   const net::TransportStats cs = net_plane.e2ep_c->stats().link;

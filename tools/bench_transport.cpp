@@ -13,7 +13,8 @@
 //              on both directions; reports how long after the partition
 //              lifts the control loop completes its first fully clean
 //              period (KPI delivered, finite BS power), plus constraint
-//              violations from then on.
+//              violations from then on (core::violates on the measurement:
+//              the remote testbed has no noise-free outcome).
 //   fleet      the tentpole scenario: a 1000-cell FleetSim driving a
 //              FleetEngine through the binary fleet plane — every cell a
 //              MuxTransport stream, the whole fleet on 8 TCP connections.
@@ -98,7 +99,7 @@ struct RecoverySummary {
   bool recovered = false;
   double recovery_ms = 0.0;
   int degraded_periods = 0;   // periods with a lost KPI (NaN BS power)
-  int violations_after = 0;   // constraint violations once recovered
+  int violations_after = 0;   // measured violations once recovered
   std::uint64_t e2_reconnects = 0;
   std::uint64_t e2_peer_timeouts = 0;
   std::uint64_t partition_drops = 0;
@@ -106,13 +107,13 @@ struct RecoverySummary {
 
 // --- phases 1+2: latency, clean then under flood ---------------------------
 
-/// Runs `periods` through the orchestrator and returns the env node's
-/// indication-to-policy samples recorded while doing so. The env thread is
-/// idle between calls (lock-step protocol), so reading its sample vector at
-/// the phase boundary is race-free.
-std::size_t run_periods(core::Orchestrator& orch, plane::PlaneNodes& nodes,
-                        int periods) {
-  orch.run(nodes.nonrt, periods);
+/// Runs `periods` periods of `agent` and returns the env node's
+/// indication-to-policy samples recorded so far. The env thread is idle
+/// between calls (lock-step protocol), so reading its sample vector at the
+/// phase boundary is race-free.
+std::size_t run_phase(core::EdgeBol& agent, plane::PlaneNodes& nodes,
+                      int periods) {
+  core::run_periods(nodes.nonrt, agent, periods, [](const auto&) {});
   return nodes.envnode.indication_to_policy_ms().size();
 }
 
@@ -130,10 +131,8 @@ bool run_latency_phases(const Config& cfg, LatencySummary* clean,
     return false;
   }
   core::EdgeBol agent(env::ControlGrid{}, plane::canonical_agent_config());
-  core::Orchestrator orch(agent, {.keep_history = false});
 
-  const std::size_t n_clean =
-      run_periods(orch, nodes, cfg.periods_clean);
+  const std::size_t n_clean = run_phase(agent, nodes, cfg.periods_clean);
   {
     const auto& all = nodes.envnode.indication_to_policy_ms();
     *clean = summarize({all.begin(), all.begin() + n_clean});
@@ -168,7 +167,7 @@ bool run_latency_phases(const Config& cfg, LatencySummary* clean,
     }
   });
 
-  run_periods(orch, nodes, cfg.periods_loaded);
+  run_phase(agent, nodes, cfg.periods_loaded);
   flood_stop.store(true);
   flood.join();
   {
@@ -221,16 +220,14 @@ bool run_recovery_phase(const Config& cfg, RecoverySummary* out) {
     return false;
   }
 
-  // Drive the decision loop by hand so each period gets a wall-clock stamp
-  // (the orchestrator's fixed-length run can't follow a time window).
-  const core::ConstraintSpec& cs = agent.constraints();
+  // One period at a time, so each period gets a wall-clock stamp and the
+  // loop can follow a time window.
   double recovered_at = -1.0;
   int post_periods = 0;
   while (plane::now_ms() < window_end_ms + cfg.recovery_cap_ms) {
-    const env::Context ctx = nodes.nonrt.context();
-    const core::Decision d = agent.select(ctx);
-    const env::Measurement m = nodes.nonrt.step(d.policy);
-    agent.update(ctx, d.policy_index, m);
+    env::Measurement m;
+    core::run_periods(nodes.nonrt, agent, 1,
+                      [&](const auto& r) { m = r.measurement; });
     const double t = plane::now_ms();
 
     const bool kpi_ok = std::isfinite(m.bs_power_w);
@@ -242,10 +239,7 @@ bool run_recovery_phase(const Config& cfg, RecoverySummary* out) {
       out->recovery_ms = recovered_at - window_end_ms;
     }
     if (recovered_at >= 0.0) {
-      // Same slack the orchestrator applies (observation noise is not an
-      // outage).
-      if (m.delay_s > cs.d_max_s * 1.05 || m.map < cs.map_min - 0.03)
-        ++out->violations_after;
+      if (core::violates(agent.constraints(), m)) ++out->violations_after;
       if (++post_periods >= cfg.post_recovery_periods) break;
     }
   }
@@ -555,7 +549,8 @@ int main(int argc, char** argv) {
   }
   std::fprintf(stderr,
                "recovery: %.0fms after a %lldms e2 partition (%d degraded "
-               "periods, %d violations after, %llu reconnect attempts)\n",
+               "periods, %d measured violations after, %llu reconnect "
+               "attempts)\n",
                rec.recovery_ms, static_cast<long long>(cfg.partition_ms),
                rec.degraded_periods, rec.violations_after,
                static_cast<unsigned long long>(rec.e2_reconnects));
