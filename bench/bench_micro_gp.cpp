@@ -17,12 +17,12 @@
 //   hyperopt   O(S n^3)  pre-production LML probes (engine = pooled)
 //   full_period          3 surrogates x (posterior scan + add), as EdgeBol
 //                        runs every period in steady state
-//   decide               one full decision (bound maintenance + safe set +
+//   decide               one full decision (constraint bounds + safe set +
 //                        acquisition) at the FULL 11^4 grid with the
-//                        observation budget at 200: incremental engine
-//                        (SafeSetTracker + FusedAcquisition) vs the legacy
-//                        full rescan, under per-period budget churn with
-//                        periodic re-tracks and threshold moves. Always runs
+//                        observation budget at 200: the fused sweep
+//                        (FusedAcquisition) vs the legacy full rescan,
+//                        under per-period budget churn with periodic
+//                        re-tracks and threshold moves. Always runs
 //                        at full size (even under --smoke) because the
 //                        check.sh ceiling gate enforces p99 < 1 ms on it;
 //                        engine decisions are asserted identical to the
@@ -496,15 +496,14 @@ std::vector<PhaseResult> run_phases(const Config& cfg) {
 // ---------------------------------------------------------------------------
 // decide: the sub-millisecond decision gate. Three surrogates conditioned on
 // exactly 200 observations track the full 11^4 grid; every iteration runs
-// the incremental engine decision (SafeSetTracker + FusedAcquisition in one
-// fused sweep) and the legacy full rescan (EdgeBol's pre-incremental path:
-// materialize 3 x m posteriors, compute_safe_set, fallback loop,
-// lcb_argmin), asserts the two decisions are identical, then churns the
-// observation budget (one add + one evict per surrogate). Re-tracks every
-// 37th iteration and threshold moves every 53rd keep full-rescore and
-// frontier-rescore rounds in the latency distribution. The timed region is
-// the decision only — context-switch re-tracking is the `track` phase's
-// cost and happens between iterations.
+// the engine decision (FusedAcquisition's one fused sweep) and the legacy
+// full rescan (materialize 3 x m posteriors, compute_safe_set, fallback
+// loop, lcb_argmin), asserts the two decisions are identical, then churns
+// the observation budget (one add + one evict per surrogate). Re-tracks
+// every 37th iteration and threshold moves every 53rd vary the posteriors
+// and the safe set the decisions are checked on. The timed region is the
+// decision only — context-switch re-tracking is the `track` phase's cost
+// and happens between iterations.
 // ---------------------------------------------------------------------------
 struct DecideStats {
   double legacy_p50_ms = 0.0;
@@ -558,8 +557,7 @@ DecideStats run_decide(std::size_t threads) {
   }
 
   // Thresholds from the empirical bound quantiles so the safe set is mixed
-  // (roughly half the grid passes each constraint) and a classification
-  // frontier exists for the incremental path to track.
+  // (roughly half the grid passes each constraint).
   std::vector<double> ucb(m), lcb(m);
   for (std::size_t j = 0; j < m; ++j) {
     const gp::Prediction d = delay_gp.tracked_prediction(j);
@@ -571,8 +569,6 @@ DecideStats run_decide(std::size_t threads) {
   double rho_min = percentile(lcb, 0.45);
 
   const std::vector<std::size_t> s0{0, m / 2};
-  core::SafeSetTracker tracker;
-  tracker.configure(m, 2);
   core::FusedAcquisition acq;
   acq.configure(m, s0);
   std::array<core::BoundSpec, 2> specs{};
@@ -580,8 +576,8 @@ DecideStats run_decide(std::size_t threads) {
   const auto engine_decide = [&] {
     specs[0] = core::BoundSpec{&delay_gp, /*upper=*/true, d_max, 0.0};
     specs[1] = core::BoundSpec{&map_gp, /*upper=*/false, rho_min, 0.0};
-    return acq.decide(core::AcquisitionKind::kSafeLcb, tracker, specs,
-                      cost_gp, beta, pool.get());
+    return acq.decide(core::AcquisitionKind::kSafeLcb, specs, cost_gp, beta,
+                      pool.get());
   };
   const auto legacy_decide = [&] {
     std::vector<gp::Prediction> delay_post(m), map_post(m), cost_post(m);
@@ -613,9 +609,8 @@ DecideStats run_decide(std::size_t threads) {
 
   DecideStats stats;
 
-  // Untimed warmup: the first round is a mandatory full rescore and also
-  // first-touches the tracker's bound/slack arrays; neither is a steady-state
-  // decision cost (retrack-forced full rounds stay in the timed loop).
+  // Untimed warmup: the first rounds first-touch the decide's masks and
+  // partials and wake the pool, neither a steady-state decision cost.
   for (int w = 0; w < 2; ++w) {
     const core::FusedDecision eng = engine_decide();
     const core::FusedDecision leg = legacy_decide();
@@ -647,10 +642,6 @@ DecideStats run_decide(std::size_t threads) {
     const core::FusedDecision leg = legacy_decide();
     leg_ms.push_back(now_ms() - t0);
     g_sink = static_cast<double>(eng.index);
-    if (std::getenv("DECIDE_TRACE") != nullptr) {
-      std::fprintf(stderr, "it=%d eng=%.3f leg=%.3f rescored=%zu\n", it,
-                   eng_ms.back(), leg_ms.back(), tracker.last_rescored());
-    }
 
     if (eng.index != leg.index || eng.safe_set_size != leg.safe_set_size ||
         eng.fell_back_to_s0 != leg.fell_back_to_s0) {
@@ -680,9 +671,9 @@ DecideStats run_decide(std::size_t threads) {
   stats.ok = true;
   std::fprintf(stderr,
                "decide (t%zu): engine p50 %.3f ms p99 %.3f ms   legacy p50 "
-               "%.3f ms   rescored(last) %zu/%zu\n",
+               "%.3f ms\n",
                threads, stats.engine_p50_ms, stats.engine_p99_ms,
-               stats.legacy_p50_ms, tracker.last_rescored(), m);
+               stats.legacy_p50_ms);
   return stats;
 }
 

@@ -40,8 +40,8 @@ Rules (see DESIGN.md "Concurrency invariants & analysis tooling"):
                    (new, push_back, emplace_back, resize, reserve, assign,
                    make_shared, make_unique, std::vector<, std::string,
                    std::function) are forbidden: the sub-millisecond
-                   decision loop (SafeSetTracker / FusedAcquisition sweeps)
-                   must stay allocation-free past configure(). Unbalanced
+                   decision loop (FusedAcquisition's sweeps) must stay
+                   allocation-free past configure(). Unbalanced
                    markers are themselves violations.
   R8 raw sync      std::mutex / std::condition_variable / std::lock_guard /
                    std::unique_lock (and friends) are forbidden outside

@@ -1,7 +1,6 @@
 #include "common/thread_pool.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <stdexcept>
 
 namespace edgebol::common {
@@ -110,18 +109,6 @@ void ThreadPool::run_tasks(const std::vector<std::function<void()>>& tasks) {
                [&tasks](std::size_t begin, std::size_t end) {
                  for (std::size_t i = begin; i < end; ++i) tasks[i]();
                });
-}
-
-ThreadPool& ThreadPool::shared() {
-  static ThreadPool pool([] {
-    if (const char* env = std::getenv("EDGEBOL_THREADS")) {
-      const long v = std::strtol(env, nullptr, 10);
-      if (v > 0) return static_cast<std::size_t>(v);
-    }
-    const unsigned hw = std::thread::hardware_concurrency();
-    return static_cast<std::size_t>(hw > 0 ? hw : 1);
-  }());
-  return pool;
 }
 
 }  // namespace edgebol::common

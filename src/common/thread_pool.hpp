@@ -58,11 +58,6 @@ class ThreadPool {
   /// parallel_for; nested calls share this pool's workers).
   void run_tasks(const std::vector<std::function<void()>>& tasks);
 
-  /// A process-wide default pool sized from EDGEBOL_THREADS (falling back to
-  /// std::thread::hardware_concurrency). Intended for benches and tools;
-  /// library components take an explicit pool so tests control determinism.
-  static ThreadPool& shared();
-
  private:
   // One parallel_for invocation: a group of blocks claimed via `next` and
   // retired via `done`, both guarded by the pool mutex (blocks are

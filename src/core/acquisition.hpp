@@ -8,15 +8,16 @@
 // dedicated expansion step (§5).
 //
 // FusedAcquisition is the decision path of the one safe-BO engine
-// (core::GenericSafeBol); lcb_argmin and safeopt_select are the
-// straight-line scans it reproduces, kept as the reference the tests and
-// bench_micro_gp compare it against.
+// (core::GenericSafeBol): one sweep that tests every candidate's constraint
+// bounds (the safe set of eq. 8, core/safe_set.hpp) and runs this
+// acquisition over it. compute_safe_set, lcb_argmin and safeopt_select are
+// the straight-line scans it reproduces, kept as the reference the tests
+// and bench_micro_gp compare it against.
 
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <span>
 #include <vector>
@@ -52,17 +53,10 @@ struct SafeOptInputs {
   double beta = 2.5;
 };
 
-/// `neighbors(i)` must return the candidate indices adjacent to i (e.g.
-/// env::ControlGrid::neighbors). Throws std::invalid_argument on empty safe
-/// sets or inconsistent sizes.
-std::size_t safeopt_select(
-    const SafeOptInputs& in,
-    const std::function<std::vector<std::size_t>(std::size_t)>& neighbors);
-
-/// Allocation-free variant over a precomputed CSR adjacency (e.g.
+/// `adjacency_offsets`/`adjacency` are the candidates' CSR adjacency (e.g.
 /// env::ControlGrid::adjacency_offsets()/adjacency()): neighbors of i are
-/// adjacency[offsets[i] .. offsets[i+1]). This is the decision-loop path —
-/// the std::function form allocates a vector per safe point per period.
+/// adjacency[offsets[i] .. offsets[i+1]). Throws std::invalid_argument on
+/// empty safe sets or inconsistent sizes.
 std::size_t safeopt_select(const SafeOptInputs& in,
                            std::span<const std::size_t> adjacency_offsets,
                            std::span<const std::size_t> adjacency);
@@ -83,29 +77,32 @@ struct FusedDecision {
 };
 
 /// The sub-millisecond decision engine: one fused sweep per round that
-/// maintains the tracker's incremental confidence bounds AND runs the
-/// acquisition scan over the same candidate block while it is cache-hot,
-/// with no heap allocation past configure(). Block partials are merged
-/// serially in ascending block order with the same strict comparisons as
-/// the reference scans, so every decision — index, safe-set size, fallback
-/// flag — is bit-identical to the full-rescan path for any thread count.
+/// evaluates every candidate's constraint bounds from the tracked posterior
+/// AND runs the acquisition scan over the same candidate block while it is
+/// cache-hot, with no heap allocation past configure(). Block partials are
+/// merged serially in ascending block order with the same strict
+/// comparisons as the reference scans, so every decision — index, safe-set
+/// size, fallback flag — is bit-identical to the full-rescan path for any
+/// thread count.
 class FusedAcquisition {
  public:
   /// Size for m candidates with initial safe set `s0` (indices into the
   /// candidate list; duplicates allowed — membership is what matters).
   void configure(std::size_t num_candidates, std::span<const std::size_t> s0);
 
-  /// One decision round. `bounds` (one spec per tracker slot) defines the
-  /// safe set; `objective` supplies the LCB means/variances (its prior-mean
-  /// offset is NOT applied — a constant offset cannot change an argmin).
+  /// One decision round. `bounds` (at most 8, one per constraint) defines
+  /// the safe set; `objective` supplies the LCB means/variances (its
+  /// prior-mean offset is NOT applied — a constant offset cannot change an
+  /// argmin). Every GP must track exactly num_candidates() candidates; its
+  /// pending cache pass runs on the calling thread before the sweep.
   /// `pool` parallelizes over kDecideBlock-aligned candidate blocks (null =
   /// serial, bit-identical). kSafeOpt additionally needs the CSR adjacency
   /// (offsets size m+1) for the expander test and runs a second sweep,
   /// because expander checks read the safety mask across blocks.
-  /// Throws std::invalid_argument on spec/size mismatches or an empty
-  /// eligible set (only possible with an empty S0).
-  FusedDecision decide(AcquisitionKind kind, SafeSetTracker& tracker,
-                       std::span<const BoundSpec> bounds,
+  /// Throws std::invalid_argument on a null or mis-sized GP, too many
+  /// slots, a negative or non-finite beta, or an empty eligible set (only
+  /// possible with an empty S0).
+  FusedDecision decide(AcquisitionKind kind, std::span<const BoundSpec> bounds,
                        const gp::GpRegressor& objective, double beta,
                        common::ThreadPool* pool = nullptr,
                        std::span<const std::size_t> adjacency_offsets = {},

@@ -31,13 +31,10 @@ gp::GpHyperparams resolve(const gp::GpHyperparams& given,
 // the upper-bounded clipped log-delay and the lower-bounded mAP.
 GenericSafeBol make_engine(const env::ControlGrid& grid,
                            const EdgeBolConfig& cfg, double cost_scale) {
-  if (cfg.delay_scale <= 0.0)
-    throw std::invalid_argument("EdgeBol: delay scale must be > 0");
   MetricSpec cost{"cost", resolve(cfg.cost_hp, default_cost_hyperparams())};
   cost.scale = cost_scale;
   MetricSpec delay{"delay",
                    resolve(cfg.delay_hp, default_delay_hyperparams())};
-  delay.scale = cfg.delay_scale;
   delay.log_transform = true;
   delay.clip = kDelayClipS;
   MetricSpec map{"map", resolve(cfg.map_hp, default_map_hyperparams())};

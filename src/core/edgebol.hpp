@@ -55,10 +55,10 @@ struct ResilienceConfig {
   // physically plausible ranges, and the z-test rejects statistical
   // outliers (spiked meter readings) against the running statistics of
   // previously accepted samples.
-  double max_delay_s = 60.0;
-  double max_power_w = 2000.0;
-  double outlier_z = 8.0;
-  std::size_t outlier_min_samples = 12;
+  static constexpr double max_delay_s = 60.0;
+  static constexpr double max_power_w = 2000.0;
+  static constexpr double outlier_z = 8.0;
+  static constexpr std::size_t outlier_min_samples = 12;
 
   // --- Violation watchdog ---
   // After `watchdog_violations` consecutive measured constraint violations
@@ -66,17 +66,17 @@ struct ResilienceConfig {
   // `watchdog_hold_periods` periods (learning continues meanwhile). The
   // slacks forgive observation noise in this control rule; violation counts
   // use core::violates on the noise-free outcome, with no slack.
-  int watchdog_violations = 4;
-  int watchdog_hold_periods = 3;
-  double delay_slack = 1.05;
-  double map_slack = 0.03;
+  static constexpr int watchdog_violations = 4;
+  static constexpr int watchdog_hold_periods = 3;
+  static constexpr double delay_slack = 1.05;
+  static constexpr double map_slack = 0.03;
 
   // --- Empty-safe-set fallback ---
   // When no candidate qualifies on GP evidence (constraints tightened at
   // runtime, or the surrogates were starved by rejected KPIs), prefer the
   // last policy that empirically satisfied the active constraints over the
   // assumed-safe S0 corner.
-  bool fallback_to_last_safe = true;
+  static constexpr bool fallback_to_last_safe = true;
 };
 
 /// What the resilience layer did so far (all zero in a healthy run).
@@ -114,9 +114,8 @@ struct EdgeBolConfig {
 
   /// Scale dividing raw cost observations so GP targets are O(1). 0 picks
   /// an automatic scale from the weights and the platform's power ranges.
+  /// Delay observations are not scaled: seconds are already O(1).
   double cost_scale = 0.0;
-  /// Scale dividing delay observations (seconds); 1 s is already O(1).
-  double delay_scale = 1.0;
 
   /// Initial safe set S0 (grid indices). Empty selects the grid's
   /// maximum-performance corner, per §5 (Practical Issues).

@@ -19,6 +19,18 @@ constexpr double kMinWeightMs = 1e-3;
 // distance get a large but finite weight instead of a division blow-up.
 constexpr double kDistEps = 1e-3;
 
+// Contiguous cell ranges per batch dispatch, per pool thread: enough slack
+// for the work-helping pool to balance stragglers.
+constexpr std::size_t kShardsPerThread = 4;
+
+// Pseudo-observations imported per donor by add_cell_warm (most recent
+// first).
+constexpr std::size_t kTransferMaxObs = 24;
+
+// EMA factor for the per-cell decision-cost estimate driving shard
+// boundaries (higher = adapt faster, noisier).
+constexpr double kLoadEma = 0.2;
+
 gp::GpHyperparams resolved_or(const gp::GpHyperparams& given,
                               gp::GpHyperparams fallback) {
   return given.lengthscales.empty() ? std::move(fallback) : given;
@@ -30,8 +42,7 @@ FleetEngine::FleetEngine(env::ControlGrid grid, FleetEngineConfig config)
     : grid_(std::move(grid)), cfg_(config) {
   if (cfg_.num_threads == 0)
     throw std::invalid_argument("FleetEngine: num_threads must be >= 1");
-  shards_ = cfg_.num_shards != 0 ? cfg_.num_shards : 4 * cfg_.num_threads;
-  shards_ = std::max<std::size_t>(1, shards_);
+  shards_ = kShardsPerThread * cfg_.num_threads;
   if (cfg_.num_threads > 1)
     pool_ = std::make_shared<common::ThreadPool>(cfg_.num_threads);
 }
@@ -123,7 +134,7 @@ std::size_t FleetEngine::add_cell_warm(const env::Context& expected) {
   // longest.
   for (std::size_t k = donors_.size(); k-- > 0;) {
     const auto rows =
-        cells_[donors_[k]].agent.export_observations(cfg_.transfer_max_obs);
+        cells_[donors_[k]].agent.export_observations(kTransferMaxObs);
     cells_[id].agent.import_observations(rows);
   }
   return id;
@@ -206,8 +217,7 @@ void FleetEngine::decide_batch(std::span<const std::size_t> due,
     CellState& cs = cells_[due[i]];
     cs.ema_ms = cs.ema_ms == 0.0
                     ? decide_ms_[i]
-                    : (1.0 - cfg_.load_ema) * cs.ema_ms +
-                          cfg_.load_ema * decide_ms_[i];
+                    : (1.0 - kLoadEma) * cs.ema_ms + kLoadEma * decide_ms_[i];
   }
   last_decide_wall_ms_ = std::chrono::duration<double, std::milli>(
                              std::chrono::steady_clock::now() - batch_t0)

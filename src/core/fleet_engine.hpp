@@ -5,7 +5,7 @@
 // Sharding. Each cell owns a budgeted serial EdgeBol (num_threads forced to
 // 1 — fleet parallelism is ACROSS cells, not inside one). Cells are stored
 // contiguously in creation order; a batch of due cells is partitioned into
-// up to `num_shards` contiguous id ranges, so one dispatch block touches
+// up to 4 x num_threads contiguous id ranges, so one dispatch block touches
 // neighbouring cells' working sets (cache locality) and, because boundaries
 // are placed by a greedy prefix walk over each cell's EMA-smoothed measured
 // decision cost, the ranges carry near-equal expected load (load balance).
@@ -40,20 +40,13 @@ namespace edgebol::core {
 
 struct FleetEngineConfig {
   /// Threads of the shared dispatch pool (counts the caller; 1 = serial).
+  /// A batch splits into up to 4 contiguous cell ranges per thread.
   std::size_t num_threads = 1;
-  /// Max contiguous cell ranges per batch dispatch. 0 picks 4x num_threads
-  /// (enough slack for the work-helping pool to balance stragglers).
-  std::size_t num_shards = 0;
   /// Donors consulted by add_cell_warm (K nearest by context signature).
   std::size_t transfer_k = 3;
-  /// Pseudo-observations imported per donor (most recent first).
-  std::size_t transfer_max_obs = 24;
   /// Donor eligibility floor: cells with fewer stored observations are
   /// still filling their safe seed and make poor teachers.
   std::size_t transfer_min_obs = 8;
-  /// EMA factor for the per-cell decision-cost estimate driving shard
-  /// boundaries (higher = adapt faster, noisier).
-  double load_ema = 0.2;
   /// Per-cell learner template. num_threads inside is forced to 1.
   EdgeBolConfig cell{};
 };

@@ -46,13 +46,11 @@ GenericSafeBol make_engine(const env::ControlGrid& grid,
       {2, BoundKind::kLower, cfg.map_min},
   };
 
-  std::vector<std::size_t> s0 = cfg.initial_safe_set;
-  if (s0.empty()) s0.push_back(power_budget_initial_policy(grid));
-
   return GenericSafeBol(control_features(grid), std::move(objective),
                         {std::move(server_power), std::move(bs_power),
                          std::move(map)},
-                        std::move(constraints), std::move(s0),
+                        std::move(constraints),
+                        {power_budget_initial_policy(grid)},
                         {.beta_sqrt = cfg.beta_sqrt});
 }
 

@@ -21,10 +21,6 @@ struct PowerBudgetConfig {
   double bs_power_budget_w = 5.5;
   double map_min = 0.5;
   double beta_sqrt = 2.5;
-  /// Initial safe set. Empty selects the grid policy closest to
-  /// {resolution max, airtime min, gpu 0, mcs max}: the lowest-power corner
-  /// that still maximizes precision — the S0 of this formulation.
-  std::vector<std::size_t> initial_safe_set{};
 };
 
 class PowerBudgetBol {
@@ -49,7 +45,9 @@ class PowerBudgetBol {
   GenericSafeBol engine_;
 };
 
-/// The S0 corner of the power-budget formulation for a given grid.
+/// The S0 of the power-budget formulation for a given grid: the grid
+/// policy closest to {resolution max, airtime min, gpu 0, mcs max}, the
+/// lowest-power corner that still maximizes precision.
 std::size_t power_budget_initial_policy(const env::ControlGrid& grid);
 
 }  // namespace edgebol::core

@@ -90,7 +90,6 @@ GenericSafeBol::GenericSafeBol(linalg::Matrix controls, MetricSpec objective,
     gps_.push_back(make_gp(spec));
     gps_.back().set_thread_pool(pool_);
   }
-  safe_tracker_.configure(controls_.rows(), constraints_.size());
   acquisition_.configure(controls_.rows(), s0_);
   bound_specs_.resize(constraints_.size());
 }
@@ -161,8 +160,7 @@ GenericDecision GenericSafeBol::select(
     std::span<const std::size_t> adjacency) {
   ensure_tracking(context);
   // Threshold transforms and prior-mean offsets are rebuilt per round, so
-  // set_threshold() takes effect immediately (threshold moves are free for
-  // the tracker).
+  // set_threshold() takes effect immediately.
   for (std::size_t i = 0; i < constraints_.size(); ++i) {
     const ConstraintDef& c = constraints_[i];
     const MetricSpec& spec = specs_[1 + c.metric];
@@ -170,9 +168,9 @@ GenericDecision GenericSafeBol::select(
                                 c.bound == BoundKind::kUpper,
                                 spec.transform(c.threshold), spec.prior_mean};
   }
-  return acquisition_.decide(opts_.acquisition, safe_tracker_, bound_specs_,
-                             gps_[0], opts_.beta_sqrt, pool_.get(),
-                             adjacency_offsets, adjacency);
+  return acquisition_.decide(opts_.acquisition, bound_specs_, gps_[0],
+                             opts_.beta_sqrt, pool_.get(), adjacency_offsets,
+                             adjacency);
 }
 
 void GenericSafeBol::enforce_budget() {

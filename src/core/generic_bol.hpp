@@ -9,9 +9,9 @@
 // surrogates with upper/lower-bound constraints, over an arbitrary
 // candidate set and context vector. Every period it scores all candidates
 // under the GP posteriors (eqs. 3-4), builds the safe set (eq. 8) and runs
-// the acquisition (eq. 9 or an ablation), through the incremental decision
-// path (SafeSetTracker + FusedAcquisition); update() conditions every
-// surrogate on the period's observation.
+// the acquisition (eq. 9 or an ablation) in one sweep over the tracked
+// posteriors (FusedAcquisition); update() conditions every surrogate on the
+// period's observation.
 //
 // EdgeBOL's energy formulation (core/edgebol.hpp: scaled cost, clipped
 // log-delay, mAP), the alternative formulations (core/formulations.hpp) and
@@ -171,7 +171,6 @@ class GenericSafeBol {
   std::shared_ptr<common::ThreadPool> pool_;  // null when num_threads == 1
   std::vector<gp::GpRegressor> gps_;          // parallel to specs_
   std::optional<linalg::Vector> tracked_context_;
-  SafeSetTracker safe_tracker_;
   FusedAcquisition acquisition_;
   std::vector<BoundSpec> bound_specs_;  // one slot per constraint, per round
 };

@@ -123,20 +123,6 @@ std::size_t ControlGrid::max_performance_index() const {
   return nearest_index(corner);
 }
 
-std::vector<std::size_t> ControlGrid::neighbors(std::size_t index) const {
-  const std::span<const std::size_t> s = neighbors_span(index);
-  return std::vector<std::size_t>(s.begin(), s.end());
-}
-
-std::span<const std::size_t> ControlGrid::neighbors_span(
-    std::size_t index) const {
-  if (index >= policies_.size())
-    throw std::out_of_range("ControlGrid::neighbors");
-  return std::span<const std::size_t>(adj_.data() + adj_offsets_[index],
-                                      adj_offsets_[index + 1] -
-                                          adj_offsets_[index]);
-}
-
 std::vector<linalg::Vector> ControlGrid::candidate_features(
     const Context& c) const {
   std::vector<linalg::Vector> out;

@@ -46,17 +46,10 @@ class ControlGrid {
   /// Index of the maximum-performance corner used as the initial safe set.
   std::size_t max_performance_index() const;
 
-  /// Indices of the axis-aligned grid neighbours of `index` (one level up or
-  /// down in exactly one dimension; 4-8 results). Used by SafeOpt-style
-  /// expander sets. Allocates; hot paths should use neighbors_span().
-  std::vector<std::size_t> neighbors(std::size_t index) const;
-
-  /// Allocation-free view of the same adjacency, precomputed once at
-  /// construction (CSR layout over all grid points).
-  std::span<const std::size_t> neighbors_span(std::size_t index) const;
-
-  /// The full CSR adjacency: neighbors of i are
-  /// adjacency()[adjacency_offsets()[i] .. adjacency_offsets()[i+1]).
+  /// The axis-aligned grid neighbours of every policy (one level up or
+  /// down in exactly one dimension; 4-8 each), precomputed once at
+  /// construction in CSR layout for SafeOpt-style expander sets: neighbors
+  /// of i are adjacency()[adjacency_offsets()[i] .. adjacency_offsets()[i+1]).
   std::span<const std::size_t> adjacency_offsets() const {
     return adj_offsets_;
   }

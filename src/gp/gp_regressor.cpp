@@ -1,8 +1,6 @@
 #include "gp/gp_regressor.hpp"
 
-#include <bit>
 #include <cmath>
-#include <cstdint>
 #include <limits>
 #include <numbers>
 #include <stdexcept>
@@ -28,19 +26,6 @@ using lanes::f64x4;
 using lanes::f64x8;
 using lanes::load;
 using lanes::store;
-
-// |x| lane by lane, bitwise what std::abs gives: the sign bits cleared.
-template <class V>
-[[gnu::always_inline]] inline V vabs(const V& x) {
-  if constexpr (std::is_same_v<V, double>) {
-    return std::abs(x);
-  } else {
-    // The typedef form: GCC 12 drops a dependent vector_size from a using.
-    typedef std::uint64_t U __attribute__((vector_size(sizeof(V))));
-    constexpr std::uint64_t kMagnitude = ~(std::uint64_t{1} << 63);
-    return std::bit_cast<V>(std::bit_cast<U>(x) & kMagnitude);
-  }
-}
 
 // Runs op(lane, j) over columns [j0, j1): whole lanes of V, then a scalar
 // tail; `lane` names the lane type (std::type_identity<V> or <double>), so
@@ -126,25 +111,16 @@ void stream_columns_in(const lanes::PassState& p, std::size_t j0,
   // The new row: divided by the pivot, folded into the moments, then stored
   // (fold only) or rotated against the carry (its rotation is the last). The
   // row that leaves — the carry, the rotated new row, or the new row itself
-  // when it is the victim — folds out last. The delta accumulators record
-  // exactly the terms folded into the moments (dm is the same product added
-  // to the mean), so a candidate whose accumulators stay zero has a
-  // bitwise-unchanged cached posterior.
+  // when it is the victim — folds out last.
   const auto fold_in = [&](const auto& x, std::size_t j) {
     using L = std::remove_cvref_t<decltype(x)>;
-    const L dm = x * p.w_new;
-    store(p.mean + j, load<L>(p.mean + j) + dm);
+    store(p.mean + j, load<L>(p.mean + j) + x * p.w_new);
     store(p.var + j, load<L>(p.var + j) - x * x);
-    store(p.delta_mean + j, load<L>(p.delta_mean + j) + vabs(dm));
-    store(p.delta_sigma + j, load<L>(p.delta_sigma + j) + vabs(x));
   };
   const auto fold_out = [&](const auto& x, std::size_t j) {
     using L = std::remove_cvref_t<decltype(x)>;
-    const L dm = x * p.w_last;
-    store(p.mean + j, load<L>(p.mean + j) - dm);
+    store(p.mean + j, load<L>(p.mean + j) - x * p.w_last);
     store(p.var + j, load<L>(p.var + j) + x * x);
-    store(p.delta_mean + j, load<L>(p.delta_mean + j) + vabs(dm));
-    store(p.delta_sigma + j, load<L>(p.delta_sigma + j) + vabs(x));
   };
   const linalg::GivensRotation last_rot =
       p.fold && first < n ? p.rotations[n - first - 1]
@@ -390,11 +366,7 @@ GpRegressor::GpRegressor(const GpRegressor& other)
       amat_(other.amat_),
       tracked_mean_(other.tracked_mean_),
       tracked_var_(other.tracked_var_),
-      delta_mean_(other.delta_mean_),
-      delta_sigma_(other.delta_sigma_),
-      delta_events_(other.delta_events_),
       pending_(other.pending_),
-      tracked_epoch_(other.tracked_epoch_),
       pool_(other.pool_) {}
 
 GpRegressor& GpRegressor::operator=(const GpRegressor& other) {
@@ -566,8 +538,6 @@ void GpRegressor::run_pending_pass() const {
       .w_last = p.w_last,
       .mean = tracked_mean_.data(),
       .var = tracked_var_.data(),
-      .delta_mean = delta_mean_.data(),
-      .delta_sigma = delta_sigma_.data(),
   };
   over_columns([&](std::size_t j0, std::size_t j1) {
     // Block-local rows, column j at [j - j0]: the new row's accumulator,
@@ -580,7 +550,6 @@ void GpRegressor::run_pending_pass() const {
     lanes::stream_columns(lanes::host_isa(), state, j0, j1, acc, carry);
   });
   amat_.resize(rows * m);
-  delta_events_ += (p.fold ? 1 : 0) + (p.evict ? 1 : 0);
   pending_.fold = false;
   pending_.evict = false;
 }
@@ -634,18 +603,6 @@ void GpRegressor::clear_tracked_candidates() {
   amat_.shrink_to_fit();
   tracked_mean_.clear();
   tracked_var_.clear();
-  delta_mean_.clear();
-  delta_sigma_.clear();
-  delta_events_ = 0;
-  ++tracked_epoch_;
-}
-
-void GpRegressor::reset_tracked_deltas() {
-  apply_pending_pass();
-  if (delta_events_ == 0) return;  // nothing accumulated: skip the O(m) fill
-  delta_mean_.assign(delta_mean_.size(), 0.0);
-  delta_sigma_.assign(delta_sigma_.size(), 0.0);
-  delta_events_ = 0;
 }
 
 double GpRegressor::tracked_variance(std::size_t j) const {
@@ -663,16 +620,9 @@ void GpRegressor::rebuild_tracked_cache() {
   const std::size_t n = y_.size();
   tracked_mean_.assign(m, 0.0);
   tracked_var_.assign(m, 0.0);
-  // A rebuild invalidates any consumer state keyed on the tracked arrays:
-  // zero the pending deltas (they described the pre-rebuild trajectory) and
-  // bump the epoch so consumers full-rescan instead of trusting them.
-  delta_mean_.assign(m, 0.0);
-  delta_sigma_.assign(m, 0.0);
-  delta_events_ = 0;
   // The rebuild reads the factor's every row: a pending pass is dropped.
   pending_.fold = false;
   pending_.evict = false;
-  ++tracked_epoch_;
   if (m == 0) {
     amat_.clear();
     return;

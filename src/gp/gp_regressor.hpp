@@ -32,9 +32,8 @@
 // the added row in, applies the eviction's Givens rotations and folds the
 // dropped row out, streaming each cache row once, so the cache never grows
 // past the budget. The pass runs when something needs the cache: a tracked
-// reader, reset_tracked_deltas(), the next add() or eviction, or a caller's
-// apply_pending_pass() (GenericSafeBol::select runs its surrogates' passes
-// concurrently). A rebuild (track_candidates, a context move) drops it
+// reader, the next add() or eviction, or a caller's apply_pending_pass()
+// (GenericSafeBol::select runs its surrogates' passes concurrently). A rebuild (track_candidates, a context move) drops it
 // unrun: it recomputes the cache from the factor. Either way each element
 // gets the operations of an eager fold followed by a separate downdate, in
 // the same order, so the tracked posterior is bitwise the same. With
@@ -48,7 +47,6 @@
 
 #pragma once
 
-#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -178,40 +176,6 @@ class GpRegressor {
     return tracked_var_.data();
   }
 
-  /// Per-candidate accumulated delta magnitudes since the last
-  /// reset_tracked_deltas(): tracked_delta_mean_data()[j] bounds
-  /// |tracked_mean_[j] - mean at reset|, and tracked_delta_sigma_data()[j]
-  /// bounds the amount the tracked stddev can have moved (|delta sigma| <=
-  /// sqrt(sum a^2) <= sum |a| per rank-1 event). They grow inside the
-  /// cache passes with the exact same products that feed the moments, so a
-  /// zero entry means that candidate's cached posterior is bitwise
-  /// unchanged. The incremental safe-set maintenance in core/safe_set.cpp is
-  /// the consumer.
-  const double* tracked_delta_mean_data() const {
-    apply_pending_pass();
-    return delta_mean_.data();
-  }
-  const double* tracked_delta_sigma_data() const {
-    apply_pending_pass();
-    return delta_sigma_.data();
-  }
-  /// Rank-1 events (adds/evictions folded into the tracked cache) since the
-  /// last reset. 0 means the tracked posterior is bitwise unchanged and a
-  /// consumer sweep may no-op.
-  std::size_t tracked_delta_events() const {
-    apply_pending_pass();
-    return delta_events_;
-  }
-  /// Zero the delta accumulators (consumer has absorbed them). O(m), skipped
-  /// entirely when no events are pending.
-  void reset_tracked_deltas();
-  /// Monotone counter bumped whenever the tracked cache is rebuilt or
-  /// cleared (track_candidates, context switch, load). Consumers holding
-  /// per-candidate state keyed on the tracked arrays must full-rescan when
-  /// it changes: pending deltas are zeroed by a rebuild, so the delta
-  /// arrays alone cannot signal it.
-  std::uint64_t tracked_rebuild_epoch() const { return tracked_epoch_; }
-
  private:
   // The cache pass add() and remove_observation() leave pending. With
   // `fold`, the added observation's row a = (k(z, c) - sum_i lrow[i] a_i) /
@@ -262,11 +226,7 @@ class GpRegressor {
   mutable std::vector<double> amat_;  // A = L^{-1} K(train, cands), rows x m
   mutable Vector tracked_mean_;       // m
   mutable Vector tracked_var_;        // m (clamped at >= 0 on read)
-  mutable Vector delta_mean_;         // m, accumulated |mean delta| since reset
-  mutable Vector delta_sigma_;        // m, accumulated |a_j| (bounds sigma)
-  mutable std::size_t delta_events_ = 0;  // rank-1 events since reset
   mutable CachePass pending_;  // not run yet: A lags the factor
-  std::uint64_t tracked_epoch_ = 0;  // bumped on rebuild/clear
 
   std::shared_ptr<common::ThreadPool> pool_;
   mutable Vector scratch_k_;     // kernel row, reused across predict()/add()

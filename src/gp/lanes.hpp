@@ -32,8 +32,8 @@
 // functions: they are compiled for the baseline target and flattened into
 // the wide clones, and the warning points at their calls of load() below.
 // The ABI it describes is never used across a call: every function or
-// lambda that takes or returns a lane vector by value (load() here, the
-// distance loop's pack(), the cache pass's vabs()) is always_inline, so it
+// lambda that takes or returns a lane vector by value (load() here and the
+// distance loop's pack()) is always_inline, so it
 // is compiled into its caller at the caller's target; the cache pass's
 // callbacks take a lane-type tag or a reference instead. So the warning is
 // ignored for the rest of the including unit, deliberately without a pop.
@@ -113,8 +113,8 @@ void feature_major_squared_distances(Isa isa, const double* x,
                                      std::size_t d, double* s);
 
 /// One fold/evict pass over the tracked cache: the row-major cache `a`
-/// (m columns, `rows` rows on entry), the tracked moments and their delta
-/// accumulators (m entries each).
+/// (m columns, `rows` rows on entry) and the tracked moments (m entries
+/// each).
 struct PassState {
   double* a = nullptr;
   std::size_t m = 0;
@@ -134,8 +134,6 @@ struct PassState {
   double w_last = 0.0;
   double* mean = nullptr;
   double* var = nullptr;
-  double* delta_mean = nullptr;
-  double* delta_sigma = nullptr;
 };
 
 /// The pass over columns [j0, j1) (gp/gp_regressor.cpp). With a fold,

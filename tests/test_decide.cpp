@@ -1,8 +1,7 @@
-// Decision-path identity: the incremental engine (SafeSetTracker +
-// FusedAcquisition) must make bit-identical decisions to the reference full
-// rescan — across event sequences (adds, evictions, re-tracks, threshold
-// and beta changes, all-unsafe regimes), all three acquisition kinds, and
-// thread-pool sizes — and so must the one safe-BO engine built on it
+// Decision-path identity: the fused decide (FusedAcquisition) must make
+// bit-identical decisions to the reference full rescan — across event
+// sequences (adds, evictions, re-tracks, threshold and beta changes,
+// all-unsafe regimes), all three acquisition kinds, and thread-pool sizes — and so must the one safe-BO engine built on it
 // (GenericSafeBol), checked period by period against shadow surrogates.
 
 #include <gtest/gtest.h>
@@ -41,7 +40,7 @@ Vector draw_input(Rng& rng) {
   return z;
 }
 
-// The reference full-rescan decision, the oracle for the incremental path:
+// The reference full-rescan decision, the oracle for the fused decide:
 // materialize every tracked posterior (constraint means shifted by their
 // prior-mean offsets), compute_safe_set, the fallback loop, then the
 // kind-specific acquisition.
@@ -145,8 +144,6 @@ std::vector<DecisionRecord> run_battery(std::size_t threads) {
   double beta = 2.5;
 
   const std::vector<std::size_t> s0{0, m / 3, m - 1};
-  SafeSetTracker tracker;
-  tracker.configure(m, 2);
   FusedAcquisition acq;
   acq.configure(m, s0);
   std::array<BoundSpec, 2> specs{};
@@ -174,7 +171,7 @@ std::vector<DecisionRecord> run_battery(std::size_t threads) {
       specs[0] = BoundSpec{&delay_gp, /*upper=*/true, d_max, 0.0};
       specs[1] = BoundSpec{&map_gp, /*upper=*/false, rho_min, 0.0};
       const FusedDecision got =
-          acq.decide(kind, tracker, specs, cost_gp, beta, pool.get(),
+          acq.decide(kind, specs, cost_gp, beta, pool.get(),
                      grid.adjacency_offsets(), grid.adjacency());
       const FusedDecision want =
           reference_decide(kind, delay_gp, map_gp, cost_gp, d_max, rho_min,

@@ -10,9 +10,9 @@
 //     {1, 2, 8}, eviction downdates included.
 //  4. Deferring the cache passes of add() and remove_observation() changes
 //     no bit — whatever sequence of adds, removals, reads, re-tracks and
-//     copies runs, the tracked moments and delta accumulators equal those
-//     of an eager reference cache that folds at add() and downdates in a
-//     separate sweep at remove().
+//     copies runs, the tracked moments equal those of an eager reference
+//     cache that folds at add() and downdates in a separate sweep at
+//     remove().
 //
 // The budget itself is a caller's loop (GenericSafeBol::enforce_budget):
 // BudgetedGp below runs the same loop around a single regressor.
@@ -341,7 +341,6 @@ class EagerCache {
       for_blocks([&](std::size_t j0, std::size_t j1) {
         fold_new_row(z, lrow, pivot, w_new, n, j0, j1);
       });
-      ++events;
     }
     zdata_.insert(zdata_.end(), z.begin(), z.end());
     zs_.push_back(z);
@@ -364,7 +363,6 @@ class EagerCache {
         rotate_and_fold_out(rot, i, n, w_last, j0, j1);
       });
       amat_.resize((n - 1) * m());
-      ++events;
     }
     zdata_.erase(zdata_.begin() + static_cast<std::ptrdiff_t>(i * 7),
                  zdata_.begin() + static_cast<std::ptrdiff_t>((i + 1) * 7));
@@ -380,9 +378,6 @@ class EagerCache {
     const std::size_t mm = m();
     mean.assign(mm, 0.0);
     var.assign(mm, kernel_->prior_variance());
-    dmu.assign(mm, 0.0);
-    dsg.assign(mm, 0.0);
-    events = 0;
     amat_.assign(n * mm, 0.0);
     for_blocks([&](std::size_t j0, std::size_t j1) {
       for (std::size_t i = 0; i < n; ++i) {
@@ -402,15 +397,7 @@ class EagerCache {
     });
   }
 
-  void reset_deltas() {
-    if (events == 0) return;
-    dmu.assign(dmu.size(), 0.0);
-    dsg.assign(dsg.size(), 0.0);
-    events = 0;
-  }
-
-  std::vector<double> mean, var, dmu, dsg;
-  std::size_t events = 0;
+  std::vector<double> mean, var;
 
  private:
   std::size_t m() const { return cands_->size(); }
@@ -435,11 +422,8 @@ class EagerCache {
     for (std::size_t j = j0; j < j1; ++j) {
       const double aj = arow[j] / pivot;
       arow[j] = aj;
-      const double dm = aj * w_new;
-      mean[j] += dm;
+      mean[j] += aj * w_new;
       var[j] -= aj * aj;
-      dmu[j] += std::abs(dm);
-      dsg[j] += std::abs(aj);
     }
   }
 
@@ -459,11 +443,8 @@ class EagerCache {
     }
     const double* last = amat_.data() + (n - 1) * mm;
     for (std::size_t j = j0; j < j1; ++j) {
-      const double dm = last[j] * w_last;
-      mean[j] -= dm;
+      mean[j] -= last[j] * w_last;
       var[j] += last[j] * last[j];
-      dmu[j] += std::abs(dm);
-      dsg[j] += std::abs(last[j]);
     }
   }
 
@@ -487,13 +468,6 @@ void expect_same_bits(const gp::GpRegressor& gp, const EagerCache& ref,
       << "mean, " << where;
   EXPECT_EQ(std::memcmp(gp.tracked_var_data(), ref.var.data(), bytes), 0)
       << "variance, " << where;
-  EXPECT_EQ(std::memcmp(gp.tracked_delta_mean_data(), ref.dmu.data(), bytes),
-            0)
-      << "delta mean, " << where;
-  EXPECT_EQ(
-      std::memcmp(gp.tracked_delta_sigma_data(), ref.dsg.data(), bytes), 0)
-      << "delta sigma, " << where;
-  EXPECT_EQ(gp.tracked_delta_events(), ref.events) << where;
 }
 
 // Runs `script` on a GpRegressor and on the eager reference, comparing
@@ -504,7 +478,7 @@ void expect_same_bits(const gp::GpRegressor& gp, const EagerCache& ref,
 //   h* remove the middle              c  replace by a copy of itself
 //   l* remove the last (newest)       k  compare a copy (the original
 //   <  remove the oldest                 keeps its pending pass)
-//   |  remove the middle              x* reset_tracked_deltas
+//   |  remove the middle              x* apply_pending_pass
 //   >  remove the last (newest)
 void run_script(std::size_t m, std::size_t threads, std::size_t initial,
                 const std::string& script) {
@@ -571,8 +545,7 @@ void run_script(std::size_t m, std::size_t threads, std::size_t initial,
         continue;
       }
       case 'x':
-        gp.reset_tracked_deltas();
-        ref.reset_deltas();
+        gp.apply_pending_pass();
         break;
       default:
         FAIL() << "bad script op " << script[s];
@@ -593,7 +566,7 @@ TEST(GpBudget, DeferredFoldBitIdenticalToEagerCache) {
       "aR0aRhaRl",   // a tracked read between add and removal
       "at0athatl",   // a re-track while a fold is pending
       "ac0achacl",   // a copy while a fold is pending
-      "ax0axhx",     // a delta reset while a fold is pending
+      "ax0axhx",     // a caller's pass run while a fold is pending
       "aaaRaa0",     // unbounded growth: folds applied alone
       // An eviction left pending (fused with the fold, or alone), then:
       "a<Ra|Ra>R",   // a tracked read
@@ -602,7 +575,7 @@ TEST(GpBudget, DeferredFoldBitIdenticalToEagerCache) {
       "a<aRa|a>aR",  // an add, which runs the pass first
       "a<<Ra>|R",    // another eviction, which runs the first pass first
       "a<cRa|k0",    // a copy: the copy and the original run it apart
-      "a<xa>x",      // a delta reset
+      "a<xa>x",      // a caller's pass run
       "a<a<a<a<",    // the steady state of a full budget, read at the end
   };
   // From an empty regressor: the pending fold meets a cache with no rows.

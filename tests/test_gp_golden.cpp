@@ -1,8 +1,7 @@
 // Pinned bits of the tracked GP cache. Scripted sequences of adds,
-// evictions under both policies, re-tracks (rebuilds) and delta resets run
-// on GpRegressor; after every step an FNV-1a digest absorbs the tracked
-// mean, variance and both delta accumulators, and the final digests must
-// equal golden values. Two EdgeBol trajectories are pinned the same way.
+// evictions under both policies and re-tracks (rebuilds) run on
+// GpRegressor; after every step an FNV-1a digest absorbs the tracked mean
+// and variance, and the final digests must equal golden values. Two EdgeBol trajectories are pinned the same way.
 //
 // The other tests compare the engine with itself (across thread counts, a
 // deferred pass against an eager one, one lane width against another); this
@@ -76,16 +75,14 @@ std::string hex(std::uint64_t v) {
   return buf;
 }
 
-// Running digests of the four tracked arrays.
+// Running digests of the two tracked arrays.
 struct CacheDigests {
-  Fnv mean, var, delta_mean, delta_sigma;
+  Fnv mean, var;
 
   void absorb(const gp::GpRegressor& gp) {
     const std::size_t bytes = gp.num_tracked() * sizeof(double);
     mean.add(gp.tracked_mean_data(), bytes);
     var.add(gp.tracked_var_data(), bytes);
-    delta_mean.add(gp.tracked_delta_mean_data(), bytes);
-    delta_sigma.add(gp.tracked_delta_sigma_data(), bytes);
   }
 };
 
@@ -108,8 +105,8 @@ std::vector<Vector> draw_points(std::size_t n, std::size_t d, Rng& rng) {
 }
 
 // Every step adds an observation, evicts down to the budget (kOldest in
-// even steps, kMinLeverage in odd ones), re-tracks every 9th step and
-// resets the deltas every 4th; the digests absorb the cache after each.
+// even steps, kMinLeverage in odd ones) and re-tracks every 9th step; the
+// digests absorb the cache after each.
 CacheDigests run_sequence(const Sequence& s) {
   Rng rng(9000 + s.candidates + s.budget);
   Vector ls(s.dims);
@@ -145,19 +142,16 @@ CacheDigests run_sequence(const Sequence& s) {
       gp.remove_observation(gp.eviction_candidate(policy));
     }
     if (step % 9 == 0) gp.track_candidates(cands);
-    if (step % 4 == 0) gp.reset_tracked_deltas();
     d.absorb(gp);
   }
   return d;
 }
 
-void expect_digests(const Sequence& s, std::uint64_t mean, std::uint64_t var,
-                    std::uint64_t delta_mean, std::uint64_t delta_sigma) {
+void expect_digests(const Sequence& s, std::uint64_t mean,
+                    std::uint64_t var) {
   const CacheDigests d = run_sequence(s);
   EXPECT_EQ(hex(d.mean.h), hex(mean)) << "tracked mean";
   EXPECT_EQ(hex(d.var.h), hex(var)) << "tracked variance";
-  EXPECT_EQ(hex(d.delta_mean.h), hex(delta_mean)) << "delta mean";
-  EXPECT_EQ(hex(d.delta_sigma.h), hex(delta_sigma)) << "delta sigma";
 }
 
 // The 11^4 grid's size under the paper's budget: 28 full column blocks and
@@ -168,8 +162,7 @@ TEST(GpGolden, Grid11Budget100) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     expect_digests({.candidates = 14641, .budget = 100, .initial = 80,
                     .threads = threads},
-                   0x504b6849d5f401e8, 0x68623e69fc4af3e1,
-                   0xff34a9d48bceee73, 0x1477593a04f5ba5d);
+                   0x504b6849d5f401e8, 0x68623e69fc4af3e1);
   }
 }
 
@@ -177,23 +170,20 @@ TEST(GpGolden, Grid6RbfBudget30) {
   SKIP_UNLESS_PINNED();
   expect_digests({.candidates = 1296, .rbf = true, .budget = 30,
                   .initial = 20},
-                 0xd088461096e413c3, 0x3c323f97c78c71ea, 0xdef8bb106ae2f606,
-                 0x6f8084fa6704f30e);
+                 0xd088461096e413c3, 0x3c323f97c78c71ea);
 }
 
 TEST(GpGolden, Grid5Budget64) {
   SKIP_UNLESS_PINNED();
   expect_digests({.candidates = 625, .budget = 64, .initial = 40},
-                 0x26ff4a2276ef4939, 0x337f801a830ce598, 0x859ae5c5034d077e,
-                 0x353c7a52c83ab6bb);
+                 0x26ff4a2276ef4939, 0x337f801a830ce598);
 }
 
 // No budget: every pass is a fold alone, the cache grows to 140 rows.
 TEST(GpGolden, Grid6UnboundedThreeThreads) {
   SKIP_UNLESS_PINNED();
   expect_digests({.candidates = 1296, .initial = 10, .threads = 3},
-                 0x4798cde06352cbcc, 0x35b2bcd29b5e095b, 0x7976d62665976bf2,
-                 0x2c5257ad2b54aff4);
+                 0x4798cde06352cbcc, 0x35b2bcd29b5e095b);
 }
 
 // EdgeBol on a budgeted 6^4 grid, the context stepping every 5 periods:

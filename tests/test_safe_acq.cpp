@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -147,18 +150,19 @@ struct SafeOptFixture {
   }
 };
 
-std::vector<std::size_t> line_neighbors(std::size_t i) {
-  std::vector<std::size_t> out;
-  if (i > 0) out.push_back(i - 1);
-  if (i < 4) out.push_back(i + 1);
-  return out;
+// CSR adjacency of the fixture's line graph 0 - 1 - 2 - 3 - 4.
+const std::vector<std::size_t> kLineOffsets{0, 1, 3, 5, 7, 8};
+const std::vector<std::size_t> kLineAdjacency{1, 0, 2, 1, 3, 2, 4, 3};
+
+std::size_t line_select(const core::SafeOptInputs& in) {
+  return safeopt_select(in, kLineOffsets, kLineAdjacency);
 }
 
 TEST(SafeOpt, PicksWidestAmongMinimizersAndExpanders) {
   const SafeOptFixture fx;
   // Candidate 2 is an expander (neighbor 3 unsafe) with a wide delay bound;
   // candidates 0/1 are minimizers with tiny widths. SafeOpt prefers 2.
-  EXPECT_EQ(safeopt_select(fx.inputs(), line_neighbors), 2u);
+  EXPECT_EQ(line_select(fx.inputs()), 2u);
 }
 
 TEST(SafeOpt, WithoutExpandersFallsToWidestMinimizer) {
@@ -167,21 +171,23 @@ TEST(SafeOpt, WithoutExpandersFallsToWidestMinimizer) {
   fx.delay[1] = {0.2, 0.0001};
   fx.cost[0] = {0.5, 0.0001};
   fx.cost[1] = {0.5, 0.01};  // wider minimizer
-  EXPECT_EQ(safeopt_select(fx.inputs(), line_neighbors), 1u);
+  EXPECT_EQ(line_select(fx.inputs()), 1u);
 }
 
 TEST(SafeOpt, Validation) {
   const SafeOptFixture fx;
   core::SafeOptInputs in = fx.inputs();
   in.cost = nullptr;
-  EXPECT_THROW(safeopt_select(in, line_neighbors), std::invalid_argument);
+  EXPECT_THROW(line_select(in), std::invalid_argument);
   SafeOptFixture empty;
   empty.safe.clear();
-  EXPECT_THROW(safeopt_select(empty.inputs(), line_neighbors),
+  EXPECT_THROW(line_select(empty.inputs()), std::invalid_argument);
+  const std::vector<std::size_t> short_offsets{0, 1, 3};
+  EXPECT_THROW(safeopt_select(fx.inputs(), short_offsets, kLineAdjacency),
                std::invalid_argument);
 }
 
-// ---- SafeSetTracker (incremental confidence-bound maintenance) ----
+// ---- FusedAcquisition: the safe-set sweep of the decision path ----
 
 gp::GpRegressor make_tracked_gp(std::size_t m, unsigned seed,
                                 int n_obs = 12) {
@@ -200,75 +206,87 @@ gp::GpRegressor make_tracked_gp(std::size_t m, unsigned seed,
   return g;
 }
 
-TEST(SafeSetTracker, BoundsMatchDirectEvaluationBitwise) {
-  gp::GpRegressor g = make_tracked_gp(16, 3);
-  SafeSetTracker t;
-  t.configure(16, 2);
+std::vector<Prediction> shifted_predictions(const gp::GpRegressor& g,
+                                            double offset) {
+  std::vector<Prediction> out(g.num_tracked());
+  for (std::size_t j = 0; j < out.size(); ++j) {
+    out[j] = g.tracked_prediction(j);
+    out[j].mean += offset;
+  }
+  return out;
+}
+
+TEST(FusedAcquisition, SafeSetMatchesReferenceWithOffsetsBothWays) {
+  // An upper bound and a lower bound, each on a GP with a nonzero prior-mean
+  // offset, and thresholds inside the bound ranges so the set is mixed. The
+  // decide's safe-set size must equal compute_safe_set's over the
+  // offset-shifted predictions, and its pick the reference LCB argmin.
+  const std::size_t m = 64;
+  gp::GpRegressor upper_gp = make_tracked_gp(m, 3);
+  gp::GpRegressor lower_gp = make_tracked_gp(m, 11);
+  gp::GpRegressor cost_gp = make_tracked_gp(m, 17);
   const double beta = 1.7;
-  const std::vector<BoundSpec> specs{{&g, true, 0.3, 0.1},
-                                     {&g, false, 0.2, -0.05}};
-  t.begin_round(specs, beta);
-  t.maintain_block(0, 16);
-  t.finish_round();
-  for (std::size_t j = 0; j < 16; ++j) {
-    const Prediction p = g.tracked_prediction(j);
-    EXPECT_EQ(t.bound_data(0)[j], (p.mean + 0.1) + beta * p.stddev());
-    EXPECT_EQ(t.bound_data(1)[j], (p.mean + -0.05) - beta * p.stddev());
+  const double up_off = 0.1;
+  const double lo_off = -0.05;
+  const std::vector<Prediction> up_post = shifted_predictions(upper_gp, up_off);
+  const std::vector<Prediction> lo_post = shifted_predictions(lower_gp, lo_off);
+  std::vector<double> ucb(m), lcb(m);
+  for (std::size_t j = 0; j < m; ++j) {
+    ucb[j] = up_post[j].mean + beta * up_post[j].stddev();
+    lcb[j] = lo_post[j].mean - beta * lo_post[j].stddev();
   }
-  EXPECT_EQ(t.last_rescored(), 32u);  // first round is always full
+  std::nth_element(ucb.begin(), ucb.begin() + 2 * m / 3, ucb.end());
+  std::nth_element(lcb.begin(), lcb.begin() + m / 3, lcb.end());
+  const double up_thr = ucb[2 * m / 3];  // two thirds pass the upper bound
+  const double lo_thr = lcb[m / 3];      // two thirds pass the lower bound
+
+  const std::vector<std::size_t> s0{0};
+  FusedAcquisition acq;
+  acq.configure(m, s0);
+  const std::vector<BoundSpec> specs{{&upper_gp, true, up_thr, up_off},
+                                     {&lower_gp, false, lo_thr, lo_off}};
+  const FusedDecision got =
+      acq.decide(AcquisitionKind::kSafeLcb, specs, cost_gp, beta);
+
+  const std::vector<std::size_t> qualified =
+      compute_safe_set(up_post, lo_post, up_thr, lo_thr, beta, {});
+  ASSERT_GT(qualified.size(), 0u);
+  ASSERT_LT(qualified.size(), m);
+  const std::vector<std::size_t> safe =
+      compute_safe_set(up_post, lo_post, up_thr, lo_thr, beta, s0);
+  EXPECT_EQ(got.safe_set_size, safe.size());
+  EXPECT_FALSE(got.fell_back_to_s0);
+  EXPECT_EQ(got.index, lcb_argmin(shifted_predictions(cost_gp, 0.0), safe,
+                                  beta));
 }
 
-TEST(SafeSetTracker, IncrementalClassificationMatchesFullRescan) {
-  gp::GpRegressor g = make_tracked_gp(32, 9);
-  SafeSetTracker t;
-  t.configure(32, 1);
-  edgebol::Rng rng(21);
-  double thr = 0.0;
-  double beta = 2.0;
-  std::vector<BoundSpec> specs{{&g, true, thr, 0.0}};
-  const auto round_and_check = [&] {
-    specs[0].threshold = thr;
-    t.begin_round(specs, beta);
-    t.maintain_block(0, 32);
-    t.finish_round();
-    for (std::size_t j = 0; j < 32; ++j) {
-      const Prediction p = g.tracked_prediction(j);
-      // Stored bounds may be stale between rescans; the safe/unsafe
-      // CLASSIFICATION is what the skip rule guarantees exactly.
-      ASSERT_EQ(t.bound_data(0)[j] <= thr,
-                p.mean + beta * p.stddev() <= thr)
-          << "candidate " << j;
-    }
-  };
-  round_and_check();
-  for (int e = 0; e < 24; ++e) {
-    g.add(Vector{rng.uniform(), rng.uniform()}, rng.normal());
-    if (e % 3 == 2) g.remove_observation(0);
-    if (e % 7 == 5) thr += 0.05;       // free for the tracker
-    if (e % 11 == 9) beta = beta == 2.0 ? 0.0 : 2.0;  // forces full rescore
-    round_and_check();
-  }
-}
-
-TEST(SafeSetTracker, Validation) {
+TEST(FusedAcquisition, Validation) {
   gp::GpRegressor g = make_tracked_gp(8, 5);
-  SafeSetTracker t;
-  t.configure(8, 1);
+  FusedAcquisition acq;
+  const std::vector<std::size_t> out_of_range{8};
+  EXPECT_THROW(acq.configure(8, out_of_range), std::invalid_argument);
+  acq.configure(8, std::vector<std::size_t>{0});
   const std::vector<BoundSpec> one{{&g, true, 0.0, 0.0}};
-  const std::vector<BoundSpec> two{{&g, true, 0.0, 0.0},
-                                   {&g, false, 0.0, 0.0}};
-  EXPECT_THROW(t.begin_round(two, 2.0), std::invalid_argument);
-  EXPECT_THROW(t.begin_round(one, -1.0), std::invalid_argument);
+  const auto decide = [&](std::span<const BoundSpec> bounds, double beta) {
+    return acq.decide(AcquisitionKind::kSafeLcb, bounds, g, beta);
+  };
+  EXPECT_NO_THROW(decide(one, 2.0));
   const std::vector<BoundSpec> null_gp{{nullptr, true, 0.0, 0.0}};
-  EXPECT_THROW(t.begin_round(null_gp, 2.0), std::invalid_argument);
+  EXPECT_THROW(decide(null_gp, 2.0), std::invalid_argument);
   gp::GpRegressor small = make_tracked_gp(6, 7);
   const std::vector<BoundSpec> wrong_m{{&small, true, 0.0, 0.0}};
-  EXPECT_THROW(t.begin_round(wrong_m, 2.0), std::invalid_argument);
-  EXPECT_THROW(t.maintain_block(0, 8), std::logic_error);  // outside a round
-  t.begin_round(one, 2.0);
-  EXPECT_THROW(t.begin_round(one, 2.0), std::logic_error);  // already open
-  t.maintain_block(0, 8);
-  t.finish_round();
+  EXPECT_THROW(decide(wrong_m, 2.0), std::invalid_argument);
+  EXPECT_THROW(acq.decide(AcquisitionKind::kSafeLcb, one, small, 2.0),
+               std::invalid_argument);  // objective of the wrong size
+  EXPECT_THROW(decide(one, -1.0), std::invalid_argument);
+  EXPECT_THROW(decide(one, std::numeric_limits<double>::quiet_NaN()),
+               std::invalid_argument);
+  EXPECT_THROW(decide(one, std::numeric_limits<double>::infinity()),
+               std::invalid_argument);
+  const std::vector<BoundSpec> nine(9, BoundSpec{&g, true, 0.0, 0.0});
+  EXPECT_THROW(decide(nine, 2.0), std::invalid_argument);
+  const std::vector<BoundSpec> eight(8, BoundSpec{&g, true, 0.0, 0.0});
+  EXPECT_NO_THROW(decide(eight, 2.0));
 }
 
 }  // namespace

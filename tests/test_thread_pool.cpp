@@ -208,12 +208,6 @@ TEST(ThreadPool, DestructionWithInFlightWorkDrains) {
   EXPECT_EQ(executed.load(), 64);
 }
 
-TEST(ThreadPool, SharedPoolIsSingleton) {
-  ThreadPool& a = ThreadPool::shared();
-  ThreadPool& b = ThreadPool::shared();
-  EXPECT_EQ(&a, &b);
-}
-
 TEST(ThreadPool, ZeroAndOneSizedWork) {
   ThreadPool pool(4);
   int calls = 0;
