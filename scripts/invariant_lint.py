@@ -62,10 +62,8 @@ Rules (see DESIGN.md "Concurrency invariants & analysis tooling"):
                    "avx512f" (never "fma": contraction would fuse a
                    multiply-subtract and change the clone's bits), carries
                    `flatten` in the same attribute list (so the shared
-                   templates compile at the clone's width), and never
-                   appears in src/gp/kernel_fast_math.cpp (a wider target
-                   there swaps libmvec's exp variant, whose 2- and 4-lane
-                   versions disagree on some inputs). See src/gp/lanes.hpp.
+                   templates compile at the clone's width). See
+                   src/gp/lanes.hpp.
 
 The lexer that feeds every rule is a comment/string-aware tokenizer: raw
 strings, encoding prefixes, digit separators (1'000'000 is a number, not a
@@ -613,8 +611,7 @@ def _balanced_end(code: str, open_paren: int) -> int:
 
 
 def check_isa_targets(s: Source, errors):
-    """R10: target() clones are avx2/avx512f only, flattened, and kept out
-    of the fast-math kernel unit.
+    """R10: target() clones are avx2/avx512f only and flattened.
 
     The attribute list is the enclosing [[...]] or __attribute__((...)):
     its features are read from the raw text (they are string literals,
@@ -635,12 +632,6 @@ def check_isa_targets(s: Source, errors):
         else:
             attr_list = s.code[m.start():_balanced_end(
                 s.code, s.code.index("(", m.start()))]
-        if r == os.path.join("src", "gp", "kernel_fast_math.cpp"):
-            errors.append(
-                f"{r}:{line}: [isa] target() clone in the fast-math kernel "
-                "unit — a wider target swaps libmvec's exp variant and "
-                "the kernel's bits")
-            continue
         bad = [f for f in features if f not in ISA_TARGETS]
         if not features or bad:
             named = ", ".join(f'"{f}"' for f in bad) or "nothing"

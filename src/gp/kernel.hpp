@@ -6,19 +6,19 @@
 // provide an anisotropic RBF for ablations.
 //
 // Both are a function of one quantity, the squared scaled distance
-// s = sum_k ((z_k - z'_k) / l_k)^2, so evaluation has two halves:
-//  - The distances: one loop in the Kernel base (gp/kernel.cpp, strict
-//    IEEE) for points stored either way — row-major training inputs or
-//    feature-major candidates (linalg::FeatureMajorPoints) — with its
-//    summation order written out (see squared_distances there). Its values
-//    do not depend on the optimization level or the target ISA, nor on
-//    which clone of the candidate loop (SSE2, AVX2 or AVX-512F,
-//    gp/lanes.hpp) ran.
-//  - The elementwise s -> k(s) loop of each kernel (gp/kernel_fast_math.cpp,
-//    the one unit built with -ffast-math so GCC 12 vectorizes exp with
-//    libmvec, at -O2 as at -O3). Its bits depend on that vectorization: a
-//    vectorized run of points takes libmvec's exp, a scalar one (an
-//    unoptimized build, a chunk's odd last point) the libm exp.
+// s = sum_k ((z_k - z'_k) / l_k)^2, so evaluation has two halves, both in
+// gp/kernel.cpp (strict IEEE) and both cloned at every vector width (SSE2,
+// AVX2, AVX-512F; gp/lanes.hpp) with the same bits:
+//  - The distances: one loop for points stored either way — row-major
+//    training inputs or feature-major candidates
+//    (linalg::FeatureMajorPoints) — with its summation order written out
+//    (see squared_distances there).
+//  - The elementwise s -> k(s) loop of each kernel, whose exp is the
+//    arithmetic of glibc 2.36's two-lane libmvec exp written out per lane.
+//    A chunk's odd last point, and a lane whose exp argument is out of
+//    that exp's range (|x| > 708.396, inf, NaN), take libm's scalar exp.
+// So the values depend neither on the optimization level nor on the target
+// ISA or a sanitizer preset; the scalar exp ties them to libm's.
 
 #pragma once
 
@@ -61,8 +61,9 @@ class Kernel {
                     std::size_t j1, const Vector& z, double* out) const;
 
   /// out[i] = f(s[i]), i < n: the kernel as a function of the squared
-  /// scaled distance. Vectorized across i; for the batched evaluations'
-  /// values, call it per kChunk-point chunk as they do.
+  /// scaled distance; out must not overlap s. Vectorized across i (an odd
+  /// last point takes libm's exp); for the batched evaluations' values,
+  /// call it per kChunk-point chunk as they do.
   virtual void from_squared_distances(const double* s, std::size_t n,
                                       double* out) const = 0;
 

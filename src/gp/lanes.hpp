@@ -3,15 +3,17 @@
 //
 // f64x2 (two doubles, baseline SSE2), f64x4 (four, AVX2) and f64x8 (eight,
 // AVX-512F) are GCC vector types: every lane operation is a plain IEEE
-// multiply, add, subtract or divide of one double, so a loop written once
-// over a lane type gives the same bits at any width as long as each element
-// sees the same operations in the same order. Three loops are written that
-// way and have a clone per width: the rebuild's forward substitution and
-// the fold/evict cache pass (gp/gp_regressor.cpp), and the feature-major
-// squared distances (gp/kernel.cpp). Each wider clone is a function of its
-// unit under __attribute__((target("avx2" or "avx512f"), flatten)), so the
-// shared templates are compiled into it at that width; never "fma". The
-// avx512f target brings FMA encodings with it, so the library is built with
+// multiply, add, subtract, divide or square root of one double, or an
+// integer operation on its bits, so a loop written once over a lane type
+// gives the same bits at any width as long as each element sees the same
+// operations in the same order. Five loops are written that way and have a
+// clone per width: the rebuild's forward substitution and the fold/evict
+// cache pass (gp/gp_regressor.cpp), and the feature-major squared distances
+// and the Matérn 3/2 and RBF values with their lane exp (gp/kernel.cpp).
+// Each wider clone is a function of its unit under
+// __attribute__((target("avx2" or "avx512f"), flatten)), so the shared
+// templates are compiled into it at that width; never "fma". The avx512f
+// target brings FMA encodings with it, so the library is built with
 // -ffp-contract=off (src/CMakeLists.txt): without it GCC would contract a
 // multiply-subtract into one rounding and change the bits. Nothing in the
 // build passes -mavx2, -mavx512f or -march: inline functions compiled under
@@ -32,11 +34,12 @@
 // functions: they are compiled for the baseline target and flattened into
 // the wide clones, and the warning points at their calls of load() below.
 // The ABI it describes is never used across a call: every function or
-// lambda that takes or returns a lane vector by value (load() here and the
-// distance loop's pack()) is always_inline, so it
-// is compiled into its caller at the caller's target; the cache pass's
-// callbacks take a lane-type tag or a reference instead. So the warning is
-// ignored for the rest of the including unit, deliberately without a pop.
+// lambda that takes or returns a lane vector by value (load() here, the
+// distance loop's pack(), and the kernel loops' exp, sqrt and value
+// functors) is always_inline, so it is compiled into its caller at the
+// caller's target; the cache pass's callbacks take a lane-type tag or a
+// reference instead. So the warning is ignored for the rest of the
+// including unit, deliberately without a pop.
 #pragma GCC diagnostic ignored "-Wpsabi"
 
 namespace edgebol::linalg {
@@ -91,7 +94,7 @@ inline const char* isa_name(Isa isa) {
   return "sse2";
 }
 
-// The three cloned loops, each run at the width `isa` names (which the host
+// The five cloned loops, each run at the width `isa` names (which the host
 // must support). The engine passes host_isa(); a test calls every width on
 // the same inputs and compares the bits.
 
@@ -111,6 +114,17 @@ void feature_major_squared_distances(Isa isa, const double* x,
                                      std::size_t stride, std::size_t n,
                                      const double* z, const double* il,
                                      std::size_t d, double* s);
+
+/// out[i] = amp (1 + sqrt(3 s[i])) exp(-sqrt(3 s[i])), i < n: the Matérn 3/2
+/// kernel of amplitude amp at the squared scaled distances s (gp/kernel.cpp).
+/// Points [0, n - n % 2) take the lane exp, an odd last point libm's exp.
+/// out must not overlap s.
+void matern32_values(Isa isa, double amp, const double* s, std::size_t n,
+                     double* out);
+
+/// out[i] = amp exp(-s[i] / 2), i < n: the RBF kernel, likewise.
+void rbf_values(Isa isa, double amp, const double* s, std::size_t n,
+                double* out);
 
 /// One fold/evict pass over the tracked cache: the row-major cache `a`
 /// (m columns, `rows` rows on entry) and the tracked moments (m entries

@@ -1,15 +1,17 @@
 // Pinned bits of the tracked GP cache. Scripted sequences of adds,
 // evictions under both policies and re-tracks (rebuilds) run on
 // GpRegressor; after every step an FNV-1a digest absorbs the tracked mean
-// and variance, and the final digests must equal golden values. Two EdgeBol trajectories are pinned the same way.
+// and variance, and the final digests must equal golden values. Two EdgeBol
+// trajectories are pinned the same way.
 //
 // The other tests compare the engine with itself (across thread counts, a
 // deferred pass against an eager one, one lane width against another); this
 // one compares it with a recorded run, so a change that moves every path's
-// bits together fails here. The bits depend on libmvec's exp, which the
-// fast-math kernel unit calls only when GCC vectorizes it: the goldens hold
-// for an optimized build by GCC 12 against glibc 2.36, and the test skips,
-// saying why, anywhere else.
+// bits together fails here. The kernel's own exp is strict IEEE and the
+// same at every -O level, width and sanitizer preset, but a chunk's odd
+// last point and an out-of-range lane call libm's scalar exp: the goldens
+// hold for a GCC 12 build against glibc 2.36, and the test skips, saying
+// why, anywhere else.
 
 #include <gnu/libc-version.h>
 #include <gtest/gtest.h>
@@ -35,17 +37,13 @@ using linalg::Vector;
 
 // Empty when the goldens apply to this build, else the reason they do not.
 std::string why_not_pinned() {
-#if !defined(__OPTIMIZE__)
-  return "unoptimized build: the kernel's exp loop is not vectorized";
-#elif !defined(EDGEBOL_FAST_KERNELS)
-  return "the kernel unit is built without -ffast-math "
-         "(EDGEBOL_NO_FAST_KERNELS or a sanitizer preset)";
-#elif defined(__clang__) || __GNUC__ != 12
+#if defined(__clang__) || __GNUC__ != 12
   return "the goldens were recorded with GCC 12";
 #else
   if (std::strcmp(gnu_get_libc_version(), "2.36") != 0) {
-    return std::string("the goldens were recorded with glibc 2.36's libmvec, "
-                       "this is glibc ") +
+    return std::string("the goldens were recorded against glibc 2.36's "
+                       "scalar exp (libm), which the kernel calls for a "
+                       "chunk's odd last point; this is glibc ") +
            gnu_get_libc_version();
   }
   return "";

@@ -1,9 +1,13 @@
 #include "gp/kernel.hpp"
 
+#include <gnu/libc-version.h>
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <memory>
 #include <stdexcept>
@@ -11,7 +15,11 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "gp/lanes.hpp"
 #include "linalg/cholesky.hpp"
+
+// glibc's two-lane exp from libmvec (tests/CMakeLists.txt links it here).
+extern "C" edgebol::gp::lanes::f64x2 _ZGVbN2v_exp(edgebol::gp::lanes::f64x2);
 
 namespace edgebol::gp {
 namespace {
@@ -190,6 +198,77 @@ TEST(Kernel, BatchedEvaluationSumsInTheDocumentedOrder) {
       }
     }
   }
+}
+
+// The kernel loops' lane exp gives the installed libmvec exp's bits at
+// every width the CPU has. It is driven through the RBF loop at amplitude 1
+// with s = -2x: both scalings are exact, so each point's value is the exp
+// of x. A third of the inputs each come from [-40, 0] (the kernels' range),
+// from [-750, 750] (past the lane range on both sides) and from raw bit
+// patterns (denormals, inf, NaN).
+TEST(Kernel, LaneExpMatchesLibmvec) {
+  if (std::strcmp(gnu_get_libc_version(), "2.36") != 0) {
+    GTEST_SKIP() << "the lane exp is glibc 2.36's libmvec arithmetic; this "
+                    "is glibc "
+                 << gnu_get_libc_version();
+  }
+  __builtin_cpu_init();
+  if (!__builtin_cpu_supports("sse4.1")) {
+    GTEST_SKIP() << "without SSE4.1 libmvec runs libm's exp per lane";
+  }
+  std::vector<lanes::Isa> isas = {lanes::Isa::kSse2};
+  if (__builtin_cpu_supports("avx2")) isas.push_back(lanes::Isa::kAvx2);
+  if (__builtin_cpu_supports("avx512f")) isas.push_back(lanes::Isa::kAvx512);
+
+  constexpr std::size_t kBatch = 4096;
+  constexpr std::size_t kBatches = 2442;  // 10,002,432 inputs
+  Rng rng(41);
+  std::vector<double> x(kBatch), s(kBatch), want(kBatch), got(kBatch);
+  std::array<bool, 1024> index_hit{};
+  std::size_t mismatches = 0;
+  for (std::size_t b = 0; b < kBatches; ++b) {
+    for (std::size_t i = 0; i < kBatch; ++i) {
+      switch (i % 3) {
+        case 0:
+          x[i] = rng.uniform(-40.0, 0.0);
+          break;
+        case 1:
+          x[i] = rng.uniform(-750.0, 750.0);
+          break;
+        default: {
+          const std::uint64_t high = rng();
+          x[i] = std::bit_cast<double>(high << 32 | rng());
+        }
+      }
+      s[i] = -2.0 * x[i];
+      // libmvec's table index of an in-range x.
+      if (std::abs(x[i]) < 708.0) {
+        const double sh = x[i] * 0x1.71547652b82fep+10 + 0x1.8p+52;
+        index_hit[std::bit_cast<std::uint64_t>(sh) & 1023] = true;
+      }
+    }
+    for (std::size_t i = 0; i < kBatch; i += 2) {
+      const lanes::f64x2 e = _ZGVbN2v_exp(lanes::f64x2{x[i], x[i + 1]});
+      want[i] = e[0];
+      want[i + 1] = e[1];
+    }
+    for (const lanes::Isa isa : isas) {
+      lanes::rbf_values(isa, 1.0, s.data(), kBatch, got.data());
+      for (std::size_t i = 0; i < kBatch; ++i) {
+        if (std::bit_cast<std::uint64_t>(got[i]) !=
+            std::bit_cast<std::uint64_t>(want[i])) {
+          if (++mismatches <= 5) {
+            ADD_FAILURE() << lanes::isa_name(isa) << ": exp(" << x[i]
+                          << ") = " << got[i] << ", libmvec " << want[i];
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+  EXPECT_TRUE(std::all_of(index_hit.begin(), index_hit.end(),
+                          [](bool hit) { return hit; }))
+      << "a table entry was never used";
 }
 
 TEST(Kernel, CloneIsIndependentCopy) {

@@ -1,4 +1,4 @@
-// The GP engine's three cloned loops (gp/lanes.hpp): the AVX2 and AVX-512F
+// The GP engine's five cloned loops (gp/lanes.hpp): the AVX2 and AVX-512F
 // clones of each give the SSE2 clone's bits on the same inputs, and the
 // process runs the widest clones the CPU has.
 
@@ -7,8 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -164,6 +167,86 @@ TEST(Lanes, DistanceClonesGiveTheSameBits) {
       for (const Isa isa : wide_isas()) {
         EXPECT_TRUE(same_bits(s, run(isa))) << lanes::isa_name(isa);
       }
+    }
+  }
+}
+
+// The kernel loops' inputs: squared distances from [0, 50], with a third of
+// the points drawn from the values that take other paths: 0, denormals,
+// negative s, +inf, NaN, and s either side of each loop's lane exp bound
+// (|x| <= 708.396 for the exp argument x = -sqrt(3 s) or -s / 2).
+std::vector<double> kernel_inputs(Rng& rng, std::size_t n) {
+  const double bound =
+      std::bit_cast<double>(std::uint64_t{0x4086232affffffff});
+  const double past = std::nextafter(bound, 1e300);
+  const double root = bound / std::sqrt(3.0);
+  const double matern_bound = root * root;
+  const double specials[] = {0.0,
+                             -0.0,
+                             std::numeric_limits<double>::denorm_min(),
+                             -std::numeric_limits<double>::denorm_min(),
+                             0x1.8p-1050,
+                             -1.0,
+                             -0.5,
+                             -1500.0,
+                             std::numeric_limits<double>::infinity(),
+                             std::numeric_limits<double>::quiet_NaN(),
+                             2.0 * bound,
+                             2.0 * past,
+                             -2.0 * bound,
+                             -2.0 * past,
+                             matern_bound * (1.0 - 1e-12),
+                             matern_bound * (1.0 + 1e-12)};
+  std::vector<double> s(n);
+  for (double& v : s) {
+    v = rng.uniform_index(3) == 0
+            ? specials[rng.uniform_index(std::size(specials))]
+            : rng.uniform(0.0, 50.0);
+  }
+  return s;
+}
+
+TEST(Lanes, KernelValueClonesGiveTheSameBits) {
+  SKIP_WITHOUT_WIDE_ISAS();
+  std::vector<std::size_t> counts;  // 1-33 cover every tail at every width
+  for (std::size_t n = 1; n <= 33; ++n) counts.push_back(n);
+  for (const std::size_t n : {255, 256, 257}) counts.push_back(n);
+  using Loop = void (*)(Isa, double, const double*, std::size_t, double*);
+  const std::pair<const char*, Loop> loops[] = {
+      {"matern32", lanes::matern32_values}, {"rbf", lanes::rbf_values}};
+  Rng rng(13);
+  for (const std::size_t n : counts) {
+    for (int rep = 0; rep < 20; ++rep) {
+      const std::vector<double> s = kernel_inputs(rng, n);
+      for (const auto& [name, loop] : loops) {
+        SCOPED_TRACE(std::string(name) + " n=" + std::to_string(n));
+        const auto run = [&](Isa isa) {
+          std::vector<double> out(n, -1.0);
+          loop(isa, 0.9, s.data(), n, out.data());
+          return out;
+        };
+        const std::vector<double> out = run(Isa::kSse2);
+        for (const Isa isa : wide_isas()) {
+          EXPECT_TRUE(same_bits(out, run(isa))) << lanes::isa_name(isa);
+        }
+      }
+    }
+  }
+}
+
+// A lane whose exp argument is out of the lane exp's range takes libm's
+// exp: exp(-inf) = 0, where the lane arithmetic would give NaN.
+TEST(Lanes, OutOfRangeLanesTakeLibmExp) {
+  for (const Isa isa : {Isa::kSse2, Isa::kAvx2, Isa::kAvx512}) {
+    if (!cpu_has(isa)) continue;
+    SCOPED_TRACE(lanes::isa_name(isa));
+    for (std::size_t at = 0; at < 17; ++at) {
+      std::vector<double> s(17, 1.0), out(17);
+      s[at] = std::numeric_limits<double>::infinity();
+      lanes::rbf_values(isa, 0.9, s.data(), s.size(), out.data());
+      EXPECT_EQ(out[at], 0.0) << "at " << at;
+      EXPECT_DOUBLE_EQ(out[(at + 1) % 17], 0.9 * std::exp(-0.5))
+          << "at " << at;
     }
   }
 }
