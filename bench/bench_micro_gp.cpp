@@ -33,6 +33,10 @@
 //     phases: [{name, baseline_ms, engine_ms, speedup}],
 //     metrics: {decide_p50_ms_t1, decide_p99_ms_t1,
 //               decide_p50_ms_t8, decide_p99_ms_t8} }
+// The decide always sweeps on the calling thread; _t1 is the decide of an
+// engine without a pool and _t8 that of an engine whose surrogates hold an
+// 8-thread pool (their re-tracks and cache passes run on it, between
+// decisions).
 // isa names the clones of the rebuild's loops and the cache pass the engine
 // ran ("avx512", "avx2" or "sse2", the widest the CPU has; see
 // src/gp/lanes.hpp). The phases feed
@@ -576,8 +580,7 @@ DecideStats run_decide(std::size_t threads) {
   const auto engine_decide = [&] {
     specs[0] = core::BoundSpec{&delay_gp, /*upper=*/true, d_max, 0.0};
     specs[1] = core::BoundSpec{&map_gp, /*upper=*/false, rho_min, 0.0};
-    return acq.decide(core::AcquisitionKind::kSafeLcb, specs, cost_gp, beta,
-                      pool.get());
+    return acq.decide(core::AcquisitionKind::kSafeLcb, specs, cost_gp, beta);
   };
   const auto legacy_decide = [&] {
     std::vector<gp::Prediction> delay_post(m), map_post(m), cost_post(m);
@@ -609,8 +612,8 @@ DecideStats run_decide(std::size_t threads) {
 
   DecideStats stats;
 
-  // Untimed warmup: the first rounds first-touch the decide's masks and
-  // partials and wake the pool, neither a steady-state decision cost.
+  // Untimed warmup: the first rounds first-touch the decide's masks, not a
+  // steady-state decision cost.
   for (int w = 0; w < 2; ++w) {
     const core::FusedDecision eng = engine_decide();
     const core::FusedDecision leg = legacy_decide();

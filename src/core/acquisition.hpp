@@ -18,11 +18,9 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <limits>
 #include <span>
 #include <vector>
 
-#include "common/thread_pool.hpp"
 #include "core/safe_set.hpp"
 #include "gp/gp_regressor.hpp"
 
@@ -76,14 +74,13 @@ struct FusedDecision {
   bool fell_back_to_s0 = false;      // no candidate qualified on GP evidence
 };
 
-/// The sub-millisecond decision engine: one fused sweep per round that
-/// evaluates every candidate's constraint bounds from the tracked posterior
-/// AND runs the acquisition scan over the same candidate block while it is
-/// cache-hot, with no heap allocation past configure(). Block partials are
-/// merged serially in ascending block order with the same strict
-/// comparisons as the reference scans, so every decision — index, safe-set
-/// size, fallback flag — is bit-identical to the full-rescan path for any
-/// thread count.
+/// The sub-millisecond decision engine: one ascending sweep per round, on
+/// the calling thread, that evaluates every candidate's constraint bounds
+/// from the tracked posterior AND runs the acquisition scan on the same
+/// candidate, with no heap allocation past configure(). The scan keeps the
+/// reference scans' strict comparisons in the same index order, so every
+/// decision — index, safe-set size, fallback flag — is bit-identical to the
+/// full-rescan path.
 class FusedAcquisition {
  public:
   /// Size for m candidates with initial safe set `s0` (indices into the
@@ -94,44 +91,23 @@ class FusedAcquisition {
   /// the safe set; `objective` supplies the LCB means/variances (its
   /// prior-mean offset is NOT applied — a constant offset cannot change an
   /// argmin). Every GP must track exactly num_candidates() candidates; its
-  /// pending cache pass runs on the calling thread before the sweep.
-  /// `pool` parallelizes over kDecideBlock-aligned candidate blocks (null =
-  /// serial, bit-identical). kSafeOpt additionally needs the CSR adjacency
-  /// (offsets size m+1) for the expander test and runs a second sweep,
-  /// because expander checks read the safety mask across blocks.
+  /// pending cache pass runs before the sweep. kSafeOpt additionally needs
+  /// the CSR adjacency (offsets size m+1) for the expander test and runs a
+  /// second sweep, because expander checks read the whole safety mask.
   /// Throws std::invalid_argument on a null or mis-sized GP, too many
   /// slots, a negative or non-finite beta, or an empty eligible set (only
   /// possible with an empty S0).
   FusedDecision decide(AcquisitionKind kind, std::span<const BoundSpec> bounds,
                        const gp::GpRegressor& objective, double beta,
-                       common::ThreadPool* pool = nullptr,
                        std::span<const std::size_t> adjacency_offsets = {},
                        std::span<const std::size_t> adjacency = {});
 
   std::size_t num_candidates() const { return m_; }
 
  private:
-  // Per-block scan partials, cacheline-separated so concurrent blocks never
-  // share a line.
-  struct alignas(64) BlockPartial {
-    double best_v = std::numeric_limits<double>::infinity();  // LCB argmin
-    std::size_t best_idx = 0;
-    bool has_best = false;
-    double ucb_min = std::numeric_limits<double>::infinity();  // SafeOpt p1
-    std::size_t first_elig = 0;
-    bool has_elig = false;
-    double best_w = -1.0;  // SafeOpt p2 max width
-    std::size_t w_idx = 0;
-    bool has_w = false;
-    std::size_t qual_count = 0;
-    std::size_t safe_count = 0;
-  };
-
   std::size_t m_ = 0;
-  std::size_t n_blocks_ = 0;
   std::vector<std::uint8_t> s0_mask_;   // m_: 1 = member of S0
   std::vector<std::uint8_t> elig_mask_; // m_: 1 = safe this round (SafeOpt)
-  std::vector<BlockPartial> partials_;  // n_blocks_
 };
 
 }  // namespace edgebol::core

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 namespace edgebol::core {
 
@@ -18,41 +19,44 @@ namespace {
 // as the clip (an unclipped one would certify every starved candidate).
 constexpr double kDelayClipS = 3.0;
 
-gp::GpHyperparams resolve(const gp::GpHyperparams& given,
-                          gp::GpHyperparams fallback) {
-  if (given.lengthscales.empty()) return fallback;
-  if (given.lengthscales.size() !=
-      env::Context::kFeatureDims + env::ControlPolicy::kFeatureDims)
-    throw std::invalid_argument("EdgeBol: hyperparams must cover 7 dims");
-  return given;
+// Fills in what the config leaves to EdgeBol: empty hyperparameters take
+// the calibrated defaults, and a non-positive cost scale becomes the
+// platform's plausible maximum cost, so scaled observations land in
+// ~[0, 1] (the GP prior amplitude).
+EdgeBolConfig resolved(EdgeBolConfig cfg) {
+  constexpr std::size_t kDims =
+      env::Context::kFeatureDims + env::ControlPolicy::kFeatureDims;
+  const auto resolve = [](gp::GpHyperparams& hp, gp::GpHyperparams fallback) {
+    if (hp.lengthscales.empty()) hp = std::move(fallback);
+    if (hp.lengthscales.size() != kDims)
+      throw std::invalid_argument("EdgeBol: hyperparams must cover 7 dims");
+  };
+  resolve(cfg.cost_hp, default_cost_hyperparams());
+  resolve(cfg.delay_hp, default_delay_hyperparams());
+  resolve(cfg.map_hp, default_map_hyperparams());
+  if (!(cfg.cost_scale > 0.0))
+    cfg.cost_scale = cfg.weights.cost(/*server max*/ 190.0, /*bs max*/ 7.0);
+  return cfg;
 }
 
 // The energy formulation on the generic engine: a scaled-cost objective,
 // the upper-bounded clipped log-delay and the lower-bounded mAP.
 GenericSafeBol make_engine(const env::ControlGrid& grid,
-                           const EdgeBolConfig& cfg, double cost_scale) {
-  MetricSpec cost{"cost", resolve(cfg.cost_hp, default_cost_hyperparams())};
-  cost.scale = cost_scale;
-  MetricSpec delay{"delay",
-                   resolve(cfg.delay_hp, default_delay_hyperparams())};
+                           const EdgeBolConfig& cfg) {
+  MetricSpec cost{"cost", cfg.cost_hp};
+  cost.scale = cfg.cost_scale;
+  MetricSpec delay{"delay", cfg.delay_hp};
   delay.log_transform = true;
   delay.clip = kDelayClipS;
-  MetricSpec map{"map", resolve(cfg.map_hp, default_map_hyperparams())};
+  MetricSpec map{"map", cfg.map_hp};
 
   std::vector<std::size_t> s0 = cfg.initial_safe_set;
   if (s0.empty()) s0.push_back(grid.max_performance_index());
-  return GenericSafeBol(
-      control_features(grid), std::move(cost),
-      {std::move(delay), std::move(map)},
-      {{0, BoundKind::kUpper, cfg.constraints.d_max_s},
-       {1, BoundKind::kLower, cfg.constraints.map_min}},
-      std::move(s0),
-      {.beta_sqrt = cfg.beta_sqrt,
-       .acquisition = cfg.acquisition,
-       .gp_budget = cfg.gp_budget,
-       .gp_eviction = cfg.gp_eviction,
-       .tracking_tolerance = cfg.tracking_tolerance,
-       .num_threads = cfg.num_threads});
+  return GenericSafeBol(control_features(grid), std::move(cost),
+                        {std::move(delay), std::move(map)},
+                        {{0, BoundKind::kUpper, cfg.constraints.d_max_s},
+                         {1, BoundKind::kLower, cfg.constraints.map_min}},
+                        std::move(s0), static_cast<const SafeBolOptions&>(cfg));
 }
 
 }  // namespace
@@ -102,14 +106,8 @@ linalg::Matrix control_features(const env::ControlGrid& grid) {
 
 EdgeBol::EdgeBol(env::ControlGrid grid, EdgeBolConfig config)
     : grid_(std::move(grid)),
-      cfg_(std::move(config)),
-      // Automatic cost scale: the platform's plausible maximum cost, so
-      // scaled observations land in ~[0, 1] (the GP prior amplitude).
-      cost_scale_(cfg_.cost_scale > 0.0
-                      ? cfg_.cost_scale
-                      : cfg_.weights.cost(/*server max*/ 190.0,
-                                          /*bs max*/ 7.0)),
-      engine_(make_engine(grid_, cfg_, cost_scale_)) {}
+      cfg_(resolved(std::move(config))),
+      engine_(make_engine(grid_, cfg_)) {}
 
 bool EdgeBol::violates_constraints(const env::Measurement& m) const {
   const ResilienceConfig& r = cfg_.resilience;
@@ -198,8 +196,7 @@ Decision EdgeBol::select(const env::Context& context) {
 
   // The GP evidence qualified nothing: prefer the policy most recently seen
   // to satisfy the *active* constraints over the assumed-safe S0 corner.
-  if (dec.fell_back_to_s0 && cfg_.resilience.enabled &&
-      cfg_.resilience.fallback_to_last_safe && last_safe_index_ &&
+  if (dec.fell_back_to_s0 && cfg_.resilience.enabled && last_safe_index_ &&
       cfg_.acquisition != AcquisitionKind::kGlobalLcb &&
       *last_safe_index_ != dec.policy_index) {
     dec.policy_index = *last_safe_index_;

@@ -70,13 +70,6 @@ struct ResilienceConfig {
   static constexpr int watchdog_hold_periods = 3;
   static constexpr double delay_slack = 1.05;
   static constexpr double map_slack = 0.03;
-
-  // --- Empty-safe-set fallback ---
-  // When no candidate qualifies on GP evidence (constraints tightened at
-  // runtime, or the surrogates were starved by rejected KPIs), prefer the
-  // last policy that empirically satisfied the active constraints over the
-  // assumed-safe S0 corner.
-  static constexpr bool fallback_to_last_safe = true;
 };
 
 /// What the resilience layer did so far (all zero in a healthy run).
@@ -94,9 +87,10 @@ struct ResilienceStats {
   }
 };
 
-struct EdgeBolConfig {
-  double beta_sqrt = 2.5;  // beta^(1/2), as in the paper's evaluation
-  AcquisitionKind acquisition = AcquisitionKind::kSafeLcb;
+/// EdgeBol's settings. The engine's own (beta_sqrt, acquisition, gp_budget,
+/// gp_eviction, tracking_tolerance, num_threads) come from SafeBolOptions;
+/// the cost surrogate is the objective that picks each eviction's victim.
+struct EdgeBolConfig : SafeBolOptions {
   CostWeights weights{};
   /// The delay surrogate clips observations at 3 s (starved corners of the
   /// grid are equally, and very, unsafe above it), and the threshold goes
@@ -121,38 +115,8 @@ struct EdgeBolConfig {
   /// maximum-performance corner, per §5 (Practical Issues).
   std::vector<std::size_t> initial_safe_set{};
 
-  /// Observation budget B per GP surrogate (0 = unbounded, the paper's
-  /// setting). Once the surrogates hold more than B observations, each
-  /// update evicts one via an exact O(B^2 + B|X|) Cholesky downdate, so
-  /// steady-state per-period latency and memory are flat for unbounded
-  /// horizons. Must be 0 or at least the safe-seed size |S0|; EdgeBol's
-  /// constructor rejects smaller values.
-  std::size_t gp_budget = 0;
-
-  /// Which observation a full budget evicts. The cost surrogate arbitrates
-  /// the choice and the same index is removed from all three surrogates, so
-  /// they always condition on the same observation set (export and the
-  /// paper's shared-input assumption depend on that).
-  gp::EvictionPolicy gp_eviction = gp::EvictionPolicy::kOldest;
-
-  /// Candidate scores over the whole grid are cached per context; the cache
-  /// is rebuilt (O(T^2 |X|)) only when the normalized context features move
-  /// by more than this tolerance since the cached context. Movements below
-  /// it are kernel-negligible (shortest context length-scale ~0.8), so this
-  /// absorbs single-user CQI flutter in multi-user slices. Set to 0 to
-  /// rebuild on every context change.
-  double tracking_tolerance = 0.04;
-
   /// Degraded-mode hardening (KPI gate, watchdog, last-safe fallback).
   ResilienceConfig resilience{};
-
-  /// Worker threads for the GP posterior engine (tracked-cache rebuilds on
-  /// context switches, per-period folds, and the three surrogates' updates
-  /// run concurrently). Counts the calling thread: 1 keeps everything on
-  /// the calling thread; 0 is rejected at construction. The decision
-  /// trajectory is bit-identical for any value — the parallel partitioning
-  /// never depends on the thread count (see common::ThreadPool).
-  std::size_t num_threads = 1;
 };
 
 /// One conditioning row of the three surrogates in PORTABLE units: the joint
@@ -227,7 +191,10 @@ class EdgeBol {
 
   const env::ControlGrid& grid() const { return grid_; }
   std::size_t num_observations() const { return engine_.num_observations(); }
-  double cost_scale() const { return cost_scale_; }
+  /// The configuration in force, resolved at construction: the three
+  /// hyperparameter sets and the cost scale hold the values in use, never
+  /// the "pick a default" empties and zero.
+  const EdgeBolConfig& config() const { return cfg_; }
 
  private:
   void observe(const env::Context& context, std::size_t policy_index,
@@ -238,7 +205,6 @@ class EdgeBol {
 
   env::ControlGrid grid_;
   EdgeBolConfig cfg_;
-  double cost_scale_ = 1.0;
   // Objective: scaled cost; metrics: [delay, mAP]; constraints: [delay
   // upper, mAP lower].
   GenericSafeBol engine_;

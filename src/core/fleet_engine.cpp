@@ -31,11 +31,6 @@ constexpr std::size_t kTransferMaxObs = 24;
 // boundaries (higher = adapt faster, noisier).
 constexpr double kLoadEma = 0.2;
 
-gp::GpHyperparams resolved_or(const gp::GpHyperparams& given,
-                              gp::GpHyperparams fallback) {
-  return given.lengthscales.empty() ? std::move(fallback) : given;
-}
-
 }  // namespace
 
 FleetEngine::FleetEngine(env::ControlGrid grid, FleetEngineConfig config)
@@ -47,22 +42,14 @@ FleetEngine::FleetEngine(env::ControlGrid grid, FleetEngineConfig config)
     pool_ = std::make_shared<common::ThreadPool>(cfg_.num_threads);
 }
 
-std::size_t FleetEngine::add_cell_resolved(EdgeBolConfig config) {
+std::size_t FleetEngine::add_cell() { return add_cell(cfg_.cell); }
+
+std::size_t FleetEngine::add_cell(EdgeBolConfig config) {
   // Fleet parallelism is across cells; a per-cell pool would oversubscribe
   // the machine and buy nothing (each agent's work is serial per batch).
   config.num_threads = 1;
-  cells_.emplace_back(EdgeBol(grid_, config));
-  CellState& cs = cells_.back();
-  cs.cost_hp = resolved_or(config.cost_hp, default_cost_hyperparams());
-  cs.delay_hp = resolved_or(config.delay_hp, default_delay_hyperparams());
-  cs.map_hp = resolved_or(config.map_hp, default_map_hyperparams());
+  cells_.emplace_back(EdgeBol(grid_, std::move(config)));
   return cells_.size() - 1;
-}
-
-std::size_t FleetEngine::add_cell() { return add_cell_resolved(cfg_.cell); }
-
-std::size_t FleetEngine::add_cell(EdgeBolConfig config) {
-  return add_cell_resolved(std::move(config));
 }
 
 std::size_t FleetEngine::add_cell_warm(const env::Context& expected) {
@@ -100,15 +87,15 @@ std::size_t FleetEngine::add_cell_warm(const env::Context& expected) {
   // Inverse-distance blend of the donors' resolved kernel hyperparameters,
   // per surrogate. Family and vector layout come from the nearest donor;
   // all cells share the 7-dim normalized joint space, so layouts agree.
-  const auto blend = [&](gp::GpHyperparams CellState::* member) {
-    gp::GpHyperparams out = cells_[donors_[0]].*member;
+  const auto blend = [&](gp::GpHyperparams EdgeBolConfig::* member) {
+    gp::GpHyperparams out = cells_[donors_[0]].agent.config().*member;
     const std::size_t dims = out.lengthscales.size();
     std::fill(out.lengthscales.begin(), out.lengthscales.end(), 0.0);
     out.amplitude = 0.0;
     out.noise_variance = 0.0;
     double wsum = 0.0;
     for (std::size_t k = 0; k < donors_.size(); ++k) {
-      const gp::GpHyperparams& hp = cells_[donors_[k]].*member;
+      const gp::GpHyperparams& hp = cells_[donors_[k]].agent.config().*member;
       if (hp.lengthscales.size() != dims) continue;  // defensive: skip misfit
       const double w = 1.0 / (donor_dist_[k] + kDistEps);
       wsum += w;
@@ -124,10 +111,10 @@ std::size_t FleetEngine::add_cell_warm(const env::Context& expected) {
   };
 
   EdgeBolConfig config = cfg_.cell;
-  config.cost_hp = blend(&CellState::cost_hp);
-  config.delay_hp = blend(&CellState::delay_hp);
-  config.map_hp = blend(&CellState::map_hp);
-  const std::size_t id = add_cell_resolved(std::move(config));
+  config.cost_hp = blend(&EdgeBolConfig::cost_hp);
+  config.delay_hp = blend(&EdgeBolConfig::delay_hp);
+  config.map_hp = blend(&EdgeBolConfig::map_hp);
+  const std::size_t id = add_cell(std::move(config));
 
   // Import donor evidence farthest-first: rows append in order, so under a
   // full gp_budget (kOldest eviction) the NEAREST donor's rows survive

@@ -34,7 +34,6 @@
 #include "common/thread_pool.hpp"
 #include "core/edgebol.hpp"
 #include "env/control_grid.hpp"
-#include "gp/hyperopt.hpp"
 
 namespace edgebol::core {
 
@@ -111,12 +110,6 @@ class FleetEngine {
     return donors_;
   }
 
-  /// Resolved kernel hyperparameters of a cell's cost surrogate (what
-  /// transfer blends); for tests and diagnostics.
-  const gp::GpHyperparams& cell_cost_hyperparams(std::size_t id) const {
-    return cells_.at(id).cost_hp;
-  }
-
   /// The shared dispatch pool (nullptr when num_threads == 1) — reusable for
   /// per-cell environment stepping between decide and update.
   common::ThreadPool* pool() { return pool_.get(); }
@@ -126,9 +119,7 @@ class FleetEngine {
 
  private:
   struct CellState {
-    EdgeBol agent;
-    // Resolved per-surrogate hyperparameters (transfer blends these).
-    gp::GpHyperparams cost_hp, delay_hp, map_hp;
+    EdgeBol agent;  // its config() holds the hyperparameters transfer blends
     // Context signature: running mean of observed context features.
     double ctx_sum[env::Context::kFeatureDims] = {0.0, 0.0, 0.0};
     std::size_t ctx_count = 0;
@@ -137,7 +128,6 @@ class FleetEngine {
     explicit CellState(EdgeBol a) : agent(std::move(a)) {}
   };
 
-  std::size_t add_cell_resolved(EdgeBolConfig config);
   // Greedy EMA-weighted prefix partition of [0, n) into contiguous parts;
   // fills part_begin_[0..parts] and returns the part count.
   std::size_t plan_parts(std::span<const std::size_t> due);

@@ -169,8 +169,7 @@ GenericDecision GenericSafeBol::select(
                                 spec.transform(c.threshold), spec.prior_mean};
   }
   return acquisition_.decide(opts_.acquisition, bound_specs_, gps_[0],
-                             opts_.beta_sqrt, pool_.get(), adjacency_offsets,
-                             adjacency);
+                             opts_.beta_sqrt, adjacency_offsets, adjacency);
 }
 
 void GenericSafeBol::enforce_budget() {

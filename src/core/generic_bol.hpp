@@ -90,7 +90,8 @@ struct SafeBolOptions {
   /// condition on the same observation set.
   gp::EvictionPolicy gp_eviction = gp::EvictionPolicy::kOldest;
   /// The per-candidate caches are rebuilt (O(T^2 |X|)) only when the
-  /// context moves by more than this in any feature since the cached one.
+  /// context moves by more than this in any feature since the cached one
+  /// (0 rebuilds on every context change).
   double tracking_tolerance = 0.04;
   /// Threads for cache rebuilds, folds and the surrogates' concurrent
   /// updates, counting the caller (1 = serial; 0 is rejected). Decisions

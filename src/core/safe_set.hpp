@@ -38,12 +38,6 @@ std::vector<std::size_t> compute_safe_set(
     const std::vector<gp::Prediction>& map_posterior, double d_max,
     double map_min, double beta, const std::vector<std::size_t>& s0);
 
-/// Candidate-block width of the decision sweep (FusedAcquisition::decide).
-/// Fixed (never a function of the thread count) so the parallel partition —
-/// and every per-candidate decision — is identical for any pool size; 2048
-/// splits the 11^4 grid into 8 blocks.
-inline constexpr std::size_t kDecideBlock = 2048;
-
 /// One confidence-bound constraint over a GP's tracked candidates:
 ///   upper:  (tracked_mean + offset) + beta * tracked_stddev <= threshold
 ///   lower:  (tracked_mean + offset) - beta * tracked_stddev >= threshold

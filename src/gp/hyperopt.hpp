@@ -45,12 +45,13 @@ struct GpHyperparams {
 struct HyperoptOptions {
   int num_random_starts = 64;  // log-uniform random probes
   int refine_rounds = 4;       // coordinate-descent sweeps on the best probe
-  double lengthscale_min = 0.02;
-  double lengthscale_max = 20.0;
-  double amplitude_min = 0.05;
-  double amplitude_max = 10.0;
-  double noise_min = 1e-5;
-  double noise_max = 1.0;
+  // The search box: probes draw, and refinement clamps, inside it.
+  static constexpr double lengthscale_min = 0.02;
+  static constexpr double lengthscale_max = 20.0;
+  static constexpr double amplitude_min = 0.05;
+  static constexpr double amplitude_max = 10.0;
+  static constexpr double noise_min = 1e-5;
+  static constexpr double noise_max = 1.0;
 
   /// When set, LML probes are evaluated concurrently on this pool. The
   /// result is bit-identical to pool == nullptr (see the header comment).

@@ -10,8 +10,14 @@ namespace {
 // High-water mark on staged-but-unwritten wire bytes: past this, frames stay
 // in the bounded per-stream queues and backpressure reaches the senders
 // instead of ballooning the staged queue. (One oversize frame may overshoot
-// by up to max_frame_bytes; the bound is on when staging stops, not a cap.)
+// by up to kDefaultMaxFrameBytes; the bound is on when staging stops, not a
+// cap.)
 constexpr std::size_t kWireHighWater = 64u * 1024u;
+
+// Client redial backoff: the first retry waits kReconnectBaseMs, each
+// further failed attempt doubles the wait, up to kReconnectMaxMs.
+constexpr int kReconnectBaseMs = 10;
+constexpr int kReconnectMaxMs = 2000;
 
 // Most iovec entries per writev: enough to coalesce hundreds of frames per
 // syscall while staying far under IOV_MAX (1024 on Linux).
@@ -70,7 +76,7 @@ MuxEndpoint::MuxEndpoint(EventLoop* loop, MuxEndpointConfig cfg,
       is_server_(is_server),
       host_(std::move(host)),
       bound_port_(port),
-      decoder_(cfg_.max_frame_bytes) {
+      decoder_(kDefaultMaxFrameBytes) {
   iov_.resize(kMaxWriteIovecs);
   if (cfg_.chaos.any()) {
     chaos_ = std::make_unique<ChaosShim>(cfg_.chaos, cfg_.chaos_seed);
@@ -130,7 +136,7 @@ MuxTransport* MuxEndpoint::open_stream(std::uint64_t id, MuxStreamConfig cfg) {
 SendResult MuxEndpoint::stream_send(MuxTransport* s, const std::string& frame) {
   common::MutexLock lock(mu_);
   if (closed_) return SendResult::kClosed;
-  if (frame.size() > cfg_.max_frame_bytes) {
+  if (frame.size() > kDefaultMaxFrameBytes) {
     ++s->stats_.send_rejected;
     ++stats_.link.send_rejected;
     return SendResult::kRejected;
@@ -301,9 +307,8 @@ void MuxEndpoint::on_connect_writable() {
 
 void MuxEndpoint::schedule_reconnect() {
   loop_->assert_on_loop_thread();  // affinity: loop
-  backoff_ms_ = backoff_ms_ == 0
-                    ? cfg_.reconnect_base_ms
-                    : std::min(backoff_ms_ * 2, cfg_.reconnect_max_ms);
+  backoff_ms_ = backoff_ms_ == 0 ? kReconnectBaseMs
+                                 : std::min(backoff_ms_ * 2, kReconnectMaxMs);
   {
     common::LockGuard lock(mu_);
     if (closed_) return;

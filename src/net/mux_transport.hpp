@@ -79,14 +79,12 @@ struct MuxStreamConfig {
   std::size_t max_recv_queue = 1024;
 };
 
-/// Connection-level knobs: supervision timing, frame cap, wakeup, chaos.
+/// Connection-level knobs: supervision timing, wakeup, chaos. A frame's
+/// payload is capped at kDefaultMaxFrameBytes both ways.
 struct MuxEndpointConfig {
   std::string name = "mux";
   int heartbeat_ms = 200;
   int peer_timeout_ms = 1000;
-  int reconnect_base_ms = 10;   // doubles per failed attempt ...
-  int reconnect_max_ms = 2000;  // ... up to this cap
-  std::size_t max_frame_bytes = kDefaultMaxFrameBytes;
   /// Optional shared wakeup; notified on frame arrival and link changes.
   ReadySignal* ready = nullptr;
   /// Seeded chaos applied to the whole connection's send side (heartbeats

@@ -1,8 +1,11 @@
 // Decision-path identity: the fused decide (FusedAcquisition) must make
 // bit-identical decisions to the reference full rescan — across event
 // sequences (adds, evictions, re-tracks, threshold and beta changes,
-// all-unsafe regimes), all three acquisition kinds, and thread-pool sizes — and so must the one safe-BO engine built on it
-// (GenericSafeBol), checked period by period against shadow surrogates.
+// all-unsafe regimes), all three acquisition kinds, and the pool sizes of
+// the surrogates that feed it — and so must the one safe-BO engine built on
+// it (GenericSafeBol), checked period by period against shadow surrogates.
+// The grids span several of the GP's 512-column blocks, so a pool really
+// splits the cache passes and rebuilds behind each decision.
 
 #include <gtest/gtest.h>
 
@@ -105,13 +108,14 @@ struct DecisionRecord {
   bool operator==(const DecisionRecord&) const = default;
 };
 
-// Drives one pool size through an event schedule (adds, evictions,
-// re-tracks, threshold moves, beta toggles, an all-unsafe window), checking
-// fused == reference for every kind at every step, and returns the decision
-// log for the cross-pool comparison.
-std::vector<DecisionRecord> run_battery(std::size_t threads) {
+// Drives one pool size through `events` steps of an event schedule (adds,
+// evictions, re-tracks, threshold moves, beta toggles, an all-unsafe window)
+// on a levels^4 grid, checking fused == reference for every kind at every
+// step, and returns the decision log for the cross-pool comparison.
+std::vector<DecisionRecord> run_battery(std::size_t threads,
+                                        std::size_t levels, int events) {
   env::GridSpec spec;
-  spec.levels_per_dim = 4;  // 256 candidates keeps the battery quick
+  spec.levels_per_dim = levels;
   env::ControlGrid grid(spec);
   const env::Context ctx{};
   const auto cand_mat = std::make_shared<const linalg::FeatureMajorPoints>(
@@ -154,7 +158,9 @@ std::vector<DecisionRecord> run_battery(std::size_t threads) {
 
   std::vector<DecisionRecord> log;
   const double d_max_home = d_max;
-  for (int e = 0; e < 40; ++e) {
+  const int unsafe_from = events / 2;
+  const int unsafe_to = unsafe_from + events / 8;
+  for (int e = 0; e < events; ++e) {
     for (gp::GpRegressor* g : gps) g->add(draw_input(rng), rng.normal());
     if (e % 4 == 3) {
       for (gp::GpRegressor* g : gps) g->remove_observation(0);
@@ -164,15 +170,15 @@ std::vector<DecisionRecord> run_battery(std::size_t threads) {
     }
     if (e % 9 == 5) d_max += (e % 2 == 0 ? 1.0 : -1.0) * 0.02;
     if (e % 17 == 11) beta = beta == 2.5 ? 1.0 : 2.5;
-    if (e == 20) d_max = -1e6;  // nothing qualifies: S0-fallback regime
-    if (e == 25) d_max = d_max_home;
+    if (e == unsafe_from) d_max = -1e6;  // nothing qualifies: S0 fallback
+    if (e == unsafe_to) d_max = d_max_home;
 
     for (const AcquisitionKind kind : kinds) {
       specs[0] = BoundSpec{&delay_gp, /*upper=*/true, d_max, 0.0};
       specs[1] = BoundSpec{&map_gp, /*upper=*/false, rho_min, 0.0};
       const FusedDecision got =
-          acq.decide(kind, specs, cost_gp, beta, pool.get(),
-                     grid.adjacency_offsets(), grid.adjacency());
+          acq.decide(kind, specs, cost_gp, beta, grid.adjacency_offsets(),
+                     grid.adjacency());
       const FusedDecision want =
           reference_decide(kind, delay_gp, map_gp, cost_gp, d_max, rho_min,
                            beta, s0, grid);
@@ -194,11 +200,19 @@ std::vector<DecisionRecord> run_battery(std::size_t threads) {
 }
 
 TEST(Decide, FusedMatchesLegacyAcrossEventsAndPools) {
-  const std::vector<DecisionRecord> serial = run_battery(1);
-  const std::vector<DecisionRecord> two = run_battery(2);
-  const std::vector<DecisionRecord> eight = run_battery(8);
+  // 6^4 = 1,296 candidates: three column blocks.
+  const std::vector<DecisionRecord> serial = run_battery(1, 6, 40);
+  const std::vector<DecisionRecord> two = run_battery(2, 6, 40);
+  const std::vector<DecisionRecord> eight = run_battery(8, 6, 40);
   EXPECT_EQ(serial, two);
   EXPECT_EQ(serial, eight);
+}
+
+TEST(Decide, FusedMatchesLegacyOnTheFullGrid) {
+  // The paper's 11^4 = 14,641 candidates (29 column blocks), a shorter
+  // schedule that still evicts, re-tracks, moves the threshold, toggles
+  // beta and visits the all-unsafe window.
+  run_battery(8, 11, 24);
 }
 
 // ---------------------------------------------------------------------------
@@ -211,7 +225,7 @@ TEST(Decide, FusedMatchesLegacyAcrossEventsAndPools) {
 std::vector<DecisionRecord> run_engine(AcquisitionKind kind,
                                        std::size_t threads) {
   env::GridSpec spec;
-  spec.levels_per_dim = 4;
+  spec.levels_per_dim = 6;
   const env::ControlGrid grid(spec);
 
   // Every transform the engine supports: a scaled objective with a nonzero

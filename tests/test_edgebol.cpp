@@ -172,11 +172,11 @@ TEST(EdgeBol, CostScaleAutoTracksWeights) {
   EdgeBolConfig cheap, pricey;
   cheap.weights = {1.0, 1.0};
   pricey.weights = {1.0, 64.0};
-  EXPECT_GT(EdgeBol(small_grid(), pricey).cost_scale(),
-            EdgeBol(small_grid(), cheap).cost_scale());
+  EXPECT_GT(EdgeBol(small_grid(), pricey).config().cost_scale,
+            EdgeBol(small_grid(), cheap).config().cost_scale);
   EdgeBolConfig fixed;
   fixed.cost_scale = 123.0;
-  EXPECT_DOUBLE_EQ(EdgeBol(small_grid(), fixed).cost_scale(), 123.0);
+  EXPECT_DOUBLE_EQ(EdgeBol(small_grid(), fixed).config().cost_scale, 123.0);
 }
 
 TEST(EdgeBol, RunsWithRbfSurrogates) {

@@ -314,10 +314,10 @@ TEST(FleetEngine, WarmStartConsultsNearestDonorsAndBlendsHyperparams) {
   EXPECT_GT(engine.cell(id).num_observations(), 0u);  // evidence imported
   double lo = 1e300, hi = -1e300;
   for (const std::size_t d : donors) {
-    lo = std::min(lo, engine.cell_cost_hyperparams(d).amplitude);
-    hi = std::max(hi, engine.cell_cost_hyperparams(d).amplitude);
+    lo = std::min(lo, engine.cell(d).config().cost_hp.amplitude);
+    hi = std::max(hi, engine.cell(d).config().cost_hp.amplitude);
   }
-  const double blended = engine.cell_cost_hyperparams(id).amplitude;
+  const double blended = engine.cell(id).config().cost_hp.amplitude;
   EXPECT_GE(blended, lo);
   EXPECT_LE(blended, hi);
 }
