@@ -31,6 +31,12 @@ constexpr std::size_t kTransferMaxObs = 24;
 // boundaries (higher = adapt faster, noisier).
 constexpr double kLoadEma = 0.2;
 
+using Clock = std::chrono::steady_clock;
+
+double ms_since(Clock::time_point t0) {
+  return std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
+}
+
 }  // namespace
 
 FleetEngine::FleetEngine(env::ControlGrid grid, FleetEngineConfig config)
@@ -155,17 +161,17 @@ std::size_t FleetEngine::plan_parts(std::span<const std::size_t> due) {
   return parts;
 }
 
-void FleetEngine::decide_batch(std::span<const std::size_t> due,
-                               std::span<const env::Context> contexts,
-                               std::span<Decision> out) {
+template <class Work, class After>
+void FleetEngine::dispatch(std::span<const std::size_t> due, bool timed,
+                           const Work& work, const After& after) {
   const std::size_t n = due.size();
-  if (contexts.size() != n || out.size() != n)
-    throw std::invalid_argument("FleetEngine::decide_batch: size mismatch");
-  last_batch_size_ = n;
-  last_decide_wall_ms_ = 0.0;
+  if (timed) {
+    last_batch_size_ = n;
+    last_decide_wall_ms_ = 0.0;
+    if (decide_ms_.size() < n) decide_ms_.resize(n);
+  }
   if (n == 0) return;
-  if (decide_ms_.size() < n) decide_ms_.resize(n);
-  const auto batch_t0 = std::chrono::steady_clock::now();
+  const auto batch_t0 = Clock::now();
 
   const bool batched = pool_ != nullptr && n > 1;
   std::size_t parts = 1;
@@ -181,34 +187,55 @@ void FleetEngine::decide_batch(std::span<const std::size_t> due,
   const auto run = [&](std::size_t p0, std::size_t p1) {
     for (std::size_t p = p0; p < p1; ++p) {
       for (std::size_t i = part_begin_[p]; i < part_begin_[p + 1]; ++i) {
-        const auto t0 = std::chrono::steady_clock::now();
-        out[i] = cells_[due[i]].agent.select(contexts[i]);
-        decide_ms_[i] = std::chrono::duration<double, std::milli>(
-                            std::chrono::steady_clock::now() - t0)
-                            .count();
+        const auto t0 = Clock::now();
+        work(i);
+        if (timed) decide_ms_[i] = ms_since(t0);
+        after(i);
       }
     }
   };
   if (batched) {
     // sync: parts index disjoint contiguous ranges of `due` (ids unique per
     // batch), so each block touches only its own cells' agents and writes
-    // only its own out[i]/decide_ms_[i] slots; parallel_for joins before the
-    // serial EMA fold below reads decide_ms_.
+    // only its own per-index slots (out[i], decide_ms_[i], whatever after(i)
+    // owns); parallel_for joins before the serial EMA fold below reads
+    // decide_ms_.
     pool_->parallel_for(parts, /*grain=*/1, run);
   } else {
     run(0, parts);
   }
   // hot: end
 
+  if (!timed) return;
   for (std::size_t i = 0; i < n; ++i) {
     CellState& cs = cells_[due[i]];
     cs.ema_ms = cs.ema_ms == 0.0
                     ? decide_ms_[i]
                     : (1.0 - kLoadEma) * cs.ema_ms + kLoadEma * decide_ms_[i];
   }
-  last_decide_wall_ms_ = std::chrono::duration<double, std::milli>(
-                             std::chrono::steady_clock::now() - batch_t0)
-                             .count();
+  last_decide_wall_ms_ = ms_since(batch_t0);
+}
+
+void FleetEngine::fold_signature(std::size_t id, const env::Context& ctx) {
+  // Running mean of observed context features, the transfer neighbourhood
+  // metric. to_features() allocates, so callers fold after the dispatch.
+  CellState& cs = cells_[id];
+  const linalg::Vector f = ctx.to_features();
+  for (std::size_t k = 0; k < env::Context::kFeatureDims; ++k)
+    cs.ctx_sum[k] += f[k];
+  ++cs.ctx_count;
+}
+
+void FleetEngine::decide_batch(std::span<const std::size_t> due,
+                               std::span<const env::Context> contexts,
+                               std::span<Decision> out) {
+  const std::size_t n = due.size();
+  if (contexts.size() != n || out.size() != n)
+    throw std::invalid_argument("FleetEngine::decide_batch: size mismatch");
+  dispatch(
+      due, /*timed=*/true,
+      [&](std::size_t i) { out[i] = cells_[due[i]].agent.select(contexts[i]); },
+      [](std::size_t) {});
 }
 
 void FleetEngine::update_batch(std::span<const std::size_t> due,
@@ -219,52 +246,35 @@ void FleetEngine::update_batch(std::span<const std::size_t> due,
   if (contexts.size() != n || decisions.size() != n ||
       measurements.size() != n)
     throw std::invalid_argument("FleetEngine::update_batch: size mismatch");
-  last_update_wall_ms_ = 0.0;
-  if (n == 0) return;
-  const auto batch_t0 = std::chrono::steady_clock::now();
-
-  const bool batched = pool_ != nullptr && n > 1;
-  std::size_t parts = 1;
-  if (batched) {
-    parts = plan_parts(due);
-  } else {
-    if (part_begin_.size() < 2) part_begin_.resize(2);
-    part_begin_[0] = 0;
-    part_begin_[1] = n;
-  }
-
-  // hot: dispatch
-  const auto run = [&](std::size_t p0, std::size_t p1) {
-    for (std::size_t p = p0; p < p1; ++p) {
-      for (std::size_t i = part_begin_[p]; i < part_begin_[p + 1]; ++i) {
+  dispatch(
+      due, /*timed=*/false,
+      [&](std::size_t i) {
         cells_[due[i]].agent.update(contexts[i], decisions[i].policy_index,
                                     measurements[i]);
-      }
-    }
-  };
-  if (batched) {
-    // sync: parts index disjoint contiguous ranges of `due` (ids unique per
-    // batch), so each block conditions only its own cells' surrogates;
-    // parallel_for joins before the serial signature fold below.
-    pool_->parallel_for(parts, /*grain=*/1, run);
-  } else {
-    run(0, parts);
-  }
-  // hot: end
+      },
+      [](std::size_t) {});
+  for (std::size_t i = 0; i < n; ++i) fold_signature(due[i], contexts[i]);
+}
 
-  // Context signature: running mean of observed context features, the
-  // transfer neighbourhood metric. to_features() allocates, so this stays
-  // out of the dispatch loop.
+void FleetEngine::serve_batch(
+    std::span<const std::size_t> due, std::span<const env::Context> contexts,
+    std::span<const CellFeedback> feedback, std::span<Decision> out,
+    const std::function<void(std::size_t)>& on_decided) {
+  const std::size_t n = due.size();
+  if (contexts.size() != n || feedback.size() != n || out.size() != n)
+    throw std::invalid_argument("FleetEngine::serve_batch: size mismatch");
+  dispatch(
+      due, /*timed=*/true,
+      [&](std::size_t i) {
+        EdgeBol& agent = cells_[due[i]].agent;
+        const CellFeedback& fb = feedback[i];
+        if (fb.present) agent.update(fb.ctx, fb.policy_index, fb.meas);
+        out[i] = agent.select(contexts[i]);
+      },
+      on_decided);
   for (std::size_t i = 0; i < n; ++i) {
-    CellState& cs = cells_[due[i]];
-    const linalg::Vector f = contexts[i].to_features();
-    for (std::size_t k = 0; k < env::Context::kFeatureDims; ++k)
-      cs.ctx_sum[k] += f[k];
-    ++cs.ctx_count;
+    if (feedback[i].present) fold_signature(due[i], feedback[i].ctx);
   }
-  last_update_wall_ms_ = std::chrono::duration<double, std::milli>(
-                             std::chrono::steady_clock::now() - batch_t0)
-                             .count();
 }
 
 }  // namespace edgebol::core

@@ -9,12 +9,21 @@
 // neighbouring cells' working sets (cache locality) and, because boundaries
 // are placed by a greedy prefix walk over each cell's EMA-smoothed measured
 // decision cost, the ranges carry near-equal expected load (load balance).
-// Each block runs its cells' FusedAcquisition decision paths serially.
+// Each block runs its cells serially. decide_batch, update_batch and
+// serve_batch all go through that one dispatch loop.
+//
+// Streaming. serve_batch fuses one period of a cell into one pass on the
+// pool: update (the previous period's feedback), select, then the caller's
+// on_decided(i), on the thread that decided the cell. The fleet plane
+// (oran/fleet_plane.hpp) sends each cell's policy from that callback, so a
+// policy leaves as soon as its own cell is decided, not after the batch's
+// last cell.
 //
 // Determinism. Cells share no mutable state, so each cell's decision and
 // update sequence is bit-identical to looping the cells serially — for any
-// thread count, any shard count, and any (timing-dependent) partition. An
-// engine with num_threads = 1 has no pool and runs the plain serial loop.
+// thread count, any shard count, and any (timing-dependent) partition, and
+// whether a period runs as update_batch + decide_batch or as serve_batch.
+// An engine with num_threads = 1 has no pool and runs the plain serial loop.
 //
 // Transfer. A cell joining mid-run (add_cell_warm) warm-starts from the K
 // nearest established cells by context signature (mean observed context
@@ -28,6 +37,7 @@
 
 #include <cstddef>
 #include <deque>
+#include <functional>
 #include <span>
 #include <vector>
 
@@ -48,6 +58,16 @@ struct FleetEngineConfig {
   std::size_t transfer_min_obs = 8;
   /// Per-cell learner template. num_threads inside is forced to 1.
   EdgeBolConfig cell{};
+};
+
+/// One due cell's previous-period feedback for serve_batch: the context it
+/// decided in, the arm it applied and what it measured. `present` is false
+/// on a cell's first period, when there is nothing to condition on.
+struct CellFeedback {
+  bool present = false;
+  env::Context ctx{};
+  std::size_t policy_index = 0;
+  env::Measurement meas{};
 };
 
 class FleetEngine {
@@ -87,17 +107,39 @@ class FleetEngine {
                     std::span<const Decision> decisions,
                     std::span<const env::Measurement> measurements);
 
-  /// Per-cell select() wall time of the LAST decide_batch, in ms, aligned
-  /// with that batch's `due` span. Valid until the next decide_batch.
+  /// Fused serving dispatch, one pass per cell: cell(due[i]) conditions on
+  /// feedback[i] when present (as update_batch would, context signature
+  /// included), then out[i] = select(contexts[i]), then on_decided(i) runs
+  /// on the same thread before that thread takes its next cell.
+  /// Bit-identical to update_batch followed by decide_batch; same span
+  /// contract as decide_batch.
+  ///
+  /// Threading: on a pooled engine on_decided runs on pool workers and on
+  /// the calling thread, concurrently for different i. It must touch only
+  /// state owned by index i, and it runs with no engine or pool lock held.
+  /// Errors: the first exception thrown by any cell's update, select or
+  /// on_decided is rethrown after every dispatch block has finished. The
+  /// cells served before it keep their effects (their on_decided calls
+  /// stay made); the rest of the thrower's block is not run, and the batch
+  /// folds no load estimate and no context signature.
+  void serve_batch(std::span<const std::size_t> due,
+                   std::span<const env::Context> contexts,
+                   std::span<const CellFeedback> feedback,
+                   std::span<Decision> out,
+                   const std::function<void(std::size_t)>& on_decided);
+
+  /// Per-cell wall time in ms of the LAST decide_batch (select()) or
+  /// serve_batch (update() + select(), on_decided excluded), aligned with
+  /// that batch's `due` span. update_batch leaves it alone. Valid until the
+  /// next decide_batch or serve_batch.
   std::span<const double> last_decide_ms() const {
     return {decide_ms_.data(), last_batch_size_};
   }
 
-  /// Whole-batch wall time of the last decide_batch / update_batch (ms),
-  /// dispatch included — the engine-side term of the fleet plane's
-  /// transport-vs-decide split (tools/bench_transport, tools/load_ric).
+  /// Whole-batch wall time in ms of the last decide_batch or serve_batch,
+  /// dispatch (and serve_batch's on_decided calls) included: the engine-side
+  /// term of the fleet plane's transport-vs-decide split.
   double last_decide_wall_ms() const { return last_decide_wall_ms_; }
-  double last_update_wall_ms() const { return last_update_wall_ms_; }
 
   /// EMA-smoothed decision cost of one cell (ms) — the shard-balance weight.
   double load_estimate_ms(std::size_t id) const {
@@ -123,7 +165,8 @@ class FleetEngine {
     // Context signature: running mean of observed context features.
     double ctx_sum[env::Context::kFeatureDims] = {0.0, 0.0, 0.0};
     std::size_t ctx_count = 0;
-    // EMA of measured select() wall time (ms); shard-balance weight.
+    // EMA of the cell's measured dispatch time (ms: select(), or update() +
+    // select() under serve_batch); shard-balance weight.
     double ema_ms = 0.0;
     explicit CellState(EdgeBol a) : agent(std::move(a)) {}
   };
@@ -131,6 +174,18 @@ class FleetEngine {
   // Greedy EMA-weighted prefix partition of [0, n) into contiguous parts;
   // fills part_begin_[0..parts] and returns the part count.
   std::size_t plan_parts(std::span<const std::size_t> due);
+
+  // The one dispatch loop behind decide_batch, update_batch and
+  // serve_batch (defined in fleet_engine.cpp, its only user): partitions
+  // `due`, runs work(i) then after(i) for every index i on the pool and,
+  // when `timed`, records work(i)'s wall time in decide_ms_[i], folds it
+  // into the cell's load estimate and sets the last_decide_* accessors.
+  template <class Work, class After>
+  void dispatch(std::span<const std::size_t> due, bool timed,
+                const Work& work, const After& after);
+
+  // Folds one observed context into a cell's context signature.
+  void fold_signature(std::size_t id, const env::Context& ctx);
 
   env::ControlGrid grid_;
   FleetEngineConfig cfg_;
@@ -144,7 +199,6 @@ class FleetEngine {
   std::vector<double> decide_ms_;
   std::size_t last_batch_size_ = 0;
   double last_decide_wall_ms_ = 0.0;
-  double last_update_wall_ms_ = 0.0;
   std::vector<std::size_t> donors_;
   std::vector<double> donor_dist_;
 };

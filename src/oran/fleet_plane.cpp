@@ -61,10 +61,7 @@ std::size_t FleetRicServer::poll_once() {
   due_.clear();
   ctx_.clear();
   periods_.clear();
-  fb_due_.clear();
-  fb_ctx_.clear();
-  fb_decisions_.clear();
-  fb_meas_.clear();
+  feedback_.clear();
 
   for (const net::StreamFrame& f : frames_) {
     const std::size_t cell = static_cast<std::size_t>(f.stream_id) - 1;
@@ -103,41 +100,41 @@ std::size_t FleetRicServer::poll_once() {
     due_.push_back(cell);
     ctx_.push_back(ind->ctx);
     periods_.push_back(ind->period);
-    if (ind->has_feedback) {
-      fb_due_.push_back(cell);
-      fb_ctx_.push_back(ind->prev_ctx);
-      core::Decision d;
-      d.policy_index = ind->policy_index;
-      d.policy = engine_->grid().policy(ind->policy_index);
-      fb_decisions_.push_back(d);
-      fb_meas_.push_back(ind->meas);
+    core::CellFeedback& fb = feedback_.emplace_back();
+    fb.present = ind->has_feedback;
+    if (fb.present) {
+      fb.ctx = ind->prev_ctx;
+      fb.policy_index = ind->policy_index;
+      fb.meas = ind->meas;
     }
   }
   if (due_.empty()) return 0;
 
-  const auto t0 = std::chrono::steady_clock::now();
-  if (!fb_due_.empty()) {
-    engine_->update_batch(fb_due_, fb_ctx_, fb_decisions_, fb_meas_);
-  }
   out_.resize(due_.size());
-  engine_->decide_batch(due_, ctx_, out_);
+  const auto t0 = std::chrono::steady_clock::now();
+  engine_->serve_batch(due_, ctx_, feedback_, out_,
+                       [this](std::size_t i) { reply(i); });
   engine_wall_ms_ += std::chrono::duration<double, std::milli>(
                          std::chrono::steady_clock::now() - t0)
                          .count();
-
-  for (std::size_t i = 0; i < due_.size(); ++i) {
-    FleetPolicy pol;
-    pol.period = periods_[i];
-    pol.policy_index = out_[i].policy_index;
-    pol.policy = out_[i].policy;
-    encode(pol, &encode_buf_);
-    CellSlot& slot = cells_[due_[i]];
-    slot.last_period = periods_[i];
-    slot.last_reply = encode_buf_;
-    slot.stream->send(encode_buf_);
-  }
   decisions_ += due_.size();
   return due_.size();
+}
+
+// Runs on the thread that just decided batch index i (a pool worker or the
+// poll_once caller), beside other cells' replies: it writes only cell
+// due_[i]'s slot. This is plane code outside the engine's allocation-free
+// dispatch region (lint rule R7): send() copies the frame into the
+// stream's queue, and that copy runs on the deciding thread.
+void FleetRicServer::reply(std::size_t i) {
+  CellSlot& slot = cells_[due_[i]];
+  FleetPolicy pol;
+  pol.period = periods_[i];
+  pol.policy_index = out_[i].policy_index;
+  pol.policy = out_[i].policy;
+  encode(pol, &slot.last_reply);
+  slot.last_period = periods_[i];
+  slot.stream->send(slot.last_reply);
 }
 
 // ---------------------------------------------------------------------------

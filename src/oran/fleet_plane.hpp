@@ -19,6 +19,13 @@
 // batch counts as a duplicate and is dropped (the batch's reply answers
 // it). A cell therefore observes exactly one decision per period no matter
 // how the transport misbehaves, matching the retry/idempotency contract.
+//
+// Streaming. Each cell's policy leaves the moment that cell is decided:
+// poll_once classifies every frame first (reject, in-batch duplicate,
+// redelivery, stale), then runs the due cells through the engine's fused
+// serve_batch, which updates, decides and replies per cell on the engine's
+// pool. The reply is encoded into the cell's cached reply and sent from
+// the deciding thread, so a cell does not wait for the batch's last cell.
 
 #pragma once
 
@@ -54,8 +61,21 @@ struct FleetPlaneConfig {
 
 /// RIC side: K listening MuxEndpoints feeding one core::FleetEngine.
 /// poll_once() is the whole serving loop body: drain every connection,
-/// apply feedback (update_batch), decide the due cells (decide_batch), and
-/// reply on each cell's stream. Single-threaded like the ric_node roles.
+/// classify the frames, then serve the due cells (FleetEngine::serve_batch:
+/// apply feedback, decide, reply on the cell's stream, one cell at a time
+/// per engine thread).
+///
+/// Threading: call poll_once() from one thread at a time. Replies are sent
+/// from the engine's pool workers as well as from that thread; a cell's
+/// slot (cached reply, last period) is written only by the thread deciding
+/// it, and read by poll_once() in a later call, after the dispatch joined.
+/// MuxTransport::send takes only its endpoint's mutex, and the pool holds
+/// none of its own around the reply.
+///
+/// Errors: if one cell's update or select throws, poll_once() rethrows
+/// once the dispatch has finished. The replies of cells decided before it
+/// have left and stay sent (their slots answer redeliveries from cache);
+/// the batch adds nothing to decisions().
 class FleetRicServer {
  public:
   /// Binds all K listeners on ephemeral ports; ports() is valid on return.
@@ -70,8 +90,9 @@ class FleetRicServer {
   /// Block (up to timeout_ms) for transport activity; false on timeout.
   bool wait_activity(int timeout_ms) { return ready_.wait(timeout_ms); }
 
-  /// Drain -> update_batch -> decide_batch -> reply. Returns the number of
-  /// fresh decisions made (duplicates re-answered from cache don't count).
+  /// Drain -> classify -> serve_batch (update -> decide -> reply, per
+  /// cell). Returns the number of fresh decisions made (duplicates
+  /// re-answered from cache don't count).
   std::size_t poll_once();
 
   // Counters are written only by the poll_once() caller but observed from
@@ -91,8 +112,9 @@ class FleetRicServer {
   std::uint64_t decode_rejects() const {
     return decode_rejects_.load(std::memory_order_relaxed);
   }
-  /// Wall time spent inside the engine's batched dispatch (decide + update),
-  /// for the decode-vs-decide split in the bench reports.
+  /// Wall time spent inside the engine's fused dispatch (update + decide,
+  /// and the replies sent from it), for the decode-vs-decide split in the
+  /// bench reports.
   double engine_wall_ms() const {
     return engine_wall_ms_.load(std::memory_order_relaxed);
   }
@@ -102,10 +124,14 @@ class FleetRicServer {
  private:
   struct CellSlot {
     net::MuxTransport* stream = nullptr;
+    // Written by the thread deciding the cell (reply()).
     std::int64_t last_period = -1;
     std::string last_reply;  // resent verbatim on a duplicate indication
     std::uint64_t batch = 0;  // last poll_once batch holding this cell
   };
+
+  // Encodes and sends the policy of batch index i; serve_batch's callback.
+  void reply(std::size_t i);
 
   core::FleetEngine* engine_;
   net::ReadySignal ready_;
@@ -119,12 +145,8 @@ class FleetRicServer {
   std::vector<std::size_t> due_;
   std::vector<env::Context> ctx_;
   std::vector<std::int64_t> periods_;
-  std::vector<std::size_t> fb_due_;
-  std::vector<env::Context> fb_ctx_;
-  std::vector<core::Decision> fb_decisions_;
-  std::vector<env::Measurement> fb_meas_;
+  std::vector<core::CellFeedback> feedback_;
   std::vector<core::Decision> out_;
-  std::string encode_buf_;
 
   std::atomic<std::uint64_t> decisions_{0};
   std::atomic<std::uint64_t> duplicates_{0};

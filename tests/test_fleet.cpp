@@ -5,7 +5,8 @@
 //   * per-cell RNG streams derive from (fleet seed, cell id), so a cell's
 //     draws and noise are invariant to fleet size, join time, and build
 //     order;
-//   * batched dispatch is bit-identical to the serial per-cell loop for any
+//   * batched dispatch, split (update_batch + decide_batch) or fused
+//     (serve_batch), is bit-identical to the serial per-cell loop for any
 //     thread/shard count (cells share no mutable state);
 //   * a warm-started joiner (blended hyperparameters + imported
 //     pseudo-observations from the K nearest donors) reaches the cold
@@ -16,6 +17,7 @@
 
 #include <cmath>
 #include <cstddef>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -140,22 +142,50 @@ TEST(FleetSim, RejectsBadScenarios) {
   EXPECT_THROW(env::FleetSim{sc}, std::invalid_argument);
 }
 
+// drive()'s fleet. The coarse tick snaps the jittered periods to 0.75,
+// 1.0 or 1.25 s, so most batches hold several cells and the pooled
+// dispatches really split them (at the default 0.01 s tick only the first
+// batch holds more than one cell).
+env::FleetScenario drive_scenario(std::size_t cells) {
+  env::FleetScenario sc = small_scenario(cells, 41);
+  sc.tick_s = 0.25;
+  return sc;
+}
+
+// How drive() runs a period through the engine: decide_batch then, after
+// the step, update_batch; or serve_batch, which conditions each cell on its
+// previous period's feedback and decides it in one pass.
+enum class Dispatch { kBatches, kServe };
+
 // Run `periods` decisions per cell through one engine, returning every
-// chosen policy index in batch order.
+// chosen policy index in batch order. In kServe mode it also checks
+// serve_batch's callback contract: on_decided(i) fires exactly once per
+// index, after out[i] is written, and on a serial engine before cell i+1's
+// update (the streaming property).
 std::vector<std::size_t> drive(std::size_t cells, std::size_t threads,
-                               std::size_t periods) {
-  env::FleetSim sim(small_scenario(cells, 41));
+                               std::size_t periods,
+                               Dispatch mode = Dispatch::kBatches) {
+  env::FleetSim sim(drive_scenario(cells));
   core::FleetEngineConfig ec;
   ec.num_threads = threads;
   ec.cell = tiny_cell();
   core::FleetEngine engine(tiny_grid(), ec);
   for (std::size_t i = 0; i < cells; ++i) engine.add_cell();
 
+  constexpr std::size_t kUnset = std::numeric_limits<std::size_t>::max();
   std::vector<std::size_t> chosen;
   std::vector<env::Context> ctx;
   std::vector<core::Decision> dec;
   std::vector<env::ControlPolicy> pol;
   std::vector<env::Measurement> meas;
+  // kServe: each cell's feedback for its next period, and the batch's.
+  std::vector<core::CellFeedback> pending(cells);
+  std::vector<core::CellFeedback> fb;
+  // Per batch index, written only by that index's callback.
+  std::vector<int> fired, written;
+  std::vector<std::size_t> obs_before, obs_self, obs_next;
+  std::size_t streamed = 0;  // serial callbacks that ran before a real update
+  const bool serial = threads == 1;
   std::size_t decisions = 0;
   while (decisions < cells * periods) {
     const auto due = sim.next_due();
@@ -165,14 +195,57 @@ std::vector<std::size_t> drive(std::size_t cells, std::size_t threads,
     pol.resize(n);
     meas.resize(n);
     sim.due_contexts(ctx);
-    engine.decide_batch(due, ctx, dec);
+    if (mode == Dispatch::kServe) {
+      fb.resize(n);
+      obs_before.resize(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        fb[i] = pending[due[i]];
+        obs_before[i] = engine.cell(due[i]).num_observations();
+        dec[i].policy_index = kUnset;
+      }
+      fired.assign(n, 0);
+      written.assign(n, 0);
+      obs_self.assign(n, 0);
+      obs_next.assign(n, 0);
+      engine.serve_batch(due, ctx, fb, dec, [&](std::size_t i) {
+        ++fired[i];
+        written[i] = dec[i].policy_index != kUnset;
+        if (!serial) return;
+        obs_self[i] = engine.cell(due[i]).num_observations();
+        if (i + 1 < n) obs_next[i] = engine.cell(due[i + 1]).num_observations();
+      });
+      for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(fired[i], 1) << "index " << i;
+        EXPECT_EQ(written[i], 1) << "index " << i;
+        if (!serial) continue;
+        // Cell i was conditioned before its callback ...
+        EXPECT_EQ(obs_self[i], engine.cell(due[i]).num_observations());
+        if (i + 1 == n) continue;
+        // ... and cell i+1 only after it.
+        EXPECT_EQ(obs_next[i], obs_before[i + 1]);
+        if (engine.cell(due[i + 1]).num_observations() > obs_before[i + 1])
+          ++streamed;
+      }
+    } else {
+      engine.decide_batch(due, ctx, dec);
+    }
     for (std::size_t i = 0; i < n; ++i) {
       pol[i] = dec[i].policy;
       chosen.push_back(dec[i].policy_index);
     }
     sim.step_due(pol, meas, engine.pool());
-    engine.update_batch(due, ctx, dec, meas);
+    if (mode == Dispatch::kServe) {
+      for (std::size_t i = 0; i < n; ++i)
+        pending[due[i]] = {true, ctx[i], dec[i].policy_index, meas[i]};
+    } else {
+      engine.update_batch(due, ctx, dec, meas);
+    }
     decisions += n;
+  }
+  // The streaming checks above are vacuous unless some cell i+1 really
+  // was conditioned in its batch.
+  if (mode == Dispatch::kServe && serial) {
+    EXPECT_GT(streamed, 0u);
   }
   return chosen;
 }
@@ -181,7 +254,7 @@ std::vector<std::size_t> drive(std::size_t cells, std::size_t threads,
 // ground truth.
 std::vector<std::size_t> drive_hand_rolled(std::size_t cells,
                                            std::size_t periods) {
-  env::FleetSim sim(small_scenario(cells, 41));
+  env::FleetSim sim(drive_scenario(cells));
   std::vector<core::EdgeBol> agents;
   for (std::size_t i = 0; i < cells; ++i)
     agents.emplace_back(tiny_grid(), tiny_cell());
@@ -213,14 +286,17 @@ std::vector<std::size_t> drive_hand_rolled(std::size_t cells,
 
 TEST(FleetEngine, BatchedDispatchBitIdenticalToSerialLoop) {
   const std::size_t cells = 10, periods = 6;
-  const auto pooled4 = drive(cells, 4, periods);
-  const auto pooled2 = drive(cells, 2, periods);
-  const auto single = drive(cells, 1, periods);
   const auto reference = drive_hand_rolled(cells, periods);
-  ASSERT_EQ(pooled4.size(), reference.size());
-  EXPECT_EQ(pooled4, reference);
-  EXPECT_EQ(pooled2, reference);
-  EXPECT_EQ(single, reference);
+  for (const Dispatch mode : {Dispatch::kBatches, Dispatch::kServe}) {
+    for (const std::size_t threads : {4, 2, 1}) {
+      SCOPED_TRACE(testing::Message()
+                   << (mode == Dispatch::kServe ? "serve_batch" : "batches")
+                   << ", " << threads << " threads");
+      const auto chosen = drive(cells, threads, periods, mode);
+      ASSERT_EQ(chosen.size(), reference.size());
+      EXPECT_EQ(chosen, reference);
+    }
+  }
 }
 
 TEST(FleetEngine, ValidatesArguments) {
@@ -239,6 +315,9 @@ TEST(FleetEngine, ValidatesArguments) {
   std::vector<env::Measurement> meas(2);
   ctx.resize(1);
   EXPECT_THROW(engine.update_batch(due, ctx, dec, meas),
+               std::invalid_argument);
+  std::vector<core::CellFeedback> fb(2);
+  EXPECT_THROW(engine.serve_batch(due, ctx, fb, dec, [](std::size_t) {}),
                std::invalid_argument);
 }
 

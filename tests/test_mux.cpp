@@ -573,11 +573,14 @@ TEST(FleetPlane, ByteFlippedIndicationDoesNotWedgeTheCell) {
   EXPECT_EQ(server.decisions(), 1u);
 }
 
-TEST(FleetPlane, ServerAnswersDuplicateIndicationsFromCacheWithoutRedeciding) {
+// At engine_threads > 1 the first batch is decided on the engine's pool, so
+// the cached replies the redeliveries are answered from were written by
+// whichever thread decided each cell, pool workers included.
+void answers_duplicates_from_cache(std::size_t engine_threads) {
   env::GridSpec spec;
   spec.levels_per_dim = 3;
   core::FleetEngineConfig ecfg;
-  ecfg.num_threads = 1;
+  ecfg.num_threads = engine_threads;
   ecfg.cell.gp_budget = 16;
   core::FleetEngine engine(env::ControlGrid{spec}, ecfg);
   const std::size_t kCells = 4;
@@ -592,18 +595,25 @@ TEST(FleetPlane, ServerAnswersDuplicateIndicationsFromCacheWithoutRedeciding) {
   oran::FleetCellBank bank(&cloop, "127.0.0.1", server.ports(), kCells, pcfg);
   ASSERT_TRUE(bank.wait_established(15000));
 
+  oran::FleetIndication ind;
+  ind.period = 0;
+  ind.ctx = {2.0, 18.0, 1.0};
+  for (std::size_t cell = 0; cell < kCells; ++cell)
+    ASSERT_EQ(bank.send_indication(cell, ind), SendResult::kQueued);
+  // Serve only once all four sit in the rx queues: the first poll_once
+  // then decides them as one batch.
+  ASSERT_TRUE(eventually([&] {
+    return server.endpoint(0).stats().link.frames_received +
+               server.endpoint(1).stats().link.frames_received ==
+           kCells;
+  }));
+
   std::atomic<bool> stop{false};
   std::thread srv([&] {
     while (!stop.load()) {
       if (server.poll_once() == 0) (void)server.wait_activity(10);
     }
   });
-
-  oran::FleetIndication ind;
-  ind.period = 0;
-  ind.ctx = {2.0, 18.0, 1.0};
-  for (std::size_t cell = 0; cell < kCells; ++cell)
-    ASSERT_EQ(bank.send_indication(cell, ind), SendResult::kQueued);
 
   std::vector<std::pair<std::size_t, oran::FleetPolicy>> got;
   ASSERT_TRUE(eventually([&] {
@@ -655,6 +665,13 @@ TEST(FleetPlane, ServerAnswersDuplicateIndicationsFromCacheWithoutRedeciding) {
 
   stop.store(true);
   srv.join();
+}
+
+TEST(FleetPlane, ServerAnswersDuplicateIndicationsFromCacheWithoutRedeciding) {
+  for (const std::size_t threads : {1, 2}) {
+    SCOPED_TRACE(testing::Message() << threads << " engine threads");
+    answers_duplicates_from_cache(threads);
+  }
 }
 
 TEST(FleetPlane, OutOfGridFeedbackArmIsRejectedAndTheBatchStillServed) {

@@ -260,7 +260,8 @@ struct FleetSummary {
   std::size_t decisions = 0;
   LatencySummary lat;            // per-decision indication -> policy (ms)
   double total_wall_ms = 0.0;
-  double engine_wall_ms = 0.0;   // inside decide_batch/update_batch
+  double engine_wall_ms = 0.0;   // inside serve_batch (update + decide +
+                                 // the replies it streams)
   std::size_t cells_shortfall = 0;  // cells that finished < target periods
   std::uint64_t duplicates = 0;
   std::uint64_t stale = 0;
@@ -398,9 +399,10 @@ bool run_fleet_phase(const Config& cfg, FleetSummary* out) {
     }
     if (!ok) break;
 
-    // Lock-step with the serving thread (it only touches the engine inside
-    // poll_once, and every reply above means that work is finished), so the
-    // serial step keeps each cell's trajectory deterministic.
+    // Lock-step with the serving thread: a reply leaves once its own cell's
+    // update and select are done (the rest of its batch may still be
+    // running), and the step touches only the simulator, never the engine,
+    // so the serial step keeps each cell's trajectory deterministic.
     sim.step_due(pol, meas, nullptr);
     for (std::size_t i = 0; i < n; ++i) {
       const std::size_t cell = due[i];
